@@ -17,9 +17,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, corpus, lens, pi1, spun, surgery
-from .errors import SpuncalcError
+from .errors import InvalidMoveError, SpuncalcError
 from .fourman import FourManifoldForm
-from .planar import PlanarPage, TwistWord, load_word, word_to_json, word_to_text
+from .planar import PlanarPage, TwistWord, load_word, parity_vector, word_to_json, word_to_text
 
 REPORT_SCHEMA = "spuncalc-report/1"
 
@@ -71,7 +71,7 @@ def cmd_lens(args: argparse.Namespace) -> int:
     c = lens.cf_expand(args.p, args.q)
     sd = lens.slid_diagram(c)
     page, word = lens.lens_open_book(c)
-    rec = lens.reconcile(c)
+    rec = lens.reconcile(c, word)
     target = lens.lens_embedding_target(args.p, args.q)
     plumb_det = lens.plumbing_matrix(c).det()
     slid_det = sd.linking_det()
@@ -161,16 +161,23 @@ def cmd_certify_s4(args: argparse.Namespace) -> int:
     return EXIT_OK if certified else EXIT_CHECK_FAILED
 
 
+def _field(move: dict, key: str):
+    try:
+        return move[key]
+    except (KeyError, TypeError):
+        raise InvalidMoveError(f"move {move!r} has no {key!r} field") from None
+
+
 def _apply_moves(d: surgery.FramedBraidDiagram, moves: list[dict]):
     log = []
     for move in moves:
-        kind = move["move"]
+        kind = _field(move, "move")
         if kind == "blow_up":
-            d, rec = surgery.blow_up(d, move["region"], move["sign"])
+            d, rec = surgery.blow_up(d, _field(move, "region"), _field(move, "sign"))
         elif kind == "blow_down":
-            d, rec = surgery.blow_down(d, move["component"])
+            d, rec = surgery.blow_down(d, _field(move, "component"))
         elif kind == "rolfsen_twist":
-            d, rec = surgery.rolfsen_twist(d, move["component"], move["twists"])
+            d, rec = surgery.rolfsen_twist(d, _field(move, "component"), _field(move, "twists"))
         else:
             raise SpuncalcError(f"unknown move kind: {kind!r}")
         log.append(rec)
@@ -179,7 +186,10 @@ def _apply_moves(d: surgery.FramedBraidDiagram, moves: list[dict]):
 
 def cmd_surgery(args: argparse.Namespace) -> int:
     d = surgery.parse_diagram(Path(args.diagram).read_text())
-    moves = json.loads(Path(args.moves).read_text()) if args.moves else []
+    try:
+        moves = json.loads(Path(args.moves).read_text()) if args.moves else []
+    except json.JSONDecodeError as exc:
+        raise InvalidMoveError(f"malformed JSON in {args.moves}: {exc}") from None
     final, log = _apply_moves(d, moves)
     page, word = surgery.to_planar_open_book(final)
     h1_start = surgery.h1_invariants(d)
@@ -195,7 +205,7 @@ def cmd_surgery(args: argparse.Namespace) -> int:
         "open_book": {
             "page": {"inner_count": page.inner_count},
             "word": word_to_json(word),
-            "parity": list(word.parity_vector()),
+            "parity": list(parity_vector(word)),
         },
     }
     lines = [
@@ -215,6 +225,8 @@ def cmd_surgery(args: argparse.Namespace) -> int:
 
 
 def cmd_pi1(args: argparse.Namespace) -> int:
+    if args.fuzz < 0:
+        raise SpuncalcError(f"--fuzz needs a count >= 0, got {args.fuzz}")
     g = pi1.parse_presentation(Path(args.presentation).read_text())
     page = pi1.page_for_presentation(g)
     recovered = pi1.pi1_of_open_book(page)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import fourman, lens, spun, surgery
-from .planar import PlanarPage, word_from_json, word_to_json
+from .planar import PlanarPage, exponent_vector, parity_vector, word_from_json, word_to_json
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def _run_embed(case: dict) -> tuple[bool, str]:
     expect = case["expect"]
     problems = []
     if "exponents" in expect:
-        got = list(word.exponent_vector().entries)
+        got = list(exponent_vector(word).entries)
         if got != expect["exponents"]:
             problems.append(f"exponents {got} != {expect['exponents']}")
     if list(report.parity) != expect["parity"]:
@@ -100,15 +100,8 @@ def _run_s4(case: dict) -> tuple[bool, str]:
 
 
 def _run_atoms(case: dict) -> tuple[bool, str]:
-    atoms = []
-    for spec_atom in case["page"]["atoms"]:
-        cls = fourman.SphereCyl if spec_atom["kind"] == "sphere_cyl" else fourman.CircleDisk
-        atoms.append(cls(spec_atom["m"]))
-    page = fourman.PageForm(tuple(atoms))
-    mono = fourman.MonodromyForm(
-        twist_exponents=tuple(case["monodromy"]["twists"]),
-        pushes=frozenset(tuple(p) for p in case["monodromy"]["pushes"]),
-    )
+    page = fourman.PageForm.from_json(case["page"])
+    mono = fourman.MonodromyForm.from_json(case["monodromy"])
     got = fourman.evaluate_open_book(page, mono).to_json()
     want = case["expect"]["form"]
     return got == want, f"form {got} != {want}" if got != want else ""
@@ -124,8 +117,9 @@ def _run_surgery(case: dict) -> tuple[bool, str]:
     page, word = surgery.to_planar_open_book(d)
     if word_to_json(word) != expect["word"]:
         problems.append(f"word {word_to_json(word)} != {expect['word']}")
-    if list(word.parity_vector()) != expect["parity"]:
-        problems.append(f"parity {list(word.parity_vector())} != {expect['parity']}")
+    parity = list(parity_vector(word))
+    if parity != expect["parity"]:
+        problems.append(f"parity {parity} != {expect['parity']}")
     return not problems, "; ".join(problems)
 
 

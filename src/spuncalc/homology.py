@@ -1,11 +1,13 @@
 """Exact integer matrix tools: linking matrices, determinants, Smith form.
 
-Everything here runs over Python integers, so all results are exact. The
-determinant routine picks a fraction-free algorithm by structure: an O(n)
-continuant recurrence for tridiagonal matrices and Bareiss elimination in
-general. First homology of a surgered 3-manifold is read off the Smith
-normal form of its linking matrix: the nontrivial invariant factors give
-the torsion and the corank gives the free rank.
+Everything here runs over Python integers, so all results are exact.
+``det`` is fraction-free Bareiss elimination on a dense matrix. Matrices
+whose structure is known where they are built carry their own linear-time
+determinant instead: the plumbing chain in ``lens`` uses its continuant
+and the slid lens diagram uses ``min_structured_det``. First homology of
+a surgered 3-manifold is read off the Smith normal form of its linking
+matrix: the nontrivial invariant factors give the torsion and the corank
+gives the free rank.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def _as_rows(entries: Iterable[Iterable[int]]) -> Rows:
-    if isinstance(entries, tuple) and all(type(row) is tuple for row in entries):
-        rows = entries  # internally built matrices: skip per-entry coercion
-        if any(row and type(row[0]) is not int for row in rows):
-            rows = tuple(tuple(int(x) for x in row) for row in rows)
-    else:
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+    rows = tuple(tuple(map(int, row)) for row in entries)
     for row in rows:
         if len(row) != len(rows):
             raise InvalidDiagramError("matrix is not square")
@@ -49,7 +46,7 @@ class LinkingMatrix:
         return len(self.rows)
 
     def det(self) -> int:
-        return det(self.rows)
+        return det(self)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -88,23 +85,6 @@ class H1Invariants:
         return {"factors": list(self.factors), "free_rank": self.free_rank}
 
 
-def _is_tridiagonal(rows: Rows) -> bool:
-    # slice scans run at C speed, which matters for long plumbing chains
-    return all(
-        not any(row[: max(i - 1, 0)]) and not any(row[i + 2 :])
-        for i, row in enumerate(rows)
-    )
-
-
-def _tridiagonal_det(rows: Rows) -> int:
-    # continuant recurrence on leading principal minors
-    n = len(rows)
-    prev2, prev1 = 1, rows[0][0]
-    for i in range(1, n):
-        prev2, prev1 = prev1, rows[i][i] * prev1 - rows[i - 1][i] * rows[i][i - 1] * prev2
-    return prev1
-
-
 def _bareiss_det(rows: Rows) -> int:
     m = [list(row) for row in rows]
     n = len(m)
@@ -133,8 +113,6 @@ def det(entries: Iterable[Iterable[int]] | LinkingMatrix) -> int:
     rows = entries.rows if isinstance(entries, LinkingMatrix) else _as_rows(entries)
     if not rows:
         return 1
-    if _is_tridiagonal(rows):
-        return _tridiagonal_det(rows)
     return _bareiss_det(rows)
 
 
@@ -159,7 +137,7 @@ def min_structured_det(values: Sequence[int], diagonal: Sequence[int]) -> int:
     return big_d
 
 
-def smith_diagonal(entries: Iterable[Iterable[int]], square: bool = False) -> list[int]:
+def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     """Diagonal of the Smith normal form (nonnegative, divisibility chain).
 
     Works on any rectangular integer matrix; the result has min(rows, cols)
@@ -168,8 +146,6 @@ def smith_diagonal(entries: Iterable[Iterable[int]], square: bool = False) -> li
     m = [list(map(int, row)) for row in entries]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    if square and any(len(row) != nr for row in m):
-        raise InvalidDiagramError("matrix is not square")
     if any(len(row) != nc for row in m):
         raise InvalidDiagramError("ragged matrix")
     diag: list[int] = []

@@ -28,7 +28,7 @@ from math import gcd
 from .errors import SpuncalcError
 from .fourman import FourManifoldForm, normalize
 from .homology import LinkingMatrix, min_structured_det
-from .planar import PlanarPage, TwistWord, twist
+from .planar import PlanarPage, TwistWord, parity_vector, twist
 from .surgery import FramedBraidDiagram
 
 
@@ -81,19 +81,35 @@ def cf_eval(c: ContinuedFraction) -> Fraction:
     return Fraction(num, den)
 
 
-def plumbing_matrix(c: ContinuedFraction) -> LinkingMatrix:
-    """Tridiagonal intersection matrix of the linear plumbing chain."""
-    k = len(c)
-    rows = []
-    for i in range(k):
-        row = [0] * k
-        row[i] = c.coefficients[i]
-        if i > 0:
-            row[i - 1] = 1
-        if i < k - 1:
-            row[i + 1] = 1
-        rows.append(tuple(row))
-    return LinkingMatrix(tuple(rows))
+@dataclass(frozen=True)
+class PlumbingChain:
+    """Intersection matrix of the linear plumbing chain, stored as its
+    diagonal: the coefficients a_i, with 1 between neighbours and 0
+    elsewhere."""
+
+    coefficients: tuple[int, ...]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense tridiagonal matrix, built on each access."""
+        k = len(self.coefficients)
+        return tuple(
+            tuple(a if j == i else 1 if abs(i - j) == 1 else 0 for j in range(k))
+            for i, a in enumerate(self.coefficients)
+        )
+
+    def det(self) -> int:
+        """Continuant recurrence D_i = a_i D_{i-1} - D_{i-2} on the leading
+        principal minors, in O(k)."""
+        prev2, prev1 = 0, 1
+        for a in self.coefficients:
+            prev2, prev1 = prev1, a * prev1 - prev2
+        return prev1
+
+
+def plumbing_matrix(c: ContinuedFraction) -> PlumbingChain:
+    """Intersection matrix of the linear plumbing chain of ``c``."""
+    return PlumbingChain(c.coefficients)
 
 
 @dataclass(frozen=True)
@@ -174,8 +190,8 @@ def slid_diagram(c: ContinuedFraction) -> SlidLensDiagram:
 def lens_open_book(c: ContinuedFraction) -> tuple[PlanarPage, TwistWord]:
     """Raw monodromy word read off the slid diagram: b_i boundary twists
     per strand plus one twist per twist region. Zero exponents are kept so
-    the word mirrors the diagram; see reconcile() before trusting its
-    parities."""
+    the word mirrors the diagram; see reconcile(c, word) before trusting
+    its parities."""
     sd = slid_diagram(c)
     k = sd.strands
     page = PlanarPage(k)
@@ -216,9 +232,10 @@ class LensReconciliation:
         }
 
 
-def reconcile(c: ContinuedFraction) -> LensReconciliation:
-    page, word = lens_open_book(c)
-    return LensReconciliation(word_parity=word.parity_vector(), psi=psi_parity(c))
+def reconcile(c: ContinuedFraction, word: TwistWord) -> LensReconciliation:
+    """Parities of ``word``, the raw monodromy word lens_open_book(c)
+    returned, next to the reduced parities psi_parity(c)."""
+    return LensReconciliation(word_parity=parity_vector(word), psi=psi_parity(c))
 
 
 def lens_embedding_target(p: int, q: int) -> FourManifoldForm:

@@ -145,29 +145,8 @@ class TwistWord:
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
-    def __mul__(self, other: TwistWord) -> TwistWord:
-        return compose(self, other)
-
-    def __invert__(self) -> TwistWord:
-        return invert(self)
-
     def has_pushes(self) -> bool:
         return any(isinstance(gen, PlanarPush) for gen, _ in self.letters)
-
-    def compose(self, other: TwistWord) -> TwistWord:
-        return compose(self, other)
-
-    def invert(self) -> TwistWord:
-        return invert(self)
-
-    def simplify(self) -> TwistWord:
-        return simplify(self)
-
-    def exponent_vector(self) -> ExponentVector:
-        return exponent_vector(self, self.page)
-
-    def parity_vector(self) -> tuple[int, ...]:
-        return parity_vector(self, self.page)
 
     def __str__(self) -> str:
         return word_to_text(self)
@@ -233,11 +212,12 @@ def _resolve_page(word: TwistWord, page: PlanarPage | None) -> PlanarPage:
 
 
 def exponent_vector(word: TwistWord, page: PlanarPage | None = None) -> ExponentVector:
-    """Exponent sum per inner boundary, with pushes expanded to twist pairs."""
+    """Exponent sum per inner boundary, with pushes expanded to twist pairs.
+
+    The letters were checked against ``word.page`` when the word was built."""
     page = _resolve_page(word, page)
     totals = [0] * page.inner_count
     for gen, exp in word.letters:
-        gen.check(page)
         if isinstance(gen, DehnTwist):
             for i in gen.curve.enclosed:
                 totals[i - 1] += exp
@@ -315,14 +295,19 @@ def word_from_json(data: list | dict, page: PlanarPage) -> TwistWord:
         data = data.get("letters", [])
     letters: list[Letter] = []
     for item in data:
+        if not isinstance(item, dict):
+            raise InvalidWordError(f"a JSON word letter must be an object, got {item!r}")
         op = item.get("op")
         exp = int(item.get("exp", 1))
-        if op == "twist":
-            letters.append(twist(item["curve"], exp))
-        elif op == "push":
-            letters.append(push(item["boundary"], item["around"], exp))
-        else:
-            raise InvalidWordError(f"unknown letter op: {op!r}")
+        try:
+            if op == "twist":
+                letters.append(twist(item["curve"], exp))
+            elif op == "push":
+                letters.append(push(item["boundary"], item["around"], exp))
+            else:
+                raise InvalidWordError(f"unknown letter op: {op!r}")
+        except KeyError as exc:
+            raise InvalidWordError(f"{op} letter {item!r} has no {exc} field") from None
     return TwistWord(page, tuple(letters))
 
 
@@ -330,5 +315,9 @@ def load_word(text: str, page: PlanarPage) -> TwistWord:
     """Parse either the text form or the JSON form, sniffing the format."""
     stripped = text.strip()
     if stripped.startswith("[") or stripped.startswith("{"):
-        return word_from_json(json.loads(stripped), page)
+        try:
+            data = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise InvalidWordError(f"malformed JSON word: {exc}") from None
+        return word_from_json(data, page)
     return parse_word(stripped, page)

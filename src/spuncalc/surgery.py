@@ -97,7 +97,11 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
     or the JSON mirror, sniffing the format."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        return FramedBraidDiagram.from_json(json.loads(stripped))
+        try:
+            data = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise InvalidDiagramError(f"malformed JSON diagram: {exc}") from None
+        return FramedBraidDiagram.from_json(data)
     strands = None
     framings: tuple[int, ...] = ()
     word: list[BraidLetter] = []
@@ -105,13 +109,17 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "strands":
-            strands = int(parts[1])
-        elif parts[0] == "framings":
-            framings = tuple(int(x) for x in parts[1:])
-        elif parts[0] == "A":
-            word.append((int(parts[1]), int(parts[2]), int(parts[3])))
+        key, *fields = line.split()
+        try:
+            values = tuple(int(x) for x in fields)
+        except ValueError:
+            raise InvalidDiagramError(f"non-integer field in diagram line: {line!r}") from None
+        if key == "strands" and len(values) == 1:
+            strands = values[0]
+        elif key == "framings":
+            framings = values
+        elif key == "A" and len(values) == 3:
+            word.append(values)
         else:
             raise InvalidDiagramError(f"unrecognized diagram line: {line!r}")
     if strands is None:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON stability, corpus replay."""
 
+import hashlib
 import json
 
 import pytest
@@ -150,3 +151,57 @@ def test_corpus_results_match_runner(capsys):
     assert results and all(r.passed for r in results)
     kinds = {corpus.load_fixture(n)["kind"] for n in corpus.fixture_names()}
     assert kinds == {"embed", "lens", "s4", "atoms", "surgery"}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["surgery", "d.txt"], {"d.txt": "strands 2\nframings -1 -2\nA 1\n"}),
+    (["surgery", "d.txt"], {"d.txt": "strands x\nframings -1\n"}),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 2\nframings -4 -2\nA 1 2 +1\n",
+      "m.json": json.dumps([{"move": "blow_up", "sign": 1}])}),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '[{"op": "twist", "curve": [1]'}),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": "[1, 2]"}),
+    (["pi1", "g.txt", "--fuzz", "-5"], {"g.txt": "gens 2\nx1x2X1X2\n"}),
+], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
+        "non-object-letter", "negative-fuzz"])
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *argv, "--json", "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+README_FILES = {
+    "word.txt": "T{1}^3 T{1,2}^3 T{2}^2\n",
+    "cert.txt": "T{1}^4 T{1} P{2|1}\n",
+    "diagram.txt": "strands 2\nframings -4 -2\nA 1 2 +1\n",
+    "moves.json": '[{"move":"blow_up","region":[1,2],"sign":1},\n'
+                  '        {"move":"blow_down","component":3}]\n',
+}
+
+
+# SHA-256 of the whole byte-stable report. Report bytes are part of the
+# interface: a refactor keeps them, and a deliberate change updates the
+# digest together with a CHANGES.md entry saying why.
+@pytest.mark.parametrize("argv, digest", [
+    (["lens", "7", "2"], "927043d63a54fb3e83b46ea9e9218dadb0db4249d68e0ec1f12939536a5bcb2a"),
+    (["lens", "40", "39"], "c81340e1ddbc97122ff964c8a9d9eaa247fe44953b447d38cd6d411323f63950"),
+    (["surgery", "diagram.txt", "--moves", "moves.json"],
+     "27ccd5a86887b961adafc99f81ef954e3d686fe71c6cd4459e4f05f6fc9a9a61"),
+    (["embed", "--page", "2", "--word", "word.txt"],
+     "ad64053a5e94fca545b28f025d087a601da34f3d26c2762c9cbd51a55af7ddd5"),
+    (["certify-s4", "--page", "2", "--word", "cert.txt"],
+     "0ff401266081f00f3279f4d4fb775d7dfd0ca427e343fb0f5b8daf2fce651319"),
+    (["corpus", "run"], "a7db6bd836f9bcf0a4b63cd7ab42b9d46c1461d809a23071d5a7d1f09a01df4f"),
+], ids=["lens-7-2", "lens-40-39", "surgery-readme", "embed-readme", "certify-s4-readme",
+        "corpus-run"])
+def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, _ = run(capsys, *argv, "--json", "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -86,7 +86,9 @@ def test_plumbing_matrix_examples():
 @settings(max_examples=150, deadline=None)
 def test_plumbing_det_is_p(pq):
     p, q = pq
-    assert abs(plumbing_matrix(cf_expand(p, q)).det()) == p
+    m = plumbing_matrix(cf_expand(p, q))
+    assert abs(m.det()) == p
+    assert m.det() == det(m.rows)  # continuant against dense Bareiss
 
 
 def test_slid_diagram_examples():
@@ -162,7 +164,8 @@ def test_psi_parity_examples():
 
 
 def test_reconciliation_reports_both_parities():
-    rec = reconcile(ContinuedFraction((-4, -2)))
+    c = ContinuedFraction((-4, -2))
+    rec = reconcile(c, lens_open_book(c)[1])
     assert rec.word_parity == (1, 1)  # raw diagram word: every entry odd
     assert rec.psi == (0, 0)
     assert not rec.agree
