@@ -91,7 +91,7 @@ def cmd_lens(args: argparse.Namespace) -> int:
         "slid_det": slid_det,
         "open_book_word": word_to_json(word),
         "reconciliation": rec.to_json(),
-        "psi_parity": list(lens.psi_parity(c)),
+        "psi_parity": list(rec.psi),
         "target": target.to_json(),
         "spin": target.is_spin(),
     }
@@ -161,39 +161,15 @@ def cmd_certify_s4(args: argparse.Namespace) -> int:
     return EXIT_OK if certified else EXIT_CHECK_FAILED
 
 
-def _field(move: dict, key: str):
-    try:
-        return move[key]
-    except (KeyError, TypeError):
-        raise InvalidMoveError(f"move {move!r} has no {key!r} field") from None
-
-
-def _apply_moves(d: surgery.FramedBraidDiagram, moves: list[dict]):
-    log = []
-    for move in moves:
-        kind = _field(move, "move")
-        if kind == "blow_up":
-            d, rec = surgery.blow_up(d, _field(move, "region"), _field(move, "sign"))
-        elif kind == "blow_down":
-            d, rec = surgery.blow_down(d, _field(move, "component"))
-        elif kind == "rolfsen_twist":
-            d, rec = surgery.rolfsen_twist(d, _field(move, "component"), _field(move, "twists"))
-        else:
-            raise SpuncalcError(f"unknown move kind: {kind!r}")
-        log.append(rec)
-    return d, log
-
-
 def cmd_surgery(args: argparse.Namespace) -> int:
     d = surgery.parse_diagram(Path(args.diagram).read_text())
     try:
         moves = json.loads(Path(args.moves).read_text()) if args.moves else []
     except json.JSONDecodeError as exc:
         raise InvalidMoveError(f"malformed JSON in {args.moves}: {exc}") from None
-    final, log = _apply_moves(d, moves)
+    final, h1, log = surgery.apply_moves(d, moves)
     page, word = surgery.to_planar_open_book(final)
-    h1_start = surgery.h1_invariants(d)
-    h1_final = surgery.h1_invariants(final)
+    h1_start, h1_final = h1[0], h1[-1]
     checks = [{"name": f"{rec.move} preserves H1", "passed": rec.h1_preserved}
               for rec in log]
     checks.append({"name": "H1 preserved end to end", "passed": h1_start == h1_final})

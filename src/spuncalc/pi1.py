@@ -176,10 +176,11 @@ def parse_presentation(text: str) -> GroupPresentation:
         if not line or line.startswith("#"):
             continue
         if line.startswith("gens"):
-            parts = line.split()
-            if len(parts) != 2:
-                raise InvalidPresentationError(f"bad gens line: {line!r}")
-            gens = int(parts[1])
+            try:
+                _, count = line.split()
+                gens = int(count)
+            except ValueError:
+                raise InvalidPresentationError(f"bad gens line: {line!r}") from None
         else:
             relators.append(parse_relator(line))
     if gens is None:

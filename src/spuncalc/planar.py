@@ -298,8 +298,8 @@ def word_from_json(data: list | dict, page: PlanarPage) -> TwistWord:
         if not isinstance(item, dict):
             raise InvalidWordError(f"a JSON word letter must be an object, got {item!r}")
         op = item.get("op")
-        exp = int(item.get("exp", 1))
         try:
+            exp = int(item.get("exp", 1))
             if op == "twist":
                 letters.append(twist(item["curve"], exp))
             elif op == "push":
@@ -308,6 +308,10 @@ def word_from_json(data: list | dict, page: PlanarPage) -> TwistWord:
                 raise InvalidWordError(f"unknown letter op: {op!r}")
         except KeyError as exc:
             raise InvalidWordError(f"{op} letter {item!r} has no {exc} field") from None
+        except InvalidWordError:  # also a ValueError: keep its own message
+            raise
+        except (TypeError, ValueError):
+            raise InvalidWordError(f"{op} letter {item!r} needs integer fields") from None
     return TwistWord(page, tuple(letters))
 
 

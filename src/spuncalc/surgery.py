@@ -6,8 +6,11 @@ generator letters (i, j, sign); summing the signs per pair gives the
 off-diagonal linking numbers, the framings the diagonal. First homology of
 the surgered manifold is presented by that linking matrix.
 
-Moves return a new diagram together with a record carrying the homology
-audit. The sign conventions in force (also echoed in every CLI report):
+Moves are pure diagram transforms: each returns the new diagram and a
+one-line detail string, and computes no homology. ``apply_moves`` runs a
+move list and audits the chain, computing H1 once per diagram and one
+``MoveRecord`` per move from adjacent entries. The sign conventions in
+force (also echoed in every CLI report):
 
 * blow_up(region, sign) appends a new strand with framing ``sign`` that
   links each region member once positively, and compensates by adding
@@ -47,10 +50,17 @@ class FramedBraidDiagram:
     framings: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.strands < 0:
+        try:
+            strands = int(self.strands)
+            word = tuple((int(i), int(j), int(e)) for i, j, e in self.braid_word)
+            framings = tuple(int(f) for f in self.framings)
+        except (TypeError, ValueError):
+            raise InvalidDiagramError(
+                "strands, framings and braid letters (i, j, sign) must be integers"
+            ) from None
+        if strands < 0:
             raise InvalidDiagramError("strand count must be nonnegative")
-        word = tuple((int(i), int(j), int(e)) for i, j, e in self.braid_word)
-        framings = tuple(int(f) for f in self.framings)
+        object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "braid_word", word)
         object.__setattr__(self, "framings", framings)
         if len(framings) != self.strands:
@@ -78,10 +88,12 @@ class FramedBraidDiagram:
 
     @staticmethod
     def from_json(data: dict) -> FramedBraidDiagram:
+        if "strands" not in data:
+            raise InvalidDiagramError("JSON diagram has no 'strands' field")
         return FramedBraidDiagram(
-            strands=int(data["strands"]),
-            braid_word=tuple(tuple(x) for x in data.get("braid", [])),
-            framings=tuple(data.get("framings", [])),
+            strands=data["strands"],
+            braid_word=data.get("braid", ()),
+            framings=data.get("framings", ()),
         )
 
     def to_text(self) -> str:
@@ -171,23 +183,21 @@ class MoveRecord:
         }
 
 
-def _letters(count: int, i: int, j: int) -> list[BraidLetter]:
-    lo, hi = min(i, j), max(i, j)
-    sign = 1 if count > 0 else -1
-    return [(lo, hi, sign)] * abs(count)
-
-
-def _record(move: str, detail: str, before: FramedBraidDiagram, after: FramedBraidDiagram) -> MoveRecord:
-    return MoveRecord(
-        move=move,
-        detail=detail,
-        h1_before=h1_invariants(before),
-        h1_after=h1_invariants(after),
-    )
+def _rank_one(word: list[BraidLetter], framings: list[int], u: list[int],
+              s: int) -> FramedBraidDiagram:
+    """The update all three moves share: add s*u_i*u_j to each linking (as
+    letters, pair by pair in index order) and s*u_i^2 to each framing."""
+    support = [i for i, x in enumerate(u, 1) if x]
+    for a, i in enumerate(support):
+        framings[i - 1] += s * u[i - 1] ** 2
+        for j in support[a + 1:]:
+            delta = s * u[i - 1] * u[j - 1]
+            word += [(i, j, 1 if delta > 0 else -1)] * abs(delta)
+    return FramedBraidDiagram(len(framings), tuple(word), tuple(framings))
 
 
 def blow_up(d: FramedBraidDiagram, region: set[int] | list[int] | tuple[int, ...],
-            sign: int) -> tuple[FramedBraidDiagram, MoveRecord]:
+            sign: int) -> tuple[FramedBraidDiagram, str]:
     """Append a ``sign``-framed strand linking each region member once,
     twisting the region to compensate so the manifold is unchanged."""
     members = sorted({int(i) for i in region})
@@ -198,22 +208,13 @@ def blow_up(d: FramedBraidDiagram, region: set[int] | list[int] | tuple[int, ...
     if members[0] < 1 or members[-1] > d.strands:
         raise InvalidMoveError(f"region {members} out of range")
     new = d.strands + 1
-    word = list(d.braid_word)
-    for i in members:
-        word.extend(_letters(1, i, new))
-    for a_i, i in enumerate(members):
-        for j in members[a_i + 1:]:
-            word.extend(_letters(sign, i, j))
-    framings = list(d.framings)
-    for i in members:
-        framings[i - 1] += sign
-    framings.append(sign)
-    out = FramedBraidDiagram(strands=new, braid_word=tuple(word), framings=tuple(framings))
-    rec = _record("blow_up", f"region {members}, sign {sign:+d}", d, out)
-    return out, rec
+    word = [*d.braid_word, *((i, new, 1) for i in members)]
+    u = [int(i in members) for i in range(1, new)]
+    return (_rank_one(word, [*d.framings, sign], u, sign),
+            f"region {members}, sign {sign:+d}")
 
 
-def blow_down(d: FramedBraidDiagram, component: int) -> tuple[FramedBraidDiagram, MoveRecord]:
+def blow_down(d: FramedBraidDiagram, component: int) -> tuple[FramedBraidDiagram, str]:
     """Remove a +-1-framed strand, adjusting its neighbors by the quadratic
     rule: framings drop by sign*l(i,c)^2, linkings by sign*l(i,c)*l(j,c)."""
     c = int(component)
@@ -222,28 +223,14 @@ def blow_down(d: FramedBraidDiagram, component: int) -> tuple[FramedBraidDiagram
     sign = d.framings[c - 1]
     if sign not in (1, -1):
         raise InvalidMoveError(f"blow_down needs framing +-1, component {c} has {sign}")
-    lk = {i: d.linking(i, c) for i in range(1, d.strands + 1) if i != c}
-
-    def shift(i: int) -> int:
-        return i if i < c else i - 1
-
-    word: list[BraidLetter] = []
-    for a, b, e in d.braid_word:
-        if c in (a, b):
-            continue
-        word.append((shift(a), shift(b), e))
-    indices = [i for i in range(1, d.strands + 1) if i != c]
-    for a_i, i in enumerate(indices):
-        for j in indices[a_i + 1:]:
-            delta = -sign * lk[i] * lk[j]
-            word.extend(_letters(delta, shift(i), shift(j)))
-    framings = [d.framings[i - 1] - sign * lk[i] ** 2 for i in indices]
-    out = FramedBraidDiagram(strands=d.strands - 1, braid_word=tuple(word), framings=tuple(framings))
-    rec = _record("blow_down", f"component {c}, sign {sign:+d}", d, out)
-    return out, rec
+    # the strands after c move down one place, in order
+    word = [(a - (a > c), b - (b > c), e) for a, b, e in d.braid_word if c not in (a, b)]
+    framings = [f for i, f in enumerate(d.framings, 1) if i != c]
+    u = [d.linking(i, c) for i in range(1, d.strands + 1) if i != c]
+    return _rank_one(word, framings, u, -sign), f"component {c}, sign {sign:+d}"
 
 
-def rolfsen_twist(d: FramedBraidDiagram, component: int, t: int) -> tuple[FramedBraidDiagram, MoveRecord]:
+def rolfsen_twist(d: FramedBraidDiagram, component: int, t: int) -> tuple[FramedBraidDiagram, str]:
     """Add t full twists along the disk of ``component``.
 
     Strands linking the component pick up t*l(i,c)^2 on their framings and
@@ -262,19 +249,60 @@ def rolfsen_twist(d: FramedBraidDiagram, component: int, t: int) -> tuple[Framed
         raise InvalidMoveError(
             f"twisting framing {f} by t={t} leaves the integer calculus"
         )
-    lk = {i: d.linking(i, c) for i in range(1, d.strands + 1) if i != c}
-    word = list(d.braid_word)
-    indices = [i for i in range(1, d.strands + 1) if i != c]
-    for a_i, i in enumerate(indices):
-        for j in indices[a_i + 1:]:
-            word.extend(_letters(t * lk[i] * lk[j], i, j))
     framings = list(d.framings)
-    for i in indices:
-        framings[i - 1] += t * lk[i] ** 2
     framings[c - 1] = f // denom
-    out = FramedBraidDiagram(strands=d.strands, braid_word=tuple(word), framings=tuple(framings))
-    rec = _record("rolfsen_twist", f"component {c}, t {t:+d}", d, out)
-    return out, rec
+    u = [0 if i == c else d.linking(i, c) for i in range(1, d.strands + 1)]
+    return _rank_one(list(d.braid_word), framings, u, t), f"component {c}, t {t:+d}"
+
+
+def _field(move: dict, key: str):
+    try:
+        return move[key]
+    except (KeyError, TypeError):
+        raise InvalidMoveError(f"move {move!r} has no {key!r} field") from None
+
+
+def _int(move: dict, key: str) -> int:
+    value = _field(move, key)
+    if type(value) is not int:
+        raise InvalidMoveError(f"move {move!r}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _apply(d: FramedBraidDiagram, move: dict) -> tuple[FramedBraidDiagram, str]:
+    kind = _field(move, "move")
+    if kind == "blow_up":
+        region = _field(move, "region")
+        if not isinstance(region, list) or any(type(i) is not int for i in region):
+            raise InvalidMoveError(f"move {move!r}: 'region' must be a list of integers")
+        return blow_up(d, region, _int(move, "sign"))
+    if kind == "blow_down":
+        return blow_down(d, _int(move, "component"))
+    if kind == "rolfsen_twist":
+        return rolfsen_twist(d, _int(move, "component"), _int(move, "twists"))
+    raise InvalidMoveError(f"unknown move kind: {kind!r}")
+
+
+def apply_moves(d: FramedBraidDiagram, moves: list[dict],
+                ) -> tuple[FramedBraidDiagram, list[H1Invariants], list[MoveRecord]]:
+    """Apply a JSON move list to ``d`` and audit the chain.
+
+    Returns the final diagram, the H1 of every diagram in the chain (input
+    first; computed once each, after every move has applied) and one
+    record per move built from adjacent entries.
+    """
+    if not isinstance(moves, list):
+        raise InvalidMoveError(f"a move list must be a JSON list, got {type(moves).__name__}")
+    chain = [d]
+    details = []
+    for move in moves:
+        d, detail = _apply(d, move)
+        chain.append(d)
+        details.append(detail)
+    h1 = [h1_invariants(x) for x in chain]
+    log = [MoveRecord(move["move"], detail, before, after)
+           for move, detail, before, after in zip(moves, details, h1, h1[1:])]
+    return d, h1, log
 
 
 def to_planar_open_book(d: FramedBraidDiagram) -> tuple[PlanarPage, TwistWord]:

@@ -196,13 +196,13 @@ def test_criterion_9_kirby_move_audit():
         kind = rng.choice(("blow_up", "blow_down", "rolfsen"))
         if kind == "blow_up":
             region = rng.sample(range(1, n + 1), rng.randint(1, n))
-            out, rec = blow_up(d, region, rng.choice((1, -1)))
+            out, _ = blow_up(d, region, rng.choice((1, -1)))
         elif kind == "blow_down":
             c = rng.randint(1, n)
             framings[c - 1] = rng.choice((1, -1))
             d = FramedBraidDiagram(n, tuple(word), tuple(framings))
             before = h1_invariants(d)
-            out, rec = blow_down(d, c)
+            out, _ = blow_down(d, c)
         else:
             c = rng.randint(1, n)
             f = framings[c - 1]
@@ -215,8 +215,7 @@ def test_criterion_9_kirby_move_audit():
                 d = FramedBraidDiagram(n, tuple(word), tuple(framings))
                 before = h1_invariants(d)
                 t = rng.randint(-4, 4)
-            out, rec = rolfsen_twist(d, c, t)
-        assert rec.h1_preserved, (d, kind)
+            out, _ = rolfsen_twist(d, c, t)
         assert h1_invariants(out) == before, (d, kind)
     _announce(9, "H1 invariant factors unchanged under 1000 randomized moves")
 

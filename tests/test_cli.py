@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spuncalc import corpus
+from spuncalc import corpus, homology
 from spuncalc.cli import main
 
 
@@ -153,18 +153,51 @@ def test_corpus_results_match_runner(capsys):
     assert kinds == {"embed", "lens", "s4", "atoms", "surgery"}
 
 
-@pytest.mark.parametrize("argv, files", [
-    (["surgery", "d.txt"], {"d.txt": "strands 2\nframings -1 -2\nA 1\n"}),
-    (["surgery", "d.txt"], {"d.txt": "strands x\nframings -1\n"}),
+GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
+
+
+@pytest.mark.parametrize("argv, files, needle", [
+    (["surgery", "d.txt"], {"d.txt": "strands 2\nframings -1 -2\nA 1\n"}, "diagram line"),
+    (["surgery", "d.txt"], {"d.txt": "strands x\nframings -1\n"}, "non-integer"),
     (["surgery", "d.txt", "--moves", "m.json"],
-     {"d.txt": "strands 2\nframings -4 -2\nA 1 2 +1\n",
-      "m.json": json.dumps([{"move": "blow_up", "sign": 1}])}),
-    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '[{"op": "twist", "curve": [1]'}),
-    (["embed", "--page", "3", "--word", "w.json"], {"w.json": "[1, 2]"}),
-    (["pi1", "g.txt", "--fuzz", "-5"], {"g.txt": "gens 2\nx1x2X1X2\n"}),
+     {"d.txt": GOOD_DIAGRAM, "m.json": json.dumps([{"move": "blow_up", "sign": 1}])},
+     "'region'"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '[{"op": "twist", "curve": [1]'},
+     "malformed JSON"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": "[1, 2]"}, "object"),
+    (["pi1", "g.txt", "--fuzz", "-5"], {"g.txt": "gens 2\nx1x2X1X2\n"}, "--fuzz"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": GOOD_DIAGRAM,
+      "m.json": json.dumps([{"move": "blow_up", "region": ["a"], "sign": 1}])}, "'region'"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 1\nframings 0\n",
+      "m.json": json.dumps([{"move": "rolfsen_twist", "component": 1, "twists": "q"}])},
+     "'twists'"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 1\nframings 1\n",
+      "m.json": json.dumps([{"move": "blow_down", "component": [1]}])}, "'component'"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": GOOD_DIAGRAM,
+      "m.json": json.dumps({"move": "blow_up", "region": [1], "sign": 1})}, "list"),
+    (["surgery", "d.json"], {"d.json": '{"framings": [1]}'}, "strands"),
+    (["surgery", "d.json"], {"d.json": '{"strands": "two", "framings": []}'}, "integers"),
+    (["surgery", "d.json"], {"d.json": '{"strands": 2, "framings": [1, 1], "braid": [[1, 2]]}'},
+     "braid letters"),
+    (["surgery", "d.json"],
+     {"d.json": '{"strands": 2, "framings": [1, 1], "braid": [[1, 2, "x"]]}'}, "integers"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '[{"op": "twist", "curve": ["a"]}]'},
+     "integer"),
+    (["embed", "--page", "3", "--word", "w.json"],
+     {"w.json": '[{"op": "twist", "curve": [1], "exp": "q"}]'}, "integer"),
+    (["pi1", "g.txt"], {"g.txt": "gens x\nx1\n"}, "gens"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
-        "non-object-letter", "negative-fuzz"])
-def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files):
+        "non-object-letter", "negative-fuzz", "move-region-not-integer",
+        "move-twists-not-integer", "move-component-list", "moves-file-object",
+        "json-diagram-no-strands", "json-diagram-strands-text", "json-diagram-two-field-letter",
+        "json-diagram-sign-not-integer", "json-word-curve-not-integer",
+        "json-word-exp-not-integer", "gens-not-integer"])
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
+                                                     needle):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -172,6 +205,7 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, caps
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert needle in err
 
 
 README_FILES = {
@@ -181,6 +215,25 @@ README_FILES = {
     "moves.json": '[{"move":"blow_up","region":[1,2],"sign":1},\n'
                   '        {"move":"blow_down","component":3}]\n',
 }
+
+
+def test_surgery_computes_each_diagrams_h1_once(tmp_path, monkeypatch, capsys):
+    # two moves make a chain of three diagrams: one Smith reduction each
+    calls = []
+    smith = homology.smith_diagonal
+
+    def counting_smith(entries):
+        calls.append(1)
+        return smith(entries)
+
+    monkeypatch.setattr(homology, "smith_diagonal", counting_smith)
+    monkeypatch.chdir(tmp_path)
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, _, _ = run(capsys, "surgery", "diagram.txt", "--moves", "moves.json",
+                     "--json", "--no-timestamp")
+    assert code == 0
+    assert len(calls) == 3
 
 
 # SHA-256 of the whole byte-stable report. Report bytes are part of the

@@ -11,6 +11,7 @@ from spuncalc.homology import H1Invariants
 from spuncalc.planar import parity_vector, twist
 from spuncalc.surgery import (
     FramedBraidDiagram,
+    apply_moves,
     blow_down,
     blow_up,
     h1_invariants,
@@ -92,11 +93,13 @@ def test_h1_examples():
 
 def test_blow_up_then_down_restores_surgery_data():
     d = FramedBraidDiagram(3, ((1, 2, 1), (2, 3, -1)), (-1, 4, 0))
-    up, rec_up = blow_up(d, {1, 3}, sign=-1)
+    up, detail_up = blow_up(d, {1, 3}, sign=-1)
     assert up.strands == 4
-    assert rec_up.h1_preserved
-    down, rec_down = blow_down(up, 4)
-    assert rec_down.h1_preserved
+    assert detail_up == "region [1, 3], sign -1"
+    assert h1_invariants(up) == h1_invariants(d)
+    down, detail_down = blow_down(up, 4)
+    assert detail_down == "component 4, sign -1"
+    assert h1_invariants(down) == h1_invariants(up)
     assert down.strands == d.strands
     assert down.framings == d.framings
     assert linking_matrix(down) == linking_matrix(d)
@@ -104,9 +107,9 @@ def test_blow_up_then_down_restores_surgery_data():
 
 def test_blow_down_isolated_unknot():
     d = FramedBraidDiagram(2, (), (1, 5))
-    out, rec = blow_down(d, 1)
+    out, _ = blow_down(d, 1)
     assert out == FramedBraidDiagram(1, (), (5,))
-    assert rec.h1_preserved
+    assert h1_invariants(out) == h1_invariants(d)
 
 
 def test_blow_down_requires_unit_framing():
@@ -129,20 +132,21 @@ def test_blow_up_validation():
 
 def test_rolfsen_twist_zero_framed():
     d = FramedBraidDiagram(2, ((1, 2, 1), (1, 2, 1)), (0, 3))
-    out, rec = rolfsen_twist(d, 1, 5)
+    out, detail = rolfsen_twist(d, 1, 5)
     assert out.framings == (0, 3 + 5 * 4)
-    assert rec.h1_preserved
+    assert detail == "component 1, t +5"
+    assert h1_invariants(out) == h1_invariants(d)
 
 
 def test_rolfsen_twist_unit_framings():
     d = FramedBraidDiagram(2, ((1, 2, 1),), (1, 0))
-    out, rec = rolfsen_twist(d, 1, -2)
+    out, _ = rolfsen_twist(d, 1, -2)
     assert out.framings[0] == -1
-    assert rec.h1_preserved
+    assert h1_invariants(out) == h1_invariants(d)
     d = FramedBraidDiagram(1, (), (2,))
-    out, rec = rolfsen_twist(d, 1, -1)
+    out, _ = rolfsen_twist(d, 1, -1)
     assert out.framings == (-2,)
-    assert rec.h1_preserved
+    assert h1_invariants(out) == h1_invariants(d)
 
 
 def test_rolfsen_twist_integrality_guard():
@@ -190,9 +194,43 @@ def test_moves_preserve_h1_fuzz():
         framings = tuple(rng.randint(-9, 9) for _ in range(n))
         d = FramedBraidDiagram(n, word, framings)
         before = h1_invariants(d)
-        out, rec = random_applicable_move(rng, d)
-        assert rec.h1_preserved, (d, rec)
-        assert h1_invariants(out) == before
+        out, detail = random_applicable_move(rng, d)
+        assert h1_invariants(out) == before, (d, detail)
+
+
+def test_apply_moves_audits_the_chain():
+    d = FramedBraidDiagram(2, ((1, 2, 1),), (-4, -2))
+    moves = [
+        {"move": "blow_up", "region": [1, 2], "sign": 1},
+        {"move": "rolfsen_twist", "component": 3, "twists": -2},
+        {"move": "blow_down", "component": 3},
+    ]
+    final, h1, log = apply_moves(d, moves)
+    up, _ = blow_up(d, [1, 2], 1)
+    twisted, _ = rolfsen_twist(up, 3, -2)
+    assert final == blow_down(twisted, 3)[0]
+    assert h1 == [h1_invariants(x) for x in (d, up, twisted, final)]
+    assert [(r.move, r.detail) for r in log] == [
+        ("blow_up", "region [1, 2], sign +1"),
+        ("rolfsen_twist", "component 3, t -2"),
+        ("blow_down", "component 3, sign -1"),
+    ]
+    assert [(r.h1_before, r.h1_after) for r in log] == list(zip(h1, h1[1:]))
+    assert apply_moves(d, []) == (d, [h1_invariants(d)], [])
+
+
+@pytest.mark.parametrize("moves", [
+    {"move": "blow_down", "component": 1},
+    [{"move": "blow_down", "component": True}],
+    [{"move": "blow_up", "region": 1, "sign": 1}],
+    [{"move": "blow_up", "region": [1], "sign": 1.0}],
+    [{"move": "blow_up", "region": [1]}],
+    [{"move": "reflect"}],
+    ["blow_up"],
+])
+def test_apply_moves_rejects_malformed_moves(moves):
+    with pytest.raises(InvalidMoveError):
+        apply_moves(FramedBraidDiagram(1, (), (1,)), moves)
 
 
 def test_to_planar_open_book_examples():
