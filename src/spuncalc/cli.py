@@ -3,18 +3,23 @@
 Subcommands: lens, embed, certify-s4, surgery, pi1, corpus. Every command
 prints a human-readable report (lens-space targets in W_{i,j} notation,
 pages as Sigma_{0,n+1}) or, with --json, a schema-versioned report whose
-serialization is byte-stable given --no-timestamp. Exit codes: 0 ok,
+serialization is byte-stable given --no-timestamp. The JSON bytes are those
+of ``json.dumps(report, indent=2, sort_keys=True)``. Exit codes: 0 ok,
 1 check failed, 2 bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
+from math import inf
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__, corpus, lens, pi1, spun, surgery
 from .errors import InvalidMoveError, SpuncalcError
@@ -44,9 +49,54 @@ def _report(command: str, inputs: dict, outputs: dict, checks: list[dict],
     return report
 
 
-def _emit(report: dict, lines: list[str], as_json: bool) -> None:
+def _dumps(value: object, newline: str = "\n") -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives, for
+    dicts with str keys, lists, tuples, str, int, bool, None and float;
+    anything else raises TypeError. ``newline`` is the line break plus the
+    indent of ``value``'s own level. (Given ``indent``, ``json`` runs its
+    pure-Python encoder, which is slower than this writer.)"""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        body = ("," + inner).join([encode_basestring_ascii(key) + ": " + _dumps(x, inner)
+                                   for key, x in sorted(value.items())])
+        return "{" + inner + body + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            body = ("," + inner).join(map(int.__repr__, value))
+        else:
+            body = ("," + inner).join([_dumps(x, inner) for x in value])
+        return "[" + inner + body + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == inf:
+            return "Infinity"
+        if value == -inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(report: dict, lines: Iterable[str], as_json: bool) -> None:
+    """Print the report as JSON, or else the text lines; ``lines`` is
+    iterated only in text mode, so a generator builds no text under --json."""
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
     else:
         for line in lines:
             print(line)
@@ -70,9 +120,9 @@ def _read_word(path: str, page: PlanarPage) -> TwistWord:
 def cmd_lens(args: argparse.Namespace) -> int:
     c = lens.cf_expand(args.p, args.q)
     sd = lens.slid_diagram(c)
-    page, word = lens.lens_open_book(c)
+    page, word = lens.lens_open_book(c, sd)
     rec = lens.reconcile(c, word)
-    target = lens.lens_embedding_target(args.p, args.q)
+    target = lens.psi_target(rec.psi)
     plumb_det = lens.plumbing_matrix(c).det()
     slid_det = sd.linking_det()
     value = lens.cf_eval(c)
@@ -95,20 +145,22 @@ def cmd_lens(args: argparse.Namespace) -> int:
         "target": target.to_json(),
         "spin": target.is_spin(),
     }
-    lines = [
-        f"L({args.p},{args.q}): expansion {list(c.coefficients)}",
-        f"plumbing det = {plumb_det} (|det| = {abs(plumb_det)})",
-        f"slid diagram: framings {list(sd.framings)}, links {list(sd.links)}, "
-        f"twist regions {list(sd.twist_regions)}, det = {slid_det}",
-        f"open book on {_page_name(page)}: {word_to_text(word) or '(empty)'}",
-        f"word parity {list(rec.word_parity)} vs reduced parity {list(rec.psi)}"
-        + ("" if rec.agree else "  [disagreement flagged]"),
-        f"embedding target: {_form_name(target)}" + ("  [spin]" if target.is_spin() else ""),
-    ]
+
+    def lines():
+        yield f"L({args.p},{args.q}): expansion {list(c.coefficients)}"
+        yield f"plumbing det = {plumb_det} (|det| = {abs(plumb_det)})"
+        yield (f"slid diagram: framings {list(sd.framings)}, links {list(sd.links)}, "
+               f"twist regions {list(sd.twist_regions)}, det = {slid_det}")
+        yield f"open book on {_page_name(page)}: {word_to_text(word) or '(empty)'}"
+        yield (f"word parity {list(rec.word_parity)} vs reduced parity {list(rec.psi)}"
+               + ("" if rec.agree else "  [disagreement flagged]"))
+        yield (f"embedding target: {_form_name(target)}"
+               + ("  [spin]" if target.is_spin() else ""))
+
     hard_checks = [c_ for c_ in checks if "detail" not in c_]
     failed = [c_ for c_ in hard_checks if not c_["passed"]]
     _emit(_report("lens", {"p": args.p, "q": args.q}, outputs, checks, not args.no_timestamp),
-          lines, args.json)
+          lines(), args.json)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -121,18 +173,19 @@ def cmd_embed(args: argparse.Namespace) -> int:
         "passed": report.raw.summand_count() == page.inner_count,
     }]
     outputs = report.to_json()
-    lines = [
-        f"page: {_page_name(page)}",
-        f"word: {word_to_text(word) or '(empty)'}",
-        f"parity: {list(report.parity)}",
-        f"raw target: {_form_name(report.raw)}",
-    ]
-    if not args.raw:
-        lines.append(f"normalized: {_form_name(report.normalized)}")
-    lines.append(f"spin: {'yes' if report.spin else 'no'}")
+
+    def lines():
+        yield f"page: {_page_name(page)}"
+        yield f"word: {word_to_text(word) or '(empty)'}"
+        yield f"parity: {list(report.parity)}"
+        yield f"raw target: {_form_name(report.raw)}"
+        if not args.raw:
+            yield f"normalized: {_form_name(report.normalized)}"
+        yield f"spin: {'yes' if report.spin else 'no'}"
+
     failed = [c for c in checks if not c["passed"]]
     _emit(_report("embed", {"page": args.page, "word_file": args.word}, outputs, checks,
-                  not args.no_timestamp), lines, args.json)
+                  not args.no_timestamp), lines(), args.json)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -145,19 +198,21 @@ def cmd_certify_s4(args: argparse.Namespace) -> int:
         "a_parities": list(parities),
         "certified": certified,
     }
-    lines = [
-        f"page: {_page_name(page)} with {page.inner_count // 2} boundary pairs",
-        f"word: {word_to_text(word)}",
-        f"a-boundary twist parities: {list(parities)}",
-    ]
     if certified:
         outputs["target"] = spun.s4_target_name(page)
-        lines.append(f"certified: yes -> {spun.s4_target_name(page)}")
-    else:
-        lines.append("certified: no (every a-boundary needs odd twist parity)")
+
+    def lines():
+        yield f"page: {_page_name(page)} with {page.inner_count // 2} boundary pairs"
+        yield f"word: {word_to_text(word)}"
+        yield f"a-boundary twist parities: {list(parities)}"
+        if certified:
+            yield f"certified: yes -> {outputs['target']}"
+        else:
+            yield "certified: no (every a-boundary needs odd twist parity)"
+
     checks = [{"name": "sphere certificate", "passed": certified}]
     _emit(_report("certify-s4", {"page": args.page, "word_file": args.word}, outputs,
-                  checks, not args.no_timestamp), lines, args.json)
+                  checks, not args.no_timestamp), lines(), args.json)
     return EXIT_OK if certified else EXIT_CHECK_FAILED
 
 
@@ -184,19 +239,20 @@ def cmd_surgery(args: argparse.Namespace) -> int:
             "parity": list(parity_vector(word)),
         },
     }
-    lines = [
-        f"diagram: {d.strands} strands, framings {list(d.framings)}",
-        f"H1 = {h1_start.describe()}",
-    ]
-    for rec in log:
-        status = "ok" if rec.h1_preserved else "H1 CHANGED"
-        lines.append(f"move {rec.move} [{rec.detail}]: "
-                     f"{rec.h1_before.describe()} -> {rec.h1_after.describe()} ({status})")
-    lines.append(f"final: {final.strands} strands, framings {list(final.framings)}")
-    lines.append(f"open book on {_page_name(page)}: {word_to_text(word) or '(empty)'}")
+
+    def lines():
+        yield f"diagram: {d.strands} strands, framings {list(d.framings)}"
+        yield f"H1 = {h1_start.describe()}"
+        for rec in log:
+            status = "ok" if rec.h1_preserved else "H1 CHANGED"
+            yield (f"move {rec.move} [{rec.detail}]: "
+                   f"{rec.h1_before.describe()} -> {rec.h1_after.describe()} ({status})")
+        yield f"final: {final.strands} strands, framings {list(final.framings)}"
+        yield f"open book on {_page_name(page)}: {word_to_text(word) or '(empty)'}"
+
     failed = [c for c in checks if not c["passed"]]
     _emit(_report("surgery", {"diagram_file": args.diagram, "moves_file": args.moves},
-                  outputs, checks, not args.no_timestamp), lines, args.json)
+                  outputs, checks, not args.no_timestamp), lines(), args.json)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -220,17 +276,18 @@ def cmd_pi1(args: argparse.Namespace) -> int:
         "recovered": recovered.to_json(),
         "abelianization": ab.to_json(),
     }
-    lines = [
-        f"presentation: {g.describe()}",
-        f"page: {page.handle_count} circle handles, {page.sphere_count} pushed spheres",
-        f"recovered fundamental group: {recovered.describe('a')}",
-        f"abelianization: {ab.describe()}",
-    ]
-    for check in checks[1:]:
-        lines.append(f"{check['name']}: {'pass' if check['passed'] else 'FAIL'}")
+
+    def lines():
+        yield f"presentation: {g.describe()}"
+        yield f"page: {page.handle_count} circle handles, {page.sphere_count} pushed spheres"
+        yield f"recovered fundamental group: {recovered.describe('a')}"
+        yield f"abelianization: {ab.describe()}"
+        for check in checks[1:]:
+            yield f"{check['name']}: {'pass' if check['passed'] else 'FAIL'}"
+
     failed = [c for c in checks if not c["passed"]]
     _emit(_report("pi1", {"presentation_file": args.presentation}, outputs, checks,
-                  not args.no_timestamp), lines, args.json)
+                  not args.no_timestamp), lines(), args.json)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -259,15 +316,21 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         "passed": sum(r.passed for r in results),
         "results": [r.to_json() for r in results],
     }
-    lines = [r.line() for r in results]
-    lines.append(f"{outputs['passed']}/{outputs['total']} corpus cases passed")
+
+    def lines():
+        yield from (r.line() for r in results)
+        yield f"{outputs['passed']}/{outputs['total']} corpus cases passed"
+
     failed = [r for r in results if not r.passed]
     _emit(_report("corpus", {"action": "run"}, outputs, checks, not args.no_timestamp),
-          lines, args.json)
+          lines(), args.json)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call in the process; nothing changes it after it is built."""
     parser = argparse.ArgumentParser(
         prog="spuncalc",
         description="Planar open books, surgery diagrams, and their embedding targets",

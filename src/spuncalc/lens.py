@@ -76,7 +76,8 @@ def cf_eval(c: ContinuedFraction) -> Fraction:
     num, den = c.coefficients[-1], 1
     for a in reversed(c.coefficients[:-1]):
         # tails of an admissible expansion never vanish
-        assert num != 0
+        if num == 0:
+            raise SpuncalcError(f"a tail of {list(c.coefficients)} vanishes")
         num, den = a * num - den, num
     return Fraction(num, den)
 
@@ -187,12 +188,14 @@ def slid_diagram(c: ContinuedFraction) -> SlidLensDiagram:
     return SlidLensDiagram(framings=framings, links=links, twist_regions=twist_regions)
 
 
-def lens_open_book(c: ContinuedFraction) -> tuple[PlanarPage, TwistWord]:
-    """Raw monodromy word read off the slid diagram: b_i boundary twists
-    per strand plus one twist per twist region. Zero exponents are kept so
-    the word mirrors the diagram; see reconcile(c, word) before trusting
-    its parities."""
-    sd = slid_diagram(c)
+def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
+                   ) -> tuple[PlanarPage, TwistWord]:
+    """Raw monodromy word read off the slid diagram ``sd`` (built from
+    ``c`` when not given): b_i boundary twists per strand plus one twist
+    per twist region. Zero exponents are kept so the word mirrors the
+    diagram; see reconcile(c, word) before trusting its parities."""
+    if sd is None:
+        sd = slid_diagram(c)
     k = sd.strands
     page = PlanarPage(k)
     letters = [twist({i}, sd.framings[i - 1]) for i in range(1, k + 1)]
@@ -238,12 +241,15 @@ def reconcile(c: ContinuedFraction, word: TwistWord) -> LensReconciliation:
     return LensReconciliation(word_parity=parity_vector(word), psi=psi_parity(c))
 
 
+def psi_target(psi: tuple[int, ...]) -> FourManifoldForm:
+    """Normalized embedding target from the reduced parities psi_parity(c):
+    a trivial bundle summand per even entry, a twisted one per odd entry."""
+    even = psi.count(0)
+    raw = FourManifoldForm(dim=2, trivial_bundle=even, twisted_bundle=len(psi) - even)
+    return normalize(raw)
+
+
 def lens_embedding_target(p: int, q: int) -> FourManifoldForm:
     """Normalized embedding target of L(p, q): k trivial bundle summands
     when every coefficient is even, k twisted summands otherwise."""
-    c = cf_expand(p, q)
-    parities = psi_parity(c)
-    even = sum(1 for b in parities if b == 0)
-    odd = len(parities) - even
-    raw = FourManifoldForm(dim=2, trivial_bundle=even, twisted_bundle=odd)
-    return normalize(raw)
+    return psi_target(psi_parity(cf_expand(p, q)))

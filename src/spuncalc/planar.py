@@ -290,6 +290,21 @@ def word_to_json(word: TwistWord) -> list[dict]:
     return out
 
 
+def _json_int(value: object) -> int:
+    """``value`` if it is a JSON integer; int() would turn 2.9 into 2."""
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
+def _json_ints(value: object) -> list[int]:
+    """``value`` if it is a JSON list of integers; a string such as "12"
+    would otherwise be read as the curve {1, 2}."""
+    if not isinstance(value, list):
+        raise TypeError(f"not a list: {value!r}")
+    return [_json_int(i) for i in value]
+
+
 def word_from_json(data: list | dict, page: PlanarPage) -> TwistWord:
     if isinstance(data, dict):
         data = data.get("letters", [])
@@ -299,11 +314,11 @@ def word_from_json(data: list | dict, page: PlanarPage) -> TwistWord:
             raise InvalidWordError(f"a JSON word letter must be an object, got {item!r}")
         op = item.get("op")
         try:
-            exp = int(item.get("exp", 1))
+            exp = _json_int(item.get("exp", 1))
             if op == "twist":
-                letters.append(twist(item["curve"], exp))
+                letters.append(twist(_json_ints(item["curve"]), exp))
             elif op == "push":
-                letters.append(push(item["boundary"], item["around"], exp))
+                letters.append(push(_json_int(item["boundary"]), _json_ints(item["around"]), exp))
             else:
                 raise InvalidWordError(f"unknown letter op: {op!r}")
         except KeyError as exc:

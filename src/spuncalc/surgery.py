@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InvalidDiagramError, InvalidMoveError
 from .homology import H1Invariants, LinkingMatrix, cokernel_invariants
@@ -50,17 +51,20 @@ class FramedBraidDiagram:
     framings: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        # validated, never coerced: int() would read "12" as framings [1, 2]
+        # and 1.9 as 1
         try:
-            strands = int(self.strands)
-            word = tuple((int(i), int(j), int(e)) for i, j, e in self.braid_word)
-            framings = tuple(int(f) for f in self.framings)
+            word = tuple((i, j, e) for i, j, e in self.braid_word)
+            framings = tuple(self.framings)
+            valid = all(type(x) is int for x in chain((self.strands,), framings, *word))
         except (TypeError, ValueError):
+            valid = False
+        if not valid:
             raise InvalidDiagramError(
                 "strands, framings and braid letters (i, j, sign) must be integers"
-            ) from None
-        if strands < 0:
+            )
+        if self.strands < 0:
             raise InvalidDiagramError("strand count must be nonnegative")
-        object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "braid_word", word)
         object.__setattr__(self, "framings", framings)
         if len(framings) != self.strands:

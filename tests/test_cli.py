@@ -4,8 +4,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from spuncalc import corpus, homology
+from spuncalc import cli, corpus, homology, lens
 from spuncalc.cli import main
 
 
@@ -190,12 +192,21 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
     (["embed", "--page", "3", "--word", "w.json"],
      {"w.json": '[{"op": "twist", "curve": [1], "exp": "q"}]'}, "integer"),
     (["pi1", "g.txt"], {"g.txt": "gens x\nx1\n"}, "gens"),
+    (["surgery", "d.json"], {"d.json": '{"strands": 2, "framings": "12"}'}, "integers"),
+    (["surgery", "d.json"], {"d.json": '{"strands": 1.9, "framings": [1]}'}, "integers"),
+    (["surgery", "d.json"], {"d.json": '{"strands": 1, "framings": [1.7]}'}, "integers"),
+    (["embed", "--page", "3", "--word", "w.json"],
+     {"w.json": '[{"op": "twist", "curve": "12", "exp": 2.9}]'}, "integer"),
+    (["embed", "--page", "3", "--word", "w.json"],
+     {"w.json": '[{"op": "twist", "curve": "12", "exp": 2}]'}, "integer"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "negative-fuzz", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
         "json-diagram-no-strands", "json-diagram-strands-text", "json-diagram-two-field-letter",
         "json-diagram-sign-not-integer", "json-word-curve-not-integer",
-        "json-word-exp-not-integer", "gens-not-integer"])
+        "json-word-exp-not-integer", "gens-not-integer", "json-diagram-framings-string",
+        "json-diagram-strands-float", "json-diagram-framing-float", "json-word-curve-string-exp-float",
+        "json-word-curve-string"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)
@@ -234,6 +245,89 @@ def test_surgery_computes_each_diagrams_h1_once(tmp_path, monkeypatch, capsys):
                      "--json", "--no-timestamp")
     assert code == 0
     assert len(calls) == 3
+
+
+def test_lens_does_each_step_once(monkeypatch, capsys):
+    calls = {}
+
+    def counting(name):
+        original = getattr(lens, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ["cf_expand", "slid_diagram", "psi_parity", "lens_embedding_target"]:
+        monkeypatch.setattr(lens, name, counting(name))
+    code, _, _ = run(capsys, "lens", "7", "2", "--json", "--no-timestamp")
+    assert code == 0
+    assert calls == {"cf_expand": 1, "slid_diagram": 1, "psi_parity": 1}
+
+
+def test_parser_state_does_not_leak_between_calls(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; each call must still read as
+    # if it had a parser of its own
+    monkeypatch.chdir(tmp_path)
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "group.txt").write_text("gens 2\nx1x2X1X2\n")
+    embed = ["embed", "--page", "2", "--word", "word.txt"]
+    pi1 = ["pi1", "group.txt"]
+    for first, second in [(embed + ["--raw"], embed), (embed, embed + ["--raw"]),
+                          (pi1 + ["--fuzz", "2"], pi1), (pi1, pi1 + ["--fuzz", "2"])]:
+        fresh = []
+        for argv in (first, second):
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli.build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in (first, second)]
+        assert cli.build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert fresh[0] != fresh[1]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | st.floats()
+    | st.text(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+@example({})
+@example([])
+@example(())
+@example({"a": [], "b": {}, "c": ()})
+@example([True, 1, False, 0, -10**30])
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324])
+@example({"\u00e9\x00\n\u2028": "\x1f\"\\\ud800"})
+def test_report_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, [object()], {"a": b"x"}, {1: 2}])
+def test_report_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+# SHA-256 of the whole text report (no --json), under the same rule as the
+# JSON report pins below.
+@pytest.mark.parametrize("argv, digest", [
+    (["lens", "7", "2"], "4272371c00ecda35ce1389dc5761e9406cc9a050df14325fca289fbb2db8c8d6"),
+    (["surgery", "diagram.txt", "--moves", "moves.json"],
+     "26b7d5c7583d68db807a8fe534f9966ae933590db25af1b0d2e891a326d0f2b4"),
+], ids=["lens-7-2", "surgery-readme"])
+def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # SHA-256 of the whole byte-stable report. Report bytes are part of the

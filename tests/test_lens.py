@@ -65,6 +65,15 @@ def test_cf_input_validation():
         ContinuedFraction(())
 
 
+def test_cf_eval_rejects_a_vanishing_tail():
+    # built around the constructor's check: the tail [1, 1] evaluates to 0,
+    # which an admissible expansion never reaches; the raise must survive -O
+    c = object.__new__(ContinuedFraction)
+    object.__setattr__(c, "coefficients", (-2, 1, 1))
+    with pytest.raises(SpuncalcError, match="vanishes"):
+        cf_eval(c)
+
+
 @given(coprime_pairs)
 @settings(max_examples=200, deadline=None)
 def test_cf_roundtrip_against_oracle(pq):
