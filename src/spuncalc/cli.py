@@ -19,12 +19,12 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from math import inf
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import __version__, corpus, lens, pi1, spun, surgery
 from .errors import InvalidMoveError, SpuncalcError
-from .fourman import FourManifoldForm
-from .planar import PlanarPage, TwistWord, load_word, parity_vector, word_to_json, word_to_text
+from .fourman import FourManifoldForm, normalize, parity_form
+from .planar import PlanarPage, load_word, parity_vector, word_to_json, word_to_text
 
 REPORT_SCHEMA = "spuncalc-report/1"
 
@@ -33,28 +33,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
-def _report(command: str, inputs: dict, outputs: dict, checks: list[dict],
-            timestamp: bool) -> dict:
-    report = {
-        "schema": REPORT_SCHEMA,
-        "version": __version__,
-        "command": command,
-        "conventions": surgery.SIGN_CONVENTIONS,
-        "inputs": inputs,
-        "outputs": outputs,
-        "checks": checks,
-    }
-    if timestamp:
-        report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return report
-
-
 def _dumps(value: object, newline: str = "\n") -> str:
     """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives, for
     dicts with str keys, lists, tuples, str, int, bool, None and float;
     anything else raises TypeError. ``newline`` is the line break plus the
     indent of ``value``'s own level. (Given ``indent``, ``json`` runs its
-    pure-Python encoder, which is slower than this writer.)"""
+    pure-Python encoder on Python 3.10 to 3.12, which is slower than this
+    writer; from 3.13 on it runs a C encoder, which is faster.)"""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     inner = newline + "  "
@@ -92,14 +77,27 @@ def _dumps(value: object, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, lines: Iterable[str], as_json: bool) -> None:
-    """Print the report as JSON, or else the text lines; ``lines`` is
-    iterated only in text mode, so a generator builds no text under --json."""
-    if as_json:
-        print(_dumps(report))
-    else:
+def _emit(args: argparse.Namespace, command: str, inputs: dict,
+          outputs: Callable[[], dict], checks: list[dict], lines: Iterable[str]) -> None:
+    """Print the JSON report under --json, or else the text lines. Each mode
+    builds only what it prints: ``outputs`` is called only under --json, and
+    ``lines``, a generator, is iterated only in text mode."""
+    if not args.json:
         for line in lines:
             print(line)
+        return
+    report = {
+        "schema": REPORT_SCHEMA,
+        "version": __version__,
+        "command": command,
+        "conventions": surgery.SIGN_CONVENTIONS,
+        "inputs": inputs,
+        "outputs": outputs(),
+        "checks": checks,
+    }
+    if not args.no_timestamp:
+        report["generated_at"] = datetime.now(timezone.utc).isoformat()
+    print(_dumps(report))
 
 
 def _form_name(form: FourManifoldForm) -> str:
@@ -113,8 +111,8 @@ def _page_name(page: PlanarPage) -> str:
     return f"Sigma_{{0,{page.inner_count + 1}}} (disk with {page.inner_count} holes)"
 
 
-def _read_word(path: str, page: PlanarPage) -> TwistWord:
-    return load_word(Path(path).read_text(), page)
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
 
 
 def cmd_lens(args: argparse.Namespace) -> int:
@@ -122,7 +120,7 @@ def cmd_lens(args: argparse.Namespace) -> int:
     sd = lens.slid_diagram(c)
     page, word = lens.lens_open_book(c, sd)
     rec = lens.reconcile(c, word)
-    target = lens.psi_target(rec.psi)
+    target = normalize(parity_form(rec.psi))
     plumb_det = lens.plumbing_matrix(c).det()
     slid_det = sd.linking_det()
     value = lens.cf_eval(c)
@@ -134,17 +132,19 @@ def cmd_lens(args: argparse.Namespace) -> int:
         {"name": "word parity matches reduced parity", "passed": rec.agree,
          "detail": "reported, not asserted"},
     ]
-    outputs = {
-        "cf": list(c.coefficients),
-        "plumbing_det": plumb_det,
-        "slid_diagram": sd.to_json(),
-        "slid_det": slid_det,
-        "open_book_word": word_to_json(word),
-        "reconciliation": rec.to_json(),
-        "psi_parity": list(rec.psi),
-        "target": target.to_json(),
-        "spin": target.is_spin(),
-    }
+
+    def outputs():
+        return {
+            "cf": list(c.coefficients),
+            "plumbing_det": plumb_det,
+            "slid_diagram": sd.to_json(),
+            "slid_det": slid_det,
+            "open_book_word": word_to_json(word),
+            "reconciliation": rec.to_json(),
+            "psi_parity": list(rec.psi),
+            "target": target.to_json(),
+            "spin": target.is_spin(),
+        }
 
     def lines():
         yield f"L({args.p},{args.q}): expansion {list(c.coefficients)}"
@@ -159,20 +159,18 @@ def cmd_lens(args: argparse.Namespace) -> int:
 
     hard_checks = [c_ for c_ in checks if "detail" not in c_]
     failed = [c_ for c_ in hard_checks if not c_["passed"]]
-    _emit(_report("lens", {"p": args.p, "q": args.q}, outputs, checks, not args.no_timestamp),
-          lines(), args.json)
+    _emit(args, "lens", {"p": args.p, "q": args.q}, outputs, checks, lines())
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
     page = PlanarPage(args.page)
-    word = _read_word(args.word, page)
+    word = load_word(_read(args.word), page)
     report = spun.embedding_target(page, word)
     checks = [{
         "name": "raw summand counts add up to the hole count",
         "passed": report.raw.summand_count() == page.inner_count,
     }]
-    outputs = report.to_json()
 
     def lines():
         yield f"page: {_page_name(page)}"
@@ -184,42 +182,43 @@ def cmd_embed(args: argparse.Namespace) -> int:
         yield f"spin: {'yes' if report.spin else 'no'}"
 
     failed = [c for c in checks if not c["passed"]]
-    _emit(_report("embed", {"page": args.page, "word_file": args.word}, outputs, checks,
-                  not args.no_timestamp), lines(), args.json)
+    _emit(args, "embed", {"page": args.page, "word_file": args.word}, report.to_json, checks,
+          lines())
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def cmd_certify_s4(args: argparse.Namespace) -> int:
     page = PlanarPage(args.page)
-    word = _read_word(args.word, page)
+    word = load_word(_read(args.word), page)
     parities = spun.s4_parities(page, word)
     certified = all(b == 1 for b in parities)
-    outputs = {
-        "a_parities": list(parities),
-        "certified": certified,
-    }
-    if certified:
-        outputs["target"] = spun.s4_target_name(page)
+    target = spun.s4_target_name(page) if certified else None
+
+    def outputs():
+        out = {"a_parities": list(parities), "certified": certified}
+        if certified:
+            out["target"] = target
+        return out
 
     def lines():
         yield f"page: {_page_name(page)} with {page.inner_count // 2} boundary pairs"
         yield f"word: {word_to_text(word)}"
         yield f"a-boundary twist parities: {list(parities)}"
         if certified:
-            yield f"certified: yes -> {outputs['target']}"
+            yield f"certified: yes -> {target}"
         else:
             yield "certified: no (every a-boundary needs odd twist parity)"
 
     checks = [{"name": "sphere certificate", "passed": certified}]
-    _emit(_report("certify-s4", {"page": args.page, "word_file": args.word}, outputs,
-                  checks, not args.no_timestamp), lines(), args.json)
+    _emit(args, "certify-s4", {"page": args.page, "word_file": args.word}, outputs, checks,
+          lines())
     return EXIT_OK if certified else EXIT_CHECK_FAILED
 
 
 def cmd_surgery(args: argparse.Namespace) -> int:
-    d = surgery.parse_diagram(Path(args.diagram).read_text())
+    d = surgery.parse_diagram(_read(args.diagram))
     try:
-        moves = json.loads(Path(args.moves).read_text()) if args.moves else []
+        moves = json.loads(_read(args.moves)) if args.moves else []
     except json.JSONDecodeError as exc:
         raise InvalidMoveError(f"malformed JSON in {args.moves}: {exc}") from None
     final, h1, log = surgery.apply_moves(d, moves)
@@ -228,17 +227,19 @@ def cmd_surgery(args: argparse.Namespace) -> int:
     checks = [{"name": f"{rec.move} preserves H1", "passed": rec.h1_preserved}
               for rec in log]
     checks.append({"name": "H1 preserved end to end", "passed": h1_start == h1_final})
-    outputs = {
-        "initial": d.to_json(),
-        "final": final.to_json(),
-        "moves": [rec.to_json() for rec in log],
-        "h1": h1_final.to_json(),
-        "open_book": {
-            "page": {"inner_count": page.inner_count},
-            "word": word_to_json(word),
-            "parity": list(parity_vector(word)),
-        },
-    }
+
+    def outputs():
+        return {
+            "initial": d.to_json(),
+            "final": final.to_json(),
+            "moves": [rec.to_json() for rec in log],
+            "h1": h1_final.to_json(),
+            "open_book": {
+                "page": {"inner_count": page.inner_count},
+                "word": word_to_json(word),
+                "parity": list(parity_vector(word)),
+            },
+        }
 
     def lines():
         yield f"diagram: {d.strands} strands, framings {list(d.framings)}"
@@ -251,15 +252,15 @@ def cmd_surgery(args: argparse.Namespace) -> int:
         yield f"open book on {_page_name(page)}: {word_to_text(word) or '(empty)'}"
 
     failed = [c for c in checks if not c["passed"]]
-    _emit(_report("surgery", {"diagram_file": args.diagram, "moves_file": args.moves},
-                  outputs, checks, not args.no_timestamp), lines(), args.json)
+    _emit(args, "surgery", {"diagram_file": args.diagram, "moves_file": args.moves},
+          outputs, checks, lines())
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def cmd_pi1(args: argparse.Namespace) -> int:
     if args.fuzz < 0:
         raise SpuncalcError(f"--fuzz needs a count >= 0, got {args.fuzz}")
-    g = pi1.parse_presentation(Path(args.presentation).read_text())
+    g = pi1.parse_presentation(_read(args.presentation))
     page = pi1.page_for_presentation(g)
     recovered = pi1.pi1_of_open_book(page)
     ab = pi1.abelianization(recovered)
@@ -270,12 +271,14 @@ def cmd_pi1(args: argparse.Namespace) -> int:
         fuzz_ok = all(_fuzz_roundtrip_once(rng) for _ in range(args.fuzz))
         checks.append({"name": f"round trip holds for {args.fuzz} random presentations",
                        "passed": fuzz_ok})
-    outputs = {
-        "presentation": g.to_json(),
-        "page": page.to_json(),
-        "recovered": recovered.to_json(),
-        "abelianization": ab.to_json(),
-    }
+
+    def outputs():
+        return {
+            "presentation": g.to_json(),
+            "page": page.to_json(),
+            "recovered": recovered.to_json(),
+            "abelianization": ab.to_json(),
+        }
 
     def lines():
         yield f"presentation: {g.describe()}"
@@ -286,8 +289,7 @@ def cmd_pi1(args: argparse.Namespace) -> int:
             yield f"{check['name']}: {'pass' if check['passed'] else 'FAIL'}"
 
     failed = [c for c in checks if not c["passed"]]
-    _emit(_report("pi1", {"presentation_file": args.presentation}, outputs, checks,
-                  not args.no_timestamp), lines(), args.json)
+    _emit(args, "pi1", {"presentation_file": args.presentation}, outputs, checks, lines())
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -311,20 +313,21 @@ def _fuzz_roundtrip_once(rng: random.Random) -> bool:
 def cmd_corpus(args: argparse.Namespace) -> int:
     results = corpus.run_corpus()
     checks = [{"name": f"{r.file}: {r.name}", "passed": r.passed} for r in results]
-    outputs = {
-        "total": len(results),
-        "passed": sum(r.passed for r in results),
-        "results": [r.to_json() for r in results],
-    }
+    passed = sum(r.passed for r in results)
+
+    def outputs():
+        return {
+            "total": len(results),
+            "passed": passed,
+            "results": [r.to_json() for r in results],
+        }
 
     def lines():
         yield from (r.line() for r in results)
-        yield f"{outputs['passed']}/{outputs['total']} corpus cases passed"
+        yield f"{passed}/{len(results)} corpus cases passed"
 
-    failed = [r for r in results if not r.passed]
-    _emit(_report("corpus", {"action": "run"}, outputs, checks, not args.no_timestamp),
-          lines(), args.json)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    _emit(args, "corpus", {"action": "run"}, outputs, checks, lines())
+    return EXIT_OK if passed == len(results) else EXIT_CHECK_FAILED
 
 
 @functools.cache
@@ -388,10 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpuncalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except (SpuncalcError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

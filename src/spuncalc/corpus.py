@@ -55,7 +55,7 @@ def _run_embed(case: dict) -> tuple[bool, str]:
     expect = case["expect"]
     problems = []
     if "exponents" in expect:
-        got = list(exponent_vector(word).entries)
+        got = list(exponent_vector(word))
         if got != expect["exponents"]:
             problems.append(f"exponents {got} != {expect['exponents']}")
     if list(report.parity) != expect["parity"]:

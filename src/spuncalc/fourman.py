@@ -12,11 +12,12 @@ pairing a circle atom with a cylinder atom. The evaluator works atom-wise:
   exponent carried by the paired cylinder (the push absorbs its parity)
 
 and the total space is the connected sum of the atom values, with sphere
-summands dropped. Results are compared through a spin-aware normal form:
-one twisted bundle summand absorbs the spin condition, so in a pure bundle
-sum every trivial summand can be traded for a twisted one. Sums that mix
-S^1 x S^(m+1) with twisted bundles are kept symbolic: no absorption across
-that boundary is asserted.
+summands dropped. The two cylinder rules are ``parity_form``, which also
+turns the boundary parities of a planar open book into its target. Results
+are compared through a spin-aware normal form: one twisted bundle summand
+absorbs the spin condition, so in a pure bundle sum every trivial summand
+can be traded for a twisted one. Sums that mix S^1 x S^(m+1) with twisted
+bundles are kept symbolic: no absorption across that boundary is asserted.
 
 All statements are stable under raising the sphere dimension of every atom
 by one; results record that as a note rather than computing with it.
@@ -238,29 +239,19 @@ def evaluate_open_book(page: PageForm, mono: MonodromyForm) -> FourManifoldForm:
     """Total space of the open book, as a connected-sum normal form."""
     mono.check(page)
     pushed_spheres = {s for _, s in mono.pushes}
-    pushed_circles = {c for c, _ in mono.pushes}
-    trivial = twisted = s1xs = 0
-    sphere_i = circle_i = 0
-    for atom in page.atoms:
-        if isinstance(atom, SphereCyl):
-            sphere_i += 1
-            if sphere_i in pushed_spheres:
-                continue  # pair gives a sphere summand, dropped
-            if mono.twist_exponents[sphere_i - 1] % 2 == 0:
-                trivial += 1
-            else:
-                twisted += 1
-        else:
-            circle_i += 1
-            if circle_i in pushed_circles:
-                continue
-            s1xs += 1
-    return FourManifoldForm(
-        dim=page.dim,
-        s1_cross_sphere=s1xs,
-        trivial_bundle=trivial,
-        twisted_bundle=twisted,
-    )
+    # a pushed pair gives a sphere summand, dropped; check() made the
+    # pairs disjoint, so every push removes one circle atom
+    unpushed = [e for s, e in enumerate(mono.twist_exponents, 1) if s not in pushed_spheres]
+    circles = FourManifoldForm(dim=page.dim,
+                               s1_cross_sphere=page.circle_count() - len(mono.pushes))
+    return circles + parity_form(unpushed, page.dim)
+
+
+def parity_form(entries: Sequence[int], dim: int = 2) -> FourManifoldForm:
+    """The bundle sum an exponent (or parity) sequence fixes: one S^2 x S^m
+    summand per even entry and one twisted S^m-bundle summand per odd one."""
+    odd = sum(e % 2 for e in entries)
+    return FourManifoldForm(dim=dim, trivial_bundle=len(entries) - odd, twisted_bundle=odd)
 
 
 def normalize(form: FourManifoldForm) -> FourManifoldForm:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import SpuncalcError
-from .fourman import FourManifoldForm, normalize
+from .fourman import FourManifoldForm, normalize, parity_form
 from .homology import LinkingMatrix, min_structured_det
 from .planar import PlanarPage, TwistWord, parity_vector, twist
 from .surgery import FramedBraidDiagram
@@ -241,15 +241,7 @@ def reconcile(c: ContinuedFraction, word: TwistWord) -> LensReconciliation:
     return LensReconciliation(word_parity=parity_vector(word), psi=psi_parity(c))
 
 
-def psi_target(psi: tuple[int, ...]) -> FourManifoldForm:
-    """Normalized embedding target from the reduced parities psi_parity(c):
-    a trivial bundle summand per even entry, a twisted one per odd entry."""
-    even = psi.count(0)
-    raw = FourManifoldForm(dim=2, trivial_bundle=even, twisted_bundle=len(psi) - even)
-    return normalize(raw)
-
-
 def lens_embedding_target(p: int, q: int) -> FourManifoldForm:
     """Normalized embedding target of L(p, q): k trivial bundle summands
     when every coefficient is even, k twisted summands otherwise."""
-    return psi_target(psi_parity(cf_expand(p, q)))
+    return normalize(parity_form(psi_parity(cf_expand(p, q))))

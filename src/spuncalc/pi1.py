@@ -63,12 +63,6 @@ class GroupPresentation:
                         f"letter {x} outside generators 1..{self.generator_count}"
                     )
 
-    def reduced(self) -> GroupPresentation:
-        return GroupPresentation(
-            self.generator_count,
-            tuple(cyclic_reduce(r) for r in self.relators),
-        )
-
     def describe(self, symbol: str = "x") -> str:
         gens = ", ".join(f"{symbol}{i}" for i in range(1, self.generator_count + 1))
         rels = ", ".join(word_to_text(r, symbol) or "1" for r in self.relators)

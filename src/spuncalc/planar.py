@@ -12,7 +12,12 @@ A push letter ``PlanarPush(b, a)`` drags inner boundary ``b`` around a
 curve of class ``a`` and back; on the level of twists it expands to
 ``twist(a) . twist(a | {b})^-1``, which generalizes the three-holed case
 (push one inner component around the other = inner twist times inverse
-outer twist) to any planar page.
+outer twist) to any planar page. The pair cancels on ``a``, so a push with
+exponent e adds -e to the sum of boundary ``b`` and nothing else.
+
+Letters are checked once, when ``twist`` or ``push`` builds them: every
+index and exponent must be an int (never coerced: int() would read 2.9 as
+2), and every index at least 1. A word checks that its letters fit its page.
 """
 
 from __future__ import annotations
@@ -22,11 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
-from .errors import (
-    InvalidWordError,
-    PageMismatchError,
-    PushLetterError,
-)
+from .errors import InvalidWordError, PageMismatchError
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,14 @@ class CurveClass:
     enclosed: frozenset[int]
 
     def __post_init__(self) -> None:
-        enclosed = frozenset(int(i) for i in self.enclosed)
-        object.__setattr__(self, "enclosed", enclosed)
+        enclosed = self.enclosed
         if not enclosed:
             raise InvalidWordError("a curve must enclose at least one inner boundary")
-        if any(i < 1 for i in enclosed):
+        if set(map(type, enclosed)) != {int}:
+            raise InvalidWordError(
+                f"boundary indices must be integers, got {sorted(enclosed, key=repr)}"
+            )
+        if min(enclosed) < 1:
             raise InvalidWordError("boundary indices are 1-based")
 
     def valid_on(self, page: PlanarPage) -> bool:
@@ -104,10 +108,6 @@ class PlanarPush:
         if self.boundary in self.around.enclosed:
             raise InvalidWordError("a boundary cannot be pushed around a curve enclosing it")
 
-    def expanded_curves(self) -> tuple[CurveClass, CurveClass]:
-        """The twist pair (positive, negative) the push expands to."""
-        return self.around, CurveClass(self.around.enclosed | {self.boundary})
-
     def __str__(self) -> str:
         return f"P{{{self.boundary}|{','.join(map(str, self.around.sorted()))}}}"
 
@@ -116,27 +116,34 @@ Generator = Union[DehnTwist, PlanarPush]
 Letter = tuple[Generator, int]
 
 
+def _letter(gen: Generator, exponent: int) -> Letter:
+    if type(exponent) is not int:
+        raise InvalidWordError(f"exponents must be integers, got {exponent!r}")
+    return gen, exponent
+
+
 def twist(enclosed: Iterable[int], exponent: int = 1) -> Letter:
     """Letter: Dehn twist along the curve enclosing ``enclosed``."""
-    return DehnTwist(CurveClass(frozenset(enclosed))), int(exponent)
+    return _letter(DehnTwist(CurveClass(frozenset(enclosed))), exponent)
 
 
 def push(boundary: int, around: Iterable[int], exponent: int = 1) -> Letter:
     """Letter: push ``boundary`` around the curve enclosing ``around``."""
-    return PlanarPush(int(boundary), CurveClass(frozenset(around))), int(exponent)
+    if type(boundary) is not int:
+        raise InvalidWordError(f"a pushed boundary must be an integer, got {boundary!r}")
+    return _letter(PlanarPush(boundary, CurveClass(frozenset(around))), exponent)
 
 
 @dataclass(frozen=True)
 class TwistWord:
-    """Word of (generator, exponent) letters on a fixed ambient page."""
+    """Word of (generator, exponent) letters on a fixed ambient page; the
+    letters come from ``twist`` and ``push``, which checked their fields."""
 
     page: PlanarPage
     letters: tuple[Letter, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        letters = tuple((gen, int(exp)) for gen, exp in self.letters)
-        object.__setattr__(self, "letters", letters)
-        for gen, _ in letters:
+        for gen, _ in self.letters:
             gen.check(self.page)
 
     def __len__(self) -> int:
@@ -150,27 +157,6 @@ class TwistWord:
 
     def __str__(self) -> str:
         return word_to_text(self)
-
-
-@dataclass(frozen=True)
-class ExponentVector:
-    """Per-boundary exponent sums of a word; parities live over Z/2."""
-
-    entries: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __add__(self, other: ExponentVector) -> ExponentVector:
-        if len(self) != len(other):
-            raise PageMismatchError("exponent vectors of different lengths")
-        return ExponentVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> ExponentVector:
-        return ExponentVector(tuple(-a for a in self.entries))
-
-    def parity(self) -> tuple[int, ...]:
-        return tuple(e % 2 for e in self.entries)
 
 
 def _check_same_page(w1: TwistWord, w2: TwistWord) -> None:
@@ -205,43 +191,24 @@ def simplify(w: TwistWord) -> TwistWord:
     return TwistWord(w.page, tuple(stack))
 
 
-def _resolve_page(word: TwistWord, page: PlanarPage | None) -> PlanarPage:
-    if page is not None and page != word.page:
-        raise PageMismatchError("word was built on a different page")
-    return word.page
-
-
-def exponent_vector(word: TwistWord, page: PlanarPage | None = None) -> ExponentVector:
-    """Exponent sum per inner boundary, with pushes expanded to twist pairs.
+def exponent_vector(word: TwistWord) -> tuple[int, ...]:
+    """Exponent sum per inner boundary: a twist adds its exponent to every
+    hole it encloses, a push ``P{b|a}^e`` adds -e to ``b`` alone.
 
     The letters were checked against ``word.page`` when the word was built."""
-    page = _resolve_page(word, page)
-    totals = [0] * page.inner_count
+    totals = [0] * word.page.inner_count
     for gen, exp in word.letters:
         if isinstance(gen, DehnTwist):
             for i in gen.curve.enclosed:
                 totals[i - 1] += exp
         else:
-            pos, neg = gen.expanded_curves()
-            for i in pos.enclosed:
-                totals[i - 1] += exp
-            for i in neg.enclosed:
-                totals[i - 1] -= exp
-    return ExponentVector(tuple(totals))
+            totals[gen.boundary - 1] -= exp
+    return tuple(totals)
 
 
-def parity_vector(word: TwistWord, page: PlanarPage | None = None) -> tuple[int, ...]:
+def parity_vector(word: TwistWord) -> tuple[int, ...]:
     """Exponent vector reduced mod 2."""
-    return exponent_vector(word, page).parity()
-
-
-def twist_letters_only(word: TwistWord) -> TwistWord:
-    """The word restricted to Dehn twist letters; raises if pushes appear."""
-    if word.has_pushes():
-        raise PushLetterError(
-            "word contains push letters; route it through the sphere certificate"
-        )
-    return word
+    return tuple(e % 2 for e in exponent_vector(word))
 
 
 _TWIST_RE = re.compile(r"^T\{(\d+(?:,\d+)*)\}(?:\^(-?\d+))?$")
@@ -290,43 +257,30 @@ def word_to_json(word: TwistWord) -> list[dict]:
     return out
 
 
-def _json_int(value: object) -> int:
-    """``value`` if it is a JSON integer; int() would turn 2.9 into 2."""
-    if type(value) is not int:
-        raise TypeError(f"not an integer: {value!r}")
-    return value
-
-
-def _json_ints(value: object) -> list[int]:
-    """``value`` if it is a JSON list of integers; a string such as "12"
-    would otherwise be read as the curve {1, 2}."""
-    if not isinstance(value, list):
-        raise TypeError(f"not a list: {value!r}")
-    return [_json_int(i) for i in value]
-
-
 def word_from_json(data: list | dict, page: PlanarPage) -> TwistWord:
     if isinstance(data, dict):
         data = data.get("letters", [])
+    if not isinstance(data, list):
+        raise InvalidWordError(f"a JSON word's letters must be a list, got {data!r}")
     letters: list[Letter] = []
     for item in data:
         if not isinstance(item, dict):
             raise InvalidWordError(f"a JSON word letter must be an object, got {item!r}")
         op = item.get("op")
+        if op not in ("twist", "push"):
+            raise InvalidWordError(f"unknown letter op: {op!r}")
+        exp = item.get("exp", 1)
         try:
-            exp = _json_int(item.get("exp", 1))
             if op == "twist":
-                letters.append(twist(_json_ints(item["curve"]), exp))
-            elif op == "push":
-                letters.append(push(_json_int(item["boundary"]), _json_ints(item["around"]), exp))
+                letters.append(twist(item["curve"], exp))
             else:
-                raise InvalidWordError(f"unknown letter op: {op!r}")
+                letters.append(push(item["boundary"], item["around"], exp))
         except KeyError as exc:
             raise InvalidWordError(f"{op} letter {item!r} has no {exc} field") from None
-        except InvalidWordError:  # also a ValueError: keep its own message
-            raise
-        except (TypeError, ValueError):
-            raise InvalidWordError(f"{op} letter {item!r} needs integer fields") from None
+        except InvalidWordError as exc:  # twist and push check every field
+            raise InvalidWordError(f"{op} letter {item!r}: {exc}") from None
+        except TypeError:  # a curve that is no collection, e.g. a number
+            raise InvalidWordError(f"{op} letter {item!r} needs a list of integers") from None
     return TwistWord(page, tuple(letters))
 
 

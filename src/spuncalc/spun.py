@@ -17,17 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConditionNotApplicableError, MalformedPairingError
-from .fourman import DIMENSION_RAISING_NOTE, FourManifoldForm, normalize
-from .planar import (
-    DehnTwist,
-    PlanarPage,
-    PlanarPush,
-    TwistWord,
-    parity_vector,
-    twist_letters_only,
-    word_to_json,
+from .errors import (
+    ConditionNotApplicableError,
+    MalformedPairingError,
+    PageMismatchError,
+    PushLetterError,
 )
+from .fourman import DIMENSION_RAISING_NOTE, FourManifoldForm, normalize, parity_form
+from .planar import PlanarPage, PlanarPush, TwistWord, parity_vector, word_to_json
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,7 @@ class EmbeddingReport:
 
     @property
     def spin(self) -> bool:
-        return all(b == 0 for b in self.parity)
+        return self.raw.is_spin()
 
     def to_json(self) -> dict:
         return {
@@ -62,18 +59,16 @@ def embedding_target(page: PlanarPage, word: TwistWord) -> EmbeddingReport:
     Raw counts: (even parities, odd parities); their sum is the hole count.
     Push letters are rejected; they belong to the sphere certificate.
     """
-    twist_letters_only(word)
-    parity = parity_vector(word, page)
-    even = sum(1 for b in parity if b == 0)
-    odd = page.inner_count - even
-    raw = FourManifoldForm(dim=2, trivial_bundle=even, twisted_bundle=odd)
+    if word.has_pushes():
+        raise PushLetterError(
+            "word contains push letters; route it through the sphere certificate"
+        )
+    if word.page != page:
+        raise PageMismatchError("word was built on a different page")
+    parity = parity_vector(word)
+    raw = parity_form(parity)
     return EmbeddingReport(page=page, word=word, parity=parity, raw=raw,
                            normalized=normalize(raw))
-
-
-def spin_target(page: PlanarPage, word: TwistWord) -> bool:
-    """True when the target is the spin form (all parities vanish)."""
-    return embedding_target(page, word).spin
 
 
 def _certificate_pairs(page: PlanarPage) -> int:
@@ -111,7 +106,6 @@ def s4_parities(page: PlanarPage, word: TwistWord) -> tuple[int, ...]:
                 )
             seen_pushes.add(j)
         else:
-            assert isinstance(gen, DehnTwist)
             if not gen.curve.enclosed <= a_indices:
                 raise ConditionNotApplicableError(
                     f"twist curve {gen.curve} touches b-boundaries; the "

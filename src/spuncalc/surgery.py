@@ -155,10 +155,10 @@ def linking_matrix(d: FramedBraidDiagram) -> LinkingMatrix:
     return LinkingMatrix(tuple(tuple(row) for row in rows))
 
 
-def h1_invariants(m: LinkingMatrix | FramedBraidDiagram) -> H1Invariants:
-    """First homology of the surgered manifold presented by the matrix."""
-    if isinstance(m, FramedBraidDiagram):
-        m = linking_matrix(m)
+def h1_invariants(d: FramedBraidDiagram) -> H1Invariants:
+    """First homology of the surgered manifold: the cokernel of the
+    linking matrix."""
+    m = linking_matrix(d)
     if m.size == 0:
         return H1Invariants(factors=(), free_rank=0)
     return cokernel_invariants(m.rows)

@@ -37,7 +37,7 @@ from spuncalc.pi1 import (
     pi1_of_open_book,
 )
 from spuncalc.planar import PlanarPage, TwistWord, push, twist
-from spuncalc.spun import embedding_target, s4_certificate, spin_target
+from spuncalc.spun import embedding_target, s4_certificate
 from spuncalc.surgery import (
     FramedBraidDiagram,
     blow_down,
@@ -139,8 +139,9 @@ def test_criterion_6_poincare_eight_holed():
     letters = tuple(twist({i + 1}, e) for i, e in enumerate(a_exponents))
     letters += tuple(twist(set(s), e) for s, e in b_data)
     word = TwistWord(page, letters)
-    assert spin_target(page, word)
-    assert embedding_target(page, word).normalized == form(trivial=8)
+    report = embedding_target(page, word)
+    assert report.spin
+    assert report.normalized == form(trivial=8)
     _announce(6, "eight-holed Poincare word is spin with target of eight trivial summands")
 
 

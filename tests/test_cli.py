@@ -199,6 +199,12 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
      {"w.json": '[{"op": "twist", "curve": "12", "exp": 2.9}]'}, "integer"),
     (["embed", "--page", "3", "--word", "w.json"],
      {"w.json": '[{"op": "twist", "curve": "12", "exp": 2}]'}, "integer"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '{"letters": 5}'}, "letters"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '{"letters": null}'}, "letters"),
+    (["embed", "--page", "3", "--word", "w.txt"], {"w.txt": b"T{1}\xff\n"}, "decode"),
+    (["pi1", "g.txt"], {"g.txt": b"gens 1\n\xe9\n"}, "decode"),
+    (["surgery", "d.txt"], {"d.txt": b"strands 1\nframings \xff\n"}, "decode"),
+    (["surgery", "d.txt"], {"d.txt": None}, "Is a directory"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "negative-fuzz", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -206,12 +212,18 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "json-diagram-sign-not-integer", "json-word-curve-not-integer",
         "json-word-exp-not-integer", "gens-not-integer", "json-diagram-framings-string",
         "json-diagram-strands-float", "json-diagram-framing-float", "json-word-curve-string-exp-float",
-        "json-word-curve-string"])
+        "json-word-curve-string", "json-word-letters-number", "json-word-letters-null",
+        "word-not-utf8", "presentation-not-utf8", "diagram-not-utf8", "diagram-is-directory"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():  # bytes are written raw, None makes a directory
+        if content is None:
+            (tmp_path / name).mkdir()
+        elif isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
     code, out, err = run(capsys, *argv, "--json", "--no-timestamp")
     assert code == 2
     assert out == ""
@@ -263,6 +275,22 @@ def test_lens_does_each_step_once(monkeypatch, capsys):
     code, _, _ = run(capsys, "lens", "7", "2", "--json", "--no-timestamp")
     assert code == 0
     assert calls == {"cf_expand": 1, "slid_diagram": 1, "psi_parity": 1}
+
+
+def test_text_mode_builds_no_json_outputs(monkeypatch, capsys):
+    calls = []
+    word_to_json = cli.word_to_json
+
+    def counting(word):
+        calls.append(1)
+        return word_to_json(word)
+
+    monkeypatch.setattr(cli, "word_to_json", counting)
+    code, _, _ = run(capsys, "lens", "40", "39")
+    assert code == 0
+    assert len(calls) == 0
+    run(capsys, "lens", "40", "39", "--json", "--no-timestamp")
+    assert len(calls) == 1
 
 
 def test_parser_state_does_not_leak_between_calls(tmp_path, monkeypatch, capsys):

@@ -16,7 +16,6 @@ from spuncalc.spun import (
     s4_certificate,
     s4_parities,
     s4_target_name,
-    spin_target,
 )
 
 
@@ -56,8 +55,8 @@ def test_poincare_eight_holed_spin_report():
         twist({5}, 2), twist({6}, 3), twist({7}), twist({8}),
         twist({1, 2, 3, 4}), twist({6}, -1), twist({7, 8}, -1),
     ))
-    assert spin_target(page, word)
     report = embedding_target(page, word)
+    assert report.spin
     assert report.normalized == form(trivial=8)
 
 
@@ -81,7 +80,7 @@ def test_seven_curve_family_spin_condition():
     for _ in range(200):
         exps = [rng.randint(-4, 4) for _ in range(7)]
         expected = constraint(exps)
-        assert spin_target(page, word_for(exps)) == expected
+        assert embedding_target(page, word_for(exps)).spin == expected
         seen_true += expected
         seen_false += not expected
     assert seen_true and seen_false
@@ -110,7 +109,7 @@ def test_empty_word_gives_spin_form():
 def test_single_odd_boundary_twist_breaks_spin():
     page = PlanarPage(4)
     word = TwistWord(page, (twist({3}, 3),))
-    assert not spin_target(page, word)
+    assert not embedding_target(page, word).spin
 
 
 def test_report_counts_sum_to_holes_and_reorder_invariance():
@@ -132,7 +131,7 @@ def test_report_counts_sum_to_holes_and_reorder_invariance():
         squared = letters + (twist({2, 4}, 2),)
         report3 = embedding_target(page, TwistWord(page, squared))
         assert report3.raw == report.raw
-        assert spin_target(page, word) == (report.raw.twisted_bundle == 0)
+        assert report.spin == all(b == 0 for b in report.parity)
 
 
 def test_push_words_are_rejected_by_embedding_target():
@@ -140,8 +139,6 @@ def test_push_words_are_rejected_by_embedding_target():
     word = TwistWord(page, (push(2, {1}),))
     with pytest.raises(PushLetterError):
         embedding_target(page, word)
-    with pytest.raises(PushLetterError):
-        spin_target(page, word)
 
 
 def test_report_json_shape():
