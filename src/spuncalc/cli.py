@@ -112,7 +112,11 @@ def _page_name(page: PlanarPage) -> str:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text; only here is an OSError bad input (not on stdout)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpuncalcError(str(exc)) from None
 
 
 def cmd_lens(args: argparse.Namespace) -> int:
@@ -217,9 +221,11 @@ def cmd_certify_s4(args: argparse.Namespace) -> int:
 
 def cmd_surgery(args: argparse.Namespace) -> int:
     d = surgery.parse_diagram(_read(args.diagram))
+    text = _read(args.moves) if args.moves else "[]"
+    # ValueError also covers too many digits, RecursionError too deep nesting
     try:
-        moves = json.loads(_read(args.moves)) if args.moves else []
-    except json.JSONDecodeError as exc:
+        moves = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise InvalidMoveError(f"malformed JSON in {args.moves}: {exc}") from None
     final, h1, log = surgery.apply_moves(d, moves)
     page, word = surgery.to_planar_open_book(final)
@@ -391,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpuncalcError, OSError, UnicodeDecodeError) as exc:
+    except SpuncalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the integer check the constructors share.
 
 Everything derives from SpuncalcError (a ValueError), so callers can catch
 one type at an API boundary while tests pin down the specific failure.
@@ -51,3 +51,11 @@ class ConditionNotApplicableError(SpuncalcError):
 
 class InvalidPresentationError(SpuncalcError):
     """A group presentation (or its serialized form) is malformed."""
+
+
+def require_integers(error: type[SpuncalcError], message: str, *values: object) -> None:
+    """Raise ``error`` unless every value is an int: validated, never
+    coerced, since int() would read 2.9 and "2" as 2 and True as 1."""
+    for x in values:
+        if type(x) is not int:
+            raise error(f"{message}, got {x!r}")

@@ -26,6 +26,7 @@ by one; results record that as a note rather than computing with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -33,6 +34,7 @@ from .errors import (
     InvalidMonodromyError,
     NotComparableError,
     SpuncalcError,
+    require_integers,
 )
 
 DIMENSION_RAISING_NOTE = (
@@ -42,28 +44,26 @@ DIMENSION_RAISING_NOTE = (
 
 
 @dataclass(frozen=True)
-class SphereCyl:
-    """S^m x [0,1]: the sphere cylinder atom."""
+class _Atom:
+    """A page atom: its dimension m is all the data it carries."""
 
     m: int
 
     def __post_init__(self) -> None:
+        require_integers(DimensionMismatchError, "atom dimension m must be an integer", self.m)
         if self.m < 1:
             raise DimensionMismatchError("atom dimension m must be >= 1")
+
+
+class SphereCyl(_Atom):
+    """S^m x [0,1]: the sphere cylinder atom."""
 
     def __str__(self) -> str:
         return f"S{self.m}x[0,1]"
 
 
-@dataclass(frozen=True)
-class CircleDisk:
+class CircleDisk(_Atom):
     """S^1 x D^m: the circle disk atom."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DimensionMismatchError("atom dimension m must be >= 1")
 
     def __str__(self) -> str:
         return f"S1xD{self.m}"
@@ -80,6 +80,7 @@ class PageForm:
     dim: int = 2
 
     def __post_init__(self) -> None:
+        require_integers(DimensionMismatchError, "page dimension m must be an integer", self.dim)
         atoms = tuple(self.atoms)
         object.__setattr__(self, "atoms", atoms)
         if atoms:
@@ -110,8 +111,8 @@ class PageForm:
         atoms: list[PageAtom] = []
         for item in data.get("atoms", []):
             cls = SphereCyl if item["kind"] == "sphere_cyl" else CircleDisk
-            atoms.append(cls(int(item["m"])))
-        return PageForm(tuple(atoms), dim=int(data.get("dim", 2)))
+            atoms.append(cls(item["m"]))
+        return PageForm(tuple(atoms), dim=data.get("dim", 2))
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,11 @@ class MonodromyForm:
     pushes: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "twist_exponents", tuple(int(e) for e in self.twist_exponents))
-        object.__setattr__(self, "pushes", frozenset((int(c), int(s)) for c, s in self.pushes))
+        twists, pairs = tuple(self.twist_exponents), [(c, s) for c, s in self.pushes]
+        require_integers(InvalidMonodromyError, "twist exponents and push indices must be integers",
+                         *twists, *chain(*pairs))
+        object.__setattr__(self, "twist_exponents", twists)
+        object.__setattr__(self, "pushes", frozenset(pairs))
 
     def check(self, page: PageForm) -> None:
         spheres = page.sphere_count()
@@ -175,6 +179,8 @@ class FourManifoldForm:
     twisted_bundle: int = 0
 
     def __post_init__(self) -> None:
+        require_integers(SpuncalcError, "form dimension and summand counts must be integers",
+                         self.dim, self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle)
         if self.dim < 1:
             raise DimensionMismatchError("form dimension m must be >= 1")
         if min(self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle) < 0:
@@ -228,10 +234,10 @@ class FourManifoldForm:
     @staticmethod
     def from_json(data: dict) -> FourManifoldForm:
         return FourManifoldForm(
-            dim=int(data.get("dim", 2)),
-            s1_cross_sphere=int(data.get("s1xs", 0)),
-            trivial_bundle=int(data.get("trivial", 0)),
-            twisted_bundle=int(data.get("twisted", 0)),
+            dim=data.get("dim", 2),
+            s1_cross_sphere=data.get("s1xs", 0),
+            trivial_bundle=data.get("trivial", 0),
+            twisted_bundle=data.get("twisted", 0),
         )
 
 
@@ -278,7 +284,8 @@ def equal(f: FourManifoldForm, g: FourManifoldForm) -> bool:
 def twist_image(sphere: Iterable[int], count: int) -> tuple[int, ...]:
     """Class in (Z/2)^count of the twist along the sphere tubed from the
     cores indexed by ``sphere``: the indicator vector of the subset."""
-    subset = {int(i) for i in sphere}
+    subset = set(sphere)
+    require_integers(SpuncalcError, "tubing indices must be integers", *subset)
     if not subset:
         raise SpuncalcError("twist_image of an empty tubing subset")
     if not all(1 <= i <= count for i in subset):

@@ -45,15 +45,6 @@ class LinkingMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def det(self) -> int:
-        return det(self)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
-    def to_json(self) -> dict:
-        return {"size": self.size, "rows": self.to_lists()}
-
 
 @dataclass(frozen=True)
 class H1Invariants:
@@ -108,9 +99,9 @@ def _bareiss_det(rows: Rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det(entries: Iterable[Iterable[int]] | LinkingMatrix) -> int:
+def det(entries: Iterable[Iterable[int]]) -> int:
     """Exact determinant of a square integer matrix (empty matrix -> 1)."""
-    rows = entries.rows if isinstance(entries, LinkingMatrix) else _as_rows(entries)
+    rows = _as_rows(entries)
     if not rows:
         return 1
     return _bareiss_det(rows)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import SpuncalcError
+from .errors import SpuncalcError, require_integers
 from .fourman import FourManifoldForm, normalize, parity_form
-from .homology import LinkingMatrix, min_structured_det
+from .homology import min_structured_det
 from .planar import PlanarPage, TwistWord, parity_vector, twist
 from .surgery import FramedBraidDiagram
 
@@ -39,7 +39,8 @@ class ContinuedFraction:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(a) for a in self.coefficients)
+        coeffs = tuple(self.coefficients)
+        require_integers(SpuncalcError, "coefficients must be integers", *coeffs)
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs:
             raise SpuncalcError("a continued fraction needs at least one coefficient")
@@ -141,11 +142,6 @@ class SlidLensDiagram:
             return self.framings[i - 1]
         return self.links[min(i, j) - 1]
 
-    def linking_matrix(self) -> LinkingMatrix:
-        k = self.strands
-        rows = [tuple(self.linking(i, j) for j in range(1, k + 1)) for i in range(1, k + 1)]
-        return LinkingMatrix(tuple(rows))
-
     def linking_det(self) -> int:
         """Exact determinant of the linking matrix in O(k), exploiting the
         min-structure of the off-diagonal entries."""
@@ -155,16 +151,12 @@ class SlidLensDiagram:
         return min_structured_det(values, list(self.framings))
 
     def as_braid_diagram(self) -> FramedBraidDiagram:
-        """Realize the linking data as a pure braid word (one letter per
-        unit of linking)."""
-        word = []
+        """Realize the linking data as a pure braid word: one letter
+        A_ij^n per linked pair, in index order."""
         k = self.strands
-        for i in range(1, k):
-            for j in range(i + 1, k + 1):
-                n = self.linking(i, j)
-                sign = 1 if n > 0 else -1
-                word.extend([(i, j, sign)] * abs(n))
-        return FramedBraidDiagram(strands=k, braid_word=tuple(word), framings=self.framings)
+        word = tuple((i, j, self.links[i - 1]) for i in range(1, k)
+                     for j in range(i + 1, k + 1) if self.links[i - 1])
+        return FramedBraidDiagram(strands=k, braid_word=word, framings=self.framings)
 
     def to_json(self) -> dict:
         return {

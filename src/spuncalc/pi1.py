@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
-from .errors import InvalidPresentationError
+from .errors import InvalidPresentationError, require_integers
 from .homology import H1Invariants, cokernel_invariants
 
 Word = tuple[int, ...]
@@ -52,9 +53,11 @@ class GroupPresentation:
     relators: tuple[Word, ...] = ()
 
     def __post_init__(self) -> None:
+        relators = tuple(map(tuple, self.relators))
+        require_integers(InvalidPresentationError, "counts and letters must be integers",
+                         self.generator_count, *chain(*relators))
         if self.generator_count < 0:
             raise InvalidPresentationError("generator count must be nonnegative")
-        relators = tuple(tuple(int(x) for x in r) for r in self.relators)
         object.__setattr__(self, "relators", relators)
         for r in relators:
             for x in r:
@@ -84,9 +87,11 @@ class PushPage:
     loops: tuple[Word, ...] = ()
 
     def __post_init__(self) -> None:
+        loops = tuple(map(tuple, self.loops))
+        require_integers(InvalidPresentationError, "counts and letters must be integers",
+                         self.handle_count, self.sphere_count, *chain(*loops))
         if self.handle_count < 0 or self.sphere_count < 0:
             raise InvalidPresentationError("atom counts must be nonnegative")
-        loops = tuple(tuple(int(x) for x in w) for w in self.loops)
         object.__setattr__(self, "loops", loops)
         if len(loops) != self.sphere_count:
             raise InvalidPresentationError("need exactly one loop per sphere boundary")

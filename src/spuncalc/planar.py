@@ -288,9 +288,10 @@ def load_word(text: str, page: PlanarPage) -> TwistWord:
     """Parse either the text form or the JSON form, sniffing the format."""
     stripped = text.strip()
     if stripped.startswith("[") or stripped.startswith("{"):
+        # ValueError also covers too many digits, RecursionError too deep nesting
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidWordError(f"malformed JSON word: {exc}") from None
         return word_from_json(data, page)
     return parse_word(stripped, page)

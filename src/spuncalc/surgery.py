@@ -1,34 +1,37 @@
 """Framed braided surgery diagrams and their diagram moves.
 
 A diagram is a pure braid about an axis (every strand wraps the axis once)
-together with an integer framing per strand. The braid word is a list of
-generator letters (i, j, sign); summing the signs per pair gives the
-off-diagonal linking numbers, the framings the diagonal. First homology of
-the surgered manifold is presented by that linking matrix.
+together with an integer framing per strand. A braid letter (i, j, e) is
+the generator A_ij to a nonzero integer power e. Only net linking matters:
+the framings on the diagonal and the summed exponents of each pair off it
+give the linking matrix, which presents first homology of the surgered
+manifold. A diagram stores that net linking once, as a map from each
+linked pair i < j to its linking number.
 
-Moves are pure diagram transforms: each returns the new diagram and a
-one-line detail string, and computes no homology. ``apply_moves`` runs a
-move list and audits the chain, computing H1 once per diagram and one
-``MoveRecord`` per move from adjacent entries. The sign conventions in
-force (also echoed in every CLI report):
+Moves are pure diagram transforms: each updates the map and the framings
+in O(n^2) for n strands, whatever its twist count, and returns the new
+diagram (one letter per linked pair, in index order) and a one-line detail
+string. ``apply_moves`` runs a move list and audits the chain, computing
+H1 once per diagram. The sign conventions in force (also echoed in every
+CLI report):
 
 * blow_up(region, sign) appends a new strand with framing ``sign`` that
   links each region member once positively, and compensates by adding
   ``sign`` to the framing of each member and to each linking inside the
   region; blow_down is its exact inverse via the standard quadratic rule.
-* exporting a planar open book sends a braid letter (i, j, sign) to a
-  twist along the curve enclosing {i, j} with exponent -sign, and a
-  framing f on strand i to a twist along {i} with exponent -f (page-framed
-  -1-surgery acts as a positive twist).
+* exporting a planar open book sends each linked pair {i, j} with net
+  linking n to one twist along the curve enclosing {i, j} with exponent
+  -n, and a framing f on strand i to a twist along {i} with exponent -f
+  (page-framed -1-surgery acts as a positive twist).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import InvalidDiagramError, InvalidMoveError
+from .errors import InvalidDiagramError, InvalidMoveError, require_integers
 from .homology import H1Invariants, LinkingMatrix, cokernel_invariants
 from .planar import PlanarPage, TwistWord, twist
 
@@ -44,44 +47,44 @@ BraidLetter = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class FramedBraidDiagram:
-    """Pure braid word about the axis plus one framing per strand."""
+    """Pure braid word about the axis plus one framing per strand; the derived
+    ``net_linking`` maps each linked pair i < j to its exponent sum."""
 
     strands: int
     braid_word: tuple[BraidLetter, ...] = ()
     framings: tuple[int, ...] = ()
+    net_linking: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # validated, never coerced: int() would read "12" as framings [1, 2]
-        # and 1.9 as 1
         try:
             word = tuple((i, j, e) for i, j, e in self.braid_word)
             framings = tuple(self.framings)
-            valid = all(type(x) is int for x in chain((self.strands,), framings, *word))
         except (TypeError, ValueError):
-            valid = False
-        if not valid:
             raise InvalidDiagramError(
-                "strands, framings and braid letters (i, j, sign) must be integers"
-            )
+                "framings must be a list and braid letters triples (i, j, e)") from None
+        require_integers(InvalidDiagramError, "strands, framings and braid letters must be integers",
+                         self.strands, *framings, *chain(*word))
         if self.strands < 0:
             raise InvalidDiagramError("strand count must be nonnegative")
         object.__setattr__(self, "braid_word", word)
         object.__setattr__(self, "framings", framings)
         if len(framings) != self.strands:
-            raise InvalidDiagramError(
-                f"{len(framings)} framings for {self.strands} strands"
-            )
+            raise InvalidDiagramError(f"{len(framings)} framings for {self.strands} strands")
+        links: dict[tuple[int, int], int] = {}
         for i, j, e in word:
             if not (1 <= i < j <= self.strands):
                 raise InvalidDiagramError(f"braid letter ({i},{j}) out of range")
-            if e not in (1, -1):
-                raise InvalidDiagramError(f"braid letter sign must be +-1, got {e}")
+            if e == 0:
+                raise InvalidDiagramError(f"braid letter ({i},{j}) has exponent 0")
+            n = links.pop((i, j), 0) + e
+            if n:
+                links[i, j] = n
+        object.__setattr__(self, "net_linking", links)
 
     def linking(self, i: int, j: int) -> int:
         if i == j:
             return self.framings[i - 1]
-        lo, hi = min(i, j), max(i, j)
-        return sum(e for a, b, e in self.braid_word if (a, b) == (lo, hi))
+        return self.net_linking.get((min(i, j), max(i, j)), 0)
 
     def to_json(self) -> dict:
         return {
@@ -94,17 +97,11 @@ class FramedBraidDiagram:
     def from_json(data: dict) -> FramedBraidDiagram:
         if "strands" not in data:
             raise InvalidDiagramError("JSON diagram has no 'strands' field")
-        return FramedBraidDiagram(
-            strands=data["strands"],
-            braid_word=data.get("braid", ()),
-            framings=data.get("framings", ()),
-        )
+        return FramedBraidDiagram(data["strands"], data.get("braid", ()), data.get("framings", ()))
 
     def to_text(self) -> str:
-        lines = [f"strands {self.strands}"]
-        lines.append("framings " + " ".join(str(f) for f in self.framings))
-        for i, j, e in self.braid_word:
-            lines.append(f"A {i} {j} {e:+d}")
+        lines = [f"strands {self.strands}", "framings " + " ".join(map(str, self.framings))]
+        lines += [f"A {i} {j} {e:+d}" for i, j, e in self.braid_word]
         return "\n".join(lines) + "\n"
 
 
@@ -113,9 +110,10 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
     or the JSON mirror, sniffing the format."""
     stripped = text.strip()
     if stripped.startswith("{"):
+        # ValueError also covers too many digits, RecursionError too deep nesting
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidDiagramError(f"malformed JSON diagram: {exc}") from None
         return FramedBraidDiagram.from_json(data)
     strands = None
@@ -144,24 +142,17 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
 
 
 def linking_matrix(d: FramedBraidDiagram) -> LinkingMatrix:
-    """Framings on the diagonal, signed crossing counts off it."""
-    n = d.strands
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = d.framings[i]
-    for a, b, e in d.braid_word:
-        rows[a - 1][b - 1] += e
-        rows[b - 1][a - 1] += e
+    """Framings on the diagonal, net linking numbers off it."""
+    rows = [[f if j == i else 0 for j in range(d.strands)] for i, f in enumerate(d.framings)]
+    for (a, b), e in d.net_linking.items():
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = e
     return LinkingMatrix(tuple(tuple(row) for row in rows))
 
 
 def h1_invariants(d: FramedBraidDiagram) -> H1Invariants:
     """First homology of the surgered manifold: the cokernel of the
     linking matrix."""
-    m = linking_matrix(d)
-    if m.size == 0:
-        return H1Invariants(factors=(), free_rank=0)
-    return cokernel_invariants(m.rows)
+    return cokernel_invariants(linking_matrix(d).rows, columns=d.strands)
 
 
 @dataclass(frozen=True)
@@ -187,24 +178,26 @@ class MoveRecord:
         }
 
 
-def _rank_one(word: list[BraidLetter], framings: list[int], u: list[int],
+def _rank_one(links: dict[tuple[int, int], int], framings: list[int], u: list[int],
               s: int) -> FramedBraidDiagram:
-    """The update all three moves share: add s*u_i*u_j to each linking (as
-    letters, pair by pair in index order) and s*u_i^2 to each framing."""
+    """The update all three moves share: add s*u_i*u_j to each linking and
+    s*u_i^2 to each framing. The result has one letter per linked pair,
+    in index order."""
     support = [i for i, x in enumerate(u, 1) if x]
     for a, i in enumerate(support):
         framings[i - 1] += s * u[i - 1] ** 2
         for j in support[a + 1:]:
-            delta = s * u[i - 1] * u[j - 1]
-            word += [(i, j, 1 if delta > 0 else -1)] * abs(delta)
-    return FramedBraidDiagram(len(framings), tuple(word), tuple(framings))
+            links[i, j] = links.get((i, j), 0) + s * u[i - 1] * u[j - 1]
+    word = tuple((i, j, n) for (i, j), n in sorted(links.items()) if n)
+    return FramedBraidDiagram(len(framings), word, tuple(framings))
 
 
 def blow_up(d: FramedBraidDiagram, region: set[int] | list[int] | tuple[int, ...],
             sign: int) -> tuple[FramedBraidDiagram, str]:
     """Append a ``sign``-framed strand linking each region member once,
     twisting the region to compensate so the manifold is unchanged."""
-    members = sorted({int(i) for i in region})
+    require_integers(InvalidMoveError, "move arguments must be integers", sign, *region)
+    members = sorted(set(region))
     if not members:
         raise InvalidMoveError("blow_up region must be nonempty")
     if sign not in (1, -1):
@@ -212,26 +205,28 @@ def blow_up(d: FramedBraidDiagram, region: set[int] | list[int] | tuple[int, ...
     if members[0] < 1 or members[-1] > d.strands:
         raise InvalidMoveError(f"region {members} out of range")
     new = d.strands + 1
-    word = [*d.braid_word, *((i, new, 1) for i in members)]
-    u = [int(i in members) for i in range(1, new)]
-    return (_rank_one(word, [*d.framings, sign], u, sign),
+    links = {**d.net_linking, **{(i, new): 1 for i in members}}
+    u = [1 if i in members else 0 for i in range(1, new)]
+    return (_rank_one(links, [*d.framings, sign], u, sign),
             f"region {members}, sign {sign:+d}")
 
 
 def blow_down(d: FramedBraidDiagram, component: int) -> tuple[FramedBraidDiagram, str]:
     """Remove a +-1-framed strand, adjusting its neighbors by the quadratic
     rule: framings drop by sign*l(i,c)^2, linkings by sign*l(i,c)*l(j,c)."""
-    c = int(component)
+    require_integers(InvalidMoveError, "move arguments must be integers", component)
+    c = component
     if not 1 <= c <= d.strands:
         raise InvalidMoveError(f"component {c} out of range")
     sign = d.framings[c - 1]
     if sign not in (1, -1):
         raise InvalidMoveError(f"blow_down needs framing +-1, component {c} has {sign}")
     # the strands after c move down one place, in order
-    word = [(a - (a > c), b - (b > c), e) for a, b, e in d.braid_word if c not in (a, b)]
+    links = {(a - (a > c), b - (b > c)): n
+             for (a, b), n in d.net_linking.items() if c not in (a, b)}
     framings = [f for i, f in enumerate(d.framings, 1) if i != c]
     u = [d.linking(i, c) for i in range(1, d.strands + 1) if i != c]
-    return _rank_one(word, framings, u, -sign), f"component {c}, sign {sign:+d}"
+    return _rank_one(links, framings, u, -sign), f"component {c}, sign {sign:+d}"
 
 
 def rolfsen_twist(d: FramedBraidDiagram, component: int, t: int) -> tuple[FramedBraidDiagram, str]:
@@ -243,20 +238,18 @@ def rolfsen_twist(d: FramedBraidDiagram, component: int, t: int) -> tuple[Framed
     be 0 or -2: a 0-framed component twists freely, a +-1 or +-2 framing
     admits exactly one nontrivial twist count).
     """
-    c = int(component)
-    t = int(t)
+    require_integers(InvalidMoveError, "move arguments must be integers", component, t)
+    c = component
     if not 1 <= c <= d.strands:
         raise InvalidMoveError(f"component {c} out of range")
     f = d.framings[c - 1]
     denom = 1 + t * f
     if denom == 0 or f % denom != 0:
-        raise InvalidMoveError(
-            f"twisting framing {f} by t={t} leaves the integer calculus"
-        )
+        raise InvalidMoveError(f"twisting framing {f} by t={t} leaves the integer calculus")
     framings = list(d.framings)
     framings[c - 1] = f // denom
     u = [0 if i == c else d.linking(i, c) for i in range(1, d.strands + 1)]
-    return _rank_one(list(d.braid_word), framings, u, t), f"component {c}, t {t:+d}"
+    return _rank_one(dict(d.net_linking), framings, u, t), f"component {c}, t {t:+d}"
 
 
 def _field(move: dict, key: str):
@@ -268,8 +261,7 @@ def _field(move: dict, key: str):
 
 def _int(move: dict, key: str) -> int:
     value = _field(move, key)
-    if type(value) is not int:
-        raise InvalidMoveError(f"move {move!r}: {key!r} must be an integer, got {value!r}")
+    require_integers(InvalidMoveError, f"move {move!r}: {key!r} must be an integer", value)
     return value
 
 
@@ -310,13 +302,9 @@ def apply_moves(d: FramedBraidDiagram, moves: list[dict],
 
 
 def to_planar_open_book(d: FramedBraidDiagram) -> tuple[PlanarPage, TwistWord]:
-    """Planar open book of the surgered manifold: one hole per strand,
-    one twist letter per braid letter and per nonzero framing."""
+    """Planar open book of the surgered manifold: one hole per strand, one
+    twist letter per linked pair (in index order) and per nonzero framing."""
     page = PlanarPage(d.strands)
-    letters = []
-    for i, j, e in d.braid_word:
-        letters.append(twist({i, j}, -e))
-    for i, f in enumerate(d.framings, start=1):
-        if f:
-            letters.append(twist({i}, -f))
+    letters = [twist({i, j}, -n) for (i, j), n in sorted(d.net_linking.items())]
+    letters += [twist({i}, -f) for i, f in enumerate(d.framings, start=1) if f]
     return page, TwistWord(page, tuple(letters))

@@ -43,6 +43,7 @@ from spuncalc.surgery import (
     blow_down,
     blow_up,
     h1_invariants,
+    linking_matrix,
     rolfsen_twist,
 )
 
@@ -72,7 +73,7 @@ def test_criterion_1_lens_pipeline_exhaustive():
     # determinant of the materialized matrix
     for p, q in coprime_pairs(40):
         sd = slid_diagram(cf_expand(p, q))
-        assert sd.linking_det() == det(sd.linking_matrix().rows), (p, q)
+        assert sd.linking_det() == det(linking_matrix(sd.as_braid_diagram()).rows), (p, q)
     _announce(1, "cf roundtrip and both |det| = p for all coprime pairs p <= 500")
 
 

@@ -1,10 +1,15 @@
 """CLI behavior: exit codes, JSON stability, corpus replay."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import sys
+import tempfile
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spuncalc import cli, corpus, homology, lens
@@ -139,6 +144,29 @@ def test_pi1_bad_file_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "embed", "--page", "2", "--word", "/nonexistent")
     assert code == 2
+
+
+def test_missing_moves_file_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.txt").write_text(GOOD_DIAGRAM)
+    code, out, err = run(capsys, "surgery", "d.txt", "--moves", "missing.json")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "No such file" in err and "malformed JSON" not in err
+
+
+class BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_stdout_is_not_bad_input(monkeypatch, capsys):
+    # a reader that closed the pipe (as ``| head -1`` does) is an output
+    # fault: it must not read as exit 2 with an error line
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        main(["lens", "500", "499"])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_corpus_run_all_pass(capsys):
@@ -347,7 +375,7 @@ def test_report_writer_rejects_other_types(value):
 @pytest.mark.parametrize("argv, digest", [
     (["lens", "7", "2"], "4272371c00ecda35ce1389dc5761e9406cc9a050df14325fca289fbb2db8c8d6"),
     (["surgery", "diagram.txt", "--moves", "moves.json"],
-     "26b7d5c7583d68db807a8fe534f9966ae933590db25af1b0d2e891a326d0f2b4"),
+     "32fa94dbbc364d35fcedb034b799b9f5cd92929428b370784851b9ffbbbdf74f"),
 ], ids=["lens-7-2", "surgery-readme"])
 def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
@@ -365,7 +393,7 @@ def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
     (["lens", "7", "2"], "927043d63a54fb3e83b46ea9e9218dadb0db4249d68e0ec1f12939536a5bcb2a"),
     (["lens", "40", "39"], "c81340e1ddbc97122ff964c8a9d9eaa247fe44953b447d38cd6d411323f63950"),
     (["surgery", "diagram.txt", "--moves", "moves.json"],
-     "27ccd5a86887b961adafc99f81ef954e3d686fe71c6cd4459e4f05f6fc9a9a61"),
+     "eac0458683a4b07ea0178d41503d01dcbf7488f8648ad2ef9eb4ac989057986a"),
     (["embed", "--page", "2", "--word", "word.txt"],
      "ad64053a5e94fca545b28f025d087a601da34f3d26c2762c9cbd51a55af7ddd5"),
     (["certify-s4", "--page", "2", "--word", "cert.txt"],
@@ -380,3 +408,69 @@ def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
     code, out, _ = run(capsys, *argv, "--json", "--no-timestamp")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Input-boundary property of ``surgery``: arbitrary text diagrams, JSON
+# diagrams and JSON move lists, with at most 8 strands (3 moves add at most
+# 3 more), so no run builds a large matrix.
+small_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.text(max_size=4), children, max_size=4),
+    max_leaves=10,
+)
+diagram_tokens = st.one_of(st.integers(-3, 8).map(str),
+                           st.sampled_from(["+1", "-2", "0", "2.5", "x", "1e3", "\u0663"]))
+text_diagrams = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.tuples(st.sampled_from(["strands", "framings", "A", "#", "B", ""]),
+                       st.lists(diagram_tokens, max_size=5)),
+             max_size=8).map(lambda lines: "\n".join(" ".join([k, *v]) for k, v in lines)),
+)
+json_diagrams = st.fixed_dictionaries({}, optional={
+    "strands": st.integers(-1, 8) | small_json,
+    "framings": st.lists(st.integers(-9, 9), max_size=8) | small_json,
+    "braid": st.lists(st.lists(st.integers(-3, 8), max_size=4), max_size=6) | small_json,
+}).map(json.dumps)
+move_fields = st.integers(-2, 9) | st.integers(-10**12, 10**12) | small_json
+json_moves = st.one_of(
+    st.lists(st.fixed_dictionaries(
+        {"move": st.sampled_from(["blow_up", "blow_down", "rolfsen_twist", "flip"]) | small_json},
+        optional={"region": st.lists(st.integers(-1, 9), max_size=4) | small_json,
+                  "sign": move_fields, "component": move_fields, "twists": move_fields}),
+        max_size=3),
+    small_json,
+).map(json.dumps)
+
+
+def run_surgery(diagram: str, moves: str | None, as_json: bool) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["surgery", os.path.join(tmp, "d")]
+        with open(argv[1], "w", encoding="utf-8", errors="surrogatepass") as f:
+            f.write(diagram)
+        if moves is not None:
+            argv += ["--moves", os.path.join(tmp, "m.json")]
+            with open(argv[-1], "w", encoding="utf-8") as f:
+                f.write(moves)
+        if as_json:
+            argv += ["--json", "--no-timestamp"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+@given(text_diagrams | json_diagrams, st.none() | json_moves, st.booleans())
+@example('{"strands": ' + "9" * 5000 + "}", None, True)
+@example('{"strands": ' + "[" * 100000, None, True)
+@example("strands 1\nframings 0\n", "[" + "9" * 5000 + "]", False)
+@example("strands 1\nframings 0\n", "[" * 100000, True)
+@example("strands 1\nframings 0\n",
+         '[{"move": "rolfsen_twist", "component": 1, "twists": 1000000000}]', True)
+@settings(max_examples=300, deadline=None)
+def test_surgery_input_boundary(diagram, moves, as_json):
+    code, err = run_surgery(diagram, moves, as_json)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert code in (0, 1)

@@ -196,3 +196,19 @@ def test_form_json_roundtrip():
     f = form(s1=1, trivial=2, twisted=3)
     assert FourManifoldForm.from_json(f.to_json()) == f
     assert f.to_json() == {"dim": 2, "s1xs": 1, "trivial": 2, "twisted": 3}
+
+
+@pytest.mark.parametrize("bad", [2.9, "2", True])
+@pytest.mark.parametrize("build, error", [
+    (lambda x: MonodromyForm(twist_exponents=(x,)), InvalidMonodromyError),
+    (lambda x: MonodromyForm(pushes=frozenset({(1, x)})), InvalidMonodromyError),
+    (lambda x: PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": x}]}), SpuncalcError),
+    (lambda x: PageForm.from_json({"dim": x}), SpuncalcError),
+    (lambda x: FourManifoldForm.from_json({"trivial": x}), SpuncalcError),
+    (lambda x: twist_image({x}, 3), SpuncalcError),
+], ids=["monodromy-twist", "monodromy-push", "page-atom-m", "page-dim", "form-from-json",
+        "twist-image"])
+def test_constructors_reject_non_integers(build, error, bad):
+    # validated, never coerced: int() would read 2.9 and "2" as 2, True as 1
+    with pytest.raises(error, match="integer"):
+        build(bad)

@@ -123,7 +123,7 @@ def test_slid_det_matches_materialized_matrix_and_p(pq):
     p, q = pq
     sd = slid_diagram(cf_expand(p, q))
     fast = sd.linking_det()
-    assert fast == det(sd.linking_matrix().rows)
+    assert fast == det(linking_matrix(sd.as_braid_diagram()).rows)
     assert abs(fast) == p
 
 
@@ -133,7 +133,14 @@ def test_slid_braid_diagram_realizes_same_homology(pq):
     p, q = pq
     sd = slid_diagram(cf_expand(p, q))
     d = sd.as_braid_diagram()
-    assert linking_matrix(d) == sd.linking_matrix()
+    rows = linking_matrix(d).rows
+    k = sd.strands
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            assert rows[i - 1][j - 1] == sd.linking(i, j)
+    # one letter per linked pair
+    assert len(d.braid_word) == sum(
+        1 for i in range(1, k) for j in range(i + 1, k + 1) if sd.linking(i, j))
     inv = h1_invariants(d)
     assert inv.order() == p
 
@@ -198,3 +205,10 @@ def test_target_spin_iff_all_coefficients_even(pq):
     target = lens_embedding_target(p, q)
     assert target.summand_count() == len(c)
     assert target.is_spin() == all(a % 2 == 0 for a in c.coefficients)
+
+
+@pytest.mark.parametrize("bad", [2.9, "2", True])
+def test_continued_fraction_rejects_non_integers(bad):
+    # validated, never coerced: int() would read 2.9 and "2" as 2, True as 1
+    with pytest.raises(SpuncalcError, match="integer"):
+        ContinuedFraction((-3, bad))

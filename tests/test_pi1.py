@@ -159,3 +159,16 @@ def test_parse_relator_and_presentation():
         parse_presentation("x1\n")
     assert word_to_text((1, -2)) == "x1X2"
     assert pres.describe() == "< x1, x2 | x1x2X1X2, x1x1 >"
+
+
+@pytest.mark.parametrize("bad", [2.9, "2", True])
+@pytest.mark.parametrize("build", [
+    lambda x: GroupPresentation(x),
+    lambda x: GroupPresentation(3, ((1, x),)),
+    lambda x: PushPage(x, 0),
+    lambda x: PushPage(3, 1, ((x,),)),
+], ids=["generator-count", "relator-letter", "handle-count", "loop-letter"])
+def test_constructors_reject_non_integers(build, bad):
+    # validated, never coerced: int() would read 2.9 and "2" as 2, True as 1
+    with pytest.raises(InvalidPresentationError, match="integer"):
+        build(bad)

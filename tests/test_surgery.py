@@ -1,9 +1,10 @@
 """Framed braid diagrams, moves, and the open book export."""
 
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spuncalc.errors import InvalidDiagramError, InvalidMoveError
@@ -43,7 +44,8 @@ def diagrams(max_strands=5, max_letters=7, max_framing=9):
         lambda n: st.tuples(
             st.just(n),
             st.lists(
-                st.tuples(st.integers(1, n), st.integers(1, n), st.sampled_from((1, -1))),
+                st.tuples(st.integers(1, n), st.integers(1, n),
+                          st.sampled_from((-3, -2, -1, 1, 2, 3))),
                 max_size=max_letters,
             ),
             st.lists(st.integers(-max_framing, max_framing), min_size=n, max_size=n),
@@ -158,7 +160,8 @@ def test_rolfsen_twist_integrality_guard():
 
 
 def random_applicable_move(rng, d):
-    """Pick a move instance valid for the diagram, for fuzzing."""
+    """Pick a move instance valid for the diagram, for fuzzing; returns the
+    move as a JSON move dict and the move's result."""
     choices = ["blow_up"]
     units = [i for i, f in enumerate(d.framings, 1) if f in (1, -1)]
     if units:
@@ -174,10 +177,13 @@ def random_applicable_move(rng, d):
     kind = rng.choice(choices)
     if kind == "blow_up":
         region = rng.sample(range(1, d.strands + 1), rng.randint(1, d.strands))
-        return blow_up(d, region, rng.choice((1, -1)))
+        sign = rng.choice((1, -1))
+        return {"move": kind, "region": region, "sign": sign}, blow_up(d, region, sign)
     if kind == "blow_down":
-        return blow_down(d, rng.choice(units))
-    return rolfsen_twist(d, *rng.choice(twistable))
+        c = rng.choice(units)
+        return {"move": kind, "component": c}, blow_down(d, c)
+    c, t = rng.choice(twistable)
+    return {"move": kind, "component": c, "twists": t}, rolfsen_twist(d, c, t)
 
 
 def test_moves_preserve_h1_fuzz():
@@ -194,8 +200,85 @@ def test_moves_preserve_h1_fuzz():
         framings = tuple(rng.randint(-9, 9) for _ in range(n))
         d = FramedBraidDiagram(n, word, framings)
         before = h1_invariants(d)
-        out, detail = random_applicable_move(rng, d)
+        _, (out, detail) = random_applicable_move(rng, d)
         assert h1_invariants(out) == before, (d, detail)
+
+
+def dense_move(rows, move):
+    """The linking matrix after ``move``, computed on the dense matrix: a
+    blow-up borders L + s*u*u^T with u and s, a blow-down removes c and
+    subtracts s*L[.][c]*L[c][.], a twist adds t*L[.][c]*L[c][.] away from c
+    and sets L[c][c] = f/(1+t*f)."""
+    n = len(rows)
+    if move["move"] == "blow_up":
+        s = move["sign"]
+        u = [int(i + 1 in move["region"]) for i in range(n)]
+        out = [[rows[i][j] + s * u[i] * u[j] for j in range(n)] + [u[i]] for i in range(n)]
+        return out + [u + [s]]
+    c = move["component"] - 1
+    col = [rows[i][c] for i in range(n)]
+    if move["move"] == "blow_down":
+        s = rows[c][c]
+        keep = [i for i in range(n) if i != c]
+        return [[rows[i][j] - s * col[i] * col[j] for j in keep] for i in keep]
+    t, f = move["twists"], rows[c][c]
+    out = [[rows[i][j] + (0 if c in (i, j) else t * col[i] * col[j]) for j in range(n)]
+           for i in range(n)]
+    out[c][c] = f // (1 + t * f)
+    return out
+
+
+@given(diagrams(), st.integers(0, 2**32), st.integers(1, 6))
+@example(FramedBraidDiagram(1, (), (1,)), 0, 2)
+@settings(max_examples=80, deadline=None)
+def test_move_chains_keep_one_letter_per_linked_pair(d, seed, length):
+    rng = random.Random(seed)
+    rows = [list(row) for row in linking_matrix(d).rows]
+    final = d
+    for _ in range(length):
+        if not final.strands:  # a blow-down emptied the diagram: no move applies
+            break
+        move, (final, _) = random_applicable_move(rng, final)
+        rows = dense_move(rows, move)
+    n = final.strands
+    pairs = [(i, j) for i, j, _ in final.braid_word]
+    assert len(pairs) <= n * (n - 1) // 2
+    assert pairs == sorted(set(pairs))
+    assert all(e != 0 for _, _, e in final.braid_word)
+    assert parse_diagram(json.dumps(final.to_json())) == final
+    assert parse_diagram(final.to_text()) == final
+    assert [list(row) for row in linking_matrix(final).rows] == rows
+
+
+def test_huge_twist_count_stays_small():
+    # one 0-framed strand linked to both others, twisted 10^9 times
+    d = FramedBraidDiagram(3, ((1, 2, 1), (1, 3, -1), (2, 3, 1), (2, 3, 1)), (0, -2, 5))
+    out, _ = rolfsen_twist(d, 1, 10**9)
+    assert out.braid_word == ((1, 2, 1), (1, 3, -1), (2, 3, 2 - 10**9))
+    assert out.framings == (0, 10**9 - 2, 10**9 + 5)
+    assert h1_invariants(out) == h1_invariants(d)
+
+
+@pytest.mark.parametrize("move", [
+    lambda d: rolfsen_twist(d, 1.9, 2),
+    lambda d: rolfsen_twist(d, 1, 2.5),
+    lambda d: rolfsen_twist(d, "1", 2),
+    lambda d: rolfsen_twist(d, True, 2),
+    lambda d: blow_down(d, 2.7),
+    lambda d: blow_down(d, "2"),
+    lambda d: blow_down(d, True),
+    lambda d: blow_up(d, [1.5], 1),
+    lambda d: blow_up(d, ["1"], 1),
+    lambda d: blow_up(d, [True], 1),
+    lambda d: blow_up(d, [1], 1.0),
+    lambda d: blow_up(d, [1], True),
+], ids=["twist-component-float", "twist-t-float", "twist-component-str", "twist-component-bool",
+        "down-float", "down-str", "down-bool", "up-region-float", "up-region-str",
+        "up-region-bool", "up-sign-float", "up-sign-bool"])
+def test_move_arguments_are_validated_not_coerced(move):
+    d = FramedBraidDiagram(3, ((1, 2, 1),), (0, 1, -1))
+    with pytest.raises(InvalidMoveError, match="integer"):
+        move(d)
 
 
 def test_apply_moves_audits_the_chain():
@@ -271,10 +354,11 @@ def test_open_book_parity_stable_under_canceling_pair():
 
 
 def test_diagram_validation():
-    with pytest.raises(InvalidDiagramError):
-        FramedBraidDiagram(2, ((2, 1, 1),), (0, 0))
-    with pytest.raises(InvalidDiagramError):
-        FramedBraidDiagram(2, ((1, 2, 2),), (0, 0))
+    # a letter (i, j, e) is A_ij^e for any nonzero integer e
+    assert FramedBraidDiagram(2, ((1, 2, 2),), (0, 0)).linking(1, 2) == 2
+    for letter in [(2, 1, 1), (1, 2, 0), (1, 2, 2.0)]:
+        with pytest.raises(InvalidDiagramError):
+            FramedBraidDiagram(2, (letter,), (0, 0))
     with pytest.raises(InvalidDiagramError):
         FramedBraidDiagram(2, (), (0,))
 
