@@ -8,12 +8,30 @@ and the slid lens diagram uses ``min_structured_det``. First homology of
 a surgered 3-manifold is read off the Smith normal form of its linking
 matrix: the nontrivial invariant factors give the torsion and the corank
 gives the free rank.
+
+``smith_diagonal`` runs in three phases, each removing what it can:
+
+1. Over Z, while the block holds a +-1, that entry is the pivot: one row
+   pass clears its column, then its row and column are dropped. The step
+   is unimodular, so the cleared row needs no column pass, and every
+   entry left is a minor of the input (the pivots multiply to +-1), so
+   entries grow no faster than under Bareiss.
+2. If the residual block B is square with D = |det B| != 0, then
+   adj(B) B = +-D I puts D Z^k inside the row space of B. So coker B is a
+   Z/D-module and equals the cokernel of B stacked on D I, which any row
+   or column operation invertible mod D preserves. B is reduced mod D and
+   pivots coprime to D are cleared like the +-1 of phase 1. When none is
+   left but every entry and D share a factor g, the block is g times a
+   block of the same kind modulo D/g, so its factors are g times those.
+3. What has no unit left goes to the min-pivot reduction: a singular or
+   rectangular residual as it is, a nonsingular one stacked on D I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from itertools import chain
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .errors import InvalidDiagramError
@@ -21,12 +39,18 @@ from .errors import InvalidDiagramError
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _as_rows(entries: Iterable[Iterable[int]]) -> Rows:
-    rows = tuple(tuple(map(int, row)) for row in entries)
-    for row in rows:
-        if len(row) != len(rows):
-            raise InvalidDiagramError("matrix is not square")
-    return rows
+def _require_integers(rows: Sequence[Sequence[int]]) -> None:
+    """Raise unless every entry is an int: never coerced, since int()
+    would read 2.5 as 2 and "3" as 3."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
+        raise InvalidDiagramError(f"matrix entries must be integers, got {bad!r}")
+
+
+def _require_square(rows: Sequence[Sequence[int]]) -> None:
+    _require_integers(rows)
+    if any(len(row) != len(rows) for row in rows):
+        raise InvalidDiagramError("matrix is not square")
 
 
 @dataclass(frozen=True)
@@ -36,7 +60,8 @@ class LinkingMatrix:
     rows: Rows
 
     def __post_init__(self) -> None:
-        rows = _as_rows(self.rows)
+        rows = tuple(map(tuple, self.rows))  # no copy of rows already tuples
+        _require_square(rows)
         object.__setattr__(self, "rows", rows)
         if rows != tuple(zip(*rows)):
             raise InvalidDiagramError("matrix not symmetric")
@@ -76,8 +101,8 @@ class H1Invariants:
         return {"factors": list(self.factors), "free_rank": self.free_rank}
 
 
-def _bareiss_det(rows: Rows) -> int:
-    m = [list(row) for row in rows]
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a nonempty square matrix, which is overwritten."""
     n = len(m)
     sign = 1
     prev = 1
@@ -101,7 +126,8 @@ def _bareiss_det(rows: Rows) -> int:
 
 def det(entries: Iterable[Iterable[int]]) -> int:
     """Exact determinant of a square integer matrix (empty matrix -> 1)."""
-    rows = _as_rows(entries)
+    rows = [list(row) for row in entries]
+    _require_square(rows)
     if not rows:
         return 1
     return _bareiss_det(rows)
@@ -128,17 +154,50 @@ def min_structured_det(values: Sequence[int], diagonal: Sequence[int]) -> int:
     return big_d
 
 
-def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
-    """Diagonal of the Smith normal form (nonnegative, divisibility chain).
+def _unit_column(row: list[int], modulus: int) -> int | None:
+    """Column of the first unit of Z/modulus in the row (+-1 when modulus is 0)."""
+    if modulus:
+        row = list(map(gcd, row, [modulus] * len(row)))
+        return row.index(1) if 1 in row else None
+    if 1 in row:
+        return row.index(1)
+    return row.index(-1) if -1 in row else None
 
-    Works on any rectangular integer matrix; the result has min(rows, cols)
-    entries, padded with zeros where the rank falls short.
-    """
-    m = [list(map(int, row)) for row in entries]
+
+def _unit_pivots(m: list[list[int]], modulus: int) -> tuple[list[list[int]], int]:
+    """Clear unit pivots of Z/modulus (+-1 when modulus is 0) from a block
+    whose entries are reduced mod modulus, dropping each pivot's row and
+    column. Returns the residual block and the number of pivots cleared."""
+    cleared = 0
+    while True:
+        for i, row in enumerate(m):
+            c = _unit_column(row, modulus)
+            if c is not None:
+                break
+        else:
+            return m, cleared
+        pivot_row = m.pop(i)
+        inverse = pow(pivot_row.pop(c), -1, modulus) if modulus else pivot_row.pop(c)
+        rest = []
+        for row in m:
+            f = row.pop(c) * inverse
+            if modulus:
+                f %= modulus
+                if f:
+                    row = [(a - f * b) % modulus for a, b in zip(row, pivot_row)]
+            elif f:
+                row = [a - f * b for a, b in zip(row, pivot_row)]
+            rest.append(row)
+        m = rest
+        cleared += 1
+
+
+def _min_pivot_diagonal(m: list[list[int]]) -> list[int]:
+    """Smith diagonal by repeated min-magnitude pivots, overwriting m: the
+    finisher for blocks with no unit left. It restarts whenever a remainder
+    appears and rescans the whole block each time."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    if any(len(row) != nc for row in m):
-        raise InvalidDiagramError("ragged matrix")
     diag: list[int] = []
     top = 0
     while top < min(nr, nc):
@@ -192,16 +251,52 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     return diag
 
 
+def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
+    """Diagonal of the Smith normal form (nonnegative, divisibility chain).
+
+    Works on any rectangular integer matrix; the result has min(rows, cols)
+    entries, padded with zeros where the rank falls short.
+    """
+    m = [list(row) for row in entries]
+    _require_integers(m)
+    nc = len(m[0]) if m else 0
+    if any(len(row) != nc for row in m):
+        raise InvalidDiagramError("ragged matrix")
+    m, ones = _unit_pivots(m, 0)
+    diag = [1] * ones
+    if not m:
+        return diag
+    modulus = abs(_bareiss_det([row[:] for row in m])) if len(m) == len(m[0]) else 0
+    if not modulus:
+        return diag + _min_pivot_diagonal(m)
+    m = [[a % modulus for a in row] for row in m]
+    scale = 1
+    while True:
+        m, units = _unit_pivots(m, modulus)
+        diag += [scale] * units
+        if not m:
+            return diag
+        g = gcd(modulus, *chain.from_iterable(m))
+        if g == 1:
+            break
+        m = [[a // g for a in row] for row in m]
+        modulus //= g
+        scale *= g
+    k = len(m)
+    m += [[modulus if j == i else 0 for j in range(k)] for i in range(k)]
+    return diag + [scale * d for d in _min_pivot_diagonal(m)]
+
+
 def cokernel_invariants(entries: Iterable[Iterable[int]], columns: int | None = None) -> H1Invariants:
     """Invariants of Z^c / rowspace(M), where c is the column count of M."""
-    m = [list(map(int, row)) for row in entries]
+    rows = list(entries)  # smith_diagonal copies and checks the entries
     if columns is None:
-        if not m:
+        if not rows:
             raise InvalidDiagramError("column count required for an empty matrix")
-        columns = len(m[0])
-    if not m:
+        columns = len(rows[0])
+    if not rows:
         return H1Invariants(factors=(), free_rank=columns)
-    diag = smith_diagonal(m)
+    diag = smith_diagonal(rows)
     rank = sum(1 for d in diag if d != 0)
     factors = tuple(d for d in diag if d > 1)
     return H1Invariants(factors=factors, free_rank=columns - rank)

@@ -150,7 +150,10 @@ def parse_relator(text: str) -> Word:
     for m in _LETTER_RE.finditer(stripped):
         if m.start() != pos:
             raise InvalidPresentationError(f"cannot parse relator {text!r}")
-        i = int(m.group(2))
+        try:  # int() refuses more than 4,300 digits with ValueError
+            i = int(m.group(2))
+        except ValueError:
+            raise InvalidPresentationError(f"generator index of {len(m.group(2))} digits") from None
         if i < 1:
             raise InvalidPresentationError("generator indices are 1-based")
         out.append(i if m.group(1).islower() else -i)

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
-from .errors import InvalidWordError, PageMismatchError
+from .errors import InvalidWordError, PageMismatchError, SpuncalcError
 
 
 @dataclass(frozen=True)
@@ -218,20 +218,25 @@ _PUSH_RE = re.compile(r"^P\{(\d+)\|(\d+(?:,\d+)*)\}(?:\^(-?\d+))?$")
 def parse_word(text: str, page: PlanarPage) -> TwistWord:
     """Parse the whitespace-separated text form, e.g. ``T{1,2}^3 P{4|1,2}``."""
     letters: list[Letter] = []
-    for token in text.split():
-        m = _TWIST_RE.match(token)
-        if m:
-            subset = [int(s) for s in m.group(1).split(",")]
-            exp = int(m.group(2)) if m.group(2) else 1
-            letters.append(twist(subset, exp))
-            continue
-        m = _PUSH_RE.match(token)
-        if m:
-            subset = [int(s) for s in m.group(2).split(",")]
-            exp = int(m.group(3)) if m.group(3) else 1
-            letters.append(push(int(m.group(1)), subset, exp))
-            continue
-        raise InvalidWordError(f"unrecognized word letter: {token!r}")
+    try:
+        for token in text.split():
+            m = _TWIST_RE.match(token)
+            if m:
+                subset = [int(s) for s in m.group(1).split(",")]
+                exp = int(m.group(2)) if m.group(2) else 1
+                letters.append(twist(subset, exp))
+                continue
+            m = _PUSH_RE.match(token)
+            if m:
+                subset = [int(s) for s in m.group(2).split(",")]
+                exp = int(m.group(3)) if m.group(3) else 1
+                letters.append(push(int(m.group(1)), subset, exp))
+                continue
+            raise InvalidWordError(f"unrecognized word letter: {token!r}")
+    except SpuncalcError:
+        raise
+    except ValueError:  # int() refuses more than 4,300 digits
+        raise InvalidWordError(f"integer too long in word letter {len(letters) + 1}") from None
     return TwistWord(page, tuple(letters))
 
 

@@ -233,6 +233,8 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
     (["pi1", "g.txt"], {"g.txt": b"gens 1\n\xe9\n"}, "decode"),
     (["surgery", "d.txt"], {"d.txt": b"strands 1\nframings \xff\n"}, "decode"),
     (["surgery", "d.txt"], {"d.txt": None}, "Is a directory"),
+    (["embed", "--page", "2", "--word", "w.txt"], {"w.txt": "T{1}^" + "9" * 5000}, "too long"),
+    (["pi1", "g.txt"], {"g.txt": "gens 1\nx" + "9" * 5000 + "\n"}, "digits"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "negative-fuzz", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -241,7 +243,8 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "json-word-exp-not-integer", "gens-not-integer", "json-diagram-framings-string",
         "json-diagram-strands-float", "json-diagram-framing-float", "json-word-curve-string-exp-float",
         "json-word-curve-string", "json-word-letters-number", "json-word-letters-null",
-        "word-not-utf8", "presentation-not-utf8", "diagram-not-utf8", "diagram-is-directory"])
+        "word-not-utf8", "presentation-not-utf8", "diagram-not-utf8", "diagram-is-directory",
+        "word-exponent-too-long", "relator-index-too-long"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)

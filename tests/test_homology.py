@@ -5,6 +5,7 @@ oracle computes determinantal divisors as gcds over all square minors.
 Both are exponential and independent of the production code paths.
 """
 
+import random
 from itertools import combinations
 from math import gcd
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spuncalc import homology
 from spuncalc.errors import InvalidDiagramError
 from spuncalc.homology import (
     H1Invariants,
@@ -176,3 +178,135 @@ def test_cokernel_rank_nullity(m):
     rank = sum(1 for d in diag if d)
     assert inv.free_rank == n - rank
     assert all(d > 1 for d in inv.factors)
+
+
+@pytest.mark.parametrize("call, entries", [
+    (smith_diagonal, [[2.5, 0], [0, 3.9]]),
+    (cokernel_invariants, [[4.7]]),
+    (det, [["3"]]),
+    (det, [[True, 0], [0, 1]]),
+    (LinkingMatrix, ((1.0,),)),
+], ids=["smith-float", "cokernel-float", "det-string", "det-bool", "linking-float"])
+def test_non_integer_entries_are_rejected_not_truncated(call, entries):
+    with pytest.raises(InvalidDiagramError, match="integers"):
+        call(entries)
+
+
+def matrices(entries, rows=st.integers(1, 4), cols=None):
+    """Matrices of the given entries; square unless a column count is drawn."""
+    return rows.flatmap(lambda r: (st.just(r) if cols is None else cols).flatmap(
+        lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)))
+
+
+# no +-1 anywhere: the first pivot is a unit modulo the determinant
+unit_free = st.integers(-12, 12).filter(lambda x: abs(x) != 1)
+
+
+@given(matrices(unit_free))
+@settings(max_examples=100, deadline=None)
+def test_smith_without_unit_entries(m):
+    n = len(m)
+    assert smith_diagonal(m) == snf_oracle(m, n, n)
+
+
+@given(matrices(st.integers(-6, 6), rows=st.integers(2, 4)), st.integers(-3, 3),
+       st.integers(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_smith_singular_square(m, a, b):
+    m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    n = len(m)
+    assert smith_diagonal(m) == snf_oracle(m, n, n)
+
+
+@given(matrices(unit_free, rows=st.integers(1, 3), cols=st.integers(1, 5)))
+@settings(max_examples=100, deadline=None)
+def test_smith_rectangular_without_units(m):
+    assert smith_diagonal(m) == snf_oracle(m, len(m), len(m[0]))
+
+
+# entries sharing a factor with 6, so that few are units modulo a determinant
+# with both 2 and 3 in it
+non_units_of_six = st.sampled_from([0, 2, -2, 3, -3, 4, 6, -6, 8, 9, -9, 12])
+
+
+def framed(core, row, col):
+    """[[1, row], [col, core + col * row]]: clearing the leading 1 over Z
+    leaves exactly ``core``."""
+    k = len(core)
+    row, col = row[:k], col[:k]
+    return [[1, *row]] + [[c, *(x + c * r for x, r in zip(core_row, row))]
+                          for c, core_row in zip(col, core)]
+
+
+@given(matrices(non_units_of_six, rows=st.integers(1, 4)),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_smith_mixed_phases(core, row, col):
+    m = framed(core, row, col)
+    n = len(m)
+    assert smith_diagonal(m) == snf_oracle(m, n, n)
+
+
+def test_each_smith_phase_is_reached(monkeypatch):
+    seen = []
+    unit_pivots, min_pivot = homology._unit_pivots, homology._min_pivot_diagonal
+
+    def reduced(m, modulus):
+        return all(0 <= a < modulus for row in m for a in row) if modulus else True
+
+    def spy_units(m, modulus):
+        assert reduced(m, modulus)  # the modular phase works on residues only
+        m, cleared = unit_pivots(m, modulus)
+        assert reduced(m, modulus)
+        seen.append(("units", modulus, cleared))
+        return m, cleared
+
+    def spy_finisher(m):
+        seen.append(("finisher", len(m), len(m[0])))
+        return min_pivot(m)
+
+    monkeypatch.setattr(homology, "_unit_pivots", spy_units)
+    monkeypatch.setattr(homology, "_min_pivot_diagonal", spy_finisher)
+    # core [[4, 6], [9, 6]] has determinant -30 and no entry prime to 30
+    m = framed([[4, 6], [9, 6]], [2, -1], [1, 3])
+    assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 1, 30]
+    assert seen == [("units", 0, 1), ("units", 30, 0), ("finisher", 4, 2)]
+    seen.clear()
+    # 2 * [[3, 1], [1, 1]]: the content 2 comes out, then 1 and 2 are units
+    assert smith_diagonal([[6, 2], [2, 2]]) == [2, 4]
+    assert seen == [("units", 0, 0), ("units", 8, 0), ("units", 4, 1), ("units", 2, 1)]
+    seen.clear()
+    # a -1 is a pivot over Z too; the residual [10] is 10 times a block mod 1
+    assert smith_diagonal([[-1, 2], [3, 4]]) == [1, 10]
+    assert seen == [("units", 0, 1), ("units", 10, 0), ("units", 1, 1)]
+    seen.clear()
+    # singular: the unit in the middle row clears the top row
+    m = [[2, 4, 6], [1, 2, 3], [0, 5, 5]]
+    assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 5, 0]
+    assert seen == [("units", 0, 1), ("finisher", 2, 2)]
+    seen.clear()
+    m = random_symmetric(random.Random(3), 12)
+    assert smith_diagonal(m) == [1] * 11 + [abs(det(m))]
+    assert [x[1] for x in seen[:2]] == [0, abs(det(m))] and seen[1][2] > 0
+
+
+def random_symmetric(rng, n):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-9, 9)
+    return m
+
+
+# linking-matrix shapes of the surgery audit, and n = 40, where elimination
+# over Z without a modulus lets the entries grow past any use
+@pytest.mark.parametrize("n, seed", [(n, s) for n in (8, 12, 16, 20, 24) for s in (1, 2)]
+                         + [(40, 1)])
+def test_smith_matches_sympy(n, seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    m = random_symmetric(random.Random(f"{n}:{seed}"), n)
+    s = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+    assert smith_diagonal(m) == [abs(int(s[i, i])) for i in range(n)]
