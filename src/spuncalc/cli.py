@@ -3,9 +3,11 @@
 Subcommands: lens, embed, certify-s4, surgery, pi1, corpus. Every command
 prints a human-readable report (lens-space targets in W_{i,j} notation,
 pages as Sigma_{0,n+1}) or, with --json, a schema-versioned report whose
-serialization is byte-stable given --no-timestamp. The JSON bytes are those
-of ``json.dumps(report, indent=2, sort_keys=True)``. Exit codes: 0 ok,
-1 check failed, 2 bad input.
+serialization is byte-stable given --no-timestamp. The JSON report is one
+ASCII line, the bytes of ``json.dumps(report, sort_keys=True,
+separators=(",", ":"))`` plus a newline; ``python -m json.tool`` indents it
+for reading. Exit codes: 0 ok, 1 check failed, 2 bad input, and 141 from the
+console script when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
-from math import inf
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -31,50 +32,11 @@ REPORT_SCHEMA = "spuncalc-report/1"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool killed by it
 
-
-def _dumps(value: object, newline: str = "\n") -> str:
-    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives, for
-    dicts with str keys, lists, tuples, str, int, bool, None and float;
-    anything else raises TypeError. ``newline`` is the line break plus the
-    indent of ``value``'s own level. (Given ``indent``, ``json`` runs its
-    pure-Python encoder on Python 3.10 to 3.12, which is slower than this
-    writer; from 3.13 on it runs a C encoder, which is faster.)"""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        body = ("," + inner).join([encode_basestring_ascii(key) + ": " + _dumps(x, inner)
-                                   for key, x in sorted(value.items())])
-        return "{" + inner + body + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(type(x) is int for x in value):
-            body = ("," + inner).join(map(int.__repr__, value))
-        else:
-            body = ("," + inner).join([_dumps(x, inner) for x in value])
-        return "[" + inner + body + newline + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == inf:
-            return "Infinity"
-        if value == -inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# Most holes ``--page`` accepts: the reports of embed and certify-s4 list one
+# parity per hole, so the page, not the word, would set their size.
+MAX_PAGE_HOLES = 100_000
 
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict,
@@ -97,7 +59,7 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict,
     }
     if not args.no_timestamp:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    print(_dumps(report))
+    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
 def _form_name(form: FourManifoldForm) -> str:
@@ -109,6 +71,12 @@ def _form_name(form: FourManifoldForm) -> str:
 
 def _page_name(page: PlanarPage) -> str:
     return f"Sigma_{{0,{page.inner_count + 1}}} (disk with {page.inner_count} holes)"
+
+
+def _page(holes: int) -> PlanarPage:
+    if holes > MAX_PAGE_HOLES:
+        raise SpuncalcError(f"--page takes at most {MAX_PAGE_HOLES} holes, got {holes}")
+    return PlanarPage(holes)
 
 
 def _read(path: str) -> str:
@@ -168,7 +136,7 @@ def cmd_lens(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    page = PlanarPage(args.page)
+    page = _page(args.page)
     word = load_word(_read(args.word), page)
     report = spun.embedding_target(page, word)
     checks = [{
@@ -192,7 +160,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_certify_s4(args: argparse.Namespace) -> int:
-    page = PlanarPage(args.page)
+    page = _page(args.page)
     word = load_word(_read(args.word), page)
     parities = spun.s4_parities(page, word)
     certified = all(b == 1 for b in parities)
@@ -359,14 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lens)
 
     p = sub.add_parser("embed", help="embedding target of a planar open book")
-    p.add_argument("--page", type=int, required=True, help="number of inner boundaries")
+    p.add_argument("--page", type=int, required=True,
+                   help=f"number of inner boundaries (at most {MAX_PAGE_HOLES})")
     p.add_argument("--word", required=True, help="word file (text or JSON)")
     p.add_argument("--raw", action="store_true", help="report the raw form only")
     common(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("certify-s4", help="sphere certificate for paired pages")
-    p.add_argument("--page", type=int, required=True)
+    p.add_argument("--page", type=int, required=True,
+                   help=f"number of inner boundaries, even (at most {MAX_PAGE_HOLES})")
     p.add_argument("--word", required=True)
     common(p)
     p.set_defaults(func=cmd_certify_s4)
@@ -402,5 +372,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT
 
 
+def console_main() -> int:
+    """Entry point of the ``spuncalc`` script and of ``python -m spuncalc.cli``.
+    A reader that closes stdout early (``| head -1``) ends the run quietly
+    with exit 141. ``main`` itself lets ``BrokenPipeError`` propagate, so an
+    in-process caller keeps its own stdout."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; on /dev/null that flush succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

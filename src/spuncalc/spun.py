@@ -16,6 +16,7 @@ from the twist letters; the ambient open book is then a sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     ConditionNotApplicableError,
@@ -71,6 +72,10 @@ def embedding_target(page: PlanarPage, word: TwistWord) -> EmbeddingReport:
                            normalized=normalize(raw))
 
 
+# pairs an error names when pushes are missing; the count covers the rest
+_MISSING_SHOWN = 5
+
+
 def _certificate_pairs(page: PlanarPage) -> int:
     if page.inner_count % 2 != 0:
         raise MalformedPairingError(
@@ -113,9 +118,13 @@ def s4_parities(page: PlanarPage, word: TwistWord) -> tuple[int, ...]:
                 )
             for i in gen.curve.enclosed:
                 totals[(i - 1) // 2] += exp
-    missing = set(range(1, n + 1)) - seen_pushes
+    missing = n - len(seen_pushes)
     if missing:
-        raise MalformedPairingError(f"pairs {sorted(missing)} have no push letter")
+        first = list(islice((j for j in range(1, n + 1) if j not in seen_pushes),
+                            _MISSING_SHOWN))
+        more = " ..." if missing > len(first) else ""
+        raise MalformedPairingError(
+            f"{missing} of {n} pairs have no push letter: {first}{more}")
     return tuple(t % 2 for t in totals)
 
 

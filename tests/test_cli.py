@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spuncalc
 from spuncalc import cli, corpus, homology, lens
-from spuncalc.cli import main
+from spuncalc.cli import MAX_PAGE_HOLES, main
 
 
 def run(capsys, *argv):
@@ -169,6 +171,19 @@ def test_broken_stdout_is_not_bad_input(monkeypatch, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+def test_console_script_exits_141_quietly_on_a_closed_pipe():
+    # ``spuncalc lens 500 499 | head -1``: the text report (about 500 KB) is
+    # far larger than a pipe's buffer, so writing fails once the reader is gone
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
+    proc = subprocess.Popen([sys.executable, "-m", "spuncalc.cli", "lens", "500", "499"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"L(500,499): ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 def test_corpus_run_all_pass(capsys):
     code, out, _ = run(capsys, "corpus", "run")
     assert code == 0
@@ -235,6 +250,8 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
     (["surgery", "d.txt"], {"d.txt": None}, "Is a directory"),
     (["embed", "--page", "2", "--word", "w.txt"], {"w.txt": "T{1}^" + "9" * 5000}, "too long"),
     (["pi1", "g.txt"], {"g.txt": "gens 1\nx" + "9" * 5000 + "\n"}, "digits"),
+    (["embed", "--page", "10000000", "--word", "w.txt"], {"w.txt": "T{1}"}, "at most"),
+    (["certify-s4", "--page", "2000000", "--word", "w.txt"], {"w.txt": "T{1}"}, "at most"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "negative-fuzz", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -244,7 +261,8 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "json-diagram-strands-float", "json-diagram-framing-float", "json-word-curve-string-exp-float",
         "json-word-curve-string", "json-word-letters-number", "json-word-letters-null",
         "word-not-utf8", "presentation-not-utf8", "diagram-not-utf8", "diagram-is-directory",
-        "word-exponent-too-long", "relator-index-too-long"])
+        "word-exponent-too-long", "relator-index-too-long", "embed-page-too-large",
+        "certify-s4-page-too-large"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)
@@ -346,31 +364,26 @@ def test_parser_state_does_not_leak_between_calls(tmp_path, monkeypatch, capsys)
         assert fresh[0] != fresh[1]
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | st.floats()
-    | st.text(),
-    lambda children: (st.lists(children) | st.lists(children).map(tuple)
-                      | st.dictionaries(st.text(), children)),
-    max_leaves=40,
-)
+README_COMMANDS = [
+    ["lens", "7", "2"],
+    ["embed", "--page", "2", "--word", "word.txt"],
+    ["certify-s4", "--page", "2", "--word", "cert.txt"],
+    ["surgery", "diagram.txt", "--moves", "moves.json"],
+    ["pi1", "group.txt", "--fuzz", "100"],
+    ["corpus", "run"],
+]
 
 
-@given(json_values)
-@example({})
-@example([])
-@example(())
-@example({"a": [], "b": {}, "c": ()})
-@example([True, 1, False, 0, -10**30])
-@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324])
-@example({"\u00e9\x00\n\u2028": "\x1f\"\\\ud800"})
-def test_report_writer_matches_json_dumps(value):
-    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("value", [{1, 2}, [object()], {"a": b"x"}, {1: 2}])
-def test_report_writer_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        cli._dumps(value)
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_json_report_is_one_compact_sorted_ascii_line(tmp_path, monkeypatch, capsys, argv):
+    # the stdlib encoder's compact, key-sorted output is the whole contract
+    monkeypatch.chdir(tmp_path)
+    for name, text in {**README_FILES, "group.txt": "gens 2\nx1x2X1X2\n"}.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *argv, "--json", "--no-timestamp")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    assert out.isascii() and out.count("\n") == 1
 
 
 # SHA-256 of the whole text report (no --json), under the same rule as the
@@ -393,15 +406,15 @@ def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
 # interface: a refactor keeps them, and a deliberate change updates the
 # digest together with a CHANGES.md entry saying why.
 @pytest.mark.parametrize("argv, digest", [
-    (["lens", "7", "2"], "927043d63a54fb3e83b46ea9e9218dadb0db4249d68e0ec1f12939536a5bcb2a"),
-    (["lens", "40", "39"], "c81340e1ddbc97122ff964c8a9d9eaa247fe44953b447d38cd6d411323f63950"),
+    (["lens", "7", "2"], "2ee2c47854f0a3a88e3958c97c0f798c9c430816ac38b172c514a5603bc6516b"),
+    (["lens", "40", "39"], "fe139a93bbc5c12b76ae3ab58b199cbf3f2c9cd53ed00202b87706af6d7ec325"),
     (["surgery", "diagram.txt", "--moves", "moves.json"],
-     "eac0458683a4b07ea0178d41503d01dcbf7488f8648ad2ef9eb4ac989057986a"),
+     "d93fe6196f281a29d68921e454e233e68f5625b57fec454ae7c235eff22fff0e"),
     (["embed", "--page", "2", "--word", "word.txt"],
-     "ad64053a5e94fca545b28f025d087a601da34f3d26c2762c9cbd51a55af7ddd5"),
+     "9271ffe0f41bfeb6630ca6540216064871c0e99d3d72264510ad8b4bf287712e"),
     (["certify-s4", "--page", "2", "--word", "cert.txt"],
-     "0ff401266081f00f3279f4d4fb775d7dfd0ca427e343fb0f5b8daf2fce651319"),
-    (["corpus", "run"], "a7db6bd836f9bcf0a4b63cd7ab42b9d46c1461d809a23071d5a7d1f09a01df4f"),
+     "8cc8f80ac29aac3a80154c7a41a1c5bec0a624381479d829bf2bdd1321eef6ae"),
+    (["corpus", "run"], "39ca0ef5b3b67b49e52ba7b85215605cae9ca327bed6609561387cb689b242dd"),
 ], ids=["lens-7-2", "lens-40-39", "surgery-readme", "embed-readme", "certify-s4-readme",
         "corpus-run"])
 def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
@@ -446,21 +459,25 @@ json_moves = st.one_of(
 ).map(json.dumps)
 
 
-def run_surgery(diagram: str, moves: str | None, as_json: bool) -> tuple[int, str]:
+def run_with_files(argv: list[str], files: dict[str, str]) -> tuple[int, str, str]:
+    """``main(argv)`` after writing each of ``files`` to a fresh directory;
+    an argument naming one of them is replaced by its path."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["surgery", os.path.join(tmp, "d")]
-        with open(argv[1], "w", encoding="utf-8", errors="surrogatepass") as f:
-            f.write(diagram)
-        if moves is not None:
-            argv += ["--moves", os.path.join(tmp, "m.json")]
-            with open(argv[-1], "w", encoding="utf-8") as f:
-                f.write(moves)
-        if as_json:
-            argv += ["--json", "--no-timestamp"]
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8", errors="surrogatepass") as f:
+                f.write(text)
+        argv = [os.path.join(tmp, arg) if arg in files else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_surgery(diagram: str, moves: str | None, as_json: bool) -> tuple[int, str]:
+    files = {"d": diagram} if moves is None else {"d": diagram, "m.json": moves}
+    argv = ["surgery", "d"] + (["--moves", "m.json"] if moves is not None else [])
+    code, _, err = run_with_files(argv + (["--json", "--no-timestamp"] if as_json else []), files)
+    return code, err
 
 
 @given(text_diagrams | json_diagrams, st.none() | json_moves, st.booleans())
@@ -477,3 +494,65 @@ def test_surgery_input_boundary(diagram, moves, as_json):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
     else:
         assert code in (0, 1)
+
+
+# Input-boundary property of ``embed``, ``certify-s4`` and ``pi1``: arbitrary
+# text and JSON word files and presentations, on small pages and on a few
+# past MAX_PAGE_HOLES. Every run ends in exit 2 with one error line, or in
+# exit 0 or 1 with a JSON report and nothing on stderr.
+def check_input_boundary(argv: list[str], files: dict[str, str]) -> None:
+    code, out, err = run_with_files(argv + ["--json", "--no-timestamp"], files)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert code in (0, 1) and err == ""
+        json.loads(out)
+
+
+holes = st.lists(st.integers(-1, 9), max_size=4).map(lambda c: ",".join(map(str, c)))
+word_tokens = st.one_of(
+    st.builds("T{{{}}}^{}".format, holes, st.integers(-3, 3)),
+    st.builds("P{{{}|{}}}".format, st.integers(-1, 9), holes),
+    st.sampled_from(["T{1}", "P{2|1}", "P{4|3}^1", "T{}", "P{2|}", "T{1}^x", "T{1..3}",
+                     "T{1}^" + "9" * 5000, "\u0663"]),
+)
+text_words = st.text(max_size=40) | st.lists(word_tokens, max_size=10).map(" ".join)
+json_letters = st.fixed_dictionaries({}, optional={
+    "op": st.sampled_from(["twist", "push"]) | small_json,
+    "curve": st.lists(st.integers(-1, 9), max_size=4) | small_json,
+    "boundary": st.integers(-1, 9) | small_json,
+    "around": st.lists(st.integers(-1, 9), max_size=4) | small_json,
+    "exp": st.integers(-3, 3) | small_json,
+})
+json_words = st.one_of(
+    st.lists(json_letters | small_json, max_size=6),
+    st.fixed_dictionaries({"letters": st.lists(json_letters, max_size=6) | small_json}),
+    small_json,
+).map(json.dumps)
+pages = st.integers(-1, 8) | st.sampled_from([MAX_PAGE_HOLES, MAX_PAGE_HOLES + 1, 10**30])
+
+
+@given(st.sampled_from(["embed", "certify-s4"]), pages, text_words | json_words)
+@example("embed", 10**7, "T{1}")
+@example("certify-s4", 2 * 10**6, "T{1}")
+@example("certify-s4", MAX_PAGE_HOLES, "T{1}")
+@example("embed", 2, "[" * 100000)
+@settings(max_examples=300, deadline=None)
+def test_word_input_boundary(command, page, word):
+    check_input_boundary([command, "--page", str(page), "--word", "w"], {"w": word})
+
+
+relator_lines = st.lists(st.sampled_from(["x1", "X1", "x2", "X2", "x0", "x", "y1", "x9"]),
+                         max_size=6).map("".join)
+presentations = st.text(max_size=40) | st.lists(
+    relator_lines | st.integers(-1, 4).map("gens {}".format)
+    | st.sampled_from(["gens", "gens x", "gens 2 3", "# note", ""]),
+    max_size=5).map("\n".join)
+
+
+@given(presentations)
+@example("gens 1\nx" + "9" * 5000)
+@example("gens " + "9" * 5000)
+@settings(max_examples=200, deadline=None)
+def test_presentation_input_boundary(text):
+    check_input_boundary(["pi1", "g"], {"g": text})

@@ -202,6 +202,18 @@ def test_s4_pairing_validation():
         s4_certificate(page4, TwistWord(page4, (push(2, {3}), push(4, {3}))))
 
 
+def test_s4_missing_pushes_are_counted_not_listed():
+    # the error names the count and the first few pairs, whatever the page size
+    page = PlanarPage(2000)
+    with pytest.raises(MalformedPairingError) as info:
+        s4_parities(page, TwistWord(page, (push(4, {3}),)))
+    assert str(info.value) == "999 of 1000 pairs have no push letter: [1, 3, 4, 5, 6] ..."
+    page = PlanarPage(4)
+    with pytest.raises(MalformedPairingError) as info:
+        s4_parities(page, TwistWord(page, (twist({1}),)))
+    assert str(info.value) == "2 of 2 pairs have no push letter: [1, 2]"
+
+
 def test_s4_condition_not_applicable_for_b_curves():
     page = PlanarPage(2)
     word = TwistWord(page, (twist({2}, 3), push(2, {1})))
