@@ -6,8 +6,11 @@ pages as Sigma_{0,n+1}) or, with --json, a schema-versioned report whose
 serialization is byte-stable given --no-timestamp. The JSON report is one
 ASCII line, the bytes of ``json.dumps(report, sort_keys=True,
 separators=(",", ":"))`` plus a newline; ``python -m json.tool`` indents it
-for reading. Exit codes: 0 ok, 1 check failed, 2 bad input, and 141 from the
-console script when the reader of stdout closed it early.
+for reading. lens, embed, certify-s4 and surgery build their reports in
+functions of parsed inputs (``lens_report`` and so on), which the corpus
+replays too. Exit codes: 0 ok, 1 a check without ``detail`` failed (the
+rule of ``exit_code``), 2 bad input, a malformed argv included, and 141
+from the console script when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ import random
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterator, NoReturn
 
 from . import __version__, corpus, lens, pi1, spun, surgery
-from .errors import InvalidMoveError, SpuncalcError
+from .errors import InvalidMoveError, SpuncalcError, parse_json
 from .fourman import FourManifoldForm, normalize, parity_form
-from .planar import PlanarPage, load_word, parity_vector, word_to_json, word_to_text
+from .planar import PlanarPage, TwistWord, load_word, parity_vector, word_to_json, word_to_text
 
 REPORT_SCHEMA = "spuncalc-report/1"
 
@@ -38,16 +41,27 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool killed by it
 # parity per hole, so the page, not the word, would set their size.
 MAX_PAGE_HOLES = 100_000
 
+# a report function's outputs (built when called), checks and text lines
+Report = tuple[Callable[[], dict], list[dict], Iterator[str]]
+
+
+def exit_code(checks: list[dict]) -> int:
+    """The exit rule of every report: 1 when a check without ``detail``
+    failed (a check with ``detail`` is reported, not asserted), else 0."""
+    failed = any(not c["passed"] and "detail" not in c for c in checks)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
+
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict,
-          outputs: Callable[[], dict], checks: list[dict], lines: Iterable[str]) -> None:
-    """Print the JSON report under --json, or else the text lines. Each mode
-    builds only what it prints: ``outputs`` is called only under --json, and
-    ``lines``, a generator, is iterated only in text mode."""
+          outputs: Callable[[], dict], checks: list[dict], lines: Iterator[str]) -> int:
+    """Print the JSON report under --json, or else the text lines, and
+    return ``exit_code(checks)``. Each mode builds only what it prints:
+    ``outputs`` is called only under --json, and ``lines``, a generator, is
+    iterated only in text mode."""
     if not args.json:
         for line in lines:
             print(line)
-        return
+        return exit_code(checks)
     report = {
         "schema": REPORT_SCHEMA,
         "version": __version__,
@@ -60,6 +74,7 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict,
     if not args.no_timestamp:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    return exit_code(checks)
 
 
 def _form_name(form: FourManifoldForm) -> str:
@@ -87,8 +102,10 @@ def _read(path: str) -> str:
         raise SpuncalcError(str(exc)) from None
 
 
-def cmd_lens(args: argparse.Namespace) -> int:
-    c = lens.cf_expand(args.p, args.q)
+def lens_report(p: int, q: int) -> Report:
+    """The lens pipeline for L(p,q): expansion, plumbing and slid
+    determinants, open book word, parity reconciliation and target."""
+    c = lens.cf_expand(p, q)
     sd = lens.slid_diagram(c)
     page, word = lens.lens_open_book(c, sd)
     rec = lens.reconcile(c, word)
@@ -98,9 +115,9 @@ def cmd_lens(args: argparse.Namespace) -> int:
     value = lens.cf_eval(c)
     checks = [
         {"name": "cf_eval equals -p/q",
-         "passed": (value.numerator, value.denominator) == (-args.p, args.q)},
-        {"name": "plumbing |det| equals p", "passed": abs(plumb_det) == args.p},
-        {"name": "slid |det| equals p", "passed": abs(slid_det) == args.p},
+         "passed": (value.numerator, value.denominator) == (-p, q)},
+        {"name": "plumbing |det| equals p", "passed": abs(plumb_det) == p},
+        {"name": "slid |det| equals p", "passed": abs(slid_det) == p},
         {"name": "word parity matches reduced parity", "passed": rec.agree,
          "detail": "reported, not asserted"},
     ]
@@ -119,7 +136,7 @@ def cmd_lens(args: argparse.Namespace) -> int:
         }
 
     def lines():
-        yield f"L({args.p},{args.q}): expansion {list(c.coefficients)}"
+        yield f"L({p},{q}): expansion {list(c.coefficients)}"
         yield f"plumbing det = {plumb_det} (|det| = {abs(plumb_det)})"
         yield (f"slid diagram: framings {list(sd.framings)}, links {list(sd.links)}, "
                f"twist regions {list(sd.twist_regions)}, det = {slid_det}")
@@ -129,15 +146,16 @@ def cmd_lens(args: argparse.Namespace) -> int:
         yield (f"embedding target: {_form_name(target)}"
                + ("  [spin]" if target.is_spin() else ""))
 
-    hard_checks = [c_ for c_ in checks if "detail" not in c_]
-    failed = [c_ for c_ in hard_checks if not c_["passed"]]
-    _emit(args, "lens", {"p": args.p, "q": args.q}, outputs, checks, lines())
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return outputs, checks, lines()
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    page = _page(args.page)
-    word = load_word(_read(args.word), page)
+def cmd_lens(args: argparse.Namespace) -> int:
+    return _emit(args, "lens", {"p": args.p, "q": args.q}, *lens_report(args.p, args.q))
+
+
+def embed_report(page: PlanarPage, word: TwistWord, raw: bool = False) -> Report:
+    """Raw and normalized embedding target of a twist word; ``raw`` leaves
+    the normalized form out of the text lines."""
     report = spun.embedding_target(page, word)
     checks = [{
         "name": "raw summand counts add up to the hole count",
@@ -149,19 +167,23 @@ def cmd_embed(args: argparse.Namespace) -> int:
         yield f"word: {word_to_text(word) or '(empty)'}"
         yield f"parity: {list(report.parity)}"
         yield f"raw target: {_form_name(report.raw)}"
-        if not args.raw:
+        if not raw:
             yield f"normalized: {_form_name(report.normalized)}"
         yield f"spin: {'yes' if report.spin else 'no'}"
 
-    failed = [c for c in checks if not c["passed"]]
-    _emit(args, "embed", {"page": args.page, "word_file": args.word}, report.to_json, checks,
-          lines())
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return report.to_json, checks, lines()
 
 
-def cmd_certify_s4(args: argparse.Namespace) -> int:
+def cmd_embed(args: argparse.Namespace) -> int:
     page = _page(args.page)
     word = load_word(_read(args.word), page)
+    return _emit(args, "embed", {"page": args.page, "word_file": args.word},
+                 *embed_report(page, word, args.raw))
+
+
+def certify_report(page: PlanarPage, word: TwistWord) -> Report:
+    """The sphere certificate of a paired page; its one check fails when
+    the word does not certify."""
     parities = spun.s4_parities(page, word)
     certified = all(b == 1 for b in parities)
     target = spun.s4_target_name(page) if certified else None
@@ -181,21 +203,20 @@ def cmd_certify_s4(args: argparse.Namespace) -> int:
         else:
             yield "certified: no (every a-boundary needs odd twist parity)"
 
-    checks = [{"name": "sphere certificate", "passed": certified}]
-    _emit(args, "certify-s4", {"page": args.page, "word_file": args.word}, outputs, checks,
-          lines())
-    return EXIT_OK if certified else EXIT_CHECK_FAILED
+    return outputs, [{"name": "sphere certificate", "passed": certified}], lines()
 
 
-def cmd_surgery(args: argparse.Namespace) -> int:
-    d = surgery.parse_diagram(_read(args.diagram))
-    text = _read(args.moves) if args.moves else "[]"
-    # ValueError also covers too many digits, RecursionError too deep nesting
-    try:
-        moves = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InvalidMoveError(f"malformed JSON in {args.moves}: {exc}") from None
-    final, h1, log = surgery.apply_moves(d, moves)
+def cmd_certify_s4(args: argparse.Namespace) -> int:
+    page = _page(args.page)
+    word = load_word(_read(args.word), page)
+    return _emit(args, "certify-s4", {"page": args.page, "word_file": args.word},
+                 *certify_report(page, word))
+
+
+def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Report:
+    """Apply a JSON move list with an H1 audit of each move and of the whole
+    chain, then export the final diagram as a planar open book."""
+    final, h1, log = surgery.apply_moves(diagram, moves)
     page, word = surgery.to_planar_open_book(final)
     h1_start, h1_final = h1[0], h1[-1]
     checks = [{"name": f"{rec.move} preserves H1", "passed": rec.h1_preserved}
@@ -204,7 +225,7 @@ def cmd_surgery(args: argparse.Namespace) -> int:
 
     def outputs():
         return {
-            "initial": d.to_json(),
+            "initial": diagram.to_json(),
             "final": final.to_json(),
             "moves": [rec.to_json() for rec in log],
             "h1": h1_final.to_json(),
@@ -216,7 +237,7 @@ def cmd_surgery(args: argparse.Namespace) -> int:
         }
 
     def lines():
-        yield f"diagram: {d.strands} strands, framings {list(d.framings)}"
+        yield f"diagram: {diagram.strands} strands, framings {list(diagram.framings)}"
         yield f"H1 = {h1_start.describe()}"
         for rec in log:
             status = "ok" if rec.h1_preserved else "H1 CHANGED"
@@ -225,10 +246,15 @@ def cmd_surgery(args: argparse.Namespace) -> int:
         yield f"final: {final.strands} strands, framings {list(final.framings)}"
         yield f"open book on {_page_name(page)}: {word_to_text(word) or '(empty)'}"
 
-    failed = [c for c in checks if not c["passed"]]
-    _emit(args, "surgery", {"diagram_file": args.diagram, "moves_file": args.moves},
-          outputs, checks, lines())
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return outputs, checks, lines()
+
+
+def cmd_surgery(args: argparse.Namespace) -> int:
+    d = surgery.parse_diagram(_read(args.diagram))
+    moves = (parse_json(_read(args.moves), InvalidMoveError, f"malformed JSON in {args.moves}")
+             if args.moves else [])
+    return _emit(args, "surgery", {"diagram_file": args.diagram, "moves_file": args.moves},
+                 *surgery_report(d, moves))
 
 
 def cmd_pi1(args: argparse.Namespace) -> int:
@@ -262,9 +288,7 @@ def cmd_pi1(args: argparse.Namespace) -> int:
         for check in checks[1:]:
             yield f"{check['name']}: {'pass' if check['passed'] else 'FAIL'}"
 
-    failed = [c for c in checks if not c["passed"]]
-    _emit(args, "pi1", {"presentation_file": args.presentation}, outputs, checks, lines())
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return _emit(args, "pi1", {"presentation_file": args.presentation}, outputs, checks, lines())
 
 
 def _fuzz_roundtrip_once(rng: random.Random) -> bool:
@@ -300,15 +324,22 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         yield from (r.line() for r in results)
         yield f"{passed}/{len(results)} corpus cases passed"
 
-    _emit(args, "corpus", {"action": "run"}, outputs, checks, lines())
-    return EXIT_OK if passed == len(results) else EXIT_CHECK_FAILED
+    return _emit(args, "corpus", {"action": "run"}, outputs, checks, lines())
+
+
+class _Parser(argparse.ArgumentParser):
+    """A bad argv is bad input like any other: ``main`` prints one error
+    line and returns 2, where argparse would print its usage and exit."""
+
+    def error(self, message: str) -> NoReturn:
+        raise SpuncalcError(message)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
     call in the process; nothing changes it after it is built."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spuncalc",
         description="Planar open books, surgery diagrams, and their embedding targets",
     )
@@ -363,9 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SpuncalcError as exc:
         print(f"error: {exc}", file=sys.stderr)

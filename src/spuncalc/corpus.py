@@ -1,8 +1,13 @@
 """Regression corpus: worked examples stored as versioned JSON fixtures.
 
-Each fixture file carries a ``kind`` deciding how its cases are replayed;
-``run_corpus`` recomputes every case and reports one pass/fail line each.
-The same fixtures back the acceptance test suite.
+Each fixture file carries a ``kind`` deciding how its cases are replayed.
+A ``lens``, ``embed``, ``s4`` or ``surgery`` case replays its command: it
+calls the same report function as ``spuncalc lens``, ``embed``,
+``certify-s4`` or ``surgery`` and passes when that report's outputs contain
+the case's ``expect`` (dicts key by key) and its exit code equals the
+case's ``exit`` (0 when absent). An ``atoms`` case evaluates a page of atoms,
+which no command does. ``run_corpus`` reports one pass/fail line per case;
+the same fixtures back the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -10,9 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterator
 
-from . import fourman, lens, spun, surgery
-from .planar import PlanarPage, exponent_vector, parity_vector, word_from_json, word_to_json
+from . import fourman, surgery
+from .planar import PlanarPage, word_from_json
 
 
 @dataclass(frozen=True)
@@ -48,57 +54,6 @@ def load_fixture(name: str) -> dict:
     return json.loads((files / name).read_text())
 
 
-def _run_embed(case: dict) -> tuple[bool, str]:
-    page = PlanarPage(case["page"])
-    word = word_from_json(case["word"], page)
-    report = spun.embedding_target(page, word)
-    expect = case["expect"]
-    problems = []
-    if "exponents" in expect:
-        got = list(exponent_vector(word))
-        if got != expect["exponents"]:
-            problems.append(f"exponents {got} != {expect['exponents']}")
-    if list(report.parity) != expect["parity"]:
-        problems.append(f"parity {list(report.parity)} != {expect['parity']}")
-    if report.raw.to_json() != expect["raw"]:
-        problems.append(f"raw {report.raw.to_json()} != {expect['raw']}")
-    if report.normalized.to_json() != expect["normalized"]:
-        problems.append(f"normalized {report.normalized.to_json()}")
-    if report.spin != expect["spin"]:
-        problems.append(f"spin {report.spin} != {expect['spin']}")
-    return not problems, "; ".join(problems)
-
-
-def _run_lens(case: dict) -> tuple[bool, str]:
-    p, q = case["p"], case["q"]
-    expect = case["expect"]
-    c = lens.cf_expand(p, q)
-    problems = []
-    if list(c.coefficients) != expect["cf"]:
-        problems.append(f"cf {list(c.coefficients)} != {expect['cf']}")
-    value = lens.cf_eval(c)
-    if value.numerator != -p or value.denominator != q:
-        problems.append(f"cf_eval {value} != -{p}/{q}")
-    if abs(lens.plumbing_matrix(c).det()) != p:
-        problems.append("plumbing |det| != p")
-    if abs(lens.slid_diagram(c).linking_det()) != p:
-        problems.append("slid |det| != p")
-    if list(lens.psi_parity(c)) != expect["psi_parity"]:
-        problems.append(f"psi {list(lens.psi_parity(c))} != {expect['psi_parity']}")
-    target = lens.lens_embedding_target(p, q)
-    if target.to_json() != expect["target"]:
-        problems.append(f"target {target.to_json()} != {expect['target']}")
-    return not problems, "; ".join(problems)
-
-
-def _run_s4(case: dict) -> tuple[bool, str]:
-    page = PlanarPage(case["page"])
-    word = word_from_json(case["word"], page)
-    got = spun.s4_certificate(page, word)
-    want = case["expect"]["certified"]
-    return got == want, f"certified {got} != {want}" if got != want else ""
-
-
 def _run_atoms(case: dict) -> tuple[bool, str]:
     page = fourman.PageForm.from_json(case["page"])
     mono = fourman.MonodromyForm.from_json(case["monodromy"])
@@ -107,39 +62,48 @@ def _run_atoms(case: dict) -> tuple[bool, str]:
     return got == want, f"form {got} != {want}" if got != want else ""
 
 
-def _run_surgery(case: dict) -> tuple[bool, str]:
-    d = surgery.FramedBraidDiagram.from_json(case["diagram"])
-    expect = case["expect"]
-    problems = []
-    h1 = surgery.h1_invariants(d).to_json()
-    if h1 != expect["h1"]:
-        problems.append(f"h1 {h1} != {expect['h1']}")
-    page, word = surgery.to_planar_open_book(d)
-    if word_to_json(word) != expect["word"]:
-        problems.append(f"word {word_to_json(word)} != {expect['word']}")
-    parity = list(parity_vector(word))
-    if parity != expect["parity"]:
-        problems.append(f"parity {parity} != {expect['parity']}")
+def _mismatches(got: object, want: object, path: str) -> Iterator[str]:
+    """Where ``got`` fails to contain ``want``: dicts key by key (a missing
+    key is a mismatch), anything else by equality; each named by its key path."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key, value in want.items():
+            sub = f"{path}.{key}" if path else key
+            if key in got:
+                yield from _mismatches(got[key], value, sub)
+            else:
+                yield f"{sub} missing"
+    elif got != want:
+        yield f"{path} {got} != {want}"
+
+
+def _replay(kind: str, case: dict) -> tuple[bool, str]:
+    """Replay the case through its command's report function."""
+    from . import cli  # cli imports this module at load time
+
+    if kind == "lens":
+        report = cli.lens_report(case["p"], case["q"])
+    elif kind == "surgery":
+        report = cli.surgery_report(surgery.FramedBraidDiagram.from_json(case["diagram"]), [])
+    else:
+        page = PlanarPage(case["page"])
+        word = word_from_json(case["word"], page)
+        report = {"embed": cli.embed_report, "s4": cli.certify_report}[kind](page, word)
+    outputs, checks, _ = report
+    problems = list(_mismatches(outputs(), case["expect"], ""))
+    code, want = cli.exit_code(checks), case.get("exit", 0)
+    if code != want:
+        problems.append(f"exit {code} != {want}")
     return not problems, "; ".join(problems)
-
-
-_RUNNERS = {
-    "embed": _run_embed,
-    "lens": _run_lens,
-    "s4": _run_s4,
-    "atoms": _run_atoms,
-    "surgery": _run_surgery,
-}
 
 
 def run_corpus() -> list[CaseResult]:
     results = []
     for name in fixture_names():
         fixture = load_fixture(name)
-        runner = _RUNNERS[fixture["kind"]]
+        kind = fixture["kind"]
         for case in fixture["cases"]:
             try:
-                passed, detail = runner(case)
+                passed, detail = _run_atoms(case) if kind == "atoms" else _replay(kind, case)
             except Exception as exc:  # a fixture must never crash the runner
                 passed, detail = False, f"{type(exc).__name__}: {exc}"
             results.append(CaseResult(file=name, name=case["name"], passed=passed, detail=detail))

@@ -1,8 +1,10 @@
-"""Exception hierarchy, and the integer check the constructors share.
+"""Exception hierarchy, and the input checks the parsers and constructors share.
 
 Everything derives from SpuncalcError (a ValueError), so callers can catch
 one type at an API boundary while tests pin down the specific failure.
 """
+
+import json
 
 
 class SpuncalcError(ValueError):
@@ -59,3 +61,14 @@ def require_integers(error: type[SpuncalcError], message: str, *values: object) 
     for x in values:
         if type(x) is not int:
             raise error(f"{message}, got {x!r}")
+
+
+def parse_json(text: str, error: type[SpuncalcError], message: str) -> object:
+    """``json.loads(text)``, raising ``error`` with ``message`` and the
+    parser's reason when the text is not JSON."""
+    # ValueError also covers an integer of too many digits, RecursionError
+    # too deep nesting: both are bad input, not a crash
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{message}: {exc}") from None

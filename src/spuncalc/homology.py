@@ -34,21 +34,14 @@ from itertools import chain
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .errors import InvalidDiagramError
+from .errors import InvalidDiagramError, require_integers
 
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _require_integers(rows: Sequence[Sequence[int]]) -> None:
-    """Raise unless every entry is an int: never coerced, since int()
-    would read 2.5 as 2 and "3" as 3."""
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
-        raise InvalidDiagramError(f"matrix entries must be integers, got {bad!r}")
-
-
 def _require_square(rows: Sequence[Sequence[int]]) -> None:
-    _require_integers(rows)
+    require_integers(InvalidDiagramError, "matrix entries must be integers",
+                     *chain.from_iterable(rows))
     if any(len(row) != len(rows) for row in rows):
         raise InvalidDiagramError("matrix is not square")
 
@@ -258,7 +251,7 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     entries, padded with zeros where the rank falls short.
     """
     m = [list(row) for row in entries]
-    _require_integers(m)
+    require_integers(InvalidDiagramError, "matrix entries must be integers", *chain.from_iterable(m))
     nc = len(m[0]) if m else 0
     if any(len(row) != nc for row in m):
         raise InvalidDiagramError("ragged matrix")

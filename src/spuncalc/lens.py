@@ -91,15 +91,6 @@ class PlumbingChain:
 
     coefficients: tuple[int, ...]
 
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The dense tridiagonal matrix, built on each access."""
-        k = len(self.coefficients)
-        return tuple(
-            tuple(a if j == i else 1 if abs(i - j) == 1 else 0 for j in range(k))
-            for i, a in enumerate(self.coefficients)
-        )
-
     def det(self) -> int:
         """Continuant recurrence D_i = a_i D_{i-1} - D_{i-2} on the leading
         principal minors, in O(k)."""

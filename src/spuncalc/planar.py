@@ -22,12 +22,11 @@ index and exponent must be an int (never coerced: int() would read 2.9 as
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
-from .errors import InvalidWordError, PageMismatchError, SpuncalcError
+from .errors import InvalidWordError, PageMismatchError, SpuncalcError, parse_json
 
 
 @dataclass(frozen=True)
@@ -262,11 +261,10 @@ def word_to_json(word: TwistWord) -> list[dict]:
     return out
 
 
-def word_from_json(data: list | dict, page: PlanarPage) -> TwistWord:
-    if isinstance(data, dict):
-        data = data.get("letters", [])
+def word_from_json(data: list, page: PlanarPage) -> TwistWord:
+    """The word of a JSON list of letter objects; any other value is an error."""
     if not isinstance(data, list):
-        raise InvalidWordError(f"a JSON word's letters must be a list, got {data!r}")
+        raise InvalidWordError(f"a JSON word must be a list of letters, got {data!r}")
     letters: list[Letter] = []
     for item in data:
         if not isinstance(item, dict):
@@ -293,10 +291,5 @@ def load_word(text: str, page: PlanarPage) -> TwistWord:
     """Parse either the text form or the JSON form, sniffing the format."""
     stripped = text.strip()
     if stripped.startswith("[") or stripped.startswith("{"):
-        # ValueError also covers too many digits, RecursionError too deep nesting
-        try:
-            data = json.loads(stripped)
-        except (ValueError, RecursionError) as exc:
-            raise InvalidWordError(f"malformed JSON word: {exc}") from None
-        return word_from_json(data, page)
+        return word_from_json(parse_json(stripped, InvalidWordError, "malformed JSON word"), page)
     return parse_word(stripped, page)

@@ -27,11 +27,10 @@ CLI report):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import InvalidDiagramError, InvalidMoveError, require_integers
+from .errors import InvalidDiagramError, InvalidMoveError, parse_json, require_integers
 from .homology import H1Invariants, LinkingMatrix, cokernel_invariants
 from .planar import PlanarPage, TwistWord, twist
 
@@ -110,12 +109,8 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
     or the JSON mirror, sniffing the format."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        # ValueError also covers too many digits, RecursionError too deep nesting
-        try:
-            data = json.loads(stripped)
-        except (ValueError, RecursionError) as exc:
-            raise InvalidDiagramError(f"malformed JSON diagram: {exc}") from None
-        return FramedBraidDiagram.from_json(data)
+        return FramedBraidDiagram.from_json(
+            parse_json(stripped, InvalidDiagramError, "malformed JSON diagram"))
     strands = None
     framings: tuple[int, ...] = ()
     word: list[BraidLetter] = []

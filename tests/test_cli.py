@@ -184,6 +184,23 @@ def test_console_script_exits_141_quietly_on_a_closed_pipe():
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
+@pytest.mark.parametrize("argv", [["lens", "x", "2"], ["frob"]], ids=["lens-x-2", "frob"])
+def test_console_script_argv_error_is_one_line(argv):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "spuncalc.cli", *argv], capture_output=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(b"error: ")
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spuncalc" if flag == "--help" else "spuncalc ")
+
+
 def test_corpus_run_all_pass(capsys):
     code, out, _ = run(capsys, "corpus", "run")
     assert code == 0
@@ -196,6 +213,43 @@ def test_corpus_results_match_runner(capsys):
     assert results and all(r.passed for r in results)
     kinds = {corpus.load_fixture(n)["kind"] for n in corpus.fixture_names()}
     assert kinds == {"embed", "lens", "s4", "atoms", "surgery"}
+
+
+# (fixture, case index, key path, mutated value, detail of the one FAIL):
+# one mutated expectation per replayed kind, a pin the report does not
+# carry, and a wrong exit code
+REPLAY_MUTATIONS = [
+    ("lens_spaces.json", 0, ["expect", "psi_parity"], [1], "psi_parity [0] != [1]"),
+    ("embedding_targets.json", 0, ["expect", "raw", "trivial"], 9, "raw.trivial 1 != 9"),
+    ("embedding_targets.json", 0, ["expect", "exponents"], [6, 5], "exponents missing"),
+    ("sphere_certificates.json", 0, ["expect", "certified"], False, "certified True != False"),
+    ("surgery_diagrams.json", 0, ["expect", "open_book", "parity"], [0],
+     "open_book.parity [1] != [0]"),
+    ("sphere_certificates.json", 0, ["exit"], 1, "exit 0 != 1"),
+]
+
+
+@pytest.mark.parametrize("name, index, keys, value, detail", REPLAY_MUTATIONS,
+                         ids=["lens", "embed", "embed-missing-key", "s4", "surgery", "exit"])
+def test_corpus_replay_names_the_path_of_a_mutated_expectation(monkeypatch, capsys, name, index,
+                                                                keys, value, detail):
+    load = corpus.load_fixture
+
+    def mutated(fixture_name):
+        fixture = load(fixture_name)
+        if fixture_name == name:
+            entry = fixture["cases"][index]
+            for key in keys[:-1]:
+                entry = entry[key]
+            entry[keys[-1]] = value
+        return fixture
+
+    monkeypatch.setattr(corpus, "load_fixture", mutated)
+    failed = [r for r in corpus.run_corpus() if not r.passed]
+    assert [(r.file, r.detail) for r in failed] == [(name, detail)]
+    code, out, _ = run(capsys, "corpus", "run")
+    assert code == 1
+    assert f"FAIL: {failed[0].name} ({detail})" in out.splitlines()
 
 
 GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
@@ -242,8 +296,10 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
      {"w.json": '[{"op": "twist", "curve": "12", "exp": 2.9}]'}, "integer"),
     (["embed", "--page", "3", "--word", "w.json"],
      {"w.json": '[{"op": "twist", "curve": "12", "exp": 2}]'}, "integer"),
-    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '{"letters": 5}'}, "letters"),
-    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '{"letters": null}'}, "letters"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '{"letters": 5}'}, "must be a list"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '{"letters": null}'},
+     "must be a list"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '{"x": 1}'}, "must be a list"),
     (["embed", "--page", "3", "--word", "w.txt"], {"w.txt": b"T{1}\xff\n"}, "decode"),
     (["pi1", "g.txt"], {"g.txt": b"gens 1\n\xe9\n"}, "decode"),
     (["surgery", "d.txt"], {"d.txt": b"strands 1\nframings \xff\n"}, "decode"),
@@ -252,6 +308,10 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
     (["pi1", "g.txt"], {"g.txt": "gens 1\nx" + "9" * 5000 + "\n"}, "digits"),
     (["embed", "--page", "10000000", "--word", "w.txt"], {"w.txt": "T{1}"}, "at most"),
     (["certify-s4", "--page", "2000000", "--word", "w.txt"], {"w.txt": "T{1}"}, "at most"),
+    (["lens", "x", "2"], {}, "invalid int value"),
+    (["frob"], {}, "invalid choice"),
+    (["lens", "7", "2", "--bogus"], {}, "unrecognized arguments: --bogus"),
+    (["embed", "--page", "2"], {}, "required: --word"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "negative-fuzz", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -260,9 +320,11 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "json-word-exp-not-integer", "gens-not-integer", "json-diagram-framings-string",
         "json-diagram-strands-float", "json-diagram-framing-float", "json-word-curve-string-exp-float",
         "json-word-curve-string", "json-word-letters-number", "json-word-letters-null",
+        "json-word-object",
         "word-not-utf8", "presentation-not-utf8", "diagram-not-utf8", "diagram-is-directory",
         "word-exponent-too-long", "relator-index-too-long", "embed-page-too-large",
-        "certify-s4-page-too-large"])
+        "certify-s4-page-too-large", "argv-not-an-integer", "argv-unknown-command",
+        "argv-unknown-option", "argv-missing-option"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)

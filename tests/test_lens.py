@@ -83,10 +83,19 @@ def test_cf_roundtrip_against_oracle(pq):
     assert cf_eval(c) == Fraction(-p, q) == oracle_eval(c.coefficients)
 
 
+def dense_plumbing(coefficients):
+    """The plumbing chain's intersection matrix built densely: a_i on the
+    diagonal, 1 between neighbours, 0 elsewhere."""
+    k = len(coefficients)
+    return [[a if j == i else 1 if abs(i - j) == 1 else 0 for j in range(k)]
+            for i, a in enumerate(coefficients)]
+
+
 def test_plumbing_matrix_examples():
-    assert plumbing_matrix(ContinuedFraction((-7,))).rows == ((-7,),)
+    m = plumbing_matrix(ContinuedFraction((-7,)))
+    assert (m.coefficients, m.det()) == ((-7,), -7)
     m = plumbing_matrix(ContinuedFraction((-4, -2)))
-    assert m.rows == ((-4, 1), (1, -2))
+    assert dense_plumbing(m.coefficients) == [[-4, 1], [1, -2]]
     assert m.det() == 7
     assert plumbing_matrix(ContinuedFraction((-2, -2, -2))).det() == -4
 
@@ -97,7 +106,7 @@ def test_plumbing_det_is_p(pq):
     p, q = pq
     m = plumbing_matrix(cf_expand(p, q))
     assert abs(m.det()) == p
-    assert m.det() == det(m.rows)  # continuant against dense Bareiss
+    assert m.det() == det(dense_plumbing(m.coefficients))  # continuant against dense Bareiss
 
 
 def test_slid_diagram_examples():

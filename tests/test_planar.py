@@ -76,6 +76,9 @@ def test_lens_example_word_exponents():
     w = TwistWord(page, (twist({1}, 3), twist({1, 2}, 3), twist({2}, 2)))
     assert exponent_vector(w) == (6, 5)
     assert oracle_exponents(w) == (6, 5)
+    # the L(11,3) word of the embedding corpus
+    w = TwistWord(page, (twist({1}, 4), twist({1, 2}, 5), twist({2}, 3)))
+    assert exponent_vector(w) == oracle_exponents(w) == (9, 8)
 
 
 def test_empty_word_is_zero():
