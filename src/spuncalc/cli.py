@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NoReturn
 
 from . import __version__, corpus, lens, pi1, spun, surgery
-from .errors import InvalidMoveError, SpuncalcError, parse_json
+from .errors import InvalidMoveError, SpuncalcError, echo, parse_json
 from .fourman import FourManifoldForm, normalize, parity_form
 from .planar import PlanarPage, TwistWord, load_word, parity_vector, word_to_json, word_to_text
 
@@ -90,7 +90,7 @@ def _page_name(page: PlanarPage) -> str:
 
 def _page(holes: int) -> PlanarPage:
     if holes > MAX_PAGE_HOLES:
-        raise SpuncalcError(f"--page takes at most {MAX_PAGE_HOLES} holes, got {holes}")
+        raise SpuncalcError(f"--page takes at most {MAX_PAGE_HOLES} holes, got {echo(holes)}")
     return PlanarPage(holes)
 
 
@@ -259,7 +259,7 @@ def cmd_surgery(args: argparse.Namespace) -> int:
 
 def cmd_pi1(args: argparse.Namespace) -> int:
     if args.fuzz < 0:
-        raise SpuncalcError(f"--fuzz needs a count >= 0, got {args.fuzz}")
+        raise SpuncalcError(f"--fuzz needs a count >= 0, got {echo(args.fuzz)}")
     g = pi1.parse_presentation(_read(args.presentation))
     page = pi1.page_for_presentation(g)
     recovered = pi1.pi1_of_open_book(page)
@@ -332,7 +332,8 @@ class _Parser(argparse.ArgumentParser):
     line and returns 2, where argparse would print its usage and exit."""
 
     def error(self, message: str) -> NoReturn:
-        raise SpuncalcError(message)
+        # argparse quotes the offending token whole: the cut keeps the line short
+        raise SpuncalcError(echo(message, str))
 
 
 @functools.cache

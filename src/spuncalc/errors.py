@@ -5,6 +5,7 @@ one type at an API boundary while tests pin down the specific failure.
 """
 
 import json
+from typing import Callable
 
 
 class SpuncalcError(ValueError):
@@ -55,12 +56,27 @@ class InvalidPresentationError(SpuncalcError):
     """A group presentation (or its serialized form) is malformed."""
 
 
+# most characters of an input value that an error message repeats
+ECHO_CHARS = 200
+
+
+def echo(value: object, show: Callable[[object], str] = repr) -> str:
+    """``show(value)`` (its repr by default) for an error message that
+    repeats input, cut to ECHO_CHARS characters ending in ``...``: a
+    value of any size leaves the error one short line."""
+    try:
+        text = show(value)
+    except ValueError:  # an int of more than 4,300 digits has no str()
+        return f"<{type(value).__name__} too long to show>"
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS - 3] + "..."
+
+
 def require_integers(error: type[SpuncalcError], message: str, *values: object) -> None:
     """Raise ``error`` unless every value is an int: validated, never
     coerced, since int() would read 2.9 and "2" as 2 and True as 1."""
     for x in values:
         if type(x) is not int:
-            raise error(f"{message}, got {x!r}")
+            raise error(f"{message}, got {echo(x)}")
 
 
 def parse_json(text: str, error: type[SpuncalcError], message: str) -> object:

@@ -34,6 +34,7 @@ from .errors import (
     InvalidMonodromyError,
     NotComparableError,
     SpuncalcError,
+    echo,
     require_integers,
 )
 
@@ -86,7 +87,7 @@ class PageForm:
         if atoms:
             ms = {atom.m for atom in atoms}
             if len(ms) > 1:
-                raise DimensionMismatchError(f"atoms of mixed dimensions {sorted(ms)}")
+                raise DimensionMismatchError(f"atoms of mixed dimensions {echo(sorted(ms))}")
             object.__setattr__(self, "dim", atoms[0].m)
         elif self.dim < 1:
             raise DimensionMismatchError("page dimension m must be >= 1")
@@ -144,9 +145,9 @@ class MonodromyForm:
         used_s: set[int] = set()
         for c, s in self.pushes:
             if not 1 <= c <= circles:
-                raise InvalidMonodromyError(f"push references circle atom {c} of {circles}")
+                raise InvalidMonodromyError(f"push references circle atom {echo(c)} of {circles}")
             if not 1 <= s <= spheres:
-                raise InvalidMonodromyError(f"push references cylinder atom {s} of {spheres}")
+                raise InvalidMonodromyError(f"push references cylinder atom {echo(s)} of {spheres}")
             if c in used_c or s in used_s:
                 raise InvalidMonodromyError("an atom may appear in at most one push pair")
             used_c.add(c)
@@ -289,7 +290,7 @@ def twist_image(sphere: Iterable[int], count: int) -> tuple[int, ...]:
     if not subset:
         raise SpuncalcError("twist_image of an empty tubing subset")
     if not all(1 <= i <= count for i in subset):
-        raise SpuncalcError(f"tubing subset {sorted(subset)} out of range 1..{count}")
+        raise SpuncalcError(f"tubing subset {echo(sorted(subset))} out of range 1..{count}")
     return tuple(1 if i in subset else 0 for i in range(1, count + 1))
 
 

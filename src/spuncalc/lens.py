@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import SpuncalcError, require_integers
+from .errors import SpuncalcError, echo, require_integers
 from .fourman import FourManifoldForm, normalize, parity_form
 from .homology import min_structured_det
 from .planar import PlanarPage, TwistWord, parity_vector, twist
@@ -45,7 +45,7 @@ class ContinuedFraction:
         if not coeffs:
             raise SpuncalcError("a continued fraction needs at least one coefficient")
         if any(a > -2 for a in coeffs):
-            raise SpuncalcError(f"coefficients must be <= -2, got {list(coeffs)}")
+            raise SpuncalcError(f"coefficients must be <= -2, got {echo(list(coeffs))}")
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -53,9 +53,9 @@ class ContinuedFraction:
 
 def _check_lens_input(p: int, q: int) -> None:
     if not (0 < q < p):
-        raise SpuncalcError(f"need 0 < q < p, got p={p}, q={q}")
+        raise SpuncalcError(f"need 0 < q < p, got p={echo(p)}, q={echo(q)}")
     if gcd(p, q) != 1:
-        raise SpuncalcError(f"p={p} and q={q} are not coprime")
+        raise SpuncalcError(f"p={echo(p)} and q={echo(q)} are not coprime")
 
 
 def cf_expand(p: int, q: int) -> ContinuedFraction:
@@ -78,7 +78,7 @@ def cf_eval(c: ContinuedFraction) -> Fraction:
     for a in reversed(c.coefficients[:-1]):
         # tails of an admissible expansion never vanish
         if num == 0:
-            raise SpuncalcError(f"a tail of {list(c.coefficients)} vanishes")
+            raise SpuncalcError(f"a tail of {echo(list(c.coefficients))} vanishes")
         num, den = a * num - den, num
     return Fraction(num, den)
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import InvalidPresentationError, require_integers
+from .errors import InvalidPresentationError, echo, require_integers
 from .homology import H1Invariants, cokernel_invariants
 
 Word = tuple[int, ...]
@@ -63,7 +63,7 @@ class GroupPresentation:
             for x in r:
                 if x == 0 or abs(x) > self.generator_count:
                     raise InvalidPresentationError(
-                        f"letter {x} outside generators 1..{self.generator_count}"
+                        f"letter {echo(x)} outside generators 1..{self.generator_count}"
                     )
 
     def describe(self, symbol: str = "x") -> str:
@@ -149,7 +149,7 @@ def parse_relator(text: str) -> Word:
     pos = 0
     for m in _LETTER_RE.finditer(stripped):
         if m.start() != pos:
-            raise InvalidPresentationError(f"cannot parse relator {text!r}")
+            raise InvalidPresentationError(f"cannot parse relator {echo(text)}")
         try:  # int() refuses more than 4,300 digits with ValueError
             i = int(m.group(2))
         except ValueError:
@@ -159,7 +159,7 @@ def parse_relator(text: str) -> Word:
         out.append(i if m.group(1).islower() else -i)
         pos = m.end()
     if pos != len(stripped):
-        raise InvalidPresentationError(f"cannot parse relator {text!r}")
+        raise InvalidPresentationError(f"cannot parse relator {echo(text)}")
     return tuple(out)
 
 
@@ -182,7 +182,7 @@ def parse_presentation(text: str) -> GroupPresentation:
                 _, count = line.split()
                 gens = int(count)
             except ValueError:
-                raise InvalidPresentationError(f"bad gens line: {line!r}") from None
+                raise InvalidPresentationError(f"bad gens line: {echo(line)}") from None
         else:
             relators.append(parse_relator(line))
     if gens is None:

@@ -15,9 +15,18 @@ curve of class ``a`` and back; on the level of twists it expands to
 outer twist) to any planar page. The pair cancels on ``a``, so a push with
 exponent e adds -e to the sum of boundary ``b`` and nothing else.
 
-Letters are checked once, when ``twist`` or ``push`` builds them: every
-index and exponent must be an int (never coerced: int() would read 2.9 as
-2), and every index at least 1. A word checks that its letters fit its page.
+Every index and exponent must be an int (never coerced: int() would read
+2.9 as 2), and every index at least 1; ``twist`` and ``push`` check this
+for the letter they build. A word is a sequence over a small alphabet of
+generators, so it is read over its distinct generators: ``parse_word``
+builds and checks the generator of each distinct generator text (``T{1,3}``,
+``P{2|1}``) once per word, and ``word_from_json`` that of each distinct
+curve, keyed only once every index has passed ``type(i) is int`` (``True ==
+1 == 1.0`` hash alike, so ``[true]`` and ``[1.0]`` would otherwise reuse the
+generator of ``[1]``). Every exponent is still checked at every letter. A
+word checks each distinct generator object against its page once; a curve
+sorts its indices once, when it is built, and ``word_to_text`` formats each
+distinct generator once per word.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
-from .errors import InvalidWordError, PageMismatchError, SpuncalcError, parse_json
+from .errors import InvalidWordError, PageMismatchError, SpuncalcError, echo, parse_json
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,7 @@ class PlanarPage:
     def boundary_curve(self, i: int) -> CurveClass:
         """Curve parallel to the i-th inner boundary (1-based)."""
         if not 1 <= i <= self.inner_count:
-            raise InvalidWordError(f"no inner boundary {i} on a page with {self.inner_count}")
+            raise InvalidWordError(f"no inner boundary {echo(i)} on a page with {self.inner_count}")
         return CurveClass(frozenset({i}))
 
     def outer_curve(self) -> CurveClass:
@@ -54,9 +63,12 @@ class PlanarPage:
 
 @dataclass(frozen=True)
 class CurveClass:
-    """Homology class of a simple closed curve: the holes it encloses."""
+    """Homology class of a simple closed curve: the holes it encloses.
+    The indices are sorted once, when the curve is built: the bounds
+    checks and the writers read them in order."""
 
     enclosed: frozenset[int]
+    _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         enclosed = self.enclosed
@@ -64,19 +76,21 @@ class CurveClass:
             raise InvalidWordError("a curve must enclose at least one inner boundary")
         if set(map(type, enclosed)) != {int}:
             raise InvalidWordError(
-                f"boundary indices must be integers, got {sorted(enclosed, key=repr)}"
+                f"boundary indices must be integers, got {echo(sorted(enclosed, key=repr))}"
             )
-        if min(enclosed) < 1:
+        indices = tuple(sorted(enclosed))
+        if indices[0] < 1:
             raise InvalidWordError("boundary indices are 1-based")
+        object.__setattr__(self, "_sorted", indices)
 
     def valid_on(self, page: PlanarPage) -> bool:
-        return max(self.enclosed) <= page.inner_count
+        return self._sorted[-1] <= page.inner_count
 
     def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.enclosed))
+        return self._sorted
 
     def __str__(self) -> str:
-        return "{%s}" % ",".join(str(i) for i in self.sorted())
+        return "{%s}" % ",".join(map(str, self._sorted))
 
 
 @dataclass(frozen=True)
@@ -85,7 +99,7 @@ class DehnTwist:
 
     def check(self, page: PlanarPage) -> None:
         if not self.curve.valid_on(page):
-            raise InvalidWordError(f"curve {self.curve} does not fit on a page with "
+            raise InvalidWordError(f"curve {echo(self.curve, str)} does not fit on a page with "
                                    f"{page.inner_count} inner boundaries")
 
     def __str__(self) -> str:
@@ -101,9 +115,9 @@ class PlanarPush:
 
     def check(self, page: PlanarPage) -> None:
         if not 1 <= self.boundary <= page.inner_count:
-            raise InvalidWordError(f"pushed boundary {self.boundary} out of range")
+            raise InvalidWordError(f"pushed boundary {echo(self.boundary)} out of range")
         if not self.around.valid_on(page):
-            raise InvalidWordError(f"curve {self.around} does not fit on the page")
+            raise InvalidWordError(f"curve {echo(self.around, str)} does not fit on the page")
         if self.boundary in self.around.enclosed:
             raise InvalidWordError("a boundary cannot be pushed around a curve enclosing it")
 
@@ -117,32 +131,48 @@ Letter = tuple[Generator, int]
 
 def _letter(gen: Generator, exponent: int) -> Letter:
     if type(exponent) is not int:
-        raise InvalidWordError(f"exponents must be integers, got {exponent!r}")
+        raise InvalidWordError(f"exponents must be integers, got {echo(exponent)}")
     return gen, exponent
+
+
+def _twist_gen(enclosed: Iterable[int]) -> DehnTwist:
+    return DehnTwist(CurveClass(frozenset(enclosed)))
+
+
+def _push_gen(boundary: int, around: Iterable[int]) -> PlanarPush:
+    if type(boundary) is not int:
+        raise InvalidWordError(f"a pushed boundary must be an integer, got {echo(boundary)}")
+    return PlanarPush(boundary, CurveClass(frozenset(around)))
 
 
 def twist(enclosed: Iterable[int], exponent: int = 1) -> Letter:
     """Letter: Dehn twist along the curve enclosing ``enclosed``."""
-    return _letter(DehnTwist(CurveClass(frozenset(enclosed))), exponent)
+    return _letter(_twist_gen(enclosed), exponent)
 
 
 def push(boundary: int, around: Iterable[int], exponent: int = 1) -> Letter:
     """Letter: push ``boundary`` around the curve enclosing ``around``."""
-    if type(boundary) is not int:
-        raise InvalidWordError(f"a pushed boundary must be an integer, got {boundary!r}")
-    return _letter(PlanarPush(boundary, CurveClass(frozenset(around))), exponent)
+    return _letter(_push_gen(boundary, around), exponent)
+
+
+def _distinct(letters: Iterable[Letter]) -> Iterable[Generator]:
+    """The distinct generator objects of ``letters``, in the order of their
+    first letter."""
+    return {id(gen): gen for gen, _ in letters}.values()
 
 
 @dataclass(frozen=True)
 class TwistWord:
     """Word of (generator, exponent) letters on a fixed ambient page; the
-    letters come from ``twist`` and ``push``, which checked their fields."""
+    letters come from ``twist``, ``push`` or the parsers, which checked
+    their fields. Each distinct generator object is checked against the
+    page once, in the order of its first letter."""
 
     page: PlanarPage
     letters: tuple[Letter, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        for gen, _ in self.letters:
+        for gen in _distinct(self.letters):
             gen.check(self.page)
 
     def __len__(self) -> int:
@@ -210,28 +240,32 @@ def parity_vector(word: TwistWord) -> tuple[int, ...]:
     return tuple(e % 2 for e in exponent_vector(word))
 
 
-_TWIST_RE = re.compile(r"^T\{(\d+(?:,\d+)*)\}(?:\^(-?\d+))?$")
-_PUSH_RE = re.compile(r"^P\{(\d+)\|(\d+(?:,\d+)*)\}(?:\^(-?\d+))?$")
+# a letter: the generator text (group 1: a twist's curve, or a push's
+# boundary and curve), then an optional exponent
+_LETTER_RE = re.compile(r"(T\{(\d+(?:,\d+)*)\}|P\{(\d+)\|(\d+(?:,\d+)*)\})(?:\^(-?\d+))?")
+
+
+def _curve_text(indices: str) -> CurveClass:
+    return CurveClass(frozenset(map(int, indices.split(","))))
 
 
 def parse_word(text: str, page: PlanarPage) -> TwistWord:
-    """Parse the whitespace-separated text form, e.g. ``T{1,2}^3 P{4|1,2}``."""
+    """Parse the whitespace-separated text form, e.g. ``T{1,2}^3 P{4|1,2}``.
+    The generator of each distinct generator text is built once."""
+    gens: dict[str, Generator] = {}
     letters: list[Letter] = []
     try:
         for token in text.split():
-            m = _TWIST_RE.match(token)
-            if m:
-                subset = [int(s) for s in m.group(1).split(",")]
-                exp = int(m.group(2)) if m.group(2) else 1
-                letters.append(twist(subset, exp))
-                continue
-            m = _PUSH_RE.match(token)
-            if m:
-                subset = [int(s) for s in m.group(2).split(",")]
-                exp = int(m.group(3)) if m.group(3) else 1
-                letters.append(push(int(m.group(1)), subset, exp))
-                continue
-            raise InvalidWordError(f"unrecognized word letter: {token!r}")
+            m = _LETTER_RE.fullmatch(token)
+            if m is None:
+                raise InvalidWordError(f"unrecognized word letter: {echo(token)}")
+            key, curve, boundary, around, exp_text = m.groups()
+            exp = int(exp_text) if exp_text else 1
+            gen = gens.get(key)
+            if gen is None:
+                gen = gens[key] = (DehnTwist(_curve_text(curve)) if curve else
+                                   PlanarPush(int(boundary), _curve_text(around)))
+            letters.append((gen, exp))
     except SpuncalcError:
         raise
     except ValueError:  # int() refuses more than 4,300 digits
@@ -240,13 +274,13 @@ def parse_word(text: str, page: PlanarPage) -> TwistWord:
 
 
 def word_to_text(word: TwistWord) -> str:
-    parts = []
-    for gen, exp in word.letters:
-        parts.append(str(gen) if exp == 1 else f"{gen}^{exp}")
-    return " ".join(parts)
+    names = {id(gen): str(gen) for gen in _distinct(word.letters)}
+    return " ".join(names[id(gen)] if exp == 1 else f"{names[id(gen)]}^{exp}"
+                    for gen, exp in word.letters)
 
 
 def word_to_json(word: TwistWord) -> list[dict]:
+    """One object per letter, each with lists of its own."""
     out = []
     for gen, exp in word.letters:
         if isinstance(gen, DehnTwist):
@@ -261,29 +295,50 @@ def word_to_json(word: TwistWord) -> list[dict]:
     return out
 
 
+def _int_key(values: object) -> tuple[int, ...] | None:
+    """``values`` as a tuple when it is a list of ints only, else None. The
+    types are checked first: a bool or float index equals an int and hashes
+    like it, so it must never find the generator built for that int."""
+    if type(values) is list and set(map(type, values)) == {int}:
+        return tuple(values)
+    return None
+
+
 def word_from_json(data: list, page: PlanarPage) -> TwistWord:
-    """The word of a JSON list of letter objects; any other value is an error."""
+    """The word of a JSON list of letter objects; any other value is an
+    error. The generator of each distinct all-int curve is built once."""
     if not isinstance(data, list):
-        raise InvalidWordError(f"a JSON word must be a list of letters, got {data!r}")
+        raise InvalidWordError(f"a JSON word must be a list of letters, got {echo(data)}")
+    gens: dict[tuple, Generator] = {}  # by (op, curve) or (op, (boundary, curve))
     letters: list[Letter] = []
     for item in data:
         if not isinstance(item, dict):
-            raise InvalidWordError(f"a JSON word letter must be an object, got {item!r}")
+            raise InvalidWordError(f"a JSON word letter must be an object, got {echo(item)}")
         op = item.get("op")
         if op not in ("twist", "push"):
-            raise InvalidWordError(f"unknown letter op: {op!r}")
+            raise InvalidWordError(f"unknown letter op: {echo(op)}")
         exp = item.get("exp", 1)
         try:
             if op == "twist":
-                letters.append(twist(item["curve"], exp))
+                curve = item["curve"]
+                key = _int_key(curve)
             else:
-                letters.append(push(item["boundary"], item["around"], exp))
+                boundary, curve = item["boundary"], item["around"]
+                key = _int_key(curve)
+                if key is not None:
+                    key = (boundary, key) if type(boundary) is int else None
+            gen = gens.get((op, key)) if key is not None else None
+            if gen is None:
+                gen = _twist_gen(curve) if op == "twist" else _push_gen(boundary, curve)
+                if key is not None:
+                    gens[op, key] = gen
+            letters.append(_letter(gen, exp))
         except KeyError as exc:
-            raise InvalidWordError(f"{op} letter {item!r} has no {exc} field") from None
-        except InvalidWordError as exc:  # twist and push check every field
-            raise InvalidWordError(f"{op} letter {item!r}: {exc}") from None
+            raise InvalidWordError(f"{op} letter {echo(item)} has no {exc} field") from None
+        except InvalidWordError as exc:  # the builders and _letter check every field
+            raise InvalidWordError(f"{op} letter {echo(item)}: {exc}") from None
         except TypeError:  # a curve that is no collection, e.g. a number
-            raise InvalidWordError(f"{op} letter {item!r} needs a list of integers") from None
+            raise InvalidWordError(f"{op} letter {echo(item)} needs a list of integers") from None
     return TwistWord(page, tuple(letters))
 
 

@@ -23,6 +23,7 @@ from .errors import (
     MalformedPairingError,
     PageMismatchError,
     PushLetterError,
+    echo,
 )
 from .fourman import DIMENSION_RAISING_NOTE, FourManifoldForm, normalize, parity_form
 from .planar import PlanarPage, PlanarPush, TwistWord, parity_vector, word_to_json
@@ -100,20 +101,20 @@ def s4_parities(page: PlanarPage, word: TwistWord) -> tuple[int, ...]:
             around = gen.around.sorted()
             if len(around) != 1 or gen.boundary != around[0] + 1 or gen.boundary % 2 != 0:
                 raise MalformedPairingError(
-                    f"push {gen} does not push a b-boundary around its a-partner"
+                    f"push {echo(gen, str)} does not push a b-boundary around its a-partner"
                 )
             j = gen.boundary // 2
             if j in seen_pushes:
                 raise MalformedPairingError(f"pair {j} is pushed more than once")
             if exp != 1:
                 raise MalformedPairingError(
-                    f"push for pair {j} must appear with exponent one, got {exp}"
+                    f"push for pair {j} must appear with exponent one, got {echo(exp)}"
                 )
             seen_pushes.add(j)
         else:
             if not gen.curve.enclosed <= a_indices:
                 raise ConditionNotApplicableError(
-                    f"twist curve {gen.curve} touches b-boundaries; the "
+                    f"twist curve {echo(gen.curve, str)} touches b-boundaries; the "
                     "certificate only judges words twisting a-boundaries"
                 )
             for i in gen.curve.enclosed:

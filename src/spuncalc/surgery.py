@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import InvalidDiagramError, InvalidMoveError, parse_json, require_integers
+from .errors import InvalidDiagramError, InvalidMoveError, echo, parse_json, require_integers
 from .homology import H1Invariants, LinkingMatrix, cokernel_invariants
 from .planar import PlanarPage, TwistWord, twist
 
@@ -72,9 +72,9 @@ class FramedBraidDiagram:
         links: dict[tuple[int, int], int] = {}
         for i, j, e in word:
             if not (1 <= i < j <= self.strands):
-                raise InvalidDiagramError(f"braid letter ({i},{j}) out of range")
+                raise InvalidDiagramError(f"braid letter ({echo(i)},{echo(j)}) out of range")
             if e == 0:
-                raise InvalidDiagramError(f"braid letter ({i},{j}) has exponent 0")
+                raise InvalidDiagramError(f"braid letter ({echo(i)},{echo(j)}) has exponent 0")
             n = links.pop((i, j), 0) + e
             if n:
                 links[i, j] = n
@@ -122,7 +122,7 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
         try:
             values = tuple(int(x) for x in fields)
         except ValueError:
-            raise InvalidDiagramError(f"non-integer field in diagram line: {line!r}") from None
+            raise InvalidDiagramError(f"non-integer field in diagram line: {echo(line)}") from None
         if key == "strands" and len(values) == 1:
             strands = values[0]
         elif key == "framings":
@@ -130,7 +130,7 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
         elif key == "A" and len(values) == 3:
             word.append(values)
         else:
-            raise InvalidDiagramError(f"unrecognized diagram line: {line!r}")
+            raise InvalidDiagramError(f"unrecognized diagram line: {echo(line)}")
     if strands is None:
         raise InvalidDiagramError("missing 'strands' line")
     return FramedBraidDiagram(strands=strands, braid_word=tuple(word), framings=framings)
@@ -198,7 +198,7 @@ def blow_up(d: FramedBraidDiagram, region: set[int] | list[int] | tuple[int, ...
     if sign not in (1, -1):
         raise InvalidMoveError("blow_up sign must be +-1")
     if members[0] < 1 or members[-1] > d.strands:
-        raise InvalidMoveError(f"region {members} out of range")
+        raise InvalidMoveError(f"region {echo(members)} out of range")
     new = d.strands + 1
     links = {**d.net_linking, **{(i, new): 1 for i in members}}
     u = [1 if i in members else 0 for i in range(1, new)]
@@ -251,12 +251,12 @@ def _field(move: dict, key: str):
     try:
         return move[key]
     except (KeyError, TypeError):
-        raise InvalidMoveError(f"move {move!r} has no {key!r} field") from None
+        raise InvalidMoveError(f"move {echo(move)} has no {key!r} field") from None
 
 
 def _int(move: dict, key: str) -> int:
     value = _field(move, key)
-    require_integers(InvalidMoveError, f"move {move!r}: {key!r} must be an integer", value)
+    require_integers(InvalidMoveError, f"move {echo(move)}: {key!r} must be an integer", value)
     return value
 
 
@@ -265,13 +265,13 @@ def _apply(d: FramedBraidDiagram, move: dict) -> tuple[FramedBraidDiagram, str]:
     if kind == "blow_up":
         region = _field(move, "region")
         if not isinstance(region, list) or any(type(i) is not int for i in region):
-            raise InvalidMoveError(f"move {move!r}: 'region' must be a list of integers")
+            raise InvalidMoveError(f"move {echo(move)}: 'region' must be a list of integers")
         return blow_up(d, region, _int(move, "sign"))
     if kind == "blow_down":
         return blow_down(d, _int(move, "component"))
     if kind == "rolfsen_twist":
         return rolfsen_twist(d, _int(move, "component"), _int(move, "twists"))
-    raise InvalidMoveError(f"unknown move kind: {kind!r}")
+    raise InvalidMoveError(f"unknown move kind: {echo(kind)}")
 
 
 def apply_moves(d: FramedBraidDiagram, moves: list[dict],

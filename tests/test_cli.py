@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import spuncalc
 from spuncalc import cli, corpus, homology, lens
 from spuncalc.cli import MAX_PAGE_HOLES, main
+from spuncalc.errors import ECHO_CHARS, echo
 
 
 def run(capsys, *argv):
@@ -312,6 +313,10 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
     (["frob"], {}, "invalid choice"),
     (["lens", "7", "2", "--bogus"], {}, "unrecognized arguments: --bogus"),
     (["embed", "--page", "2"], {}, "required: --word"),
+    (["embed", "--page", "2", "--word", "w.json"],
+     {"w.json": '[{"op":"twist","curve":[1]},{"op":"twist","curve":[true]}]'}, "integers"),
+    (["embed", "--page", "2", "--word", "w.json"],
+     {"w.json": '[{"op":"twist","curve":[1]},{"op":"twist","curve":[1.0]}]'}, "integers"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "negative-fuzz", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -324,7 +329,8 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "word-not-utf8", "presentation-not-utf8", "diagram-not-utf8", "diagram-is-directory",
         "word-exponent-too-long", "relator-index-too-long", "embed-page-too-large",
         "certify-s4-page-too-large", "argv-not-an-integer", "argv-unknown-command",
-        "argv-unknown-option", "argv-missing-option"])
+        "argv-unknown-option", "argv-missing-option", "json-word-reused-curve-bool",
+        "json-word-reused-curve-float"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)
@@ -342,12 +348,85 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, caps
     assert needle in err
 
 
+# inputs that repeat a value of 10^5 entries in their error; the line keeps
+# errors.ECHO_CHARS of each value
+OVERSIZED_INPUTS = [
+    (["embed", "--page", "2", "--word", "w.json"], {"w.json": json.dumps([[1] * 100_000])},
+     "must be an object"),
+    (["embed", "--page", "2", "--word", "w.json"],
+     {"w.json": json.dumps([{"op": "twist", "curve": list(range(1, 100_001))}])}, "does not fit"),
+    (["embed", "--page", "2", "--word", "w.json"],
+     {"w.json": json.dumps([{"op": "twist", "curve": [1] * 100_000 + [0.5]}])}, "integers"),
+    (["embed", "--page", "2", "--word", "w.txt"], {"w.txt": "T{" + "1," * 100_000 + "x}"},
+     "unrecognized"),
+    (["certify-s4", "--page", "2", "--word", "w.txt"],
+     {"w.txt": "P{2|" + ",".join(map(str, range(3, 100_003))) + "}"}, "does not fit"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 2\nframings -1 -2\n",
+      "m.json": json.dumps([{"move": "blow_up", "region": list(range(1, 100_001)), "sign": 1}])},
+     "out of range"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 2\nframings -1 -2\n",
+      "m.json": json.dumps([{"move": "blow_up", "region": [1] * 100_000 + ["x"], "sign": 1}])},
+     "list of integers"),
+    (["surgery", "d.txt"], {"d.txt": "strands 2\nframings " + "1 " * 100_000 + "x\n"},
+     "non-integer"),
+    (["surgery", "d.json"], {"d.json": json.dumps({"strands": 1, "framings": ["x" * 100_000]})},
+     "integers"),
+    (["pi1", "g.txt"], {"g.txt": "gens 1\n" + "x1" * 100_000 + "y\n"}, "cannot parse"),
+    (["pi1", "g.txt"], {"g.txt": "gens 1 " + "2 " * 100_000 + "\n"}, "bad gens"),
+    (["lens", "x" * 100_000, "2"], {}, "invalid int value"),
+]
+
+
+@pytest.mark.parametrize("argv, files, needle", OVERSIZED_INPUTS,
+                         ids=["word-letter-list", "word-curve-off-page", "word-curve-float",
+                              "word-token", "push-curve-off-page", "move-region-off-diagram",
+                              "move-region-string", "diagram-line", "diagram-framing-string",
+                              "relator", "gens-line", "argv-token"])
+def test_an_oversized_input_gives_one_short_error_line(tmp_path, monkeypatch, capsys, argv, files,
+                                                       needle):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert needle in err
+    assert len(err.encode()) < 1024
+
+
+def test_echo_repeats_a_short_value_whole_and_cuts_a_long_one():
+    assert echo([1, 2]) == "[1, 2]"
+    assert echo("T{1}") == "'T{1}'"
+    assert echo(frozenset({3}), str) == "frozenset({3})"
+    long = echo(list(range(100_000)))
+    assert len(long) == ECHO_CHARS and long.startswith("[0, 1, 2, ") and long.endswith("...")
+    if hasattr(sys, "get_int_max_str_digits"):  # no str() past 4,300 digits
+        assert echo([10 ** 5000]) == "<list too long to show>"
+
+
 README_FILES = {
     "word.txt": "T{1}^3 T{1,2}^3 T{2}^2\n",
     "cert.txt": "T{1}^4 T{1} P{2|1}\n",
     "diagram.txt": "strands 2\nframings -4 -2\nA 1 2 +1\n",
     "moves.json": '[{"move":"blow_up","region":[1,2],"sign":1},\n'
                   '        {"move":"blow_down","component":3}]\n',
+}
+
+# words over a few generators, each used many times: T{2,1} and T{01} are
+# other texts of T{1,2} and T{1}, and the JSON word leaves some "exp" out
+REPEATED_FILES = {
+    "repeated.txt": "T{1,2}^3 T{3} T{1,2} T{2,1}^-2 T{3}^2 T{2,4} T{1,2} T{3} T{2,4}^-1 T{01}^5\n"
+                    "T{1,2,3,4} T{3} T{1,2}^-1 T{2,4} T{1,2,3,4}^2 T{3}^-3 T{1,2}\n",
+    "repeated.json": json.dumps([{"op": "twist", "curve": c, "exp": e} if e != 1 else
+                                 {"op": "twist", "curve": c}
+                                 for c, e in [([1, 2], 3), ([3], 1), ([1, 2], 1), ([2, 1], -2),
+                                              ([3], 2), ([2, 4], 1), ([1, 2], 1), ([3], 1),
+                                              ([4, 2], -1), ([1], 5), ([1, 2, 3, 4], 1), ([3], -3),
+                                              ([1, 2], -1), ([2, 4], 1)]]),
+    "repeated-cert.txt": "T{1}^3 T{1,3} P{2|1} T{1} T{3}^2 T{1,3}^-1 T{1}^3 P{4|3} T{1,3} T{3}\n"
+                         "T{1}^-2 T{1,3}^2 T{3} T{1}\n",
 }
 
 
@@ -454,10 +533,17 @@ def test_json_report_is_one_compact_sorted_ascii_line(tmp_path, monkeypatch, cap
     (["lens", "7", "2"], "4272371c00ecda35ce1389dc5761e9406cc9a050df14325fca289fbb2db8c8d6"),
     (["surgery", "diagram.txt", "--moves", "moves.json"],
      "32fa94dbbc364d35fcedb034b799b9f5cd92929428b370784851b9ffbbbdf74f"),
-], ids=["lens-7-2", "surgery-readme"])
+    (["embed", "--page", "4", "--word", "repeated.txt"],
+     "f968eaf12159e8899ed19f7e8938fb88547cd57bfff74767c414b421232d92f5"),
+    (["embed", "--page", "4", "--word", "repeated.json"],
+     "c2775a386d6a67008afa88472c63f3d36f70a97a57d7d09193b91842a75c1aeb"),
+    (["certify-s4", "--page", "4", "--word", "repeated-cert.txt"],
+     "bf48621272e5dcc7e3f1dfffee65d8c9dd168ffa4e240a6aec311faf18c64fdf"),
+], ids=["lens-7-2", "surgery-readme", "embed-repeated-text", "embed-repeated-json",
+        "certify-s4-repeated"])
 def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
-    for name, text in README_FILES.items():
+    for name, text in {**README_FILES, **REPEATED_FILES}.items():
         (tmp_path / name).write_text(text)
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -477,11 +563,17 @@ def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
     (["certify-s4", "--page", "2", "--word", "cert.txt"],
      "8cc8f80ac29aac3a80154c7a41a1c5bec0a624381479d829bf2bdd1321eef6ae"),
     (["corpus", "run"], "39ca0ef5b3b67b49e52ba7b85215605cae9ca327bed6609561387cb689b242dd"),
+    (["embed", "--page", "4", "--word", "repeated.txt"],
+     "a061aca0e8376a86af1fe8125ca052428e90ed5985224e7beda7e081515ec140"),
+    (["embed", "--page", "4", "--word", "repeated.json"],
+     "57d238f8c833043bfe4c7490915099feacbb32e364907068bfd821ee20e55c50"),
+    (["certify-s4", "--page", "4", "--word", "repeated-cert.txt"],
+     "e2117f8f73cc10e5e6524f3191a93b83076bcfc8098df34305db176cf9f8d7f4"),
 ], ids=["lens-7-2", "lens-40-39", "surgery-readme", "embed-readme", "certify-s4-readme",
-        "corpus-run"])
+        "corpus-run", "embed-repeated-text", "embed-repeated-json", "certify-s4-repeated"])
 def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
-    for name, text in README_FILES.items():
+    for name, text in {**README_FILES, **REPEATED_FILES}.items():
         (tmp_path / name).write_text(text)
     code, out, _ = run(capsys, *argv, "--json", "--no-timestamp")
     assert code == 0

@@ -1,5 +1,7 @@
 """Twist word arithmetic against a direct summation oracle."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from spuncalc.errors import InvalidWordError, PageMismatchError
 from spuncalc.planar import (
     CurveClass,
+    DehnTwist,
     PlanarPage,
     PlanarPush,
     TwistWord,
@@ -242,3 +245,105 @@ def test_json_roundtrip():
         twist({2}, -2),
     )
     assert load_word("T{2}^-2", page).letters == (twist({2}, -2),)
+
+
+# -- words read over their distinct generators ------------------------------
+
+def test_repeated_text_tokens_equal_the_word_built_letter_by_letter():
+    page = PlanarPage(4)
+    text = "T{1,2}^3 P{4|1,2} T{3} T{1,2} P{4|1,2}^-2 T{2,1}^-1 T{3}^2 P{4|2,1} T{01}"
+    expected = TwistWord(page, (
+        twist([1, 2], 3), push(4, [1, 2]), twist([3]), twist([1, 2]), push(4, [1, 2], -2),
+        twist([2, 1], -1), twist([3], 2), push(4, [2, 1]), twist([1]),
+    ))
+    w = parse_word(text, page)
+    assert w == expected
+    assert exponent_vector(w) == exponent_vector(expected) == oracle_exponents(expected)
+    # a repeated generator text is built once: its letters share the object
+    assert w.letters[0][0] is w.letters[3][0]
+    assert w.letters[1][0] is w.letters[4][0]
+
+
+def test_repeated_json_curves_share_one_generator_per_word():
+    page = PlanarPage(3)
+    data = [{"op": "twist", "curve": [1, 2]}, {"op": "push", "boundary": 3, "around": [1]},
+            {"op": "twist", "curve": [1, 2], "exp": -4}, {"op": "push", "boundary": 3,
+                                                         "around": [1], "exp": 2}]
+    w = word_from_json(data, page)
+    assert w == TwistWord(page, (twist([1, 2]), push(3, [1]), twist([1, 2], -4), push(3, [1], 2)))
+    assert w.letters[0][0] is w.letters[2][0]
+    assert w.letters[1][0] is w.letters[3][0]
+
+
+@pytest.mark.parametrize("first, second", [
+    ({"op": "twist", "curve": [1]}, {"op": "twist", "curve": [True]}),
+    ({"op": "twist", "curve": [1]}, {"op": "twist", "curve": [1.0]}),
+    ({"op": "twist", "curve": [1, 2]}, {"op": "twist", "curve": [1, 2.0]}),
+    ({"op": "push", "boundary": 2, "around": [1]}, {"op": "push", "boundary": 2, "around": [True]}),
+    ({"op": "push", "boundary": 2, "around": [1]}, {"op": "push", "boundary": 2.0, "around": [1]}),
+    ({"op": "push", "boundary": 1, "around": [2]}, {"op": "push", "boundary": True, "around": [2]}),
+    ({"op": "twist", "curve": [1]}, {"op": "twist", "curve": [1], "exp": 1.0}),
+    ({"op": "twist", "curve": [1]}, {"op": "twist", "curve": [1], "exp": True}),
+], ids=["bool-index", "float-index", "float-second-index", "push-bool-index",
+        "push-float-boundary", "push-bool-boundary", "float-exp", "bool-exp"])
+def test_a_reused_json_generator_still_checks_every_field(first, second):
+    # True == 1 == 1.0 and they hash alike, so an unchecked key would reuse
+    # the generator built for the int
+    with pytest.raises(InvalidWordError, match="integer"):
+        word_from_json([first, second], PlanarPage(2))
+
+
+def test_the_first_letter_that_does_not_fit_names_the_error():
+    page = PlanarPage(4)
+    for text in ("T{1} T{5} T{1} T{6} T{5}", "T{1} T{5} T{1}^2 T{6}"):
+        with pytest.raises(InvalidWordError, match=r"curve \{5\} does not fit"):
+            parse_word(text, page)
+    with pytest.raises(InvalidWordError, match="pushed boundary 6"):
+        parse_word("P{1|2} T{2} P{6|2} P{1|2} P{7|2}", page)
+
+
+def test_a_word_checks_each_distinct_generator_once(monkeypatch):
+    checked = []
+    check = DehnTwist.check
+
+    def counting(self, page):
+        checked.append(self)
+        check(self, page)
+
+    monkeypatch.setattr(DehnTwist, "check", counting)
+    w = parse_word("T{1,2} T{3}^2 T{1,2}^-1 T{3} T{2,1} T{1,2}", PlanarPage(3))
+    # T{2,1} is another text for T{1,2}: an equal generator, built apart
+    assert checked == [w.letters[0][0], w.letters[1][0], w.letters[4][0]]
+
+
+def test_json_output_letters_share_no_list():
+    page = PlanarPage(3)
+    w = parse_word("T{1,2} T{1,2}^2 P{3|1} P{3|1}^-1", page)
+    data = word_to_json(w)
+    data[0]["curve"].append(99)
+    data[2]["around"].append(99)
+    assert data[1]["curve"] == [1, 2]
+    assert data[3]["around"] == [1]
+    assert word_to_json(w) == word_to_json(parse_word(word_to_text(w), page))
+
+
+# a small alphabet, so that drawn words repeat their generators
+small_alphabet = st.sampled_from([
+    ("T", (1,)), ("T", (2,)), ("T", (1, 2)), ("T", (1, 2, 3)), ("T", (3, 1)),
+    ("P", (3, (1,))), ("P", (3, (1, 2))), ("P", (1, (2, 3))),
+])
+
+
+def build_letter(drawn):
+    (kind, args), exp = drawn
+    return twist(args, exp) if kind == "T" else push(args[0], args[1], exp)
+
+
+@given(st.lists(st.tuples(small_alphabet, st.integers(-3, 3)), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_words_over_a_small_alphabet_round_trip(drawn):
+    page = PlanarPage(3)
+    w = TwistWord(page, tuple(map(build_letter, drawn)))
+    assert parse_word(word_to_text(w), page) == w
+    assert word_from_json(word_to_json(w), page) == w
+    assert load_word(json.dumps(word_to_json(w)), page) == w
