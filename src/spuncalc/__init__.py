@@ -1,117 +1,7 @@
-"""spuncalc: planar open books, surgery diagrams, and spun-embedding targets."""
+"""spuncalc: planar open books, surgery diagrams, and spun-embedding targets.
 
-from .errors import SpuncalcError
-from .fourman import (
-    CircleDisk,
-    FourManifoldForm,
-    MonodromyForm,
-    PageForm,
-    SphereCyl,
-    equal,
-    evaluate_open_book,
-    normalize,
-    twist_image,
-)
-from .homology import H1Invariants, LinkingMatrix
-from .lens import (
-    ContinuedFraction,
-    SlidLensDiagram,
-    cf_eval,
-    cf_expand,
-    lens_embedding_target,
-    lens_open_book,
-    plumbing_matrix,
-    psi_parity,
-    slid_diagram,
-)
-from .pi1 import (
-    GroupPresentation,
-    PushPage,
-    abelianization,
-    cyclic_reduce,
-    free_reduce,
-    page_for_presentation,
-    pi1_of_open_book,
-)
-from .planar import (
-    CurveClass,
-    DehnTwist,
-    PlanarPage,
-    PlanarPush,
-    TwistWord,
-    compose,
-    exponent_vector,
-    invert,
-    parity_vector,
-    parse_word,
-    push,
-    simplify,
-    twist,
-)
-from .spun import EmbeddingReport, embedding_target, s4_certificate
-from .surgery import (
-    FramedBraidDiagram,
-    blow_down,
-    blow_up,
-    h1_invariants,
-    linking_matrix,
-    rolfsen_twist,
-    to_planar_open_book,
-)
+The API lives in the modules (``spuncalc.planar``, ``spuncalc.lens`` and
+so on); the package itself exports only ``__version__``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "SpuncalcError",
-    "CircleDisk",
-    "FourManifoldForm",
-    "MonodromyForm",
-    "PageForm",
-    "SphereCyl",
-    "equal",
-    "evaluate_open_book",
-    "normalize",
-    "twist_image",
-    "H1Invariants",
-    "LinkingMatrix",
-    "ContinuedFraction",
-    "SlidLensDiagram",
-    "cf_eval",
-    "cf_expand",
-    "lens_embedding_target",
-    "lens_open_book",
-    "plumbing_matrix",
-    "psi_parity",
-    "slid_diagram",
-    "GroupPresentation",
-    "PushPage",
-    "abelianization",
-    "cyclic_reduce",
-    "free_reduce",
-    "page_for_presentation",
-    "pi1_of_open_book",
-    "CurveClass",
-    "DehnTwist",
-    "PlanarPage",
-    "PlanarPush",
-    "TwistWord",
-    "compose",
-    "exponent_vector",
-    "invert",
-    "parity_vector",
-    "parse_word",
-    "push",
-    "simplify",
-    "twist",
-    "EmbeddingReport",
-    "embedding_target",
-    "s4_certificate",
-    "FramedBraidDiagram",
-    "blow_down",
-    "blow_up",
-    "h1_invariants",
-    "linking_matrix",
-    "rolfsen_twist",
-    "to_planar_open_book",
-    "__version__",
-]

@@ -153,10 +153,11 @@ def cmd_lens(args: argparse.Namespace) -> int:
     return _emit(args, "lens", {"p": args.p, "q": args.q}, *lens_report(args.p, args.q))
 
 
-def embed_report(page: PlanarPage, word: TwistWord, raw: bool = False) -> Report:
-    """Raw and normalized embedding target of a twist word; ``raw`` leaves
-    the normalized form out of the text lines."""
-    report = spun.embedding_target(page, word)
+def embed_report(word: TwistWord, raw: bool = False) -> Report:
+    """Raw and normalized embedding target of a twist word on its page;
+    ``raw`` leaves the normalized form out of the text lines."""
+    page = word.page
+    report = spun.embedding_target(word)
     checks = [{
         "name": "raw summand counts add up to the hole count",
         "passed": report.raw.summand_count() == page.inner_count,
@@ -175,16 +176,17 @@ def embed_report(page: PlanarPage, word: TwistWord, raw: bool = False) -> Report
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    page = _page(args.page)
-    word = load_word(_read(args.word), page)
+    word = load_word(_read(args.word), _page(args.page))
     return _emit(args, "embed", {"page": args.page, "word_file": args.word},
-                 *embed_report(page, word, args.raw))
+                 *embed_report(word, args.raw))
 
 
-def certify_report(page: PlanarPage, word: TwistWord) -> Report:
-    """The sphere certificate of a paired page; its one check fails when
-    the word does not certify."""
-    parities = spun.s4_parities(page, word)
+def certify_report(word: TwistWord) -> Report:
+    """The sphere certificate of a word on a paired page: it certifies when
+    every a-boundary parity is odd, and its one check fails when it does
+    not."""
+    page = word.page
+    parities = spun.s4_parities(word)
     certified = all(b == 1 for b in parities)
     target = spun.s4_target_name(page) if certified else None
 
@@ -207,10 +209,9 @@ def certify_report(page: PlanarPage, word: TwistWord) -> Report:
 
 
 def cmd_certify_s4(args: argparse.Namespace) -> int:
-    page = _page(args.page)
-    word = load_word(_read(args.word), page)
+    word = load_word(_read(args.word), _page(args.page))
     return _emit(args, "certify-s4", {"page": args.page, "word_file": args.word},
-                 *certify_report(page, word))
+                 *certify_report(word))
 
 
 def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Report:

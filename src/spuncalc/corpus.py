@@ -85,9 +85,8 @@ def _replay(kind: str, case: dict) -> tuple[bool, str]:
     elif kind == "surgery":
         report = cli.surgery_report(surgery.FramedBraidDiagram.from_json(case["diagram"]), [])
     else:
-        page = PlanarPage(case["page"])
-        word = word_from_json(case["word"], page)
-        report = {"embed": cli.embed_report, "s4": cli.certify_report}[kind](page, word)
+        word = word_from_json(case["word"], PlanarPage(case["page"]))
+        report = {"embed": cli.embed_report, "s4": cli.certify_report}[kind](word)
     outputs, checks, _ = report
     problems = list(_mismatches(outputs(), case["expect"], ""))
     code, want = cli.exit_code(checks), case.get("exit", 0)

@@ -16,10 +16,6 @@ class InvalidWordError(SpuncalcError):
     """A twist word references boundary components outside its page."""
 
 
-class PageMismatchError(SpuncalcError):
-    """Two words (or a word and a page) disagree about the ambient page."""
-
-
 class PushLetterError(SpuncalcError):
     """An operation that only accepts Dehn twist letters was given a push."""
 

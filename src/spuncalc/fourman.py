@@ -98,15 +98,6 @@ class PageForm:
     def circle_count(self) -> int:
         return sum(1 for a in self.atoms if isinstance(a, CircleDisk))
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "atoms": [
-                {"kind": "sphere_cyl" if isinstance(a, SphereCyl) else "circle_disk", "m": a.m}
-                for a in self.atoms
-            ],
-        }
-
     @staticmethod
     def from_json(data: dict) -> PageForm:
         atoms: list[PageAtom] = []
@@ -153,12 +144,6 @@ class MonodromyForm:
             used_c.add(c)
             used_s.add(s)
 
-    def to_json(self) -> dict:
-        return {
-            "twists": list(self.twist_exponents),
-            "pushes": sorted([c, s] for c, s in self.pushes),
-        }
-
     @staticmethod
     def from_json(data: dict) -> MonodromyForm:
         return MonodromyForm(
@@ -187,9 +172,6 @@ class FourManifoldForm:
         if min(self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle) < 0:
             raise SpuncalcError("summand counts must be nonnegative")
 
-    def is_sphere(self) -> bool:
-        return not (self.s1_cross_sphere or self.trivial_bundle or self.twisted_bundle)
-
     def is_spin(self) -> bool:
         return self.twisted_bundle == 0
 
@@ -205,9 +187,6 @@ class FourManifoldForm:
             trivial_bundle=self.trivial_bundle + other.trivial_bundle,
             twisted_bundle=self.twisted_bundle + other.twisted_bundle,
         )
-
-    def __add__(self, other: FourManifoldForm) -> FourManifoldForm:
-        return self.connected_sum(other)
 
     def describe(self) -> str:
         m = self.dim
@@ -232,15 +211,6 @@ class FourManifoldForm:
             "twisted": self.twisted_bundle,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> FourManifoldForm:
-        return FourManifoldForm(
-            dim=data.get("dim", 2),
-            s1_cross_sphere=data.get("s1xs", 0),
-            trivial_bundle=data.get("trivial", 0),
-            twisted_bundle=data.get("twisted", 0),
-        )
-
 
 def evaluate_open_book(page: PageForm, mono: MonodromyForm) -> FourManifoldForm:
     """Total space of the open book, as a connected-sum normal form."""
@@ -251,7 +221,7 @@ def evaluate_open_book(page: PageForm, mono: MonodromyForm) -> FourManifoldForm:
     unpushed = [e for s, e in enumerate(mono.twist_exponents, 1) if s not in pushed_spheres]
     circles = FourManifoldForm(dim=page.dim,
                                s1_cross_sphere=page.circle_count() - len(mono.pushes))
-    return circles + parity_form(unpushed, page.dim)
+    return circles.connected_sum(parity_form(unpushed, page.dim))
 
 
 def parity_form(entries: Sequence[int], dim: int = 2) -> FourManifoldForm:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, prod
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InvalidDiagramError, require_integers
@@ -79,12 +79,6 @@ class H1Invariants:
             raise InvalidDiagramError("invariant factors must exceed 1")
         if self.free_rank < 0:
             raise InvalidDiagramError("free rank must be nonnegative")
-
-    def order(self) -> int | None:
-        """Group order, or None when the group is infinite."""
-        if self.free_rank:
-            return None
-        return prod(self.factors, start=1)
 
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.factors]
@@ -280,13 +274,12 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     return diag + [scale * d for d in _min_pivot_diagonal(m)]
 
 
-def cokernel_invariants(entries: Iterable[Iterable[int]], columns: int | None = None) -> H1Invariants:
-    """Invariants of Z^c / rowspace(M), where c is the column count of M."""
+def cokernel_invariants(entries: Iterable[Sequence[int]], columns: int) -> H1Invariants:
+    """Invariants of Z^columns / rowspace(M); every row of M has ``columns``
+    entries."""
     rows = list(entries)  # smith_diagonal copies and checks the entries
-    if columns is None:
-        if not rows:
-            raise InvalidDiagramError("column count required for an empty matrix")
-        columns = len(rows[0])
+    if any(len(row) != columns for row in rows):
+        raise InvalidDiagramError(f"matrix rows must have {columns} entries")
     if not rows:
         return H1Invariants(factors=(), free_rank=columns)
     diag = smith_diagonal(rows)

@@ -47,9 +47,6 @@ class ContinuedFraction:
         if any(a > -2 for a in coeffs):
             raise SpuncalcError(f"coefficients must be <= -2, got {echo(list(coeffs))}")
 
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
 
 def _check_lens_input(p: int, q: int) -> None:
     if not (0 < q < p):

@@ -35,18 +35,6 @@ def free_reduce(word: Word) -> Word:
     return tuple(stack)
 
 
-def cyclic_reduce(word: Word) -> Word:
-    """Freely reduce, then strip inverse pairs straddling the ends."""
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
-def invert_word(word: Word) -> Word:
-    return tuple(-x for x in reversed(word))
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     generator_count: int
@@ -99,7 +87,7 @@ class PushPage:
             for x in w:
                 if x == 0 or abs(x) > self.handle_count:
                     raise InvalidPresentationError(
-                        f"loop letter {x} outside handles 1..{self.handle_count}"
+                        f"loop letter {echo(x)} outside handles 1..{self.handle_count}"
                     )
 
     def to_json(self) -> dict:

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
-from .errors import InvalidWordError, PageMismatchError, SpuncalcError, echo, parse_json
+from .errors import InvalidWordError, SpuncalcError, echo, parse_json
 
 
 @dataclass(frozen=True)
@@ -47,18 +47,6 @@ class PlanarPage:
     def __post_init__(self) -> None:
         if self.inner_count < 0:
             raise InvalidWordError("inner_count must be nonnegative")
-
-    def boundary_curve(self, i: int) -> CurveClass:
-        """Curve parallel to the i-th inner boundary (1-based)."""
-        if not 1 <= i <= self.inner_count:
-            raise InvalidWordError(f"no inner boundary {echo(i)} on a page with {self.inner_count}")
-        return CurveClass(frozenset({i}))
-
-    def outer_curve(self) -> CurveClass:
-        """Curve parallel to the outer boundary: encloses every hole."""
-        if self.inner_count == 0:
-            raise InvalidWordError("the disk page has no essential curves")
-        return CurveClass(frozenset(range(1, self.inner_count + 1)))
 
 
 @dataclass(frozen=True)
@@ -175,49 +163,8 @@ class TwistWord:
         for gen in _distinct(self.letters):
             gen.check(self.page)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
     def has_pushes(self) -> bool:
         return any(isinstance(gen, PlanarPush) for gen, _ in self.letters)
-
-    def __str__(self) -> str:
-        return word_to_text(self)
-
-
-def _check_same_page(w1: TwistWord, w2: TwistWord) -> None:
-    if w1.page != w2.page:
-        raise PageMismatchError(
-            f"words live on different pages ({w1.page.inner_count} vs {w2.page.inner_count} holes)"
-        )
-
-
-def compose(w1: TwistWord, w2: TwistWord) -> TwistWord:
-    """Concatenation: first apply w1's letters, then w2's."""
-    _check_same_page(w1, w2)
-    return TwistWord(w1.page, w1.letters + w2.letters)
-
-
-def invert(w: TwistWord) -> TwistWord:
-    """Formal inverse: reverse the letters and negate every exponent."""
-    return TwistWord(w.page, tuple((gen, -exp) for gen, exp in reversed(w.letters)))
-
-
-def simplify(w: TwistWord) -> TwistWord:
-    """Merge adjacent letters with equal generators, drop zero exponents."""
-    stack: list[Letter] = []
-    for gen, exp in w.letters:
-        if stack and stack[-1][0] == gen:
-            merged = stack[-1][1] + exp
-            stack.pop()
-            if merged:
-                stack.append((gen, merged))
-        elif exp:
-            stack.append((gen, exp))
-    return TwistWord(w.page, tuple(stack))
 
 
 def exponent_vector(word: TwistWord) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Spun-embedding targets for planar open books, plus the S^4 certificate.
 
-For a twist-only word on a page with n holes, the per-boundary parities
+Both read a word on its own page, ``word.page``. For a twist-only word on
+a page with n holes, the per-boundary parities
 determine the codimension-1 embedding target: every even parity gives an
 S^2 x S^2 summand, every odd one a twisted summand, so the raw target has
 exactly n summands. Reports carry the raw count pair alongside the
@@ -10,7 +11,8 @@ The sphere certificate handles pages with 2n holes grouped into pairs
 (a_j, b_j) = (2j-1, 2j), where the word pushes each b_j once around a_j
 and otherwise twists only along curves supported on the a-boundaries. The
 certified condition is that every a_j collects an odd twist exponent sum
-from the twist letters; the ambient open book is then a sphere.
+from the twist letters (every entry of ``s4_parities`` is 1); the ambient
+open book is then a sphere.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from itertools import islice
 from .errors import (
     ConditionNotApplicableError,
     MalformedPairingError,
-    PageMismatchError,
     PushLetterError,
     echo,
 )
@@ -31,9 +32,8 @@ from .planar import PlanarPage, PlanarPush, TwistWord, parity_vector, word_to_js
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """Target data for one planar open book."""
+    """Target data for one planar open book, on its word's page."""
 
-    page: PlanarPage
     word: TwistWord
     parity: tuple[int, ...]
     raw: FourManifoldForm
@@ -45,7 +45,7 @@ class EmbeddingReport:
 
     def to_json(self) -> dict:
         return {
-            "page": {"inner_count": self.page.inner_count},
+            "page": {"inner_count": self.word.page.inner_count},
             "word": word_to_json(self.word),
             "parity": list(self.parity),
             "raw": self.raw.to_json(),
@@ -55,22 +55,20 @@ class EmbeddingReport:
         }
 
 
-def embedding_target(page: PlanarPage, word: TwistWord) -> EmbeddingReport:
+def embedding_target(word: TwistWord) -> EmbeddingReport:
     """Raw and normalized embedding target of a twist-only word.
 
-    Raw counts: (even parities, odd parities); their sum is the hole count.
+    Raw counts: (even parities, odd parities); their sum is the hole count
+    of the word's page.
     Push letters are rejected; they belong to the sphere certificate.
     """
     if word.has_pushes():
         raise PushLetterError(
             "word contains push letters; route it through the sphere certificate"
         )
-    if word.page != page:
-        raise PageMismatchError("word was built on a different page")
     parity = parity_vector(word)
     raw = parity_form(parity)
-    return EmbeddingReport(page=page, word=word, parity=parity, raw=raw,
-                           normalized=normalize(raw))
+    return EmbeddingReport(word=word, parity=parity, raw=raw, normalized=normalize(raw))
 
 
 # pairs an error names when pushes are missing; the count covers the rest
@@ -85,14 +83,15 @@ def _certificate_pairs(page: PlanarPage) -> int:
     return page.inner_count // 2
 
 
-def s4_parities(page: PlanarPage, word: TwistWord) -> tuple[int, ...]:
-    """Twist-letter exponent parity collected by each a_j boundary.
+def s4_parities(word: TwistWord) -> tuple[int, ...]:
+    """Twist-letter exponent parity collected by each a_j boundary of the
+    word's page.
 
     Validates the certificate preconditions: one push per pair, pushing
     b_j = 2j around exactly the a_j = 2j-1 curve with exponent one, and
     twist letters supported on a-boundaries only.
     """
-    n = _certificate_pairs(page)
+    n = _certificate_pairs(word.page)
     seen_pushes: set[int] = set()
     totals = [0] * n
     a_indices = {2 * j - 1 for j in range(1, n + 1)}
@@ -127,11 +126,6 @@ def s4_parities(page: PlanarPage, word: TwistWord) -> tuple[int, ...]:
         raise MalformedPairingError(
             f"{missing} of {n} pairs have no push letter: {first}{more}")
     return tuple(t % 2 for t in totals)
-
-
-def s4_certificate(page: PlanarPage, word: TwistWord) -> bool:
-    """True when every a_j twist parity is odd, certifying a sphere target."""
-    return all(b == 1 for b in s4_parities(page, word))
 
 
 def s4_target_name(page: PlanarPage) -> str:

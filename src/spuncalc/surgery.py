@@ -68,7 +68,7 @@ class FramedBraidDiagram:
         object.__setattr__(self, "braid_word", word)
         object.__setattr__(self, "framings", framings)
         if len(framings) != self.strands:
-            raise InvalidDiagramError(f"{len(framings)} framings for {self.strands} strands")
+            raise InvalidDiagramError(f"{len(framings)} framings for {echo(self.strands)} strands")
         links: dict[tuple[int, int], int] = {}
         for i, j, e in word:
             if not (1 <= i < j <= self.strands):
@@ -212,10 +212,10 @@ def blow_down(d: FramedBraidDiagram, component: int) -> tuple[FramedBraidDiagram
     require_integers(InvalidMoveError, "move arguments must be integers", component)
     c = component
     if not 1 <= c <= d.strands:
-        raise InvalidMoveError(f"component {c} out of range")
+        raise InvalidMoveError(f"component {echo(c)} out of range")
     sign = d.framings[c - 1]
     if sign not in (1, -1):
-        raise InvalidMoveError(f"blow_down needs framing +-1, component {c} has {sign}")
+        raise InvalidMoveError(f"blow_down needs framing +-1, component {echo(c)} has {echo(sign)}")
     # the strands after c move down one place, in order
     links = {(a - (a > c), b - (b > c)): n
              for (a, b), n in d.net_linking.items() if c not in (a, b)}
@@ -236,11 +236,12 @@ def rolfsen_twist(d: FramedBraidDiagram, component: int, t: int) -> tuple[Framed
     require_integers(InvalidMoveError, "move arguments must be integers", component, t)
     c = component
     if not 1 <= c <= d.strands:
-        raise InvalidMoveError(f"component {c} out of range")
+        raise InvalidMoveError(f"component {echo(c)} out of range")
     f = d.framings[c - 1]
     denom = 1 + t * f
     if denom == 0 or f % denom != 0:
-        raise InvalidMoveError(f"twisting framing {f} by t={t} leaves the integer calculus")
+        raise InvalidMoveError(
+            f"twisting framing {echo(f)} by t={echo(t)} leaves the integer calculus")
     framings = list(d.framings)
     framings[c - 1] = f // denom
     u = [0 if i == c else d.linking(i, c) for i in range(1, d.strands + 1)]

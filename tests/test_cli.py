@@ -348,7 +348,7 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, caps
     assert needle in err
 
 
-# inputs that repeat a value of 10^5 entries in their error; the line keeps
+# inputs that repeat a value of 10^5 entries or 3,000 digits in their error; the line keeps
 # errors.ECHO_CHARS of each value
 OVERSIZED_INPUTS = [
     (["embed", "--page", "2", "--word", "w.json"], {"w.json": json.dumps([[1] * 100_000])},
@@ -373,6 +373,18 @@ OVERSIZED_INPUTS = [
      "non-integer"),
     (["surgery", "d.json"], {"d.json": json.dumps({"strands": 1, "framings": ["x" * 100_000]})},
      "integers"),
+    (["surgery", "d.txt"], {"d.txt": "strands " + "9" * 3000 + "\nframings -1\n"},
+     "framings for"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 2\nframings -1 -2\n",
+      "m.json": json.dumps([{"move": "blow_down", "component": 10 ** 3000}])}, "out of range"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 1\nframings " + "9" * 3000 + "\n",
+      "m.json": json.dumps([{"move": "blow_down", "component": 1}])}, "needs framing"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 1\nframings -1\n",
+      "m.json": json.dumps([{"move": "rolfsen_twist", "component": 1, "twists": 10 ** 3000}])},
+     "integer calculus"),
     (["pi1", "g.txt"], {"g.txt": "gens 1\n" + "x1" * 100_000 + "y\n"}, "cannot parse"),
     (["pi1", "g.txt"], {"g.txt": "gens 1 " + "2 " * 100_000 + "\n"}, "bad gens"),
     (["lens", "x" * 100_000, "2"], {}, "invalid int value"),
@@ -383,6 +395,7 @@ OVERSIZED_INPUTS = [
                          ids=["word-letter-list", "word-curve-off-page", "word-curve-float",
                               "word-token", "push-curve-off-page", "move-region-off-diagram",
                               "move-region-string", "diagram-line", "diagram-framing-string",
+                              "diagram-strands", "move-component", "move-framing", "move-twists",
                               "relator", "gens-line", "argv-token"])
 def test_an_oversized_input_gives_one_short_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                        needle):

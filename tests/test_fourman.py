@@ -48,7 +48,7 @@ def test_pushed_pair_is_a_sphere():
     page = PageForm((CircleDisk(2), SphereCyl(2)))
     mono = MonodromyForm(twist_exponents=(5,), pushes=frozenset({(1, 1)}))
     out = evaluate_open_book(page, mono)
-    assert out.is_sphere()
+    assert out.summand_count() == 0
     assert out == form()
 
 
@@ -61,7 +61,7 @@ def test_circle_disk_gives_s1_cross_sphere():
 
 def test_empty_page_is_a_sphere():
     out = evaluate_open_book(PageForm(), MonodromyForm())
-    assert out.is_sphere()
+    assert out.summand_count() == 0
     assert out.describe() == "S4"
 
 
@@ -163,8 +163,8 @@ def test_equal_is_an_equivalence():
 @settings(max_examples=60, deadline=None)
 def test_connected_sum_commutes_with_identity(a, b):
     fa, fb = form(s1=a[0], trivial=a[1], twisted=a[2]), form(s1=b[0], trivial=b[1], twisted=b[2])
-    assert fa + fb == fb + fa
-    assert fa + form() == fa
+    assert fa.connected_sum(fb) == fb.connected_sum(fa)
+    assert fa.connected_sum(form()) == fa
     with pytest.raises(NotComparableError):
         fa.connected_sum(form(dim=5))
 
@@ -194,7 +194,6 @@ def test_boundary_sphere_images_sum_to_zero():
 
 def test_form_json_roundtrip():
     f = form(s1=1, trivial=2, twisted=3)
-    assert FourManifoldForm.from_json(f.to_json()) == f
     assert f.to_json() == {"dim": 2, "s1xs": 1, "trivial": 2, "twisted": 3}
 
 
@@ -204,9 +203,9 @@ def test_form_json_roundtrip():
     (lambda x: MonodromyForm(pushes=frozenset({(1, x)})), InvalidMonodromyError),
     (lambda x: PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": x}]}), SpuncalcError),
     (lambda x: PageForm.from_json({"dim": x}), SpuncalcError),
-    (lambda x: FourManifoldForm.from_json({"trivial": x}), SpuncalcError),
+    (lambda x: FourManifoldForm(trivial_bundle=x), SpuncalcError),
     (lambda x: twist_image({x}, 3), SpuncalcError),
-], ids=["monodromy-twist", "monodromy-push", "page-atom-m", "page-dim", "form-from-json",
+], ids=["monodromy-twist", "monodromy-push", "page-atom-m", "page-dim", "form-count",
         "twist-image"])
 def test_constructors_reject_non_integers(build, error, bad):
     # validated, never coerced: int() would read 2.9 and "2" as 2, True as 1

@@ -155,25 +155,33 @@ def test_h1_invariants_validation_and_order():
     with pytest.raises(InvalidDiagramError):
         H1Invariants(factors=(1,), free_rank=0)
     h = H1Invariants(factors=(2, 12), free_rank=0)
-    assert h.order() == 24
+    assert (h.factors, h.free_rank) == ((2, 12), 0)
     assert h.describe() == "Z/2 + Z/12"
-    assert H1Invariants(factors=(), free_rank=2).order() is None
+    assert H1Invariants(factors=(), free_rank=2).describe() == "Z + Z"
     assert H1Invariants(factors=(), free_rank=0).describe() == "0"
 
 
 def test_cokernel_invariants_examples():
-    assert cokernel_invariants([[-7]]) == H1Invariants((7,), 0)
-    assert cokernel_invariants([[-4, 1], [1, -2]]) == H1Invariants((7,), 0)
-    assert cokernel_invariants([[0]]) == H1Invariants((), 1)
-    assert cokernel_invariants([[2, 6], [4, 0]]) == H1Invariants((2, 12), 0)
+    assert cokernel_invariants([[-7]], columns=1) == H1Invariants((7,), 0)
+    assert cokernel_invariants([[-4, 1], [1, -2]], columns=2) == H1Invariants((7,), 0)
+    assert cokernel_invariants([[0]], columns=1) == H1Invariants((), 1)
+    assert cokernel_invariants([[2, 6], [4, 0]], columns=2) == H1Invariants((2, 12), 0)
     assert cokernel_invariants([], columns=3) == H1Invariants((), 3)
+    assert cokernel_invariants([[2, 0, 0]], columns=3) == H1Invariants((2,), 2)
+
+
+def test_cokernel_invariants_rejects_rows_of_another_length():
+    # Z/2 would be the answer for one column; the matrix has three
+    for rows, columns in (([[2, 0, 0]], 1), ([[2, 0], [1]], 2), ([[1, 2]], 3)):
+        with pytest.raises(InvalidDiagramError, match="entries"):
+            cokernel_invariants(rows, columns=columns)
 
 
 @given(small_matrix)
 @settings(max_examples=80, deadline=None)
 def test_cokernel_rank_nullity(m):
     n = len(m)
-    inv = cokernel_invariants(m)
+    inv = cokernel_invariants(m, columns=n)
     diag = smith_diagonal(m)
     rank = sum(1 for d in diag if d)
     assert inv.free_rank == n - rank
@@ -182,7 +190,7 @@ def test_cokernel_rank_nullity(m):
 
 @pytest.mark.parametrize("call, entries", [
     (smith_diagonal, [[2.5, 0], [0, 3.9]]),
-    (cokernel_invariants, [[4.7]]),
+    (lambda m: cokernel_invariants(m, columns=1), [[4.7]]),
     (det, [["3"]]),
     (det, [[True, 0], [0, 1]]),
     (LinkingMatrix, ((1.0,),)),

@@ -6,27 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spuncalc.errors import InvalidWordError, PageMismatchError
+from spuncalc.errors import InvalidWordError
 from spuncalc.planar import (
     CurveClass,
     DehnTwist,
     PlanarPage,
     PlanarPush,
     TwistWord,
-    compose,
     exponent_vector,
-    invert,
     load_word,
     parity_vector,
     parse_word,
     push,
-    simplify,
     twist,
     word_from_json,
     word_to_json,
     word_to_text,
 )
-from spuncalc.spun import embedding_target
 
 
 def oracle_exponents(word):
@@ -128,40 +124,23 @@ def test_push_expansion_parity_is_pushed_boundary():
     assert parity_vector(w) == (0, 0, 0, 1, 0)
 
 
-def test_compose_then_cancel():
-    page = PlanarPage(2)
-    w = compose(TwistWord(page, (twist({1}, 2),)), TwistWord(page, (twist({1}, -2),)))
-    assert simplify(w).letters == ()
-
-
-def test_invert_is_formal():
-    page = PlanarPage(2)
-    w = TwistWord(page, (twist({1}), twist({2}, 3)))
-    assert invert(w).letters == (twist({2}, -3), twist({1}, -1))
-
-
-def test_simplify_merges_and_cascades():
-    page = PlanarPage(2)
-    w = TwistWord(page, (twist({1}, 2), twist({2}, 1), twist({2}, -1), twist({1}, 3)))
-    assert simplify(w).letters == (twist({1}, 5),)
-    assert simplify(simplify(w)) == simplify(w)
-
-
-def test_zero_exponents_kept_until_simplify():
+def test_zero_exponents_are_kept():
     page = PlanarPage(1)
     w = TwistWord(page, (twist({1}, 0),))
-    assert len(w) == 1
-    assert simplify(w).letters == ()
+    assert w.letters == (twist({1}, 0),)
+    assert exponent_vector(w) == (0,)
 
 
 @given(word_pairs)
 @settings(max_examples=120, deadline=None)
 def test_exponent_vector_is_a_homomorphism(pair):
     w1, w2 = pair
-    combined = exponent_vector(compose(w1, w2))
+    page = w1.page
+    combined = exponent_vector(TwistWord(page, w1.letters + w2.letters))
     split = tuple(a + b for a, b in zip(exponent_vector(w1), exponent_vector(w2)))
     assert combined == split
-    assert exponent_vector(invert(w1)) == tuple(-a for a in exponent_vector(w1))
+    inverse = TwistWord(page, tuple((gen, -exp) for gen, exp in reversed(w1.letters)))
+    assert exponent_vector(inverse) == tuple(-a for a in exponent_vector(w1))
     assert exponent_vector(w1) == oracle_exponents(w1)
 
 
@@ -169,17 +148,22 @@ def test_exponent_vector_is_a_homomorphism(pair):
 @settings(max_examples=80, deadline=None)
 def test_commutator_words_have_zero_exponent_vector(pair):
     w, v = pair
-    commutator = compose(compose(w, v), compose(invert(w), invert(v)))
-    assert exponent_vector(commutator) == (0,) * w.page.inner_count
+    letters = w.letters + v.letters  # then w^-1, then v^-1
+    for word in (w, v):
+        letters += tuple((gen, -exp) for gen, exp in reversed(word.letters))
+    assert exponent_vector(TwistWord(w.page, letters)) == (0,) * w.page.inner_count
 
 
 @given(pages().flatmap(lambda p: words_on(p, with_pushes=True)), st.randoms())
 @settings(max_examples=100, deadline=None)
-def test_parity_invariant_under_simplify_and_reorder(w, rng):
+def test_parity_invariant_under_reorder_and_squares(w, rng):
     reference = parity_vector(w)
-    assert parity_vector(simplify(w)) == reference
     shuffled = list(w.letters)
     rng.shuffle(shuffled)
+    assert parity_vector(TwistWord(w.page, tuple(shuffled))) == reference
+    # a letter squared changes no parity, wherever it is inserted
+    square = twist(rng.sample(range(1, w.page.inner_count + 1), 1), 2)
+    shuffled.insert(rng.randint(0, len(shuffled)), square)
     assert parity_vector(TwistWord(w.page, tuple(shuffled))) == reference
 
 
@@ -203,21 +187,7 @@ def test_non_integer_letter_fields_rejected():
             make()
 
 
-def test_page_mismatch_rejected():
-    w1 = TwistWord(PlanarPage(2), (twist({1}),))
-    w2 = TwistWord(PlanarPage(3), (twist({1}),))
-    with pytest.raises(PageMismatchError):
-        compose(w1, w2)
-    with pytest.raises(PageMismatchError):
-        embedding_target(PlanarPage(3), w1)
-
-
-def test_page_helpers():
-    page = PlanarPage(3)
-    assert page.boundary_curve(2).sorted() == (2,)
-    assert page.outer_curve().sorted() == (1, 2, 3)
-    with pytest.raises(InvalidWordError):
-        page.boundary_curve(4)
+def test_negative_hole_count_rejected():
     with pytest.raises(InvalidWordError):
         PlanarPage(-1)
 

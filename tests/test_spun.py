@@ -13,7 +13,6 @@ from spuncalc.fourman import FourManifoldForm, equal
 from spuncalc.planar import PlanarPage, TwistWord, push, twist
 from spuncalc.spun import (
     embedding_target,
-    s4_certificate,
     s4_parities,
     s4_target_name,
 )
@@ -31,7 +30,7 @@ def test_lens_pq_family_normalizes_to_two_twisted():
     page = PlanarPage(2)
     for p in range(2, 21):
         for q in range(2, 21):
-            report = embedding_target(page, lens_pq_word(page, p, q))
+            report = embedding_target(lens_pq_word(page, p, q))
             assert report.raw == form(trivial=1, twisted=1)
             assert report.normalized == form(twisted=2)
 
@@ -42,7 +41,7 @@ def test_poincare_three_holed_report():
         twist({1, 2}, -1), twist({2, 3}, -1), twist({1, 2}), twist({2, 3}),
         twist({1}, -1), twist({2}), twist({3}, -1),
     ))
-    report = embedding_target(page, word)
+    report = embedding_target(word)
     assert report.raw == form(trivial=0, twisted=3)
     assert report.normalized == form(twisted=3)
     assert equal(form(twisted=3), form(trivial=2, twisted=1))
@@ -55,7 +54,7 @@ def test_poincare_eight_holed_spin_report():
         twist({5}, 2), twist({6}, 3), twist({7}), twist({8}),
         twist({1, 2, 3, 4}), twist({6}, -1), twist({7, 8}, -1),
     ))
-    report = embedding_target(page, word)
+    report = embedding_target(word)
     assert report.spin
     assert report.normalized == form(trivial=8)
 
@@ -80,7 +79,7 @@ def test_seven_curve_family_spin_condition():
     for _ in range(200):
         exps = [rng.randint(-4, 4) for _ in range(7)]
         expected = constraint(exps)
-        assert embedding_target(page, word_for(exps)).spin == expected
+        assert embedding_target(word_for(exps)).spin == expected
         seen_true += expected
         seen_false += not expected
     assert seen_true and seen_false
@@ -93,7 +92,7 @@ def test_seifert_family_reports():
             twist({1}), twist({2}), twist({3}, 2), twist({4}, 2),
             twist({5}, p), twist({1, 2, 3, 4, 5}),
         ))
-        report = embedding_target(page, word)
+        report = embedding_target(word)
         assert report.normalized == form(twisted=5)
         assert report.raw.summand_count() == 5
 
@@ -101,7 +100,7 @@ def test_seifert_family_reports():
 def test_empty_word_gives_spin_form():
     for n in range(7):
         page = PlanarPage(n)
-        report = embedding_target(page, TwistWord(page))
+        report = embedding_target(TwistWord(page))
         assert report.raw == form(trivial=n)
         assert report.spin
 
@@ -109,7 +108,7 @@ def test_empty_word_gives_spin_form():
 def test_single_odd_boundary_twist_breaks_spin():
     page = PlanarPage(4)
     word = TwistWord(page, (twist({3}, 3),))
-    assert not embedding_target(page, word).spin
+    assert not embedding_target(word).spin
 
 
 def test_report_counts_sum_to_holes_and_reorder_invariance():
@@ -121,15 +120,15 @@ def test_report_counts_sum_to_holes_and_reorder_invariance():
             for _ in range(rng.randint(0, 8))
         )
         word = TwistWord(page, letters)
-        report = embedding_target(page, word)
+        report = embedding_target(word)
         assert report.raw.summand_count() == 6
         shuffled = list(letters)
         rng.shuffle(shuffled)
-        report2 = embedding_target(page, TwistWord(page, tuple(shuffled)))
+        report2 = embedding_target(TwistWord(page, tuple(shuffled)))
         assert report2.raw == report.raw
         # squares of twists never change the report
         squared = letters + (twist({2, 4}, 2),)
-        report3 = embedding_target(page, TwistWord(page, squared))
+        report3 = embedding_target(TwistWord(page, squared))
         assert report3.raw == report.raw
         assert report.spin == all(b == 0 for b in report.parity)
 
@@ -138,12 +137,12 @@ def test_push_words_are_rejected_by_embedding_target():
     page = PlanarPage(2)
     word = TwistWord(page, (push(2, {1}),))
     with pytest.raises(PushLetterError):
-        embedding_target(page, word)
+        embedding_target(word)
 
 
 def test_report_json_shape():
     page = PlanarPage(2)
-    report = embedding_target(page, lens_pq_word(page, 3, 2))
+    report = embedding_target(lens_pq_word(page, 3, 2))
     data = report.to_json()
     assert set(data) >= {"parity", "raw", "normalized", "spin", "word", "page"}
     assert data["parity"] == [0, 1]
@@ -154,8 +153,8 @@ def test_s4_family_certifies_for_all_k():
     page = PlanarPage(2)
     for k in range(11):
         word = TwistWord(page, (twist({1}, 2 * k + 2), twist({1}), push(2, {1})))
-        assert s4_certificate(page, word)
-        assert s4_parities(page, word) == (1,)
+        assert all(s4_parities(word))
+        assert s4_parities(word) == (1,)
 
 
 def test_s4_flipping_any_twist_parity_fails():
@@ -163,8 +162,8 @@ def test_s4_flipping_any_twist_parity_fails():
     for k in range(11):
         flipped_first = TwistWord(page, (twist({1}, 2 * k + 3), twist({1}), push(2, {1})))
         flipped_second = TwistWord(page, (twist({1}, 2 * k + 2), twist({1}, 2), push(2, {1})))
-        assert not s4_certificate(page, flipped_first)
-        assert not s4_certificate(page, flipped_second)
+        assert not all(s4_parities(flipped_first))
+        assert not all(s4_parities(flipped_second))
 
 
 def test_s4_even_twists_fail():
@@ -172,7 +171,7 @@ def test_s4_even_twists_fail():
     word = TwistWord(page, (
         twist({1}, 2), twist({3}, -4), push(2, {1}), push(4, {3}),
     ))
-    assert not s4_certificate(page, word)
+    assert not all(s4_parities(word))
 
 
 def test_s4_multi_pair_parities():
@@ -181,44 +180,51 @@ def test_s4_multi_pair_parities():
         twist({1}), twist({1, 3}, 2), twist({3}, 3),
         push(2, {1}), push(4, {3}),
     ))
-    assert s4_parities(page, word) == (1, 1)
-    assert s4_certificate(page, word)
+    assert s4_parities(word) == (1, 1)
+    assert all(s4_parities(word))
     assert "S4" in s4_target_name(page)
 
 
 def test_s4_pairing_validation():
     page = PlanarPage(2)
     with pytest.raises(MalformedPairingError):
-        s4_certificate(page, TwistWord(page, (twist({1}),)))  # no push
+        s4_parities(TwistWord(page, (twist({1}),)))  # no push
     with pytest.raises(MalformedPairingError):
-        s4_certificate(page, TwistWord(page, (push(2, {1}), push(2, {1}))))
+        s4_parities(TwistWord(page, (push(2, {1}), push(2, {1}))))
     with pytest.raises(MalformedPairingError):
-        s4_certificate(page, TwistWord(page, (push(2, {1}, 2),)))
+        s4_parities(TwistWord(page, (push(2, {1}, 2),)))
     with pytest.raises(MalformedPairingError):
-        s4_certificate(PlanarPage(3), TwistWord(PlanarPage(3)))
+        s4_parities(TwistWord(PlanarPage(3)))
     page4 = PlanarPage(4)
     with pytest.raises(MalformedPairingError):
         # pushes b1 around a2's curve: wrong partner
-        s4_certificate(page4, TwistWord(page4, (push(2, {3}), push(4, {3}))))
+        s4_parities(TwistWord(page4, (push(2, {3}), push(4, {3}))))
 
 
 def test_s4_missing_pushes_are_counted_not_listed():
     # the error names the count and the first few pairs, whatever the page size
     page = PlanarPage(2000)
     with pytest.raises(MalformedPairingError) as info:
-        s4_parities(page, TwistWord(page, (push(4, {3}),)))
+        s4_parities(TwistWord(page, (push(4, {3}),)))
     assert str(info.value) == "999 of 1000 pairs have no push letter: [1, 3, 4, 5, 6] ..."
     page = PlanarPage(4)
     with pytest.raises(MalformedPairingError) as info:
-        s4_parities(page, TwistWord(page, (twist({1}),)))
+        s4_parities(TwistWord(page, (twist({1}),)))
     assert str(info.value) == "2 of 2 pairs have no push letter: [1, 2]"
+
+
+def test_s4_parities_read_the_page_of_the_word():
+    # on 8 holes, P{8|7} pushes pair 4, not pair 1: pairs 1 to 3 lack a push
+    word = TwistWord(PlanarPage(8), (push(8, {7}),))
+    with pytest.raises(MalformedPairingError, match=r"3 of 4 pairs .*: \[1, 2, 3\]$"):
+        s4_parities(word)
 
 
 def test_s4_condition_not_applicable_for_b_curves():
     page = PlanarPage(2)
     word = TwistWord(page, (twist({2}, 3), push(2, {1})))
     with pytest.raises(ConditionNotApplicableError):
-        s4_certificate(page, word)
+        s4_parities(word)
     word = TwistWord(page, (twist({1, 2}), push(2, {1})))
     with pytest.raises(ConditionNotApplicableError):
-        s4_certificate(page, word)
+        s4_parities(word)

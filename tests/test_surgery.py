@@ -339,8 +339,8 @@ def test_integer_surgery_export_matches_lens_parity():
     from spuncalc.spun import embedding_target
 
     for p in range(2, 30):
-        page, word = to_planar_open_book(FramedBraidDiagram(1, (), (-p,)))
-        report = embedding_target(page, word)
+        _, word = to_planar_open_book(FramedBraidDiagram(1, (), (-p,)))
+        report = embedding_target(word)
         assert report.spin == (p % 2 == 0)
         assert report.normalized == lens_embedding_target(p, 1)
 
