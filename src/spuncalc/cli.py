@@ -283,7 +283,7 @@ def cmd_pi1(args: argparse.Namespace) -> int:
 
     def lines():
         yield f"presentation: {g.describe()}"
-        yield f"page: {page.handle_count} circle handles, {page.sphere_count} pushed spheres"
+        yield f"page: {page.handle_count} circle handles, {len(page.loops)} pushed spheres"
         yield f"recovered fundamental group: {recovered.describe('a')}"
         yield f"abelianization: {ab.describe()}"
         for check in checks[1:]:

@@ -1,9 +1,11 @@
 """Normal forms for open books with boundary-connected-sum pages.
 
 Pages are built from two kinds of atoms of a common dimension m+1: sphere
-cylinders S^m x [0,1] and circle disks S^1 x D^m. The monodromies in scope
-are products of sphere twists supported on the cylinder atoms and pushes
-pairing a circle atom with a cylinder atom. The evaluator works atom-wise:
+cylinders S^m x [0,1] and circle disks S^1 x D^m. A page is stored as how
+many atoms of each kind it has, plus m: nothing else about it is read. The
+monodromies in scope are products of sphere twists supported on the
+cylinder atoms and pushes pairing a circle atom with a cylinder atom. The
+evaluator works atom-wise:
 
 * cylinder with even twist exponent  -> S^2 x S^m
 * cylinder with odd twist exponent   -> twisted S^m-bundle over S^2
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -45,66 +47,37 @@ DIMENSION_RAISING_NOTE = (
 
 
 @dataclass(frozen=True)
-class _Atom:
-    """A page atom: its dimension m is all the data it carries."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        require_integers(DimensionMismatchError, "atom dimension m must be an integer", self.m)
-        if self.m < 1:
-            raise DimensionMismatchError("atom dimension m must be >= 1")
-
-
-class SphereCyl(_Atom):
-    """S^m x [0,1]: the sphere cylinder atom."""
-
-    def __str__(self) -> str:
-        return f"S{self.m}x[0,1]"
-
-
-class CircleDisk(_Atom):
-    """S^1 x D^m: the circle disk atom."""
-
-    def __str__(self) -> str:
-        return f"S1xD{self.m}"
-
-
-PageAtom = Union[SphereCyl, CircleDisk]
-
-
-@dataclass(frozen=True)
 class PageForm:
-    """Boundary connected sum of atoms; the empty sum is the disk page."""
+    """Boundary connected sum of ``spheres`` sphere cylinders and ``circles``
+    circle disks, every atom of dimension m = ``dim``: the atom counts are
+    all the evaluator reads. No atoms is the disk page."""
 
-    atoms: tuple[PageAtom, ...] = ()
+    spheres: int = 0
+    circles: int = 0
     dim: int = 2
 
     def __post_init__(self) -> None:
-        require_integers(DimensionMismatchError, "page dimension m must be an integer", self.dim)
-        atoms = tuple(self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        if atoms:
-            ms = {atom.m for atom in atoms}
-            if len(ms) > 1:
-                raise DimensionMismatchError(f"atoms of mixed dimensions {echo(sorted(ms))}")
-            object.__setattr__(self, "dim", atoms[0].m)
-        elif self.dim < 1:
+        require_integers(DimensionMismatchError, "atom counts and dimension m must be integers",
+                         self.spheres, self.circles, self.dim)
+        if min(self.spheres, self.circles) < 0:
+            raise SpuncalcError("atom counts must be nonnegative")
+        if self.dim < 1:
             raise DimensionMismatchError("page dimension m must be >= 1")
-
-    def sphere_count(self) -> int:
-        return sum(1 for a in self.atoms if isinstance(a, SphereCyl))
-
-    def circle_count(self) -> int:
-        return sum(1 for a in self.atoms if isinstance(a, CircleDisk))
 
     @staticmethod
     def from_json(data: dict) -> PageForm:
-        atoms: list[PageAtom] = []
-        for item in data.get("atoms", []):
-            cls = SphereCyl if item["kind"] == "sphere_cyl" else CircleDisk
-            atoms.append(cls(item["m"]))
-        return PageForm(tuple(atoms), dim=data.get("dim", 2))
+        """Count the kinds of ``{"atoms": [{"kind": ..., "m": ...}, ...]}``;
+        the atoms' common m is the dimension, else ``dim`` (default 2)."""
+        atoms = data.get("atoms", [])
+        kinds, ms = [item["kind"] for item in atoms], [item["m"] for item in atoms]
+        for kind in kinds:
+            if kind not in ("sphere_cyl", "circle_disk"):
+                raise SpuncalcError(f"unknown atom kind {echo(kind)}")
+        require_integers(DimensionMismatchError, "atom dimension m must be an integer", *ms)
+        if len(set(ms)) > 1:
+            raise DimensionMismatchError(f"atoms of mixed dimensions {echo(sorted(set(ms)))}")
+        return PageForm(kinds.count("sphere_cyl"), kinds.count("circle_disk"),
+                        ms[0] if ms else data.get("dim", 2))
 
 
 @dataclass(frozen=True)
@@ -126,8 +99,7 @@ class MonodromyForm:
         object.__setattr__(self, "pushes", frozenset(pairs))
 
     def check(self, page: PageForm) -> None:
-        spheres = page.sphere_count()
-        circles = page.circle_count()
+        spheres, circles = page.spheres, page.circles
         if len(self.twist_exponents) != spheres:
             raise InvalidMonodromyError(
                 f"{len(self.twist_exponents)} twist exponents for {spheres} cylinder atoms"
@@ -220,7 +192,7 @@ def evaluate_open_book(page: PageForm, mono: MonodromyForm) -> FourManifoldForm:
     # pairs disjoint, so every push removes one circle atom
     unpushed = [e for s, e in enumerate(mono.twist_exponents, 1) if s not in pushed_spheres]
     circles = FourManifoldForm(dim=page.dim,
-                               s1_cross_sphere=page.circle_count() - len(mono.pushes))
+                               s1_cross_sphere=page.circles - len(mono.pushes))
     return circles.connected_sum(parity_form(unpushed, page.dim))
 
 

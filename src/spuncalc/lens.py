@@ -8,7 +8,9 @@ strand framings are b_i = a_1 + ... + a_i + 2(i-1); working out the slide
 congruence on the linking matrix shows two strands i < j link with
 b_i + 1. (Summing crossing contributions naively per pair would give
 a_i + 1 instead, but that matrix does not present Z/p; the congruence
-value does, and it is what this module stores.)
+value does.) Each object stores one form: the plumbing chain its diagonal
+a_i, the slid diagram its framings b_i. The links b_i + 1 and the twist
+region counts b_r - b_{r-1} are derived from the framings when read.
 
 The braid admits a planar open book whose raw monodromy word is emitted
 for inspection. Its per-boundary parities disagree with the reduced
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .errors import SpuncalcError, echo, require_integers
@@ -104,46 +107,47 @@ def plumbing_matrix(c: ContinuedFraction) -> PlumbingChain:
 
 @dataclass(frozen=True)
 class SlidLensDiagram:
-    """Closed k-braid produced by the chain of handle slides.
-
-    ``framings[i]`` is b_{i+1}; strands i < j link with ``links[i-1]``
-    (value depends only on the smaller index); ``twist_regions[i]`` is the
-    number of full twists around strands i+1..k.
+    """Closed k-braid produced by the chain of handle slides, stored as its
+    framings alone: ``framings[i-1]`` is b_i. Everything else is derived:
+    strands i < j link with ``links[i-1]`` = b_i + 1 (the value depends
+    only on the smaller index), and ``twist_regions[r-1]``, the number of
+    full twists around strands r..k, is t_1 = b_1 + 1 and
+    t_r = b_r - b_{r-1} = a_r + 2 for r >= 2.
     """
 
     framings: tuple[int, ...]
-    links: tuple[int, ...]
-    twist_regions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.links) != max(len(self.framings) - 1, 0):
-            raise SpuncalcError("need one linking value per adjacent strand pair")
-        if len(self.twist_regions) != len(self.framings):
-            raise SpuncalcError("need one twist region per strand")
 
     @property
     def strands(self) -> int:
         return len(self.framings)
 
+    @property
+    def links(self) -> tuple[int, ...]:
+        return tuple(b + 1 for b in self.framings[:-1])
+
+    @property
+    def twist_regions(self) -> tuple[int, ...]:
+        return tuple(b - prev for prev, b in zip((-1, *self.framings), self.framings))
+
     def linking(self, i: int, j: int) -> int:
         if i == j:
             return self.framings[i - 1]
-        return self.links[min(i, j) - 1]
+        return self.framings[min(i, j) - 1] + 1
 
     def linking_det(self) -> int:
         """Exact determinant of the linking matrix in O(k), exploiting the
         min-structure of the off-diagonal entries."""
         if self.strands == 0:
             return 1
-        values = list(self.links) + [self.framings[-1]]
+        values = [*self.links, self.framings[-1]]
         return min_structured_det(values, list(self.framings))
 
     def as_braid_diagram(self) -> FramedBraidDiagram:
         """Realize the linking data as a pure braid word: one letter
         A_ij^n per linked pair, in index order."""
         k = self.strands
-        word = tuple((i, j, self.links[i - 1]) for i in range(1, k)
-                     for j in range(i + 1, k + 1) if self.links[i - 1])
+        word = tuple((i, j, n) for i, n in enumerate(self.links, 1) if n
+                     for j in range(i + 1, k + 1))
         return FramedBraidDiagram(strands=k, braid_word=word, framings=self.framings)
 
     def to_json(self) -> dict:
@@ -155,17 +159,8 @@ class SlidLensDiagram:
 
 
 def slid_diagram(c: ContinuedFraction) -> SlidLensDiagram:
-    a = c.coefficients
-    k = len(a)
-    partial = []
-    s = 0
-    for i, ai in enumerate(a):
-        s += ai
-        partial.append(s)
-    framings = tuple(partial[i] + 2 * i for i in range(k))
-    links = tuple(framings[i] + 1 for i in range(k - 1))
-    twist_regions = tuple([a[0] + 1] + [ai + 2 for ai in a[1:]])
-    return SlidLensDiagram(framings=framings, links=links, twist_regions=twist_regions)
+    """b_i = a_1 + ... + a_i + 2(i-1)."""
+    return SlidLensDiagram(tuple(s + 2 * i for i, s in enumerate(accumulate(c.coefficients))))
 
 
 def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
@@ -178,10 +173,8 @@ def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
         sd = slid_diagram(c)
     k = sd.strands
     page = PlanarPage(k)
-    letters = [twist({i}, sd.framings[i - 1]) for i in range(1, k + 1)]
-    letters.append(twist(range(1, k + 1), sd.twist_regions[0]))
-    for i in range(2, k + 1):
-        letters.append(twist(range(i, k + 1), sd.twist_regions[i - 1]))
+    letters = [twist({i}, b) for i, b in enumerate(sd.framings, 1)]
+    letters += [twist(range(r, k + 1), t) for r, t in enumerate(sd.twist_regions, 1)]
     return page, TwistWord(page, tuple(letters))
 
 

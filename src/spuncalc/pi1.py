@@ -68,21 +68,19 @@ class GroupPresentation:
 
 @dataclass(frozen=True)
 class PushPage:
-    """g circle handles, k sphere cylinders, one pushed loop per sphere."""
+    """g circle handles and one pushed loop per sphere cylinder: the loops
+    are the spheres, so their count is the sphere count."""
 
     handle_count: int
-    sphere_count: int
     loops: tuple[Word, ...] = ()
 
     def __post_init__(self) -> None:
         loops = tuple(map(tuple, self.loops))
         require_integers(InvalidPresentationError, "counts and letters must be integers",
-                         self.handle_count, self.sphere_count, *chain(*loops))
-        if self.handle_count < 0 or self.sphere_count < 0:
-            raise InvalidPresentationError("atom counts must be nonnegative")
+                         self.handle_count, *chain(*loops))
+        if self.handle_count < 0:
+            raise InvalidPresentationError("handle count must be nonnegative")
         object.__setattr__(self, "loops", loops)
-        if len(loops) != self.sphere_count:
-            raise InvalidPresentationError("need exactly one loop per sphere boundary")
         for w in loops:
             for x in w:
                 if x == 0 or abs(x) > self.handle_count:
@@ -93,18 +91,14 @@ class PushPage:
     def to_json(self) -> dict:
         return {
             "handles": self.handle_count,
-            "spheres": self.sphere_count,
+            "spheres": len(self.loops),
             "loops": [word_to_text(w) for w in self.loops],
         }
 
 
 def page_for_presentation(g: GroupPresentation) -> PushPage:
     """Transcribe: one handle per generator, one pushed sphere per relator."""
-    return PushPage(
-        handle_count=g.generator_count,
-        sphere_count=len(g.relators),
-        loops=g.relators,
-    )
+    return PushPage(handle_count=g.generator_count, loops=g.relators)
 
 
 def pi1_of_open_book(p: PushPage) -> GroupPresentation:
@@ -157,8 +151,12 @@ def word_to_text(word: Word, symbol: str = "x") -> str:
     )
 
 
+# most generators a presentation file may declare: the report names each one
+MAX_GENERATORS = 100_000
+
+
 def parse_presentation(text: str) -> GroupPresentation:
-    """Parse the file format: a ``gens g`` line, then one relator per line."""
+    """Parse the file format: one ``gens g`` line, then one relator per line."""
     gens = None
     relators: list[Word] = []
     for raw in text.splitlines():
@@ -166,11 +164,16 @@ def parse_presentation(text: str) -> GroupPresentation:
         if not line or line.startswith("#"):
             continue
         if line.startswith("gens"):
+            if gens is not None:
+                raise InvalidPresentationError(f"repeated gens line: {echo(line)}")
             try:
                 _, count = line.split()
                 gens = int(count)
             except ValueError:
                 raise InvalidPresentationError(f"bad gens line: {echo(line)}") from None
+            if gens > MAX_GENERATORS:
+                raise InvalidPresentationError(
+                    f"gens takes at most {MAX_GENERATORS} generators, got {echo(gens)}")
         else:
             relators.append(parse_relator(line))
     if gens is None:

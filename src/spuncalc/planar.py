@@ -3,6 +3,8 @@
 A planar page is a disk with ``inner_count`` holes. A curve on it is kept
 only up to homology, i.e. as the set of inner boundary components it
 encloses; the full set stands for a curve parallel to the outer boundary.
+``CurveClass`` stores that set once, as the sorted tuple of its distinct
+indices: the bounds checks, the writers and the sums read it in order.
 Words are sequences of Dehn twist letters and push letters with integer
 exponents. Since every downstream computation factors through exponent
 sums per boundary component (and usually their parities), this is all the
@@ -24,15 +26,14 @@ builds and checks the generator of each distinct generator text (``T{1,3}``,
 curve, keyed only once every index has passed ``type(i) is int`` (``True ==
 1 == 1.0`` hash alike, so ``[true]`` and ``[1.0]`` would otherwise reuse the
 generator of ``[1]``). Every exponent is still checked at every letter. A
-word checks each distinct generator object against its page once; a curve
-sorts its indices once, when it is built, and ``word_to_text`` formats each
-distinct generator once per word.
+word checks each distinct generator object against its page once, and
+``word_to_text`` formats each distinct generator once per word.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import InvalidWordError, SpuncalcError, echo, parse_json
@@ -51,15 +52,13 @@ class PlanarPage:
 
 @dataclass(frozen=True)
 class CurveClass:
-    """Homology class of a simple closed curve: the holes it encloses.
-    The indices are sorted once, when the curve is built: the bounds
-    checks and the writers read them in order."""
+    """Homology class of a simple closed curve: the holes it encloses, built
+    from any iterable of indices and stored as their sorted distinct tuple."""
 
-    enclosed: frozenset[int]
-    _sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    enclosed: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        enclosed = self.enclosed
+        enclosed = set(self.enclosed)
         if not enclosed:
             raise InvalidWordError("a curve must enclose at least one inner boundary")
         if set(map(type, enclosed)) != {int}:
@@ -69,16 +68,13 @@ class CurveClass:
         indices = tuple(sorted(enclosed))
         if indices[0] < 1:
             raise InvalidWordError("boundary indices are 1-based")
-        object.__setattr__(self, "_sorted", indices)
+        object.__setattr__(self, "enclosed", indices)
 
     def valid_on(self, page: PlanarPage) -> bool:
-        return self._sorted[-1] <= page.inner_count
-
-    def sorted(self) -> tuple[int, ...]:
-        return self._sorted
+        return self.enclosed[-1] <= page.inner_count
 
     def __str__(self) -> str:
-        return "{%s}" % ",".join(map(str, self._sorted))
+        return "{%s}" % ",".join(map(str, self.enclosed))
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ class PlanarPush:
             raise InvalidWordError("a boundary cannot be pushed around a curve enclosing it")
 
     def __str__(self) -> str:
-        return f"P{{{self.boundary}|{','.join(map(str, self.around.sorted()))}}}"
+        return f"P{{{self.boundary}|{','.join(map(str, self.around.enclosed))}}}"
 
 
 Generator = Union[DehnTwist, PlanarPush]
@@ -124,13 +120,13 @@ def _letter(gen: Generator, exponent: int) -> Letter:
 
 
 def _twist_gen(enclosed: Iterable[int]) -> DehnTwist:
-    return DehnTwist(CurveClass(frozenset(enclosed)))
+    return DehnTwist(CurveClass(enclosed))
 
 
 def _push_gen(boundary: int, around: Iterable[int]) -> PlanarPush:
     if type(boundary) is not int:
         raise InvalidWordError(f"a pushed boundary must be an integer, got {echo(boundary)}")
-    return PlanarPush(boundary, CurveClass(frozenset(around)))
+    return PlanarPush(boundary, CurveClass(around))
 
 
 def twist(enclosed: Iterable[int], exponent: int = 1) -> Letter:
@@ -157,7 +153,7 @@ class TwistWord:
     page once, in the order of its first letter."""
 
     page: PlanarPage
-    letters: tuple[Letter, ...] = field(default_factory=tuple)
+    letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
         for gen in _distinct(self.letters):
@@ -193,7 +189,7 @@ _LETTER_RE = re.compile(r"(T\{(\d+(?:,\d+)*)\}|P\{(\d+)\|(\d+(?:,\d+)*)\})(?:\^(
 
 
 def _curve_text(indices: str) -> CurveClass:
-    return CurveClass(frozenset(map(int, indices.split(","))))
+    return CurveClass(map(int, indices.split(",")))
 
 
 def parse_word(text: str, page: PlanarPage) -> TwistWord:
@@ -231,12 +227,12 @@ def word_to_json(word: TwistWord) -> list[dict]:
     out = []
     for gen, exp in word.letters:
         if isinstance(gen, DehnTwist):
-            out.append({"op": "twist", "curve": list(gen.curve.sorted()), "exp": exp})
+            out.append({"op": "twist", "curve": list(gen.curve.enclosed), "exp": exp})
         else:
             out.append({
                 "op": "push",
                 "boundary": gen.boundary,
-                "around": list(gen.around.sorted()),
+                "around": list(gen.around.enclosed),
                 "exp": exp,
             })
     return out

@@ -97,7 +97,7 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
     a_indices = {2 * j - 1 for j in range(1, n + 1)}
     for gen, exp in word.letters:
         if isinstance(gen, PlanarPush):
-            around = gen.around.sorted()
+            around = gen.around.enclosed
             if len(around) != 1 or gen.boundary != around[0] + 1 or gen.boundary % 2 != 0:
                 raise MalformedPairingError(
                     f"push {echo(gen, str)} does not push a b-boundary around its a-partner"
@@ -111,7 +111,7 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
                 )
             seen_pushes.add(j)
         else:
-            if not gen.curve.enclosed <= a_indices:
+            if not a_indices.issuperset(gen.curve.enclosed):
                 raise ConditionNotApplicableError(
                     f"twist curve {echo(gen.curve, str)} touches b-boundaries; the "
                     "certificate only judges words twisting a-boundaries"

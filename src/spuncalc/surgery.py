@@ -105,14 +105,13 @@ class FramedBraidDiagram:
 
 
 def parse_diagram(text: str) -> FramedBraidDiagram:
-    """Parse the text format (``strands n`` / ``framings ...`` / ``A i j e``)
-    or the JSON mirror, sniffing the format."""
+    """Parse the text format (``strands n`` / ``framings ...`` / ``A i j e``,
+    each header line once) or the JSON mirror, sniffing the format."""
     stripped = text.strip()
     if stripped.startswith("{"):
         return FramedBraidDiagram.from_json(
             parse_json(stripped, InvalidDiagramError, "malformed JSON diagram"))
-    strands = None
-    framings: tuple[int, ...] = ()
+    headers: dict[str, tuple[int, ...]] = {}  # the strands and framings lines, once each
     word: list[BraidLetter] = []
     for raw in stripped.splitlines():
         line = raw.strip()
@@ -123,17 +122,18 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
             values = tuple(int(x) for x in fields)
         except ValueError:
             raise InvalidDiagramError(f"non-integer field in diagram line: {echo(line)}") from None
-        if key == "strands" and len(values) == 1:
-            strands = values[0]
-        elif key == "framings":
-            framings = values
+        if (key == "strands" and len(values) == 1) or key == "framings":
+            if key in headers:
+                raise InvalidDiagramError(f"repeated {key} line: {echo(line)}")
+            headers[key] = values
         elif key == "A" and len(values) == 3:
             word.append(values)
         else:
             raise InvalidDiagramError(f"unrecognized diagram line: {echo(line)}")
-    if strands is None:
+    if "strands" not in headers:
         raise InvalidDiagramError("missing 'strands' line")
-    return FramedBraidDiagram(strands=strands, braid_word=tuple(word), framings=framings)
+    return FramedBraidDiagram(strands=headers["strands"][0], braid_word=tuple(word),
+                              framings=headers.get("framings", ()))
 
 
 def linking_matrix(d: FramedBraidDiagram) -> LinkingMatrix:

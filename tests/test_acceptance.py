@@ -11,11 +11,9 @@ from itertools import combinations
 from math import gcd
 
 from spuncalc.fourman import (
-    CircleDisk,
     FourManifoldForm,
     MonodromyForm,
     PageForm,
-    SphereCyl,
     boundary_sphere_images,
     equal,
     evaluate_open_book,
@@ -271,15 +269,15 @@ def test_criterion_12_sphere_certificate_family():
 
 
 def test_criterion_13_evaluator_atoms():
-    cyl = PageForm((SphereCyl(2),))
+    cyl = PageForm(spheres=1)
     assert evaluate_open_book(cyl, MonodromyForm(twist_exponents=(0,))) == form(trivial=1)
     assert evaluate_open_book(cyl, MonodromyForm(twist_exponents=(1,))) == form(twisted=1)
 
-    pair = PageForm((CircleDisk(2), SphereCyl(2)))
+    pair = PageForm(spheres=1, circles=1)
     pushed = MonodromyForm(twist_exponents=(5,), pushes=frozenset({(1, 1)}))
     assert evaluate_open_book(pair, pushed).summand_count() == 0
 
-    circle = PageForm((CircleDisk(2),))
+    circle = PageForm(circles=1)
     out = evaluate_open_book(circle, MonodromyForm())
     assert out == FourManifoldForm(dim=2, s1_cross_sphere=1)
     _announce(13, "evaluator reproduces both cylinder parities, the circle product, and the pushed pair")

@@ -136,6 +136,14 @@ def test_pi1_command(tmp_path, capsys):
     assert report["outputs"]["recovered"]["relators"] == ["x1x1"]
 
 
+def test_pi1_takes_up_to_max_page_holes_generators(tmp_path, capsys):
+    pres = tmp_path / "p.txt"
+    pres.write_text(f"gens {MAX_PAGE_HOLES}\n")
+    code, out, _ = run(capsys, "pi1", str(pres), "--json", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["outputs"]["abelianization"]["free_rank"] == MAX_PAGE_HOLES
+
+
 def test_pi1_bad_file_exits_2(tmp_path, capsys):
     pres = tmp_path / "p.txt"
     pres.write_text("x1x1\n")
@@ -317,6 +325,11 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
      {"w.json": '[{"op":"twist","curve":[1]},{"op":"twist","curve":[true]}]'}, "integers"),
     (["embed", "--page", "2", "--word", "w.json"],
      {"w.json": '[{"op":"twist","curve":[1]},{"op":"twist","curve":[1.0]}]'}, "integers"),
+    (["pi1", "g.txt"], {"g.txt": "gens 2\nx1x2\ngens 3\nx3\n"}, "repeated gens line"),
+    (["surgery", "d.txt"], {"d.txt": "strands 2\nframings 1 2\nstrands 3\nframings 1 2 3\n"},
+     "repeated strands line"),
+    (["surgery", "d.txt"], {"d.txt": "strands 2\nframings 1 2\nframings 3 4\n"},
+     "repeated framings line"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "negative-fuzz", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -330,7 +343,7 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "word-exponent-too-long", "relator-index-too-long", "embed-page-too-large",
         "certify-s4-page-too-large", "argv-not-an-integer", "argv-unknown-command",
         "argv-unknown-option", "argv-missing-option", "json-word-reused-curve-bool",
-        "json-word-reused-curve-float"])
+        "json-word-reused-curve-float", "repeated-gens", "repeated-strands", "repeated-framings"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)
@@ -388,6 +401,7 @@ OVERSIZED_INPUTS = [
     (["pi1", "g.txt"], {"g.txt": "gens 1\n" + "x1" * 100_000 + "y\n"}, "cannot parse"),
     (["pi1", "g.txt"], {"g.txt": "gens 1 " + "2 " * 100_000 + "\n"}, "bad gens"),
     (["lens", "x" * 100_000, "2"], {}, "invalid int value"),
+    (["pi1", "g.txt"], {"g.txt": "gens 1000000000\n"}, "at most 100000 generators"),
 ]
 
 
@@ -396,7 +410,7 @@ OVERSIZED_INPUTS = [
                               "word-token", "push-curve-off-page", "move-region-off-diagram",
                               "move-region-string", "diagram-line", "diagram-framing-string",
                               "diagram-strands", "move-component", "move-framing", "move-twists",
-                              "relator", "gens-line", "argv-token"])
+                              "relator", "gens-line", "argv-token", "gens-count"])
 def test_an_oversized_input_gives_one_short_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                        needle):
     monkeypatch.chdir(tmp_path)

@@ -11,11 +11,9 @@ from spuncalc.errors import (
     SpuncalcError,
 )
 from spuncalc.fourman import (
-    CircleDisk,
     FourManifoldForm,
     MonodromyForm,
     PageForm,
-    SphereCyl,
     boundary_sphere_images,
     equal,
     evaluate_open_book,
@@ -31,13 +29,13 @@ def form(dim=2, s1=0, trivial=0, twisted=0):
 
 
 def test_cylinder_identity_gives_trivial_bundle():
-    page = PageForm((SphereCyl(2),))
+    page = PageForm(spheres=1)
     out = evaluate_open_book(page, MonodromyForm(twist_exponents=(0,)))
     assert out == form(trivial=1)
 
 
 def test_cylinder_twist_gives_twisted_bundle():
-    page = PageForm((SphereCyl(2),))
+    page = PageForm(spheres=1)
     out = evaluate_open_book(page, MonodromyForm(twist_exponents=(1,)))
     assert out == form(twisted=1)
     out = evaluate_open_book(page, MonodromyForm(twist_exponents=(-3,)))
@@ -45,7 +43,7 @@ def test_cylinder_twist_gives_twisted_bundle():
 
 
 def test_pushed_pair_is_a_sphere():
-    page = PageForm((CircleDisk(2), SphereCyl(2)))
+    page = PageForm(spheres=1, circles=1)
     mono = MonodromyForm(twist_exponents=(5,), pushes=frozenset({(1, 1)}))
     out = evaluate_open_book(page, mono)
     assert out.summand_count() == 0
@@ -53,7 +51,7 @@ def test_pushed_pair_is_a_sphere():
 
 
 def test_circle_disk_gives_s1_cross_sphere():
-    page = PageForm((CircleDisk(2),))
+    page = PageForm(circles=1)
     out = evaluate_open_book(page, MonodromyForm())
     assert out == form(s1=1)
     assert out.describe() == "S1xS3"
@@ -67,14 +65,14 @@ def test_empty_page_is_a_sphere():
 
 def test_connected_sum_count_matches_atom_count():
     for k in range(1, 6):
-        page = PageForm((SphereCyl(2),) * k)
+        page = PageForm(spheres=k)
         out = evaluate_open_book(page, MonodromyForm(twist_exponents=(0,) * k))
         assert out == form(trivial=k)
         assert out.summand_count() == k
 
 
 def test_spin_criterion():
-    page = PageForm((SphereCyl(2), SphereCyl(2), CircleDisk(2)))
+    page = PageForm(spheres=2, circles=1)
     mono = MonodromyForm(twist_exponents=(2, -4))
     assert evaluate_open_book(page, mono).is_spin()
     mono = MonodromyForm(twist_exponents=(2, -3))
@@ -85,14 +83,14 @@ def test_spin_criterion():
 
 
 def test_higher_dimension_atoms():
-    page = PageForm((SphereCyl(3), CircleDisk(3)))
+    page = PageForm(spheres=1, circles=1, dim=3)
     out = evaluate_open_book(page, MonodromyForm(twist_exponents=(1,)))
     assert out == form(dim=3, s1=1, twisted=1)
     assert "S2x~S3" in out.describe() and "S1xS4" in out.describe()
 
 
 def test_monodromy_validation():
-    page = PageForm((CircleDisk(2), SphereCyl(2)))
+    page = PageForm(spheres=1, circles=1)
     with pytest.raises(InvalidMonodromyError):
         evaluate_open_book(page, MonodromyForm(twist_exponents=()))
     with pytest.raises(InvalidMonodromyError):
@@ -101,7 +99,7 @@ def test_monodromy_validation():
     with pytest.raises(InvalidMonodromyError):
         evaluate_open_book(page, MonodromyForm(twist_exponents=(0,),
                                                pushes=frozenset({(1, 2)})))
-    page2 = PageForm((CircleDisk(2), SphereCyl(2), SphereCyl(2)))
+    page2 = PageForm(spheres=2, circles=1)
     with pytest.raises(InvalidMonodromyError):
         evaluate_open_book(
             page2,
@@ -111,10 +109,26 @@ def test_monodromy_validation():
 
 
 def test_atom_dimension_mixing_rejected():
-    with pytest.raises(DimensionMismatchError):
-        PageForm((SphereCyl(2), SphereCyl(3)))
-    with pytest.raises(DimensionMismatchError):
-        SphereCyl(0)
+    with pytest.raises(DimensionMismatchError, match="mixed"):
+        PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": 2},
+                                      {"kind": "circle_disk", "m": 3}]})
+    with pytest.raises(DimensionMismatchError, match=">= 1"):
+        PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": 0}]})
+    with pytest.raises(DimensionMismatchError, match=">= 1"):
+        PageForm(spheres=1, dim=0)
+    with pytest.raises(SpuncalcError, match="nonnegative"):
+        PageForm(circles=-1)
+
+
+def test_page_json_counts_the_atom_kinds():
+    page = PageForm.from_json({"atoms": [{"kind": "circle_disk", "m": 3},
+                                         {"kind": "sphere_cyl", "m": 3},
+                                         {"kind": "sphere_cyl", "m": 3}]})
+    assert page == PageForm(spheres=2, circles=1, dim=3)
+    assert PageForm.from_json({}) == PageForm()
+    assert PageForm.from_json({"dim": 4}) == PageForm(dim=4)
+    with pytest.raises(SpuncalcError, match="unknown atom kind 'sphere_cly'"):
+        PageForm.from_json({"atoms": [{"kind": "sphere_cly", "m": 2}]})
 
 
 def test_normalize_absorption():
@@ -203,9 +217,10 @@ def test_form_json_roundtrip():
     (lambda x: MonodromyForm(pushes=frozenset({(1, x)})), InvalidMonodromyError),
     (lambda x: PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": x}]}), SpuncalcError),
     (lambda x: PageForm.from_json({"dim": x}), SpuncalcError),
+    (lambda x: PageForm(spheres=x), SpuncalcError),
     (lambda x: FourManifoldForm(trivial_bundle=x), SpuncalcError),
     (lambda x: twist_image({x}, 3), SpuncalcError),
-], ids=["monodromy-twist", "monodromy-push", "page-atom-m", "page-dim", "form-count",
+], ids=["monodromy-twist", "monodromy-push", "page-atom-m", "page-dim", "page-count", "form-count",
         "twist-image"])
 def test_constructors_reject_non_integers(build, error, bad):
     # validated, never coerced: int() would read 2.9 and "2" as 2, True as 1

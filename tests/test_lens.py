@@ -1,5 +1,6 @@
 """Lens pipeline: expansions, determinants, words, parities, targets."""
 
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
@@ -12,6 +13,7 @@ from spuncalc.fourman import FourManifoldForm
 from spuncalc.homology import det
 from spuncalc.lens import (
     ContinuedFraction,
+    SlidLensDiagram,
     cf_eval,
     cf_expand,
     lens_embedding_target,
@@ -124,6 +126,20 @@ def test_slid_diagram_examples():
     assert sd.framings == (-5,)
     assert sd.links == ()
     assert sd.twist_regions == (-4,)
+
+
+def test_slid_diagram_stores_framings_and_derives_links_and_twist_regions():
+    assert [f.name for f in fields(SlidLensDiagram)] == ["framings"]
+    for p in range(2, 201):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            a = cf_expand(p, q).coefficients
+            sd = slid_diagram(cf_expand(p, q))
+            b = [sum(a[:i]) + 2 * (i - 1) for i in range(1, len(a) + 1)]
+            assert sd.framings == tuple(b), (p, q)
+            assert sd.links == tuple(b_i + 1 for b_i in b[:-1]), (p, q)
+            assert sd.twist_regions == (a[0] + 1, *(a_r + 2 for a_r in a[1:])), (p, q)
 
 
 @given(coprime_pairs)

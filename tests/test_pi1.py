@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spuncalc.errors import InvalidPresentationError
 from spuncalc.homology import H1Invariants
 from spuncalc.pi1 import (
+    MAX_GENERATORS,
     GroupPresentation,
     PushPage,
     abelianization,
@@ -59,20 +60,21 @@ def test_reductions_idempotent():
 def test_page_for_presentation_transcribes():
     g = GroupPresentation(1, ((1, 1),))
     page = page_for_presentation(g)
-    assert page == PushPage(1, 1, ((1, 1),))
+    assert page == PushPage(1, ((1, 1),))
+    assert page.to_json()["spheres"] == 1
 
     g = GroupPresentation(2, ((1, 2, -1, -2),))
     assert page_for_presentation(g).loops == ((1, 2, -1, -2),)
 
     trivial = GroupPresentation(0, ())
-    assert page_for_presentation(trivial) == PushPage(0, 0, ())
+    assert page_for_presentation(trivial) == PushPage(0, ())
 
 
 def test_pi1_of_open_book_examples():
-    assert pi1_of_open_book(PushPage(1, 1, ((1, 1),))) == GroupPresentation(1, ((1, 1),))
-    assert pi1_of_open_book(PushPage(2, 0, ())) == GroupPresentation(2, ())
+    assert pi1_of_open_book(PushPage(1, ((1, 1),))) == GroupPresentation(1, ((1, 1),))
+    assert pi1_of_open_book(PushPage(2, ())) == GroupPresentation(2, ())
     # unreduced loop comes back freely reduced
-    assert pi1_of_open_book(PushPage(1, 1, ((1, -1, 1),))) == GroupPresentation(1, ((1,),))
+    assert pi1_of_open_book(PushPage(1, ((1, -1, 1),))) == GroupPresentation(1, ((1,),))
 
 
 @given(
@@ -130,9 +132,9 @@ def test_presentation_validation():
     with pytest.raises(InvalidPresentationError):
         GroupPresentation(1, ((0,),))
     with pytest.raises(InvalidPresentationError):
-        PushPage(1, 2, ((1,),))
+        PushPage(1, ((2,),))
     with pytest.raises(InvalidPresentationError):
-        PushPage(1, 1, ((2,),))
+        PushPage(-1)
 
 
 def test_parse_relator_and_presentation():
@@ -148,9 +150,17 @@ def test_parse_relator_and_presentation():
     assert pres.describe() == "< x1, x2 | x1x2X1X2, x1x1 >"
 
 
+def test_one_gens_line_of_at_most_max_generators():
+    assert parse_presentation(f"gens {MAX_GENERATORS}\n").generator_count == MAX_GENERATORS
+    with pytest.raises(InvalidPresentationError, match=f"at most {MAX_GENERATORS}"):
+        parse_presentation(f"gens {MAX_GENERATORS + 1}\n")
+    with pytest.raises(InvalidPresentationError, match="repeated gens"):
+        parse_presentation("gens 2\nx1x2\ngens 3\nx3\n")
+
+
 def test_an_oversized_loop_letter_gives_a_short_error():
     with pytest.raises(InvalidPresentationError, match="outside handles") as info:
-        PushPage(1, 1, ((10 ** 3000,),))
+        PushPage(1, ((10 ** 3000,),))
     assert len(str(info.value)) < 1024
 
 
@@ -158,8 +168,8 @@ def test_an_oversized_loop_letter_gives_a_short_error():
 @pytest.mark.parametrize("build", [
     lambda x: GroupPresentation(x),
     lambda x: GroupPresentation(3, ((1, x),)),
-    lambda x: PushPage(x, 0),
-    lambda x: PushPage(3, 1, ((x,),)),
+    lambda x: PushPage(x),
+    lambda x: PushPage(3, ((x,),)),
 ], ids=["generator-count", "relator-letter", "handle-count", "loop-letter"])
 def test_constructors_reject_non_integers(build, bad):
     # validated, never coerced: int() would read 2.9 and "2" as 2, True as 1

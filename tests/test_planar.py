@@ -1,6 +1,7 @@
 """Twist word arithmetic against a direct summation oracle."""
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,23 @@ def test_out_of_range_curve_rejected():
         TwistWord(page, (push(1, {1, 2}),))
     with pytest.raises(InvalidWordError):
         CurveClass(frozenset())
+
+
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=12), st.randoms())
+@settings(max_examples=100, deadline=None)
+def test_a_curve_stores_its_sorted_distinct_holes(indices, rng):
+    shuffled = indices + indices[:1]
+    rng.shuffle(shuffled)
+    token = "T{%s}" % ",".join(map(str, shuffled))
+    curves = [CurveClass(frozenset(indices)), CurveClass(indices), CurveClass(iter(shuffled)),
+              parse_word(token, PlanarPage(20)).letters[0][0].curve]
+    for curve in curves:
+        assert curve.enclosed == tuple(sorted(set(indices)))
+        assert curve == curves[0] and hash(curve) == hash(curves[0])
+    lo, hi = min(indices), max(indices)
+    assert CurveClass(range(lo, hi + 1)).enclosed == tuple(range(lo, hi + 1))
+    assert CurveClass(range(hi, lo - 1, -1)) == CurveClass(range(lo, hi + 1))
+    assert [f.name for f in fields(CurveClass)] == ["enclosed"]
 
 
 def test_non_integer_letter_fields_rejected():
