@@ -21,6 +21,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, NoReturn
@@ -217,18 +218,22 @@ def cmd_certify_s4(args: argparse.Namespace) -> int:
 def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Report:
     """Apply a JSON move list with an H1 audit of each move and of the whole
     chain, then export the final diagram as a planar open book."""
-    final, h1, log = surgery.apply_moves(diagram, moves)
+    final, h1, details = surgery.apply_moves(diagram, moves)
     page, word = surgery.to_planar_open_book(final)
     h1_start, h1_final = h1[0], h1[-1]
-    checks = [{"name": f"{rec.move} preserves H1", "passed": rec.h1_preserved}
-              for rec in log]
+    # one (kind, detail, H1 before, H1 after) per move
+    steps = list(zip((m["move"] for m in moves), details, h1, h1[1:]))
+    checks = [{"name": f"{kind} preserves H1", "passed": before == after}
+              for kind, _, before, after in steps]
     checks.append({"name": "H1 preserved end to end", "passed": h1_start == h1_final})
 
     def outputs():
         return {
             "initial": diagram.to_json(),
             "final": final.to_json(),
-            "moves": [rec.to_json() for rec in log],
+            "moves": [{"move": kind, "detail": detail, "h1_before": before.to_json(),
+                       "h1_after": after.to_json(), "h1_preserved": before == after}
+                      for kind, detail, before, after in steps],
             "h1": h1_final.to_json(),
             "open_book": {
                 "page": {"inner_count": page.inner_count},
@@ -240,10 +245,9 @@ def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Re
     def lines():
         yield f"diagram: {diagram.strands} strands, framings {list(diagram.framings)}"
         yield f"H1 = {h1_start.describe()}"
-        for rec in log:
-            status = "ok" if rec.h1_preserved else "H1 CHANGED"
-            yield (f"move {rec.move} [{rec.detail}]: "
-                   f"{rec.h1_before.describe()} -> {rec.h1_after.describe()} ({status})")
+        for kind, detail, before, after in steps:
+            status = "ok" if before == after else "H1 CHANGED"
+            yield f"move {kind} [{detail}]: {before.describe()} -> {after.describe()} ({status})"
         yield f"final: {final.strands} strands, framings {list(final.framings)}"
         yield f"open book on {_page_name(page)}: {word_to_text(word) or '(empty)'}"
 
@@ -318,7 +322,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         return {
             "total": len(results),
             "passed": passed,
-            "results": [r.to_json() for r in results],
+            "results": [asdict(r) for r in results],
         }
 
     def lines():

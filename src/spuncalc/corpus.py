@@ -33,14 +33,6 @@ class CaseResult:
         suffix = f" ({self.detail})" if self.detail and not self.passed else ""
         return f"{status}: {self.name}{suffix}"
 
-    def to_json(self) -> dict:
-        return {
-            "file": self.file,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 def fixture_names() -> list[str]:
     files = resources.files(__package__) / "corpus"

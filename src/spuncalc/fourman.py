@@ -67,7 +67,8 @@ class PageForm:
     @staticmethod
     def from_json(data: dict) -> PageForm:
         """Count the kinds of ``{"atoms": [{"kind": ..., "m": ...}, ...]}``;
-        the atoms' common m is the dimension, else ``dim`` (default 2)."""
+        the atoms' common m is the dimension, which a ``dim`` field, if
+        given, must equal (without atoms ``dim`` alone sets it, default 2)."""
         atoms = data.get("atoms", [])
         kinds, ms = [item["kind"] for item in atoms], [item["m"] for item in atoms]
         for kind in kinds:
@@ -76,8 +77,10 @@ class PageForm:
         require_integers(DimensionMismatchError, "atom dimension m must be an integer", *ms)
         if len(set(ms)) > 1:
             raise DimensionMismatchError(f"atoms of mixed dimensions {echo(sorted(set(ms)))}")
-        return PageForm(kinds.count("sphere_cyl"), kinds.count("circle_disk"),
-                        ms[0] if ms else data.get("dim", 2))
+        dim = data.get("dim", ms[0] if ms else 2)
+        if ms and ms[0] != dim:
+            raise DimensionMismatchError(f"atoms of dimension {ms[0]} on a page of dim {echo(dim)}")
+        return PageForm(kinds.count("sphere_cyl"), kinds.count("circle_disk"), dim)
 
 
 @dataclass(frozen=True)

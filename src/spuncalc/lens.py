@@ -58,18 +58,26 @@ def _check_lens_input(p: int, q: int) -> None:
         raise SpuncalcError(f"p={echo(p)} and q={echo(q)} are not coprime")
 
 
+# most coefficients cf_expand returns: the open book word and the report
+# grow as the square of the expansion length
+MAX_CF_LENGTH = 2_000
+
+
 def cf_expand(p: int, q: int) -> ContinuedFraction:
-    """The unique expansion -p/q = a_1 - 1/(a_2 - ...) with all a_i <= -2."""
+    """The unique expansion -p/q = a_1 - 1/(a_2 - ...) with all a_i <= -2,
+    when it has at most MAX_CF_LENGTH coefficients."""
     _check_lens_input(p, q)
     coeffs = []
-    while True:
-        a = -((p + q - 1) // q)  # -ceil(p/q)
+    num, den = p, q
+    for _ in range(MAX_CF_LENGTH):
+        a = -((num + den - 1) // den)  # -ceil(num/den)
         coeffs.append(a)
-        r = (-a) * q - p
+        r = (-a) * den - num
         if r == 0:
-            break
-        p, q = q, r
-    return ContinuedFraction(tuple(coeffs))
+            return ContinuedFraction(tuple(coeffs))
+        num, den = den, r
+    raise SpuncalcError(
+        f"-{echo(p)}/{echo(q)} has a continued fraction of more than {MAX_CF_LENGTH} coefficients")
 
 
 def cf_eval(c: ContinuedFraction) -> Fraction:
@@ -137,8 +145,6 @@ class SlidLensDiagram:
     def linking_det(self) -> int:
         """Exact determinant of the linking matrix in O(k), exploiting the
         min-structure of the off-diagonal entries."""
-        if self.strands == 0:
-            return 1
         values = [*self.links, self.framings[-1]]
         return min_structured_det(values, list(self.framings))
 
@@ -180,12 +186,7 @@ def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
 
 def psi_parity(c: ContinuedFraction) -> tuple[int, ...]:
     """Parity of the reduced twist exponents: entry j is a_1+...+a_j mod 2."""
-    out = []
-    s = 0
-    for a in c.coefficients:
-        s += a
-        out.append(s % 2)
-    return tuple(out)
+    return tuple(s % 2 for s in accumulate(c.coefficients))
 
 
 @dataclass(frozen=True)

@@ -35,24 +35,30 @@ def free_reduce(word: Word) -> Word:
     return tuple(stack)
 
 
+def _words(count: int, words: object, name: str, letter: str) -> tuple[Word, ...]:
+    """``words`` as a tuple of tuples, once ``count`` (the number of
+    generators or handles, as ``name`` says) and every letter check out;
+    ``letter`` names a letter in the out-of-range error."""
+    words = tuple(map(tuple, words))
+    require_integers(InvalidPresentationError, "counts and letters must be integers",
+                     count, *chain(*words))
+    if count < 0:
+        raise InvalidPresentationError(f"{name} count must be nonnegative")
+    for w in words:
+        for x in w:
+            if x == 0 or abs(x) > count:
+                raise InvalidPresentationError(f"{letter} {echo(x)} outside {name}s 1..{count}")
+    return words
+
+
 @dataclass(frozen=True)
 class GroupPresentation:
     generator_count: int
     relators: tuple[Word, ...] = ()
 
     def __post_init__(self) -> None:
-        relators = tuple(map(tuple, self.relators))
-        require_integers(InvalidPresentationError, "counts and letters must be integers",
-                         self.generator_count, *chain(*relators))
-        if self.generator_count < 0:
-            raise InvalidPresentationError("generator count must be nonnegative")
-        object.__setattr__(self, "relators", relators)
-        for r in relators:
-            for x in r:
-                if x == 0 or abs(x) > self.generator_count:
-                    raise InvalidPresentationError(
-                        f"letter {echo(x)} outside generators 1..{self.generator_count}"
-                    )
+        object.__setattr__(self, "relators", _words(
+            self.generator_count, self.relators, "generator", "letter"))
 
     def describe(self, symbol: str = "x") -> str:
         gens = ", ".join(f"{symbol}{i}" for i in range(1, self.generator_count + 1))
@@ -75,18 +81,8 @@ class PushPage:
     loops: tuple[Word, ...] = ()
 
     def __post_init__(self) -> None:
-        loops = tuple(map(tuple, self.loops))
-        require_integers(InvalidPresentationError, "counts and letters must be integers",
-                         self.handle_count, *chain(*loops))
-        if self.handle_count < 0:
-            raise InvalidPresentationError("handle count must be nonnegative")
-        object.__setattr__(self, "loops", loops)
-        for w in loops:
-            for x in w:
-                if x == 0 or abs(x) > self.handle_count:
-                    raise InvalidPresentationError(
-                        f"loop letter {echo(x)} outside handles 1..{self.handle_count}"
-                    )
+        object.__setattr__(self, "loops", _words(
+            self.handle_count, self.loops, "handle", "loop letter"))
 
     def to_json(self) -> dict:
         return {

@@ -23,11 +23,11 @@ for the letter they build. A word is a sequence over a small alphabet of
 generators, so it is read over its distinct generators: ``parse_word``
 builds and checks the generator of each distinct generator text (``T{1,3}``,
 ``P{2|1}``) once per word, and ``word_from_json`` that of each distinct
-curve, keyed only once every index has passed ``type(i) is int`` (``True ==
-1 == 1.0`` hash alike, so ``[true]`` and ``[1.0]`` would otherwise reuse the
-generator of ``[1]``). Every exponent is still checked at every letter. A
-word checks each distinct generator object against its page once, and
-``word_to_text`` formats each distinct generator once per word.
+``repr`` of its fields (``[1]``, ``[1.0]`` and ``[True]`` are three keys,
+where the values themselves would hash alike). Every exponent is still
+checked at every letter. A word checks each distinct generator object
+against its page once, and ``word_to_text`` formats each distinct
+generator once per word.
 """
 
 from __future__ import annotations
@@ -238,21 +238,12 @@ def word_to_json(word: TwistWord) -> list[dict]:
     return out
 
 
-def _int_key(values: object) -> tuple[int, ...] | None:
-    """``values`` as a tuple when it is a list of ints only, else None. The
-    types are checked first: a bool or float index equals an int and hashes
-    like it, so it must never find the generator built for that int."""
-    if type(values) is list and set(map(type, values)) == {int}:
-        return tuple(values)
-    return None
-
-
 def word_from_json(data: list, page: PlanarPage) -> TwistWord:
     """The word of a JSON list of letter objects; any other value is an
-    error. The generator of each distinct all-int curve is built once."""
+    error. The generator of each distinct field text is built once."""
     if not isinstance(data, list):
         raise InvalidWordError(f"a JSON word must be a list of letters, got {echo(data)}")
-    gens: dict[tuple, Generator] = {}  # by (op, curve) or (op, (boundary, curve))
+    gens: dict[tuple[str, str], Generator] = {}  # by op and the repr of its fields
     letters: list[Letter] = []
     for item in data:
         if not isinstance(item, dict):
@@ -262,19 +253,11 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
             raise InvalidWordError(f"unknown letter op: {echo(op)}")
         exp = item.get("exp", 1)
         try:
-            if op == "twist":
-                curve = item["curve"]
-                key = _int_key(curve)
-            else:
-                boundary, curve = item["boundary"], item["around"]
-                key = _int_key(curve)
-                if key is not None:
-                    key = (boundary, key) if type(boundary) is int else None
-            gen = gens.get((op, key)) if key is not None else None
+            fields = (item["curve"],) if op == "twist" else (item["boundary"], item["around"])
+            key = op, repr(fields)  # the repr tells 1, 1.0 and True apart
+            gen = gens.get(key)
             if gen is None:
-                gen = _twist_gen(curve) if op == "twist" else _push_gen(boundary, curve)
-                if key is not None:
-                    gens[op, key] = gen
+                gen = gens[key] = _twist_gen(*fields) if op == "twist" else _push_gen(*fields)
             letters.append(_letter(gen, exp))
         except KeyError as exc:
             raise InvalidWordError(f"{op} letter {echo(item)} has no {exc} field") from None
@@ -282,6 +265,8 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
             raise InvalidWordError(f"{op} letter {echo(item)}: {exc}") from None
         except TypeError:  # a curve that is no collection, e.g. a number
             raise InvalidWordError(f"{op} letter {echo(item)} needs a list of integers") from None
+        except ValueError:  # repr() refuses an int of more than 4,300 digits
+            raise InvalidWordError(f"integer too long in word letter {len(letters) + 1}") from None
     return TwistWord(page, tuple(letters))
 
 

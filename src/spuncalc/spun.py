@@ -93,7 +93,6 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
     """
     n = _certificate_pairs(word.page)
     seen_pushes: set[int] = set()
-    totals = [0] * n
     a_indices = {2 * j - 1 for j in range(1, n + 1)}
     for gen, exp in word.letters:
         if isinstance(gen, PlanarPush):
@@ -116,8 +115,6 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
                     f"twist curve {echo(gen.curve, str)} touches b-boundaries; the "
                     "certificate only judges words twisting a-boundaries"
                 )
-            for i in gen.curve.enclosed:
-                totals[(i - 1) // 2] += exp
     missing = n - len(seen_pushes)
     if missing:
         first = list(islice((j for j in range(1, n + 1) if j not in seen_pushes),
@@ -125,7 +122,9 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
         more = " ..." if missing > len(first) else ""
         raise MalformedPairingError(
             f"{missing} of {n} pairs have no push letter: {first}{more}")
-    return tuple(t % 2 for t in totals)
+    # a push P{2j|2j-1} changes only the sum of b_j = 2j, so the twist
+    # letters alone set the sums of the a_j = 2j-1: the odd holes' entries
+    return parity_vector(word)[::2]
 
 
 def s4_target_name(page: PlanarPage) -> str:

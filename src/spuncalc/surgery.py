@@ -43,6 +43,10 @@ SIGN_CONVENTIONS = {
 
 BraidLetter = tuple[int, int, int]
 
+# most strands a diagram may have: H1 takes one Smith form per diagram of a
+# move chain, whose cost grows faster than the cube of the strand count
+MAX_STRANDS = 200
+
 
 @dataclass(frozen=True)
 class FramedBraidDiagram:
@@ -69,6 +73,8 @@ class FramedBraidDiagram:
         object.__setattr__(self, "framings", framings)
         if len(framings) != self.strands:
             raise InvalidDiagramError(f"{len(framings)} framings for {echo(self.strands)} strands")
+        if self.strands > MAX_STRANDS:
+            raise InvalidDiagramError(f"at most {MAX_STRANDS} strands, got {self.strands}")
         links: dict[tuple[int, int], int] = {}
         for i, j, e in word:
             if not (1 <= i < j <= self.strands):
@@ -148,29 +154,6 @@ def h1_invariants(d: FramedBraidDiagram) -> H1Invariants:
     """First homology of the surgered manifold: the cokernel of the
     linking matrix."""
     return cokernel_invariants(linking_matrix(d).rows, columns=d.strands)
-
-
-@dataclass(frozen=True)
-class MoveRecord:
-    """Proof obligation attached to a move: the homology must not change."""
-
-    move: str
-    detail: str
-    h1_before: H1Invariants
-    h1_after: H1Invariants
-
-    @property
-    def h1_preserved(self) -> bool:
-        return self.h1_before == self.h1_after
-
-    def to_json(self) -> dict:
-        return {
-            "move": self.move,
-            "detail": self.detail,
-            "h1_before": self.h1_before.to_json(),
-            "h1_after": self.h1_after.to_json(),
-            "h1_preserved": self.h1_preserved,
-        }
 
 
 def _rank_one(links: dict[tuple[int, int], int], framings: list[int], u: list[int],
@@ -276,12 +259,12 @@ def _apply(d: FramedBraidDiagram, move: dict) -> tuple[FramedBraidDiagram, str]:
 
 
 def apply_moves(d: FramedBraidDiagram, moves: list[dict],
-                ) -> tuple[FramedBraidDiagram, list[H1Invariants], list[MoveRecord]]:
+                ) -> tuple[FramedBraidDiagram, list[H1Invariants], list[str]]:
     """Apply a JSON move list to ``d`` and audit the chain.
 
     Returns the final diagram, the H1 of every diagram in the chain (input
-    first; computed once each, after every move has applied) and one
-    record per move built from adjacent entries.
+    first; computed once each, after every move has applied) and each
+    move's detail string; move i preserves H1 when ``h1[i] == h1[i + 1]``.
     """
     if not isinstance(moves, list):
         raise InvalidMoveError(f"a move list must be a JSON list, got {type(moves).__name__}")
@@ -291,10 +274,7 @@ def apply_moves(d: FramedBraidDiagram, moves: list[dict],
         d, detail = _apply(d, move)
         chain.append(d)
         details.append(detail)
-    h1 = [h1_invariants(x) for x in chain]
-    log = [MoveRecord(move["move"], detail, before, after)
-           for move, detail, before, after in zip(moves, details, h1, h1[1:])]
-    return d, h1, log
+    return d, [h1_invariants(x) for x in chain], details
 
 
 def to_planar_open_book(d: FramedBraidDiagram) -> tuple[PlanarPage, TwistWord]:

@@ -330,6 +330,14 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
      "repeated strands line"),
     (["surgery", "d.txt"], {"d.txt": "strands 2\nframings 1 2\nframings 3 4\n"},
      "repeated framings line"),
+    (["embed", "--page", "3", "--word", "w.txt"], {"w.txt": "T{0}"}, "1-based"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '[{"op": "twist"}]'},
+     "no 'curve' field"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '[{"op": "twist", "curve": 5}]'},
+     "needs a list of integers"),
+    (["embed", "--page", "3", "--word", "w.json"],
+     {"w.json": '[{"op": "twist", "curve": ' + "[" * 500 + "1" + "]" * 500 + "}]"},
+     "needs a list of integers"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "negative-fuzz", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -343,7 +351,9 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "word-exponent-too-long", "relator-index-too-long", "embed-page-too-large",
         "certify-s4-page-too-large", "argv-not-an-integer", "argv-unknown-command",
         "argv-unknown-option", "argv-missing-option", "json-word-reused-curve-bool",
-        "json-word-reused-curve-float", "repeated-gens", "repeated-strands", "repeated-framings"])
+        "json-word-reused-curve-float", "repeated-gens", "repeated-strands", "repeated-framings",
+        "word-hole-zero", "json-word-no-curve", "json-word-curve-number",
+        "json-word-curve-nested-500"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)
@@ -402,6 +412,9 @@ OVERSIZED_INPUTS = [
     (["pi1", "g.txt"], {"g.txt": "gens 1 " + "2 " * 100_000 + "\n"}, "bad gens"),
     (["lens", "x" * 100_000, "2"], {}, "invalid int value"),
     (["pi1", "g.txt"], {"g.txt": "gens 1000000000\n"}, "at most 100000 generators"),
+    (["lens", "100000", "99999"], {}, "more than 2000 coefficients"),
+    (["surgery", "d.txt"], {"d.txt": "strands 100000\nframings " + "0 " * 100_000 + "\n"},
+     "at most 200 strands"),
 ]
 
 
@@ -410,7 +423,8 @@ OVERSIZED_INPUTS = [
                               "word-token", "push-curve-off-page", "move-region-off-diagram",
                               "move-region-string", "diagram-line", "diagram-framing-string",
                               "diagram-strands", "move-component", "move-framing", "move-twists",
-                              "relator", "gens-line", "argv-token", "gens-count"])
+                              "relator", "gens-line", "argv-token", "gens-count",
+                              "lens-expansion", "diagram-strands-count"])
 def test_an_oversized_input_gives_one_short_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                        needle):
     monkeypatch.chdir(tmp_path)

@@ -127,6 +127,10 @@ def test_page_json_counts_the_atom_kinds():
     assert page == PageForm(spheres=2, circles=1, dim=3)
     assert PageForm.from_json({}) == PageForm()
     assert PageForm.from_json({"dim": 4}) == PageForm(dim=4)
+    assert PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": 3}], "dim": 3}) == PageForm(
+        spheres=1, dim=3)
+    with pytest.raises(DimensionMismatchError, match="atoms of dimension 2 on a page of dim 3"):
+        PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": 2}], "dim": 3})
     with pytest.raises(SpuncalcError, match="unknown atom kind 'sphere_cly'"):
         PageForm.from_json({"atoms": [{"kind": "sphere_cly", "m": 2}]})
 

@@ -188,15 +188,17 @@ def test_cokernel_rank_nullity(m):
     assert all(d > 1 for d in inv.factors)
 
 
-@pytest.mark.parametrize("call, entries", [
-    (smith_diagonal, [[2.5, 0], [0, 3.9]]),
-    (lambda m: cokernel_invariants(m, columns=1), [[4.7]]),
-    (det, [["3"]]),
-    (det, [[True, 0], [0, 1]]),
-    (LinkingMatrix, ((1.0,),)),
-], ids=["smith-float", "cokernel-float", "det-string", "det-bool", "linking-float"])
-def test_non_integer_entries_are_rejected_not_truncated(call, entries):
-    with pytest.raises(InvalidDiagramError, match="integers"):
+@pytest.mark.parametrize("call, entries, needle", [
+    (smith_diagonal, [[2.5, 0], [0, 3.9]], "integers"),
+    (lambda m: cokernel_invariants(m, columns=1), [[4.7]], "integers"),
+    (det, [["3"]], "integers"),
+    (det, [[True, 0], [0, 1]], "integers"),
+    (LinkingMatrix, ((1.0,),), "integers"),
+    (smith_diagonal, [[1, 2], [3]], "ragged"),
+], ids=["smith-float", "cokernel-float", "det-string", "det-bool", "linking-float",
+        "smith-ragged"])
+def test_non_integer_entries_are_rejected_not_truncated(call, entries, needle):
+    with pytest.raises(InvalidDiagramError, match=needle):
         call(entries)
 
 

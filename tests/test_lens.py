@@ -12,6 +12,7 @@ from spuncalc.errors import SpuncalcError
 from spuncalc.fourman import FourManifoldForm
 from spuncalc.homology import det
 from spuncalc.lens import (
+    MAX_CF_LENGTH,
     ContinuedFraction,
     SlidLensDiagram,
     cf_eval,
@@ -195,6 +196,13 @@ def test_lens_open_book_structure(pq):
     page, word = lens_open_book(c)
     assert page.inner_count == len(c.coefficients)
     assert len(word.letters) == 2 * len(c.coefficients)
+
+
+def test_cf_expand_stops_after_max_cf_length_coefficients():
+    # -(k+1)/k expands to k coefficients -2
+    assert cf_expand(MAX_CF_LENGTH + 1, MAX_CF_LENGTH).coefficients == (-2,) * MAX_CF_LENGTH
+    with pytest.raises(SpuncalcError, match=f"more than {MAX_CF_LENGTH} coefficients"):
+        cf_expand(MAX_CF_LENGTH + 2, MAX_CF_LENGTH + 1)
 
 
 def test_psi_parity_examples():

@@ -281,6 +281,13 @@ def test_a_reused_json_generator_still_checks_every_field(first, second):
         word_from_json([first, second], PlanarPage(2))
 
 
+def test_a_json_index_too_long_to_repr_is_an_input_error():
+    # the generator key is the repr of the fields, and repr() refuses an int
+    # of more than 4,300 digits with a plain ValueError
+    with pytest.raises(InvalidWordError):
+        word_from_json([{"op": "twist", "curve": [10 ** 5000]}], PlanarPage(2))
+
+
 def test_the_first_letter_that_does_not_fit_names_the_error():
     page = PlanarPage(4)
     for text in ("T{1} T{5} T{1} T{6} T{5}", "T{1} T{5} T{1}^2 T{6}"):
