@@ -8,9 +8,9 @@ ASCII line, the bytes of ``json.dumps(report, sort_keys=True,
 separators=(",", ":"))`` plus a newline; ``python -m json.tool`` indents it
 for reading. lens, embed, certify-s4 and surgery build their reports in
 functions of parsed inputs (``lens_report`` and so on), which the corpus
-replays too. Exit codes: 0 ok, 1 a check without ``detail`` failed (the
-rule of ``exit_code``), 2 bad input, a malformed argv included, and 141
-from the console script when the reader of stdout closed it early.
+replays too. Exit codes: 0 ok, 1 a check failed (the rule of
+``exit_code``), 2 bad input, a malformed argv included, and 141 from the
+console script when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import InvalidMoveError, SpuncalcError, echo, parse_json
 from .fourman import FourManifoldForm, normalize, parity_form
 from .planar import PlanarPage, TwistWord, load_word, parity_vector, word_to_json, word_to_text
 
-REPORT_SCHEMA = "spuncalc-report/1"
+REPORT_SCHEMA = "spuncalc-report/2"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,10 +47,8 @@ Report = tuple[Callable[[], dict], list[dict], Iterator[str]]
 
 
 def exit_code(checks: list[dict]) -> int:
-    """The exit rule of every report: 1 when a check without ``detail``
-    failed (a check with ``detail`` is reported, not asserted), else 0."""
-    failed = any(not c["passed"] and "detail" not in c for c in checks)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    """The exit rule of every report: 1 when any check failed, else 0."""
+    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_CHECK_FAILED
 
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict,
@@ -105,7 +103,8 @@ def _read(path: str) -> str:
 
 def lens_report(p: int, q: int) -> Report:
     """The lens pipeline for L(p,q): expansion, plumbing and slid
-    determinants, open book word, parity reconciliation and target."""
+    determinants, the open book word, whose parities must equal the
+    reduced parities, and the target."""
     c = lens.cf_expand(p, q)
     sd = lens.slid_diagram(c)
     page, word = lens.lens_open_book(c, sd)
@@ -119,8 +118,7 @@ def lens_report(p: int, q: int) -> Report:
          "passed": (value.numerator, value.denominator) == (-p, q)},
         {"name": "plumbing |det| equals p", "passed": abs(plumb_det) == p},
         {"name": "slid |det| equals p", "passed": abs(slid_det) == p},
-        {"name": "word parity matches reduced parity", "passed": rec.agree,
-         "detail": "reported, not asserted"},
+        {"name": "word parity matches reduced parity", "passed": rec.agree},
     ]
 
     def outputs():
@@ -130,7 +128,6 @@ def lens_report(p: int, q: int) -> Report:
             "slid_diagram": sd.to_json(),
             "slid_det": slid_det,
             "open_book_word": word_to_json(word),
-            "reconciliation": rec.to_json(),
             "psi_parity": list(rec.psi),
             "target": target.to_json(),
             "spin": target.is_spin(),
@@ -142,8 +139,7 @@ def lens_report(p: int, q: int) -> Report:
         yield (f"slid diagram: framings {list(sd.framings)}, links {list(sd.links)}, "
                f"twist regions {list(sd.twist_regions)}, det = {slid_det}")
         yield f"open book on {_page_name(page)}: {word_to_text(word) or '(empty)'}"
-        yield (f"word parity {list(rec.word_parity)} vs reduced parity {list(rec.psi)}"
-               + ("" if rec.agree else "  [disagreement flagged]"))
+        yield f"word parity {list(rec.word_parity)} vs reduced parity {list(rec.psi)}"
         yield (f"embedding target: {_form_name(target)}"
                + ("  [spin]" if target.is_spin() else ""))
 
@@ -154,9 +150,8 @@ def cmd_lens(args: argparse.Namespace) -> int:
     return _emit(args, "lens", {"p": args.p, "q": args.q}, *lens_report(args.p, args.q))
 
 
-def embed_report(word: TwistWord, raw: bool = False) -> Report:
-    """Raw and normalized embedding target of a twist word on its page;
-    ``raw`` leaves the normalized form out of the text lines."""
+def embed_report(word: TwistWord) -> Report:
+    """Raw and normalized embedding target of a twist word on its page."""
     page = word.page
     report = spun.embedding_target(word)
     checks = [{
@@ -169,8 +164,7 @@ def embed_report(word: TwistWord, raw: bool = False) -> Report:
         yield f"word: {word_to_text(word) or '(empty)'}"
         yield f"parity: {list(report.parity)}"
         yield f"raw target: {_form_name(report.raw)}"
-        if not raw:
-            yield f"normalized: {_form_name(report.normalized)}"
+        yield f"normalized: {_form_name(report.normalized)}"
         yield f"spin: {'yes' if report.spin else 'no'}"
 
     return report.to_json, checks, lines()
@@ -179,7 +173,7 @@ def embed_report(word: TwistWord, raw: bool = False) -> Report:
 def cmd_embed(args: argparse.Namespace) -> int:
     word = load_word(_read(args.word), _page(args.page))
     return _emit(args, "embed", {"page": args.page, "word_file": args.word},
-                 *embed_report(word, args.raw))
+                 *embed_report(word))
 
 
 def certify_report(word: TwistWord) -> Report:
@@ -367,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--page", type=int, required=True,
                    help=f"number of inner boundaries (at most {MAX_PAGE_HOLES})")
     p.add_argument("--word", required=True, help="word file (text or JSON)")
-    p.add_argument("--raw", action="store_true", help="report the raw form only")
     common(p)
     p.set_defaults(func=cmd_embed)
 

@@ -12,13 +12,19 @@ value does.) Each object stores one form: the plumbing chain its diagonal
 a_i, the slid diagram its framings b_i. The links b_i + 1 and the twist
 region counts b_r - b_{r-1} are derived from the framings when read.
 
-The braid admits a planar open book whose raw monodromy word is emitted
-for inspection. Its per-boundary parities disagree with the reduced
-exponent sequence psi_j = a_1 + ... + a_j that governs the embedding
-target, so both are reported side by side and the disagreement is flagged
-rather than silently reconciled; the target computation always uses the
-reduced sequence: every even partial sum contributes a trivial bundle
-summand, every odd one a twisted summand.
+The slid diagram's planar open book has one hole per strand and the word
+T{i}^1 on every hole i, then T{r..k}^(-t_r) for each twist region r. A
+letter T_S^e is e right-handed twists about the curve enclosing the holes
+S, and a right-handed twist is a surgery of framing -1 relative to the
+page: letters carry the sign opposite to framings. A planar open book's
+3-manifold has H1 = coker V, with variation matrix
+V_ij = sum of e [i in S] [j in S] over the letters. As
+t_1 + ... + t_m = b_m + 1, here V_ij = delta_ij - (t_1 + ... + t_min(i,j))
+= -L_ij, minus the slid linking matrix, so the word presents H1 = Z/p.
+Its parities V_ii = -b_i mod 2 are the reduced sequence
+psi_j = a_1 + ... + a_j mod 2 that governs the embedding target: every
+even partial sum contributes a trivial bundle summand, every odd one a
+twisted summand.
 """
 
 from __future__ import annotations
@@ -171,16 +177,17 @@ def slid_diagram(c: ContinuedFraction) -> SlidLensDiagram:
 
 def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
                    ) -> tuple[PlanarPage, TwistWord]:
-    """Raw monodromy word read off the slid diagram ``sd`` (built from
-    ``c`` when not given): b_i boundary twists per strand plus one twist
-    per twist region. Zero exponents are kept so the word mirrors the
-    diagram; see reconcile(c, word) before trusting its parities."""
+    """Monodromy word of the slid diagram ``sd`` (built from ``c`` when not
+    given): T{i}^1 per hole, then T{r..k}^(-t_r) per twist region. Its
+    variation matrix is minus the linking matrix, so it presents H1 = Z/p
+    and its parities are psi_parity(c). Zero exponents are kept so the
+    word mirrors the diagram."""
     if sd is None:
         sd = slid_diagram(c)
     k = sd.strands
     page = PlanarPage(k)
-    letters = [twist({i}, b) for i, b in enumerate(sd.framings, 1)]
-    letters += [twist(range(r, k + 1), t) for r, t in enumerate(sd.twist_regions, 1)]
+    letters = [twist({i}, 1) for i in range(1, k + 1)]
+    letters += [twist(range(r, k + 1), -t) for r, t in enumerate(sd.twist_regions, 1)]
     return page, TwistWord(page, tuple(letters))
 
 
@@ -191,8 +198,8 @@ def psi_parity(c: ContinuedFraction) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LensReconciliation:
-    """Side-by-side parities of the raw diagram word and the reduced
-    exponents; ``agree`` is False whenever they differ (they usually do)."""
+    """The parities of a lens word next to the reduced parities psi;
+    ``agree`` is the hard check that the word governs the target."""
 
     word_parity: tuple[int, ...]
     psi: tuple[int, ...]
@@ -201,17 +208,10 @@ class LensReconciliation:
     def agree(self) -> bool:
         return self.word_parity == self.psi
 
-    def to_json(self) -> dict:
-        return {
-            "word_parity": list(self.word_parity),
-            "psi_parity": list(self.psi),
-            "agree": self.agree,
-        }
-
 
 def reconcile(c: ContinuedFraction, word: TwistWord) -> LensReconciliation:
-    """Parities of ``word``, the raw monodromy word lens_open_book(c)
-    returned, next to the reduced parities psi_parity(c)."""
+    """Parities of ``word``, the monodromy word lens_open_book(c) returned,
+    next to the reduced parities psi_parity(c)."""
     return LensReconciliation(word_parity=parity_vector(word), psi=psi_parity(c))
 
 

@@ -30,7 +30,7 @@ def test_lens_human_output(capsys):
     assert code == 0
     assert "expansion [-4, -2]" in out
     assert "W_{2,0}" in out
-    assert "[disagreement flagged]" in out
+    assert "word parity [0, 0] vs reduced parity [0, 0]" in out
 
 
 def test_lens_bad_input_exits_2(capsys):
@@ -39,13 +39,25 @@ def test_lens_bad_input_exits_2(capsys):
     assert "coprime" in err
 
 
+def test_a_failed_check_exits_1_whatever_keys_it_carries():
+    assert cli.exit_code([{"name": "a", "passed": True}]) == 0
+    assert cli.exit_code([{"name": "a", "passed": True},
+                          {"name": "b", "passed": False, "detail": "extra"}]) == 1
+
+
+def test_lens_checks_are_all_hard():
+    for p, q in [(2, 1), (7, 2), (40, 39), (357, 73)]:
+        _, checks, _ = cli.lens_report(p, q)
+        assert all(set(c) == {"name", "passed"} and c["passed"] for c in checks), (p, q)
+
+
 def test_lens_json_deterministic_without_timestamp(capsys):
     code, out1, _ = run(capsys, "lens", "8", "1", "--json", "--no-timestamp")
     assert code == 0
     _, out2, _ = run(capsys, "lens", "8", "1", "--json", "--no-timestamp")
     assert out1 == out2
     report = json.loads(out1)
-    assert report["schema"] == "spuncalc-report/1"
+    assert report["schema"] == "spuncalc-report/2"
     assert "generated_at" not in report
     assert report["outputs"]["target"] == {"dim": 2, "s1xs": 0, "trivial": 1, "twisted": 0}
     # parse -> serialize -> parse fixpoint
@@ -320,6 +332,8 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
     (["lens", "x", "2"], {}, "invalid int value"),
     (["frob"], {}, "invalid choice"),
     (["lens", "7", "2", "--bogus"], {}, "unrecognized arguments: --bogus"),
+    (["embed", "--page", "2", "--word", "w.txt", "--raw"], {"w.txt": "T{1}"},
+     "unrecognized arguments: --raw"),
     (["embed", "--page", "2"], {}, "required: --word"),
     (["embed", "--page", "2", "--word", "w.json"],
      {"w.json": '[{"op":"twist","curve":[1]},{"op":"twist","curve":[true]}]'}, "integers"),
@@ -350,7 +364,7 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "word-not-utf8", "presentation-not-utf8", "diagram-not-utf8", "diagram-is-directory",
         "word-exponent-too-long", "relator-index-too-long", "embed-page-too-large",
         "certify-s4-page-too-large", "argv-not-an-integer", "argv-unknown-command",
-        "argv-unknown-option", "argv-missing-option", "json-word-reused-curve-bool",
+        "argv-unknown-option", "embed-raw-removed", "argv-missing-option", "json-word-reused-curve-bool",
         "json-word-reused-curve-float", "repeated-gens", "repeated-strands", "repeated-framings",
         "word-hole-zero", "json-word-no-curve", "json-word-curve-number",
         "json-word-curve-nested-500"])
@@ -532,8 +546,9 @@ def test_parser_state_does_not_leak_between_calls(tmp_path, monkeypatch, capsys)
         (tmp_path / name).write_text(text)
     (tmp_path / "group.txt").write_text("gens 2\nx1x2X1X2\n")
     embed = ["embed", "--page", "2", "--word", "word.txt"]
+    as_json = ["--json", "--no-timestamp"]
     pi1 = ["pi1", "group.txt"]
-    for first, second in [(embed + ["--raw"], embed), (embed, embed + ["--raw"]),
+    for first, second in [(embed + as_json, embed), (embed, embed + as_json),
                           (pi1 + ["--fuzz", "2"], pi1), (pi1, pi1 + ["--fuzz", "2"])]:
         fresh = []
         for argv in (first, second):
@@ -571,7 +586,7 @@ def test_json_report_is_one_compact_sorted_ascii_line(tmp_path, monkeypatch, cap
 # SHA-256 of the whole text report (no --json), under the same rule as the
 # JSON report pins below.
 @pytest.mark.parametrize("argv, digest", [
-    (["lens", "7", "2"], "4272371c00ecda35ce1389dc5761e9406cc9a050df14325fca289fbb2db8c8d6"),
+    (["lens", "7", "2"], "b33db6fa8446534f2c1b6af347d907e94c8a40a3c2a6511440e42a07b228a833"),
     (["surgery", "diagram.txt", "--moves", "moves.json"],
      "32fa94dbbc364d35fcedb034b799b9f5cd92929428b370784851b9ffbbbdf74f"),
     (["embed", "--page", "4", "--word", "repeated.txt"],
@@ -595,21 +610,21 @@ def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
 # interface: a refactor keeps them, and a deliberate change updates the
 # digest together with a CHANGES.md entry saying why.
 @pytest.mark.parametrize("argv, digest", [
-    (["lens", "7", "2"], "2ee2c47854f0a3a88e3958c97c0f798c9c430816ac38b172c514a5603bc6516b"),
-    (["lens", "40", "39"], "fe139a93bbc5c12b76ae3ab58b199cbf3f2c9cd53ed00202b87706af6d7ec325"),
+    (["lens", "7", "2"], "ef5b77662aa69e92b2b75216b80e280e972e0d8278d8017db715d13c9232afc5"),
+    (["lens", "40", "39"], "0afad18bdfd11f74e1ee0309ad3710bffef9549a3c54c47eff958770b43f125e"),
     (["surgery", "diagram.txt", "--moves", "moves.json"],
-     "d93fe6196f281a29d68921e454e233e68f5625b57fec454ae7c235eff22fff0e"),
+     "071a2fab658ba27a89987df0ff05f1435a4665b237046f71bf6d386abee38263"),
     (["embed", "--page", "2", "--word", "word.txt"],
-     "9271ffe0f41bfeb6630ca6540216064871c0e99d3d72264510ad8b4bf287712e"),
+     "e4d98e1c886ff70bd6f1c1068c46e65b9414132a055a5c31ae7f94c828864522"),
     (["certify-s4", "--page", "2", "--word", "cert.txt"],
-     "8cc8f80ac29aac3a80154c7a41a1c5bec0a624381479d829bf2bdd1321eef6ae"),
-    (["corpus", "run"], "39ca0ef5b3b67b49e52ba7b85215605cae9ca327bed6609561387cb689b242dd"),
+     "2994e839cb0453599bd73bb5ef7cec4aa235d40152712d4c7b4e222def8ff69b"),
+    (["corpus", "run"], "2bb252637e16844a9c28fae5616f7130baf01ca0e0215b2a8c9c9d0735617688"),
     (["embed", "--page", "4", "--word", "repeated.txt"],
-     "a061aca0e8376a86af1fe8125ca052428e90ed5985224e7beda7e081515ec140"),
+     "affd8d4d668c842e3b0f5ea355a693304c1c20866af3ce4d938ee03ab05a3c6a"),
     (["embed", "--page", "4", "--word", "repeated.json"],
-     "57d238f8c833043bfe4c7490915099feacbb32e364907068bfd821ee20e55c50"),
+     "eb8bf030b1dda0d42167ee31de3755b02baac9fd1c9c1fab910b292bf82fd600"),
     (["certify-s4", "--page", "4", "--word", "repeated-cert.txt"],
-     "e2117f8f73cc10e5e6524f3191a93b83076bcfc8098df34305db176cf9f8d7f4"),
+     "3ce9dc85c2790ec968ddbdb108a3f0a4e07df8f834f764ca18ec2eb33cf7094a"),
 ], ids=["lens-7-2", "lens-40-39", "surgery-readme", "embed-readme", "certify-s4-readme",
         "corpus-run", "embed-repeated-text", "embed-repeated-json", "certify-s4-repeated"])
 def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from spuncalc.errors import SpuncalcError
 from spuncalc.fourman import FourManifoldForm
-from spuncalc.homology import det
+from spuncalc.homology import cokernel_invariants, det
 from spuncalc.lens import (
     MAX_CF_LENGTH,
     ContinuedFraction,
@@ -24,7 +24,8 @@ from spuncalc.lens import (
     reconcile,
     slid_diagram,
 )
-from spuncalc.planar import twist
+from spuncalc.planar import parity_vector, twist
+from spuncalc.spun import embedding_target
 from spuncalc.surgery import h1_invariants, linking_matrix
 
 
@@ -174,16 +175,16 @@ def test_slid_braid_diagram_realizes_same_homology(pq):
 def test_lens_open_book_k1():
     page, word = lens_open_book(ContinuedFraction((-5,)))
     assert page.inner_count == 1
-    assert word.letters == (twist({1}, -5), twist({1}, -4))
+    assert word.letters == (twist({1}, 1), twist({1}, 4))
 
 
 def test_lens_open_book_k2_keeps_zero_exponents():
     page, word = lens_open_book(ContinuedFraction((-4, -2)))
     assert page.inner_count == 2
     assert word.letters == (
-        twist({1}, -4),
-        twist({2}, -4),
-        twist({1, 2}, -3),
+        twist({1}, 1),
+        twist({2}, 1),
+        twist({1, 2}, 3),
         twist({2}, 0),
     )
 
@@ -196,6 +197,68 @@ def test_lens_open_book_structure(pq):
     page, word = lens_open_book(c)
     assert page.inner_count == len(c.coefficients)
     assert len(word.letters) == 2 * len(c.coefficients)
+
+
+def variation(word):
+    """The variation matrix of a planar open book, written independently:
+    V_ij is the sum of e over the letters T_S^e whose curve S encloses
+    both holes i and j. Its cokernel is the 3-manifold's H1."""
+    n = word.page.inner_count
+    v = [[0] * n for _ in range(n)]
+    for gen, e in word.letters:
+        for i in gen.curve.enclosed:
+            for j in gen.curve.enclosed:
+                v[i - 1][j - 1] += e
+    return v
+
+
+def coprime_pairs_up_to(bound):
+    return [(p, q) for p in range(2, bound + 1) for q in range(1, p) if gcd(p, q) == 1]
+
+
+def test_lens_word_variation_is_minus_the_slid_linking_matrix():
+    for p, q in coprime_pairs_up_to(60):
+        c = cf_expand(p, q)
+        sd = slid_diagram(c)
+        v = variation(lens_open_book(c, sd)[1])
+        k = sd.strands
+        assert v == [[-sd.linking(i, j) for j in range(1, k + 1)]
+                     for i in range(1, k + 1)], (p, q)
+
+
+def test_lens_word_presents_z_mod_p():
+    for p, q in coprime_pairs_up_to(60):
+        word = lens_open_book(cf_expand(p, q))[1]
+        inv = cokernel_invariants(variation(word), word.page.inner_count)
+        assert (inv.factors, inv.free_rank) == ((p,), 0), (p, q)
+
+
+def test_lens_word_of_l21_presents_z2():
+    # the word read off the framings, T{1}^-2 T{1}^-1, presented Z/3
+    word = lens_open_book(cf_expand(2, 1))[1]
+    assert word.letters == (twist({1}, 1), twist({1}, 1))
+    inv = cokernel_invariants(variation(word), 1)
+    assert (inv.factors, inv.free_rank) == ((2,), 0)
+
+
+@given(st.integers(2, 3000).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, p - 1))
+).filter(lambda t: gcd(t[0], t[1]) == 1))
+@settings(max_examples=60, deadline=None)
+def test_lens_word_parity_is_psi(pq):
+    p, q = pq
+    c = cf_expand(p, q)
+    word = lens_open_book(c)[1]
+    assert parity_vector(word) == psi_parity(c)
+    assert reconcile(c, word).agree
+
+
+@given(coprime_pairs)
+@settings(max_examples=100, deadline=None)
+def test_lens_word_embeds_in_the_lens_target(pq):
+    p, q = pq
+    word = lens_open_book(cf_expand(p, q))[1]
+    assert embedding_target(word).normalized == lens_embedding_target(p, q)
 
 
 def test_cf_expand_stops_after_max_cf_length_coefficients():
@@ -215,11 +278,9 @@ def test_psi_parity_examples():
 def test_reconciliation_reports_both_parities():
     c = ContinuedFraction((-4, -2))
     rec = reconcile(c, lens_open_book(c)[1])
-    assert rec.word_parity == (1, 1)  # raw diagram word: every entry odd
+    assert rec.word_parity == (0, 0)
     assert rec.psi == (0, 0)
-    assert not rec.agree
-    data = rec.to_json()
-    assert data["agree"] is False
+    assert rec.agree
 
 
 def test_lens_embedding_targets():
