@@ -8,9 +8,10 @@ ASCII line, the bytes of ``json.dumps(report, sort_keys=True,
 separators=(",", ":"))`` plus a newline; ``python -m json.tool`` indents it
 for reading. lens, embed, certify-s4 and surgery build their reports in
 functions of parsed inputs (``lens_report`` and so on), which the corpus
-replays too. Exit codes: 0 ok, 1 a check failed (the rule of
-``exit_code``), 2 bad input, a malformed argv included, and 141 from the
-console script when the reader of stdout closed it early.
+replays too; the embed and pi1 reports carry no check. Exit codes: 0 ok,
+1 a check failed (the rule of ``exit_code``), 2 bad input, a malformed
+argv included, and 141 from the console script when the reader of stdout
+closed it early.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -151,13 +151,10 @@ def cmd_lens(args: argparse.Namespace) -> int:
 
 
 def embed_report(word: TwistWord) -> Report:
-    """Raw and normalized embedding target of a twist word on its page."""
+    """Raw and normalized embedding target of a twist word on its page, with
+    no check: the raw target has one summand per hole by construction."""
     page = word.page
     report = spun.embedding_target(word)
-    checks = [{
-        "name": "raw summand counts add up to the hole count",
-        "passed": report.raw.summand_count() == page.inner_count,
-    }]
 
     def lines():
         yield f"page: {_page_name(page)}"
@@ -167,7 +164,7 @@ def embed_report(word: TwistWord) -> Report:
         yield f"normalized: {_form_name(report.normalized)}"
         yield f"spin: {'yes' if report.spin else 'no'}"
 
-    return report.to_json, checks, lines()
+    return report.to_json, [], lines()
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
@@ -257,19 +254,12 @@ def cmd_surgery(args: argparse.Namespace) -> int:
 
 
 def cmd_pi1(args: argparse.Namespace) -> int:
-    if args.fuzz < 0:
-        raise SpuncalcError(f"--fuzz needs a count >= 0, got {echo(args.fuzz)}")
+    """The push page of a presentation and the group read back off it, with
+    no check: the round trip returns the input's relators, freely reduced."""
     g = pi1.parse_presentation(_read(args.presentation))
     page = pi1.page_for_presentation(g)
     recovered = pi1.pi1_of_open_book(page)
     ab = pi1.abelianization(recovered)
-    roundtrip_ok = recovered.relators == tuple(pi1.free_reduce(r) for r in g.relators)
-    checks = [{"name": "round trip returns the presentation", "passed": roundtrip_ok}]
-    if args.fuzz:
-        rng = random.Random(20240 + args.fuzz)
-        fuzz_ok = all(_fuzz_roundtrip_once(rng) for _ in range(args.fuzz))
-        checks.append({"name": f"round trip holds for {args.fuzz} random presentations",
-                       "passed": fuzz_ok})
 
     def outputs():
         return {
@@ -284,27 +274,8 @@ def cmd_pi1(args: argparse.Namespace) -> int:
         yield f"page: {page.handle_count} circle handles, {len(page.loops)} pushed spheres"
         yield f"recovered fundamental group: {recovered.describe('a')}"
         yield f"abelianization: {ab.describe()}"
-        for check in checks[1:]:
-            yield f"{check['name']}: {'pass' if check['passed'] else 'FAIL'}"
 
-    return _emit(args, "pi1", {"presentation_file": args.presentation}, outputs, checks, lines())
-
-
-def _fuzz_roundtrip_once(rng: random.Random) -> bool:
-    g = rng.randint(0, 5)
-    k = rng.randint(0, 5) if g else 0
-    relators = []
-    for _ in range(k):
-        length = rng.randint(1, 12)
-        word: list[int] = []
-        while len(word) < length:
-            x = rng.choice([s * i for i in range(1, g + 1) for s in (1, -1)])
-            if word and word[-1] == -x:
-                continue
-            word.append(x)
-        relators.append(tuple(word))
-    pres = pi1.GroupPresentation(g, tuple(relators))
-    return pi1.pi1_of_open_book(pi1.page_for_presentation(pres)) == pres
+    return _emit(args, "pi1", {"presentation_file": args.presentation}, outputs, [], lines())
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -379,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi1", help="fundamental group of the push-page open book")
     p.add_argument("presentation", help="presentation file")
-    p.add_argument("--fuzz", type=int, default=0,
-                   help="also round-trip N random presentations")
     common(p)
     p.set_defaults(func=cmd_pi1)
 

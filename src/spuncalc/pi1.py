@@ -159,11 +159,12 @@ def parse_presentation(text: str) -> GroupPresentation:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("gens"):
+        key, *rest = line.split(maxsplit=1)
+        if key == "gens":
             if gens is not None:
                 raise InvalidPresentationError(f"repeated gens line: {echo(line)}")
             try:
-                _, count = line.split()
+                (count,) = rest
                 gens = int(count)
             except ValueError:
                 raise InvalidPresentationError(f"bad gens line: {echo(line)}") from None

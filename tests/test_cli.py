@@ -83,6 +83,7 @@ def test_embed_command(tmp_path, capsys):
     assert report["outputs"]["parity"] == [0, 1]
     assert report["outputs"]["spin"] is False
     assert report["conventions"]
+    assert report["checks"] == []
 
 
 def test_embed_rejects_push_words(tmp_path, capsys):
@@ -137,13 +138,13 @@ def test_surgery_onaran_export(tmp_path, capsys):
 def test_pi1_command(tmp_path, capsys):
     pres = tmp_path / "p.txt"
     pres.write_text("gens 1\nx1x1\n")
-    code, out, _ = run(capsys, "pi1", str(pres), "--fuzz", "25")
+    code, out, _ = run(capsys, "pi1", str(pres))
     assert code == 0
     assert "Z/2" in out
-    assert "pass" in out
 
     code, out, _ = run(capsys, "pi1", str(pres), "--json", "--no-timestamp")
     report = json.loads(out)
+    assert report["checks"] == []
     assert report["outputs"]["abelianization"] == {"factors": [2], "free_rank": 0}
     assert report["outputs"]["recovered"]["relators"] == ["x1x1"]
 
@@ -340,6 +341,7 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
     (["embed", "--page", "2", "--word", "w.json"],
      {"w.json": '[{"op":"twist","curve":[1]},{"op":"twist","curve":[1.0]}]'}, "integers"),
     (["pi1", "g.txt"], {"g.txt": "gens 2\nx1x2\ngens 3\nx3\n"}, "repeated gens line"),
+    (["pi1", "g.txt"], {"g.txt": "gensfoo 2\nx1x2X1X2\n"}, "cannot parse relator"),
     (["surgery", "d.txt"], {"d.txt": "strands 2\nframings 1 2\nstrands 3\nframings 1 2 3\n"},
      "repeated strands line"),
     (["surgery", "d.txt"], {"d.txt": "strands 2\nframings 1 2\nframings 3 4\n"},
@@ -365,7 +367,7 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "word-exponent-too-long", "relator-index-too-long", "embed-page-too-large",
         "certify-s4-page-too-large", "argv-not-an-integer", "argv-unknown-command",
         "argv-unknown-option", "embed-raw-removed", "argv-missing-option", "json-word-reused-curve-bool",
-        "json-word-reused-curve-float", "repeated-gens", "repeated-strands", "repeated-framings",
+        "json-word-reused-curve-float", "repeated-gens", "gens-prefix", "repeated-strands", "repeated-framings",
         "word-hole-zero", "json-word-no-curve", "json-word-curve-number",
         "json-word-curve-nested-500"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
@@ -549,7 +551,7 @@ def test_parser_state_does_not_leak_between_calls(tmp_path, monkeypatch, capsys)
     as_json = ["--json", "--no-timestamp"]
     pi1 = ["pi1", "group.txt"]
     for first, second in [(embed + as_json, embed), (embed, embed + as_json),
-                          (pi1 + ["--fuzz", "2"], pi1), (pi1, pi1 + ["--fuzz", "2"])]:
+                          (pi1 + as_json, pi1), (pi1, pi1 + as_json)]:
         fresh = []
         for argv in (first, second):
             cli.build_parser.cache_clear()
@@ -566,7 +568,7 @@ README_COMMANDS = [
     ["embed", "--page", "2", "--word", "word.txt"],
     ["certify-s4", "--page", "2", "--word", "cert.txt"],
     ["surgery", "diagram.txt", "--moves", "moves.json"],
-    ["pi1", "group.txt", "--fuzz", "100"],
+    ["pi1", "group.txt"],
     ["corpus", "run"],
 ]
 
@@ -615,14 +617,14 @@ def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
     (["surgery", "diagram.txt", "--moves", "moves.json"],
      "071a2fab658ba27a89987df0ff05f1435a4665b237046f71bf6d386abee38263"),
     (["embed", "--page", "2", "--word", "word.txt"],
-     "e4d98e1c886ff70bd6f1c1068c46e65b9414132a055a5c31ae7f94c828864522"),
+     "bc41c375d9145e4e4d6a1ef8c806811e4a263fe6daabbf90f1d333e8e4e45065"),
     (["certify-s4", "--page", "2", "--word", "cert.txt"],
      "2994e839cb0453599bd73bb5ef7cec4aa235d40152712d4c7b4e222def8ff69b"),
     (["corpus", "run"], "2bb252637e16844a9c28fae5616f7130baf01ca0e0215b2a8c9c9d0735617688"),
     (["embed", "--page", "4", "--word", "repeated.txt"],
-     "affd8d4d668c842e3b0f5ea355a693304c1c20866af3ce4d938ee03ab05a3c6a"),
+     "c65676a88c694844f51ee28e497c820b3457e7a5fce660f2df34e0a3b3940fb0"),
     (["embed", "--page", "4", "--word", "repeated.json"],
-     "eb8bf030b1dda0d42167ee31de3755b02baac9fd1c9c1fab910b292bf82fd600"),
+     "fe042731c975301dc28e20d73b66678efecabdb123e792c717b3b1ea0ed8da72"),
     (["certify-s4", "--page", "4", "--word", "repeated-cert.txt"],
      "3ce9dc85c2790ec968ddbdb108a3f0a4e07df8f834f764ca18ec2eb33cf7094a"),
 ], ids=["lens-7-2", "lens-40-39", "surgery-readme", "embed-readme", "certify-s4-readme",

@@ -241,7 +241,8 @@ def test_lens_word_of_l21_presents_z2():
     assert (inv.factors, inv.free_rank) == ((2,), 0)
 
 
-@given(st.integers(2, 3000).flatmap(
+# L(p, q) expands to at most p - 1 coefficients, so every pair here fits
+@given(st.integers(2, MAX_CF_LENGTH + 1).flatmap(
     lambda p: st.tuples(st.just(p), st.integers(1, p - 1))
 ).filter(lambda t: gcd(t[0], t[1]) == 1))
 @settings(max_examples=60, deadline=None)
