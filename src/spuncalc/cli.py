@@ -209,9 +209,9 @@ def cmd_certify_s4(args: argparse.Namespace) -> int:
 def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Report:
     """Apply a JSON move list with an H1 audit of each move and of the whole
     chain, then export the final diagram as a planar open book."""
-    final, h1, details = surgery.apply_moves(diagram, moves)
+    final, h1, h1_final, details = surgery.apply_moves(diagram, moves)
     page, word = surgery.to_planar_open_book(final)
-    h1_start, h1_final = h1[0], h1[-1]
+    h1_start = h1[0]
     # one (kind, detail, H1 before, H1 after) per move
     steps = list(zip((m["move"] for m in moves), details, h1, h1[1:]))
     checks = [{"name": f"{kind} preserves H1", "passed": before == after}

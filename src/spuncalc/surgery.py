@@ -11,8 +11,13 @@ linked pair i < j to its linking number.
 Moves are pure diagram transforms: each updates the map and the framings
 in O(n^2) for n strands, whatever its twist count, and returns the new
 diagram (one letter per linked pair, in index order) and a one-line detail
-string. ``apply_moves`` runs a move list and audits the chain, computing
-H1 once per diagram. The sign conventions in force (also echoed in every
+string. ``apply_moves`` runs a move list and audits the chain: each move
+carries a certificate, elementary unimodular matrices E and F with
+E L F equal to L' up to a split-off +-1 block (L and L' the linking
+matrices before and after the move), checked in O(n^2). That is an
+isomorphism of first homology, so H1 takes a Smith form only on the
+input and the final diagram, and on both sides of any move whose
+certificate fails. The sign conventions in force (also echoed in every
 CLI report):
 
 * blow_up(region, sign) appends a new strand with framing ``sign`` that
@@ -28,10 +33,12 @@ CLI report):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
+from typing import Callable
 
 from .errors import InvalidDiagramError, InvalidMoveError, echo, parse_json, require_integers
-from .homology import H1Invariants, LinkingMatrix, cokernel_invariants
+from .homology import H1Invariants, LinkingMatrix, Rows, cokernel_invariants
 from .planar import PlanarPage, TwistWord, twist
 
 SIGN_CONVENTIONS = {
@@ -43,8 +50,9 @@ SIGN_CONVENTIONS = {
 
 BraidLetter = tuple[int, int, int]
 
-# most strands a diagram may have: H1 takes one Smith form per diagram of a
-# move chain, whose cost grows faster than the cube of the strand count
+# most strands a diagram may have: a move chain takes a Smith form of its
+# input and of its final diagram, whose cost grows faster than the cube of
+# the strand count
 MAX_STRANDS = 200
 
 
@@ -150,10 +158,12 @@ def linking_matrix(d: FramedBraidDiagram) -> LinkingMatrix:
     return LinkingMatrix(tuple(tuple(row) for row in rows))
 
 
-def h1_invariants(d: FramedBraidDiagram) -> H1Invariants:
+def h1_invariants(d: FramedBraidDiagram, rows: Rows | None = None) -> H1Invariants:
     """First homology of the surgered manifold: the cokernel of the
-    linking matrix."""
-    return cokernel_invariants(linking_matrix(d).rows, columns=d.strands)
+    linking matrix, whose rows a caller that has built them passes."""
+    if rows is None:
+        rows = linking_matrix(d).rows
+    return cokernel_invariants(rows, columns=d.strands)
 
 
 def _rank_one(links: dict[tuple[int, int], int], framings: list[int], u: list[int],
@@ -231,6 +241,67 @@ def rolfsen_twist(d: FramedBraidDiagram, component: int, t: int) -> tuple[Framed
     return _rank_one(dict(d.net_linking), framings, u, t), f"component {c}, t {t:+d}"
 
 
+# Move certificates (Gompf-Stipsicz, 4-Manifolds and Kirby Calculus, 5.1):
+# each builds E and F from the old linking matrix and the move's arguments
+# alone, as products of transvections (add k times line c to another line)
+# and a column sign, so both are unimodular, and compares E L F with the
+# new matrix. None of them calls _rank_one, so a fault in the update the
+# moves share shows as a failed certificate.
+
+
+def _add_rows(m: list[list[int]], c: int, factors: dict[int, int]) -> None:
+    """m <- E m: add factors[i] times row c to each row i != c."""
+    pivot = m[c]
+    for i, k in factors.items():
+        m[i] = [a + k * b for a, b in zip(m[i], pivot)]
+
+
+def _add_columns(m: list[list[int]], c: int, factors: dict[int, int]) -> None:
+    """m <- m F: add factors[j] times column c to each column j != c."""
+    for row in m:
+        x = row[c]
+        if x:
+            for j, k in factors.items():
+                row[j] += k * x
+
+
+def _blow_up_certified(old: Rows, new: Rows, region: list[int], s: int) -> bool:
+    """E diag(L, s) F = L': add s times the new strand's row, whose only
+    entry is s, to each region member's row, then the same for columns.
+    With s = +-1 the block (s) splits off."""
+    n = len(old)
+    m = [[*row, 0] for row in old] + [[0] * n + [s]]
+    factors = {i - 1: s for i in set(region)}
+    _add_rows(m, n, factors)
+    _add_columns(m, n, factors)
+    return s in (1, -1) and tuple(map(tuple, m)) == new
+
+
+def _blow_down_certified(old: Rows, new: Rows, c: int) -> bool:
+    """E L F = L' with the block (s) inserted at index c, s = L_cc = +-1: E
+    subtracts s*L_ic times row c from each other row i, which with s^2 = 1
+    clears column c off the diagonal; F, the same on columns, then clears
+    row c and changes nothing else, so only E is applied."""
+    m = [list(row) for row in old]
+    s = m[c][c]
+    _add_rows(m, c, {i: -s * x for i, x in enumerate(m[c]) if x and i != c})
+    del m[c]
+    for row in m:
+        del row[c]
+    return s in (1, -1) and tuple(map(tuple, m)) == new
+
+
+def _twist_certified(old: Rows, new: Rows, c: int, t: int) -> bool:
+    """E L F = L': E adds t*L_ic times row c to each other row i; F negates
+    column c when t*f = -2 (f = L_cc) and is the identity otherwise."""
+    m = [list(row) for row in old]
+    _add_rows(m, c, {i: t * x for i, x in enumerate(m[c]) if x and i != c})
+    if t * old[c][c] == -2:
+        for row in m:
+            row[c] = -row[c]
+    return tuple(map(tuple, m)) == new
+
+
 def _field(move: dict, key: str):
     try:
         return move[key]
@@ -244,37 +315,64 @@ def _int(move: dict, key: str) -> int:
     return value
 
 
-def _apply(d: FramedBraidDiagram, move: dict) -> tuple[FramedBraidDiagram, str]:
+def _apply(d: FramedBraidDiagram, move: dict,
+           ) -> tuple[FramedBraidDiagram, str, Callable[[Rows, Rows], bool]]:
+    """The move's result, its detail string and its certificate, a test of
+    the linking rows before and after the move."""
     kind = _field(move, "move")
     if kind == "blow_up":
         region = _field(move, "region")
         if not isinstance(region, list) or any(type(i) is not int for i in region):
             raise InvalidMoveError(f"move {echo(move)}: 'region' must be a list of integers")
-        return blow_up(d, region, _int(move, "sign"))
+        sign = _int(move, "sign")
+        return (*blow_up(d, region, sign),
+                lambda old, new: _blow_up_certified(old, new, region, sign))
     if kind == "blow_down":
-        return blow_down(d, _int(move, "component"))
+        c = _int(move, "component")
+        return *blow_down(d, c), lambda old, new: _blow_down_certified(old, new, c - 1)
     if kind == "rolfsen_twist":
-        return rolfsen_twist(d, _int(move, "component"), _int(move, "twists"))
+        c, t = _int(move, "component"), _int(move, "twists")
+        return *rolfsen_twist(d, c, t), lambda old, new: _twist_certified(old, new, c - 1, t)
     raise InvalidMoveError(f"unknown move kind: {echo(kind)}")
 
 
 def apply_moves(d: FramedBraidDiagram, moves: list[dict],
-                ) -> tuple[FramedBraidDiagram, list[H1Invariants], list[str]]:
+                ) -> tuple[FramedBraidDiagram, list[H1Invariants], H1Invariants, list[str]]:
     """Apply a JSON move list to ``d`` and audit the chain.
 
     Returns the final diagram, the H1 of every diagram in the chain (input
-    first; computed once each, after every move has applied) and each
-    move's detail string; move i preserves H1 when ``h1[i] == h1[i + 1]``.
+    first), the final diagram's H1 computed on its own and each move's
+    detail string; move i preserves H1 when ``h1[i] == h1[i + 1]``. After
+    every move has applied, each diagram's linking rows are built once.
+    The input's H1 is its Smith form and each move whose certificate holds
+    carries it on; a move whose certificate fails takes the Smith form of
+    the diagrams on both sides. The final diagram's Smith form is computed
+    in any case, so the chain's ends compare two computed groups.
     """
     if not isinstance(moves, list):
         raise InvalidMoveError(f"a move list must be a JSON list, got {type(moves).__name__}")
     chain = [d]
     details = []
+    certificates = []
     for move in moves:
-        d, detail = _apply(d, move)
+        d, detail, certificate = _apply(d, move)
         chain.append(d)
         details.append(detail)
-    return d, [h1_invariants(x) for x in chain], details
+        certificates.append(certificate)
+    rows = [linking_matrix(x).rows for x in chain]
+
+    @cache
+    def computed(i: int) -> H1Invariants:
+        return h1_invariants(chain[i], rows[i])
+
+    h1 = [computed(0)]
+    for i, certificate in enumerate(certificates):
+        if certificate(rows[i], rows[i + 1]):
+            h1.append(h1[i])
+        else:
+            h1[i] = computed(i)
+            h1.append(computed(i + 1))
+    return d, h1, computed(len(chain) - 1), details
 
 
 def to_planar_open_book(d: FramedBraidDiagram) -> tuple[PlanarPage, TwistWord]:

@@ -89,6 +89,14 @@ def framing_off_after(move):
     return install
 
 
+def certificates_accept_every_move(monkeypatch):
+    """A certifier that passes every move, plus a faulty blow-up: each move's
+    check carries the input's H1 on, so only the ends' Smith forms differ."""
+    for name in ("_blow_up_certified", "_blow_down_certified", "_twist_certified"):
+        monkeypatch.setattr(surgery, name, lambda *args: True)
+    framing_off_after("blow_up")(monkeypatch)
+
+
 def first_a_parity_flipped(monkeypatch):
     original = spun.s4_parities
 
@@ -113,6 +121,7 @@ COMMAND_FAULTS = [
      {"blow_down preserves H1", "H1 preserved end to end"}),
     (framing_off_after("rolfsen_twist"), TWIST,
      {"rolfsen_twist preserves H1", "H1 preserved end to end"}),
+    (certificates_accept_every_move, SURGERY, {"H1 preserved end to end"}),
     (first_a_parity_flipped, CERTIFY, {"sphere certificate"}),
 ]
 

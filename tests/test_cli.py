@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spuncalc
-from spuncalc import cli, corpus, homology, lens
+from spuncalc import cli, corpus, homology, lens, surgery
 from spuncalc.cli import MAX_PAGE_HOLES, main
 from spuncalc.errors import ECHO_CHARS, echo
 
@@ -487,8 +487,7 @@ REPEATED_FILES = {
 }
 
 
-def test_surgery_computes_each_diagrams_h1_once(tmp_path, monkeypatch, capsys):
-    # two moves make a chain of three diagrams: one Smith reduction each
+def count_smith(monkeypatch):
     calls = []
     smith = homology.smith_diagonal
 
@@ -497,13 +496,52 @@ def test_surgery_computes_each_diagrams_h1_once(tmp_path, monkeypatch, capsys):
         return smith(entries)
 
     monkeypatch.setattr(homology, "smith_diagonal", counting_smith)
+    return calls
+
+
+def readme_surgery(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in README_FILES.items():
         (tmp_path / name).write_text(text)
-    code, _, _ = run(capsys, "surgery", "diagram.txt", "--moves", "moves.json",
-                     "--json", "--no-timestamp")
+    code, out, _ = run(capsys, "surgery", "diagram.txt", "--moves", "moves.json",
+                       "--json", "--no-timestamp")
+    return code, json.loads(out)["outputs"]
+
+
+def test_surgery_computes_the_h1_of_its_ends_only(tmp_path, monkeypatch, capsys):
+    # two moves make a chain of three diagrams; each move's certificate
+    # carries H1 across it, so only the input and the final diagram take a
+    # Smith reduction
+    calls = count_smith(monkeypatch)
+    code, _ = readme_surgery(tmp_path, monkeypatch, capsys)
     assert code == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", ["blow_up", "blow_down"])
+def test_a_failed_certificate_computes_the_h1_on_both_sides(tmp_path, monkeypatch, capsys, name):
+    # the move's result is framed one too high, so its certificate fails and
+    # the diagrams on both sides of it take a Smith reduction, as do the
+    # input and the final diagram: three reductions in all
+    original = getattr(surgery, name)
+
+    def faulty(d, *args):
+        out, detail = original(d, *args)
+        framings = (out.framings[0] + 1, *out.framings[1:])
+        return surgery.FramedBraidDiagram(out.strands, out.braid_word, framings), detail
+
+    monkeypatch.setattr(surgery, name, faulty)
+    calls = count_smith(monkeypatch)
+    code, outputs = readme_surgery(tmp_path, monkeypatch, capsys)
+    assert code == 1
     assert len(calls) == 3
+    d = surgery.parse_diagram(README_FILES["diagram.txt"])
+    up, _ = surgery.blow_up(d, [1, 2], 1)
+    final, _ = surgery.blow_down(up, 3)
+    moves = outputs["moves"]
+    assert [m["h1_before"] for m in moves] + [moves[1]["h1_after"], outputs["h1"]] == [
+        surgery.h1_invariants(x).to_json() for x in (d, up, final, final)]
+    assert [m["h1_preserved"] for m in moves] == [name != "blow_up", name != "blow_down"]
 
 
 def test_lens_does_each_step_once(monkeypatch, capsys):

@@ -2,11 +2,13 @@
 
 import json
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spuncalc import surgery
 from spuncalc.errors import InvalidDiagramError, InvalidMoveError
 from spuncalc.homology import H1Invariants
 from spuncalc.planar import parity_vector, twist
@@ -289,13 +291,77 @@ def test_apply_moves_audits_the_chain():
         {"move": "rolfsen_twist", "component": 3, "twists": -2},
         {"move": "blow_down", "component": 3},
     ]
-    final, h1, details = apply_moves(d, moves)
+    final, h1, h1_final, details = apply_moves(d, moves)
     up, _ = blow_up(d, [1, 2], 1)
     twisted, _ = rolfsen_twist(up, 3, -2)
     assert final == blow_down(twisted, 3)[0]
     assert h1 == [h1_invariants(x) for x in (d, up, twisted, final)]
+    assert h1_final == h1_invariants(final)
     assert details == ["region [1, 2], sign +1", "component 3, t -2", "component 3, sign -1"]
-    assert apply_moves(d, []) == (d, [h1_invariants(d)], [])
+    assert apply_moves(d, []) == (d, [h1_invariants(d)], h1_invariants(d), [])
+
+
+def rank_one_unused(*args):
+    raise AssertionError("a certificate called _rank_one")
+
+
+@given(diagrams(), st.integers(0, 2**32), st.integers(1, 6))
+@example(FramedBraidDiagram(1, (), (1,)), 0, 2)
+@settings(max_examples=100, deadline=None)
+def test_every_move_is_certified_and_the_chain_carries_h1(d, seed, length):
+    # each certificate is checked with _rank_one raising: it reads only the
+    # linking rows and the move, so a fault in the shared update would show
+    rng = random.Random(seed)
+    chain, moves = [d], []
+    for _ in range(length):
+        if not chain[-1].strands:  # a blow-down emptied the diagram: no move applies
+            break
+        move, (out, _) = random_applicable_move(rng, chain[-1])
+        new, _, certified = surgery._apply(chain[-1], move)
+        assert new == out
+        with patch.object(surgery, "_rank_one", rank_one_unused):
+            assert certified(linking_matrix(chain[-1]).rows, linking_matrix(new).rows), move
+        chain.append(new)
+        moves.append(move)
+    expected = [h1_invariants(x) for x in chain]
+    assert apply_moves(d, moves)[:3] == (chain[-1], expected, expected[-1])
+
+
+def rank_one_framing_sign_dropped(links, framings, u, s, rank_one=surgery._rank_one):
+    """_rank_one adding u_i^2 rather than s*u_i^2 to each framing."""
+    out = rank_one(links, framings, u, s)
+    framings = tuple(f + (1 - s) * x * x for f, x in zip(out.framings, [*u, 0]))
+    return FramedBraidDiagram(out.strands, out.braid_word, framings)
+
+
+@given(diagrams(), st.integers(0, 2**32))
+@example(FramedBraidDiagram(1, (), (0,)), 0)
+@settings(max_examples=150, deadline=None)
+def test_a_certificate_rejects_the_move_whenever_rank_one_drops_the_framing_sign(d, seed):
+    move, (out, _) = random_applicable_move(random.Random(seed), d)
+    with patch.object(surgery, "_rank_one", rank_one_framing_sign_dropped):
+        faulty, _, certified = surgery._apply(d, move)
+    assert certified(linking_matrix(d).rows, linking_matrix(faulty).rows) == (faulty == out)
+
+
+def test_a_certificate_splits_off_only_a_unit_block():
+    # E diag(L, 2) F for L = (0), and L = (2) blown down: each matrix pair
+    # passes every test but the block's, and the block (2) changes H1
+    assert not surgery._blow_up_certified(((0,),), ((8, 4), (4, 2)), [1], 2)
+    assert not surgery._blow_down_certified(((2,),), (), 0)
+
+
+def test_dropping_the_framing_sign_fails_each_kind_of_move():
+    d = FramedBraidDiagram(2, ((1, 2, 1),), (1, 4))
+    for move in [{"move": "blow_up", "region": [1, 2], "sign": -1},
+                 {"move": "blow_down", "component": 1},
+                 {"move": "rolfsen_twist", "component": 1, "twists": -2}]:
+        with patch.object(surgery, "_rank_one", rank_one_framing_sign_dropped):
+            faulty, _, certified = surgery._apply(d, move)
+            _, h1, _, _ = apply_moves(d, [move])
+        assert not certified(linking_matrix(d).rows, linking_matrix(faulty).rows), move
+        # the failed certificate falls back to a Smith form on both sides
+        assert h1 == [h1_invariants(d), h1_invariants(faulty)] and h1[0] != h1[1], move
 
 
 @pytest.mark.parametrize("moves", [
