@@ -208,7 +208,8 @@ def cmd_certify_s4(args: argparse.Namespace) -> int:
 
 def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Report:
     """Apply a JSON move list with an H1 audit of each move and of the whole
-    chain, then export the final diagram as a planar open book."""
+    chain, then export the final diagram as a planar open book. With no
+    move the chain's two ends are one diagram, so no check is emitted."""
     final, h1, h1_final, details = surgery.apply_moves(diagram, moves)
     page, word = surgery.to_planar_open_book(final)
     h1_start = h1[0]
@@ -216,7 +217,8 @@ def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Re
     steps = list(zip((m["move"] for m in moves), details, h1, h1[1:]))
     checks = [{"name": f"{kind} preserves H1", "passed": before == after}
               for kind, _, before, after in steps]
-    checks.append({"name": "H1 preserved end to end", "passed": h1_start == h1_final})
+    if moves:
+        checks.append({"name": "H1 preserved end to end", "passed": h1_start == h1_final})
 
     def outputs():
         return {

@@ -37,7 +37,7 @@ from math import gcd
 from .errors import SpuncalcError, echo, require_integers
 from .fourman import FourManifoldForm, normalize, parity_form
 from .homology import min_structured_det
-from .planar import PlanarPage, TwistWord, parity_vector, twist
+from .planar import CurveClass, DehnTwist, PlanarPage, TwistWord, parity_vector
 from .surgery import FramedBraidDiagram
 
 
@@ -181,13 +181,15 @@ def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
     given): T{i}^1 per hole, then T{r..k}^(-t_r) per twist region. Its
     variation matrix is minus the linking matrix, so it presents H1 = Z/p
     and its parities are psi_parity(c). Zero exponents are kept so the
-    word mirrors the diagram."""
+    word mirrors the diagram. Every curve is a run of holes in range, so
+    each is built unchecked, from a slice of one tuple."""
     if sd is None:
         sd = slid_diagram(c)
-    k = sd.strands
-    page = PlanarPage(k)
-    letters = [twist({i}, 1) for i in range(1, k + 1)]
-    letters += [twist(range(r, k + 1), -t) for r, t in enumerate(sd.twist_regions, 1)]
+    holes = tuple(range(1, sd.strands + 1))
+    page = PlanarPage(len(holes))
+    letters = [(DehnTwist(CurveClass._trusted((i,))), 1) for i in holes]
+    letters += [(DehnTwist(CurveClass._trusted(holes[r:])), -t)
+                for r, t in enumerate(sd.twist_regions)]
     return page, TwistWord(page, tuple(letters))
 
 

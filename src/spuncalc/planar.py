@@ -19,21 +19,28 @@ exponent e adds -e to the sum of boundary ``b`` and nothing else.
 
 Every index and exponent must be an int (never coerced: int() would read
 2.9 as 2), and every index at least 1; ``twist`` and ``push`` check this
-for the letter they build. A word is a sequence over a small alphabet of
-generators, so it is read over its distinct generators: ``parse_word``
-builds and checks the generator of each distinct generator text (``T{1,3}``,
-``P{2|1}``) once per word, and ``word_from_json`` that of each distinct
-``repr`` of its fields (``[1]``, ``[1.0]`` and ``[True]`` are three keys,
-where the values themselves would hash alike). Every exponent is still
-checked at every letter. A word checks each distinct generator object
-against its page once, and ``word_to_text`` formats each distinct
-generator once per word.
+for the letter they build. Those checks sit at the boundary: the parsers
+and the public constructors run them, while a library builder that
+derives curves from data it has already checked (the lens and surgery
+words) builds them with ``CurveClass._trusted``. A word is a sequence over
+a small alphabet of generators, so it is read over its distinct parts:
+``parse_word`` reads each distinct token (``T{1,3}^2``) once and builds the
+generator of each distinct generator text (``T{1,3}``, ``P{2|1}``) once,
+and ``word_from_json`` builds that of each distinct ``repr`` of its fields
+(``[1]``, ``[1.0]`` and ``[True]`` are three keys, where the values
+themselves would hash alike) and checks every exponent at every letter. A
+word checks each distinct generator object against its page once, and
+``word_to_text`` formats each distinct generator once per word.
+``exponent_vector`` sums on a difference array, so a twist along an
+interval of holes costs at most four updates whatever its length.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Union
 
 from .errors import InvalidWordError, SpuncalcError, echo, parse_json
@@ -69,6 +76,15 @@ class CurveClass:
         if indices[0] < 1:
             raise InvalidWordError("boundary indices are 1-based")
         object.__setattr__(self, "enclosed", indices)
+
+    @classmethod
+    def _trusted(cls, enclosed: tuple[int, ...]) -> CurveClass:
+        """The curve of ``enclosed``, a nonempty sorted tuple of distinct
+        ints >= 1, built without the checks: for indices the library has
+        already checked."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "enclosed", enclosed)
+        return curve
 
     def valid_on(self, page: PlanarPage) -> bool:
         return self.enclosed[-1] <= page.inner_count
@@ -167,15 +183,28 @@ def exponent_vector(word: TwistWord) -> tuple[int, ...]:
     """Exponent sum per inner boundary: a twist adds its exponent to every
     hole it encloses, a push ``P{b|a}^e`` adds -e to ``b`` alone.
 
-    The letters were checked against ``word.page`` when the word was built."""
-    totals = [0] * word.page.inner_count
+    A twist along an interval of more than four holes first..last costs
+    two updates of a difference array, whose prefix sums are added at the
+    end; any other twist adds to each of its holes, and a push adds to its
+    boundary. Up to four holes, the difference array would save about what
+    the test for an interval costs. The letters were checked against
+    ``word.page`` when the word was built."""
+    n = word.page.inner_count
+    totals = [0] * n
+    steps = [0] * (n + 1)  # its prefix sum at i: the interval twists' sum on hole i + 1
     for gen, exp in word.letters:
         if isinstance(gen, DehnTwist):
-            for i in gen.curve.enclosed:
-                totals[i - 1] += exp
+            holes = gen.curve.enclosed
+            size = len(holes)
+            if size > 4 and holes[-1] - holes[0] + 1 == size:
+                steps[holes[0] - 1] += exp
+                steps[holes[-1]] -= exp
+            else:
+                for i in holes:
+                    totals[i - 1] += exp
         else:
             totals[gen.boundary - 1] -= exp
-    return tuple(totals)
+    return tuple(map(add, totals, accumulate(steps)))
 
 
 def parity_vector(word: TwistWord) -> tuple[int, ...]:
@@ -189,16 +218,24 @@ _LETTER_RE = re.compile(r"(T\{(\d+(?:,\d+)*)\}|P\{(\d+)\|(\d+(?:,\d+)*)\})(?:\^(
 
 
 def _curve_text(indices: str) -> CurveClass:
-    return CurveClass(map(int, indices.split(",")))
+    """The curve of comma-separated digit runs: their values are ints >= 0,
+    so of the curve checks only the 1-based bound is left."""
+    enclosed = sorted(set(map(int, indices.split(","))))
+    if enclosed[0] < 1:
+        raise InvalidWordError("boundary indices are 1-based")
+    return CurveClass._trusted(tuple(enclosed))
 
 
 def parse_word(text: str, page: PlanarPage) -> TwistWord:
     """Parse the whitespace-separated text form, e.g. ``T{1,2}^3 P{4|1,2}``.
-    The generator of each distinct generator text is built once."""
+    Each distinct token is read once, in the order of its first letter, so
+    an error names the first bad letter of the word; the generator of each
+    distinct generator text is built once."""
+    tokens = text.split()
     gens: dict[str, Generator] = {}
-    letters: list[Letter] = []
+    letters: dict[str, Letter] = dict.fromkeys(tokens)
     try:
-        for token in text.split():
+        for token in letters:
             m = _LETTER_RE.fullmatch(token)
             if m is None:
                 raise InvalidWordError(f"unrecognized word letter: {echo(token)}")
@@ -208,12 +245,13 @@ def parse_word(text: str, page: PlanarPage) -> TwistWord:
             if gen is None:
                 gen = gens[key] = (DehnTwist(_curve_text(curve)) if curve else
                                    PlanarPush(int(boundary), _curve_text(around)))
-            letters.append((gen, exp))
+            letters[token] = gen, exp
     except SpuncalcError:
         raise
     except ValueError:  # int() refuses more than 4,300 digits
-        raise InvalidWordError(f"integer too long in word letter {len(letters) + 1}") from None
-    return TwistWord(page, tuple(letters))
+        raise InvalidWordError(
+            f"integer too long in word letter {tokens.index(token) + 1}") from None
+    return TwistWord(page, tuple(map(letters.__getitem__, tokens)))
 
 
 def word_to_text(word: TwistWord) -> str:

@@ -39,7 +39,7 @@ from typing import Callable
 
 from .errors import InvalidDiagramError, InvalidMoveError, echo, parse_json, require_integers
 from .homology import H1Invariants, LinkingMatrix, Rows, cokernel_invariants
-from .planar import PlanarPage, TwistWord, twist
+from .planar import CurveClass, DehnTwist, PlanarPage, TwistWord
 
 SIGN_CONVENTIONS = {
     "page_framed_surgery": "-1-surgery along a page curve acts as a positive Dehn twist",
@@ -56,10 +56,17 @@ BraidLetter = tuple[int, int, int]
 MAX_STRANDS = 200
 
 
+def _require_at_most_max_strands(strands: int) -> None:
+    if strands > MAX_STRANDS:
+        raise InvalidDiagramError(f"at most {MAX_STRANDS} strands, got {strands}")
+
+
 @dataclass(frozen=True)
 class FramedBraidDiagram:
     """Pure braid word about the axis plus one framing per strand; the derived
-    ``net_linking`` maps each linked pair i < j to its exponent sum."""
+    ``net_linking`` maps each linked pair i < j to its exponent sum. The
+    constructor checks every field; the moves build their results with
+    ``_trusted``."""
 
     strands: int
     braid_word: tuple[BraidLetter, ...] = ()
@@ -81,8 +88,7 @@ class FramedBraidDiagram:
         object.__setattr__(self, "framings", framings)
         if len(framings) != self.strands:
             raise InvalidDiagramError(f"{len(framings)} framings for {echo(self.strands)} strands")
-        if self.strands > MAX_STRANDS:
-            raise InvalidDiagramError(f"at most {MAX_STRANDS} strands, got {self.strands}")
+        _require_at_most_max_strands(self.strands)
         links: dict[tuple[int, int], int] = {}
         for i, j, e in word:
             if not (1 <= i < j <= self.strands):
@@ -93,6 +99,21 @@ class FramedBraidDiagram:
             if n:
                 links[i, j] = n
         object.__setattr__(self, "net_linking", links)
+
+    @classmethod
+    def _trusted(cls, framings: tuple[int, ...],
+                 net_linking: dict[tuple[int, int], int]) -> FramedBraidDiagram:
+        """The diagram of int ``framings`` and ``net_linking``, a map from
+        pairs 1 <= i < j <= len(framings), in index order, to nonzero ints;
+        its word has one letter per pair. The fields are not checked, but
+        the strand count is still bounded by MAX_STRANDS."""
+        _require_at_most_max_strands(len(framings))
+        d = object.__new__(cls)
+        object.__setattr__(d, "strands", len(framings))
+        object.__setattr__(d, "braid_word", tuple((i, j, n) for (i, j), n in net_linking.items()))
+        object.__setattr__(d, "framings", framings)
+        object.__setattr__(d, "net_linking", net_linking)
+        return d
 
     def linking(self, i: int, j: int) -> int:
         if i == j:
@@ -170,14 +191,15 @@ def _rank_one(links: dict[tuple[int, int], int], framings: list[int], u: list[in
               s: int) -> FramedBraidDiagram:
     """The update all three moves share: add s*u_i*u_j to each linking and
     s*u_i^2 to each framing. The result has one letter per linked pair,
-    in index order."""
+    in index order; the moves checked their arguments, so it is built
+    unchecked."""
     support = [i for i, x in enumerate(u, 1) if x]
     for a, i in enumerate(support):
         framings[i - 1] += s * u[i - 1] ** 2
         for j in support[a + 1:]:
             links[i, j] = links.get((i, j), 0) + s * u[i - 1] * u[j - 1]
-    word = tuple((i, j, n) for (i, j), n in sorted(links.items()) if n)
-    return FramedBraidDiagram(len(framings), word, tuple(framings))
+    return FramedBraidDiagram._trusted(
+        tuple(framings), {pair: n for pair, n in sorted(links.items()) if n})
 
 
 def blow_up(d: FramedBraidDiagram, region: set[int] | list[int] | tuple[int, ...],
@@ -377,8 +399,12 @@ def apply_moves(d: FramedBraidDiagram, moves: list[dict],
 
 def to_planar_open_book(d: FramedBraidDiagram) -> tuple[PlanarPage, TwistWord]:
     """Planar open book of the surgered manifold: one hole per strand, one
-    twist letter per linked pair (in index order) and per nonzero framing."""
+    twist letter per linked pair (in index order) and per nonzero framing.
+    The pairs i < j and the holes come from the diagram, so each curve is
+    built unchecked."""
     page = PlanarPage(d.strands)
-    letters = [twist({i, j}, -n) for (i, j), n in sorted(d.net_linking.items())]
-    letters += [twist({i}, -f) for i, f in enumerate(d.framings, start=1) if f]
+    letters = [(DehnTwist(CurveClass._trusted(pair)), -n)
+               for pair, n in sorted(d.net_linking.items())]
+    letters += [(DehnTwist(CurveClass._trusted((i,))), -f)
+                for i, f in enumerate(d.framings, start=1) if f]
     return page, TwistWord(page, tuple(letters))

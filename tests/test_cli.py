@@ -133,6 +133,9 @@ def test_surgery_onaran_export(tmp_path, capsys):
     assert code == 0
     assert "T{1}^7" in out
     assert "Z/7" in out
+    # with no move the chain's ends are one diagram: there is nothing to check
+    code, out, _ = run(capsys, "surgery", str(diagram), "--json", "--no-timestamp")
+    assert (code, json.loads(out)["checks"]) == (0, [])
 
 
 def test_pi1_command(tmp_path, capsys):

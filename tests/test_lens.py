@@ -24,7 +24,14 @@ from spuncalc.lens import (
     reconcile,
     slid_diagram,
 )
-from spuncalc.planar import parity_vector, twist
+from spuncalc.planar import (
+    parity_vector,
+    parse_word,
+    twist,
+    word_from_json,
+    word_to_json,
+    word_to_text,
+)
 from spuncalc.spun import embedding_target
 from spuncalc.surgery import h1_invariants, linking_matrix
 
@@ -197,6 +204,16 @@ def test_lens_open_book_structure(pq):
     page, word = lens_open_book(c)
     assert page.inner_count == len(c.coefficients)
     assert len(word.letters) == 2 * len(c.coefficients)
+
+
+@given(coprime_pairs)
+@settings(max_examples=80, deadline=None)
+def test_lens_words_read_back_through_the_checked_parsers(pq):
+    # the word's curves are built unchecked, so the parsers, which check
+    # every curve, must read the written word back as an equal word
+    page, word = lens_open_book(cf_expand(*pq))
+    assert parse_word(word_to_text(word), page) == word
+    assert word_from_json(word_to_json(word), page) == word
 
 
 def variation(word):

@@ -1,13 +1,16 @@
 """Twist word arithmetic against a direct summation oracle."""
 
 import json
+import random
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spuncalc import planar
 from spuncalc.errors import InvalidWordError
+from spuncalc.lens import MAX_CF_LENGTH, ContinuedFraction, lens_open_book, psi_parity, slid_diagram
 from spuncalc.planar import (
     CurveClass,
     DehnTwist,
@@ -47,19 +50,19 @@ def pages(max_holes=6):
 
 
 def words_on(page, with_pushes=False, max_len=8):
-    subsets = st.sets(st.integers(1, page.inner_count), min_size=1)
+    """Words whose twists run along intervals of holes or along any other
+    hole sets, with pushes mixed in when asked."""
+    holes = st.integers(1, page.inner_count)
+    intervals = st.tuples(holes, holes).map(lambda t: range(min(t), max(t) + 1))
+    subsets = st.one_of(intervals, st.sets(holes, min_size=1))
     exps = st.integers(-5, 5)
     twist_letters = st.tuples(subsets, exps).map(lambda t: twist(*t))
     letters = twist_letters
     if with_pushes and page.inner_count >= 2:
         def make_push(args):
             b, around, e = args
-            return push(b, around - {b}, e)
-        push_letters = st.tuples(
-            st.integers(1, page.inner_count),
-            st.sets(st.integers(1, page.inner_count), min_size=2),
-            exps,
-        ).filter(lambda t: t[0] in t[1]).map(make_push)
+            return push(b, around - {b} or {b % page.inner_count + 1}, e)
+        push_letters = st.tuples(holes, st.sets(holes, min_size=1), exps).map(make_push)
         letters = st.one_of(twist_letters, push_letters)
     return st.lists(letters, max_size=max_len).map(
         lambda ls: TwistWord(page, tuple(ls))
@@ -143,6 +146,24 @@ def test_exponent_vector_is_a_homomorphism(pair):
     inverse = TwistWord(page, tuple((gen, -exp) for gen, exp in reversed(w1.letters)))
     assert exponent_vector(inverse) == tuple(-a for a in exponent_vector(w1))
     assert exponent_vector(w1) == oracle_exponents(w1)
+
+
+@given(pages(12).flatmap(lambda p: words_on(p, with_pushes=True, max_len=12)))
+@settings(max_examples=150, deadline=None)
+def test_exponent_vector_matches_the_oracle(w):
+    # interval twists take the difference array, the rest direct adds
+    assert exponent_vector(w) == oracle_exponents(w)
+
+
+def test_a_lens_word_at_max_cf_length_has_the_reduced_parity():
+    rng = random.Random(MAX_CF_LENGTH)
+    c = ContinuedFraction(tuple(rng.choice((-2, -3, -4, -5)) for _ in range(MAX_CF_LENGTH)))
+    sd = slid_diagram(c)
+    word = lens_open_book(c, sd)[1]
+    # hole i's exponent sum is the variation entry V_ii = -b_i
+    assert exponent_vector(word) == tuple(-b for b in sd.framings)
+    assert parity_vector(word) == psi_parity(c)
+    assert 0 < sum(psi_parity(c)) < MAX_CF_LENGTH
 
 
 @given(word_pairs)
@@ -295,6 +316,45 @@ def test_the_first_letter_that_does_not_fit_names_the_error():
             parse_word(text, page)
     with pytest.raises(InvalidWordError, match="pushed boundary 6"):
         parse_word("P{1|2} T{2} P{6|2} P{1|2} P{7|2}", page)
+
+
+def test_a_word_reads_each_distinct_token_once(monkeypatch):
+    read = []
+    pattern = planar._LETTER_RE
+
+    class Counting:
+        def fullmatch(self, token):
+            read.append(token)
+            return pattern.fullmatch(token)
+
+    monkeypatch.setattr(planar, "_LETTER_RE", Counting())
+    w = parse_word("T{1,2} T{3}^2 T{1,2} P{3|1} T{3}^2 T{1,2}^-1 P{3|1}", PlanarPage(3))
+    assert read == ["T{1,2}", "T{3}^2", "P{3|1}", "T{1,2}^-1"]
+    # repeated tokens share one generator object, and so does T{1,2}^-1
+    gens = [gen for gen, _ in w.letters]
+    assert gens[0] is gens[2] is gens[5] and gens[1] is gens[4] and gens[3] is gens[6]
+    assert [exp for _, exp in w.letters] == [1, 2, 1, 1, 2, -1, 1]
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("T{1} X{2} T{1} X{2} Y", "X{2}"),
+    ("T{1} Y X{2} T{1} X{2} Y", "Y"),
+    ("T{1}^2^3 T{1}^2^3", "T{1}^2^3"),
+])
+def test_a_repeated_bad_token_is_reported_once_as_the_first_bad_letter(text, bad):
+    with pytest.raises(InvalidWordError) as info:
+        parse_word(text, PlanarPage(2))
+    assert str(info.value) == f"unrecognized word letter: {bad!r}"
+
+
+def test_an_integer_too_long_is_named_at_its_first_letter():
+    long = "9" * 5000
+    for text, position in [(f"T{{1}} T{{2}}^{long} T{{1}} T{{2}}^{long} T{{3}}", 2),
+                           (f"T{{1}} T{{2}} T{{1}} T{{{long}}} T{{1}} T{{{long}}}", 4),
+                           (f"P{{{long}|1}} T{{1}} P{{{long}|1}}", 1)]:
+        with pytest.raises(InvalidWordError) as info:
+            parse_word(text, PlanarPage(3))
+        assert str(info.value) == f"integer too long in word letter {position}"
 
 
 def test_a_word_checks_each_distinct_generator_once(monkeypatch):

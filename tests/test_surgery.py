@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from spuncalc import surgery
 from spuncalc.errors import InvalidDiagramError, InvalidMoveError
 from spuncalc.homology import H1Invariants
-from spuncalc.planar import parity_vector, twist
+from spuncalc.planar import (
+    parity_vector,
+    parse_word,
+    twist,
+    word_from_json,
+    word_to_json,
+    word_to_text,
+)
 from spuncalc.surgery import (
     MAX_STRANDS,
     FramedBraidDiagram,
@@ -251,6 +258,29 @@ def test_move_chains_keep_one_letter_per_linked_pair(d, seed, length):
     assert parse_diagram(json.dumps(final.to_json())) == final
     assert parse_diagram(final.to_text()) == final
     assert [list(row) for row in linking_matrix(final).rows] == rows
+
+
+@given(diagrams(), st.integers(0, 2**32), st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_every_move_result_equals_its_checked_twin(d, seed, length):
+    # the moves build their results unchecked: each must equal the diagram
+    # the checking constructor builds from its fields, net linking included
+    rng = random.Random(seed)
+    for _ in range(length):
+        if not d.strands:
+            break
+        _, (d, _) = random_applicable_move(rng, d)
+        twin = FramedBraidDiagram(d.strands, d.braid_word, d.framings)
+        assert d == twin
+        assert list(d.net_linking.items()) == list(twin.net_linking.items())
+
+
+@given(diagrams())
+@settings(max_examples=80, deadline=None)
+def test_export_words_read_back_through_the_checked_parsers(d):
+    page, word = to_planar_open_book(d)
+    assert parse_word(word_to_text(word), page) == word
+    assert word_from_json(word_to_json(word), page) == word
 
 
 def test_huge_twist_count_stays_small():
