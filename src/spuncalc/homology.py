@@ -16,15 +16,24 @@ gives the free rank.
    is unimodular, so the cleared row needs no column pass, and every
    entry left is a minor of the input (the pivots multiply to +-1), so
    entries grow no faster than under Bareiss.
-2. If the residual block B is square with D = |det B| != 0, then
-   adj(B) B = +-D I puts D Z^k inside the row space of B. So coker B is a
-   Z/D-module and equals the cokernel of B stacked on D I, which any row
-   or column operation invertible mod D preserves. B is reduced mod D and
-   pivots coprime to D are cleared like the +-1 of phase 1. When none is
-   left but every entry and D share a factor g, the block is g times a
-   block of the same kind modulo D/g, so its factors are g times those.
+2. If the residual block B is square, k x k, with D = |det B| != 0 and
+   invariant factors s_1 | ... | s_k, its cyclic part is split off first.
+   s_1 ... s_{k-1} is the gcd of all (k-1)-minors of B, and by Sylvester's
+   identity the trailing 2 x 2 block of Bareiss just before its last step
+   holds four of them (a row swap there only permutes them); let g be
+   their gcd (1 when k = 1: the empty minor). Write D = D_c D_m, where D_m
+   collects every prime power of D whose prime divides gcd(D, g). No prime
+   of D_c divides g, so none divides s_{k-1}: the D_c-part of coker B is
+   cyclic, and coker B = Z/D_c + coker B (x) Z/D_m. When D_m = 1 the
+   factors are 1, ..., 1, D. Otherwise B stacked on D_m I has the factors
+   gcd(s_i, D_m), which are s_1, ..., s_{k-1}, s_k / D_c, and any row or
+   column operation invertible mod D_m keeps them. B is reduced mod D_m
+   and pivots coprime to D_m are cleared like the +-1 of phase 1. When
+   none is left but every entry and D_m share a factor h, the block is h
+   times a block of the same kind modulo D_m/h, so its factors are h times
+   those. The last factor is then multiplied by D_c.
 3. What has no unit left goes to the min-pivot reduction: a singular or
-   rectangular residual as it is, a nonsingular one stacked on D I.
+   rectangular residual as it is, a nonsingular one stacked on D_m I.
 """
 
 from __future__ import annotations
@@ -88,12 +97,17 @@ class H1Invariants:
         return {"factors": list(self.factors), "free_rank": self.free_rank}
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Determinant of a nonempty square matrix, which is overwritten."""
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Determinant of a nonempty square matrix, which is overwritten, and
+    the gcd of the four (n-1)-minors that its trailing 2 x 2 block holds
+    just before the last step (1 when n = 1)."""
     n = len(m)
     sign = 1
     prev = 1
+    minors = 1
     for i in range(n - 1):
+        if i == n - 2:
+            minors = gcd(*m[i][i:], *m[i + 1][i:])
         if m[i][i] == 0:
             for r in range(i + 1, n):
                 if m[r][i] != 0:
@@ -101,14 +115,14 @@ def _bareiss_det(m: list[list[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, minors
         pivot = m[i][i]
         for r in range(i + 1, n):
             for c in range(i + 1, n):
                 m[r][c] = (m[r][c] * pivot - m[r][i] * m[i][c]) // prev
             m[r][i] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1], minors
 
 
 def det(entries: Iterable[Iterable[int]]) -> int:
@@ -117,7 +131,7 @@ def det(entries: Iterable[Iterable[int]]) -> int:
     _require_square(rows)
     if not rows:
         return 1
-    return _bareiss_det(rows)
+    return _bareiss(rows)[0]
 
 
 def min_structured_det(values: Sequence[int], diagonal: Sequence[int]) -> int:
@@ -253,25 +267,39 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     diag = [1] * ones
     if not m:
         return diag
-    modulus = abs(_bareiss_det([row[:] for row in m])) if len(m) == len(m[0]) else 0
-    if not modulus:
+    if len(m) != len(m[0]):
         return diag + _min_pivot_diagonal(m)
+    determinant, minors = _bareiss([row[:] for row in m])
+    if not determinant:
+        return diag + _min_pivot_diagonal(m)
+    # |determinant| = cyclic * modulus: modulus takes each prime power whose
+    # prime divides the minors, cyclic the rest
+    cyclic = abs(determinant)
+    h = gcd(cyclic, minors)
+    while h > 1:
+        cyclic //= h
+        h = gcd(cyclic, h)
+    modulus = abs(determinant) // cyclic
+    if modulus == 1:
+        return diag + [1] * (len(m) - 1) + [cyclic]
     m = [[a % modulus for a in row] for row in m]
     scale = 1
     while True:
         m, units = _unit_pivots(m, modulus)
         diag += [scale] * units
         if not m:
-            return diag
+            break
         g = gcd(modulus, *chain.from_iterable(m))
         if g == 1:
+            k = len(m)
+            m += [[modulus if j == i else 0 for j in range(k)] for i in range(k)]
+            diag += [scale * d for d in _min_pivot_diagonal(m)]
             break
         m = [[a // g for a in row] for row in m]
         modulus //= g
         scale *= g
-    k = len(m)
-    m += [[modulus if j == i else 0 for j in range(k)] for i in range(k)]
-    return diag + [scale * d for d in _min_pivot_diagonal(m)]
+    diag[-1] *= cyclic
+    return diag
 
 
 def cokernel_invariants(entries: Iterable[Sequence[int]], columns: int) -> H1Invariants:

@@ -182,7 +182,7 @@ def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
     variation matrix is minus the linking matrix, so it presents H1 = Z/p
     and its parities are psi_parity(c). Zero exponents are kept so the
     word mirrors the diagram. Every curve is a run of holes in range, so
-    each is built unchecked, from a slice of one tuple."""
+    each is built unchecked, from a slice of one tuple, and so is the word."""
     if sd is None:
         sd = slid_diagram(c)
     holes = tuple(range(1, sd.strands + 1))
@@ -190,7 +190,7 @@ def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
     letters = [(DehnTwist(CurveClass._trusted((i,))), 1) for i in holes]
     letters += [(DehnTwist(CurveClass._trusted(holes[r:])), -t)
                 for r, t in enumerate(sd.twist_regions)]
-    return page, TwistWord(page, tuple(letters))
+    return page, TwistWord._trusted(page, tuple(letters))
 
 
 def psi_parity(c: ContinuedFraction) -> tuple[int, ...]:

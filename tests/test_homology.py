@@ -10,7 +10,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spuncalc import homology
@@ -278,27 +278,105 @@ def test_each_smith_phase_is_reached(monkeypatch):
 
     monkeypatch.setattr(homology, "_unit_pivots", spy_units)
     monkeypatch.setattr(homology, "_min_pivot_diagonal", spy_finisher)
-    # core [[4, 6], [9, 6]] has determinant -30 and no entry prime to 30
+    # cyclic exit: core [[4, 6], [9, 6]] has determinant -30 and minors
+    # with gcd 1, so H1 is Z/30 and no modular phase runs
     m = framed([[4, 6], [9, 6]], [2, -1], [1, 3])
     assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 1, 30]
-    assert seen == [("units", 0, 1), ("units", 30, 0), ("finisher", 4, 2)]
+    assert seen == [("units", 0, 1)]
     seen.clear()
-    # 2 * [[3, 1], [1, 1]]: the content 2 comes out, then 1 and 2 are units
+    m = random_symmetric(random.Random(3), 12)
+    assert smith_diagonal(m) == [1] * 11 + [abs(det(m))]
+    assert seen == [("units", 0, 2)]
+    seen.clear()
+    # modulo D_m < D: det 60 splits into D_c = 15 and D_m = 4 (the minors'
+    # gcd is 2); the content 2 comes out mod 4, and 15 goes on the last factor
+    assert smith_diagonal([[2, 0], [0, 30]]) == [2, 30]
+    assert seen == [("units", 0, 0), ("units", 4, 0), ("units", 2, 2)]
+    seen.clear()
+    # 2 * [[3, 1], [1, 1]]: D = D_m = 8; the content 2 comes out, then 1 and
+    # 2 are units
     assert smith_diagonal([[6, 2], [2, 2]]) == [2, 4]
     assert seen == [("units", 0, 0), ("units", 8, 0), ("units", 4, 1), ("units", 2, 1)]
     seen.clear()
-    # a -1 is a pivot over Z too; the residual [10] is 10 times a block mod 1
+    # no entry is a unit mod D_m = 18 and their content is 1: the finisher
+    # takes the block stacked on 18 I
+    m = [[-2, -2, 0], [0, 3, 3], [-2, -2, -3]]
+    assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 3, 6]
+    assert seen == [("units", 0, 0), ("units", 18, 0), ("finisher", 6, 3)]
+    seen.clear()
+    # a -1 is a pivot over Z too; the residual [10] is 1 x 1, so cyclic
     assert smith_diagonal([[-1, 2], [3, 4]]) == [1, 10]
-    assert seen == [("units", 0, 1), ("units", 10, 0), ("units", 1, 1)]
+    assert seen == [("units", 0, 1)]
     seen.clear()
     # singular: the unit in the middle row clears the top row
     m = [[2, 4, 6], [1, 2, 3], [0, 5, 5]]
     assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 5, 0]
     assert seen == [("units", 0, 1), ("finisher", 2, 2)]
-    seen.clear()
-    m = random_symmetric(random.Random(3), 12)
-    assert smith_diagonal(m) == [1] * 11 + [abs(det(m))]
-    assert [x[1] for x in seen[:2]] == [0, abs(det(m))] and seen[1][2] > 0
+
+
+def trailing_minors_gcd(m):
+    """gcd of the four (k-1)-minors on the leading k-2 rows and columns plus
+    one of the last two rows and one of the last two columns."""
+    k = len(m)
+    head = list(range(k - 2))
+    return gcd(*(cofactor_det([[m[r][c] for c in head + [j]] for r in head + [i]])
+                 for i in (k - 2, k - 1) for j in (k - 2, k - 1)))
+
+
+@given(matrices(st.integers(-6, 6), rows=st.integers(2, 5)))
+@settings(max_examples=150, deadline=None)
+def test_bareiss_minors_are_the_trailing_minors(m):
+    # without row swaps before the last step, Bareiss's rows are the input's
+    assume(all(cofactor_det([row[:i] for row in m[:i]]) for i in range(1, len(m) - 1)))
+    d, minors = homology._bareiss([row[:] for row in m])
+    assert d == cofactor_det(m)
+    assert minors == trailing_minors_gcd(m)
+
+
+def test_bareiss_minors_with_a_row_swap_at_the_last_step():
+    # the leading 2 x 2 minor is 0, so the last step swaps rows 2 and 3
+    m = [[2, 1, 3], [4, 2, 5], [2, 5, 3]]
+    assert cofactor_det([row[:2] for row in m[:2]]) == 0
+    d, minors = homology._bareiss([row[:] for row in m])
+    assert d == cofactor_det(m) == 8
+    assert minors == trailing_minors_gcd(m) == 2
+    assert homology._bareiss([[-7]]) == (-7, 1)  # the empty minor
+
+
+def unimodular(draw, k):
+    """A random product of elementary operations on the k x k identity."""
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 2 * k))):
+        i, j = draw(st.permutations(range(k)))[:2]
+        f = draw(st.integers(-2, 2))
+        u[i] = [a + f * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def split_diagonals(draw):
+    """U diag(d) V, d a divisibility chain of primes 2 and 3 whose last entry
+    also carries a cyclic part of primes 5, 7 and 11."""
+    k = draw(st.integers(2, 4))
+    d, acc = [], 1
+    for _ in range(k):
+        acc *= draw(st.sampled_from([1, 2, 3, 4, 6]))
+        d.append(acc)
+    d[-1] *= draw(st.sampled_from([1, 5, 7, 11, 25, 35]))
+    diag = [[d[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    return product(product(unimodular(draw, k), diag), unimodular(draw, k)), d
+
+
+@given(split_diagonals())
+@settings(max_examples=100, deadline=None)
+def test_smith_splits_off_the_cyclic_part(case):
+    m, d = case
+    k = len(m)
+    assert smith_diagonal(m) == snf_oracle(m, k, k) == d
 
 
 def random_symmetric(rng, n):

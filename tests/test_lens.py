@@ -209,7 +209,7 @@ def test_lens_open_book_structure(pq):
 @given(coprime_pairs)
 @settings(max_examples=80, deadline=None)
 def test_lens_words_read_back_through_the_checked_parsers(pq):
-    # the word's curves are built unchecked, so the parsers, which check
+    # the word and its curves are built unchecked, so the parsers, which check
     # every curve, must read the written word back as an equal word
     page, word = lens_open_book(cf_expand(*pq))
     assert parse_word(word_to_text(word), page) == word

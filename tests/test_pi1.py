@@ -1,13 +1,16 @@
 """Presentations, reductions, the push-page construction, abelianization."""
 
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spuncalc.cli import main
 from spuncalc.errors import InvalidPresentationError
-from spuncalc.homology import H1Invariants
+from spuncalc.homology import H1Invariants, cokernel_invariants
 from spuncalc.pi1 import (
     MAX_GENERATORS,
     GroupPresentation,
@@ -124,6 +127,39 @@ def test_abelianization_invariant_under_reduction_and_reorder(args, rng):
     reordered = list(relators)
     rng.shuffle(reordered)
     assert abelianization(GroupPresentation(g, tuple(reordered))) == base
+
+
+@given(st.integers(1, 8).flatmap(lambda g: st.tuples(
+    st.just(g), st.lists(reduced_words(min(g, 3)).map(lambda r: tuple(x * 2 for x in r)),
+                         max_size=4))))
+@settings(max_examples=80, deadline=None)
+def test_abelianization_matches_the_dense_exponent_sum_matrix(args):
+    # letters x2, x4, x6 only: the generators no relator mentions are free
+    g, relators = args
+    relators = [tuple(x for x in r if abs(x) <= g) for r in relators]
+    dense = [oracle_exponent_sums(r, g) for r in relators]
+    expected = cokernel_invariants(dense, columns=g)
+    assert abelianization(GroupPresentation(g, tuple(relators))) == expected
+
+
+def test_many_generators_and_few_relators_take_little_memory(tmp_path, capsys):
+    # a dense exponent-sum matrix would hold 200 x 100,000 entries
+    rng = random.Random(1)
+    lines = [f"gens {MAX_GENERATORS}"] + [
+        f"x{rng.randint(1, MAX_GENERATORS)}x{rng.randint(1, MAX_GENERATORS)}"
+        for _ in range(200)]
+    path = tmp_path / "g.txt"
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        code = main(["pi1", str(path), "--json", "--no-timestamp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    ab = json.loads(capsys.readouterr().out)["outputs"]["abelianization"]
+    assert ab["free_rank"] >= MAX_GENERATORS - 200
+    assert peak < 50 * 2**20
 
 
 def test_presentation_validation():
