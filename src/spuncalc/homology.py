@@ -25,22 +25,25 @@ gives the free rank.
    collects every prime power of D whose prime divides gcd(D, g). No prime
    of D_c divides g, so none divides s_{k-1}: the D_c-part of coker B is
    cyclic, and coker B = Z/D_c + coker B (x) Z/D_m. When D_m = 1 the
-   factors are 1, ..., 1, D. Otherwise B stacked on D_m I has the factors
-   gcd(s_i, D_m), which are s_1, ..., s_{k-1}, s_k / D_c, and any row or
-   column operation invertible mod D_m keeps them. B is reduced mod D_m
-   and pivots coprime to D_m are cleared like the +-1 of phase 1. When
-   none is left but every entry and D_m share a factor h, the block is h
-   times a block of the same kind modulo D_m/h, so its factors are h times
-   those. The last factor is then multiplied by D_c.
-3. What has no unit left goes to the min-pivot reduction: a singular or
-   rectangular residual as it is, a nonsingular one stacked on D_m I.
+   factors are 1, ..., 1, D. Otherwise B is reduced mod D_m and pivots
+   coprime to D_m are cleared like the +-1 of phase 1.
+3. One finisher takes what has no unit left: a singular or rectangular
+   residual over Z, a nonsingular one over Z/D_m. Row and column
+   operations, each combining two lines through the extended gcd of their
+   leading entries, are unimodular, so they keep coker B (x) Z/D_m, which
+   is the sum of the Z/gcd(s_i, D_m), that is, of Z/s_1, ..., Z/s_{k-1}
+   and Z/(s_k / D_c). They make the block diagonal, reduced mod D_m after
+   each pivot, and a diagonal d_1, ..., d_k presents the sum of the
+   Z/gcd(d_i, D_m) (of the Z/d_i over Z). Replacing each pair of these
+   factors by their gcd and lcm keeps the sum and leaves a divisibility
+   chain. The last factor is then multiplied by D_c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidDiagramError, require_integers
@@ -193,62 +196,52 @@ def _unit_pivots(m: list[list[int]], modulus: int) -> tuple[list[list[int]], int
         cleared += 1
 
 
-def _min_pivot_diagonal(m: list[list[int]]) -> list[int]:
-    """Smith diagonal by repeated min-magnitude pivots, overwriting m: the
-    finisher for blocks with no unit left. It restarts whenever a remainder
-    appears and rescans the whole block each time."""
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g = gcd(a, b), and y = 0 whenever a divides
+    b, so that a pivot dividing its line takes nothing from the other one."""
+    if a and b % a == 0:
+        return abs(a), (1 if a > 0 else -1), 0
+    x, next_x, y, next_y = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x, next_x, y, next_y = next_x, x - q * next_x, next_y, y - q * next_y
+    return (a, x, y) if a > 0 else (-a, -x, -y)
+
+
+def _gcd_diagonal(m: list[list[int]], modulus: int) -> list[int]:
+    """Invariant factors of the cokernel of m over Z (modulus 0) or over
+    Z/modulus, where m holds residues: min(rows, cols) of them, in
+    divisibility order. Each pivot clears its column by combining two rows
+    through the extended gcd of their leading entries. Once it divides its
+    row, a column pass would change that row alone, so both are dropped;
+    else the transpose takes a pass, which makes the pivot smaller."""
     diag: list[int] = []
-    top = 0
-    while top < min(nr, nc):
-        # find a nonzero pivot of minimal magnitude in the working block
-        pivot = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
+    size = min(len(m), len(m[0])) if m else 0
+    while corner := next(((i, j) for i, row in enumerate(m) for j, a in enumerate(row) if a), None):
+        i, j = corner
+        m[0], m[i] = m[i], m[0]
         for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        p = m[top][top]
-        # clear the pivot row and column; restart whenever a remainder appears
-        dirty = False
-        for i in range(top + 1, nr):
-            q = m[i][top] // p
-            if q:
-                for j in range(top, nc):
-                    m[i][j] -= q * m[top][j]
-            if m[i][top]:
-                dirty = True
-        for j in range(top + 1, nc):
-            q = m[top][j] // p
-            if q:
-                for i in range(top, nr):
-                    m[i][j] -= q * m[i][top]
-            if m[top][j]:
-                dirty = True
-        if dirty:
-            continue
-        # pivot must divide the remaining block for the factor chain
-        stray = None
-        for i in range(top + 1, nr):
-            for j in range(top + 1, nc):
-                if m[i][j] % p != 0:
-                    stray = i
-                    break
-            if stray is not None:
+            row[0], row[j] = row[j], row[0]
+        while True:
+            for i in range(1, len(m)):
+                top, row = m[0], m[i]
+                if row[0]:
+                    g, x, y = _egcd(top[0], row[0])
+                    a, b = top[0] // g, row[0] // g
+                    if y or x != 1:
+                        m[0] = [x * u + y * v for u, v in zip(top, row)]
+                    m[i] = [a * v - b * u for u, v in zip(top, row)]
+            pivot = m[0][0]
+            if all(a % pivot == 0 for a in m[0]):
                 break
-        if stray is not None:
-            for j in range(top, nc):
-                m[top][j] += m[stray][j]
-            continue
-        diag.append(abs(p))
-        top += 1
-    diag.extend([0] * (min(nr, nc) - len(diag)))
+            m = [list(line) for line in zip(*m)]
+        diag.append(pivot)
+        m = [[a % modulus for a in row[1:]] if modulus else row[1:] for row in m[1:]]
+    diag = [gcd(d, modulus) for d in diag] + [modulus] * (size - len(diag))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return diag
 
 
@@ -268,10 +261,10 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     if not m:
         return diag
     if len(m) != len(m[0]):
-        return diag + _min_pivot_diagonal(m)
+        return diag + _gcd_diagonal(m, 0)
     determinant, minors = _bareiss([row[:] for row in m])
     if not determinant:
-        return diag + _min_pivot_diagonal(m)
+        return diag + _gcd_diagonal(m, 0)
     # |determinant| = cyclic * modulus: modulus takes each prime power whose
     # prime divides the minors, cyclic the rest
     cyclic = abs(determinant)
@@ -282,22 +275,8 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     modulus = abs(determinant) // cyclic
     if modulus == 1:
         return diag + [1] * (len(m) - 1) + [cyclic]
-    m = [[a % modulus for a in row] for row in m]
-    scale = 1
-    while True:
-        m, units = _unit_pivots(m, modulus)
-        diag += [scale] * units
-        if not m:
-            break
-        g = gcd(modulus, *chain.from_iterable(m))
-        if g == 1:
-            k = len(m)
-            m += [[modulus if j == i else 0 for j in range(k)] for i in range(k)]
-            diag += [scale * d for d in _min_pivot_diagonal(m)]
-            break
-        m = [[a // g for a in row] for row in m]
-        modulus //= g
-        scale *= g
+    m, units = _unit_pivots([[a % modulus for a in row] for row in m], modulus)
+    diag += [1] * units + _gcd_diagonal(m, modulus)
     diag[-1] *= cyclic
     return diag
 
@@ -308,8 +287,6 @@ def cokernel_invariants(entries: Iterable[Sequence[int]], columns: int) -> H1Inv
     rows = list(entries)  # smith_diagonal copies and checks the entries
     if any(len(row) != columns for row in rows):
         raise InvalidDiagramError(f"matrix rows must have {columns} entries")
-    if not rows:
-        return H1Invariants(factors=(), free_rank=columns)
     diag = smith_diagonal(rows)
     rank = sum(1 for d in diag if d != 0)
     factors = tuple(d for d in diag if d > 1)

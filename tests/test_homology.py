@@ -82,6 +82,20 @@ def test_det_matches_cofactor_oracle(m):
     assert det(m) == cofactor_det(m)
 
 
+# ahead of every Smith test: without y = 0 the finisher loops forever
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(-50, 50))
+@settings(max_examples=300, deadline=None)
+def test_egcd_combines_to_the_gcd_and_keeps_a_dividing_pivot(a, b, k):
+    for a, b in ((a, b), (a, k * a)):  # the second pair has a | b
+        assume(a or b)
+        g, x, y = homology._egcd(a, b)
+        assert x * a + y * b == g == gcd(a, b) > 0
+        if a and b % a == 0:
+            # else a pivot that already divides its line would mix it into
+            # the other one, and the row and column passes never end
+            assert y == 0
+
+
 @given(small_matrix)
 @settings(max_examples=100, deadline=None)
 def test_smith_diagonal_matches_minor_gcd_oracle(m):
@@ -260,7 +274,7 @@ def test_smith_mixed_phases(core, row, col):
 
 def test_each_smith_phase_is_reached(monkeypatch):
     seen = []
-    unit_pivots, min_pivot = homology._unit_pivots, homology._min_pivot_diagonal
+    unit_pivots, finisher = homology._unit_pivots, homology._gcd_diagonal
 
     def reduced(m, modulus):
         return all(0 <= a < modulus for row in m for a in row) if modulus else True
@@ -272,12 +286,13 @@ def test_each_smith_phase_is_reached(monkeypatch):
         seen.append(("units", modulus, cleared))
         return m, cleared
 
-    def spy_finisher(m):
-        seen.append(("finisher", len(m), len(m[0])))
-        return min_pivot(m)
+    def spy_finisher(m, modulus):
+        assert reduced(m, modulus)  # so does the finisher modulo D_m
+        seen.append(("finisher", modulus, len(m), len(m[0])))
+        return finisher(m, modulus)
 
     monkeypatch.setattr(homology, "_unit_pivots", spy_units)
-    monkeypatch.setattr(homology, "_min_pivot_diagonal", spy_finisher)
+    monkeypatch.setattr(homology, "_gcd_diagonal", spy_finisher)
     # cyclic exit: core [[4, 6], [9, 6]] has determinant -30 and minors
     # with gcd 1, so H1 is Z/30 and no modular phase runs
     m = framed([[4, 6], [9, 6]], [2, -1], [1, 3])
@@ -288,30 +303,42 @@ def test_each_smith_phase_is_reached(monkeypatch):
     assert smith_diagonal(m) == [1] * 11 + [abs(det(m))]
     assert seen == [("units", 0, 2)]
     seen.clear()
-    # modulo D_m < D: det 60 splits into D_c = 15 and D_m = 4 (the minors'
-    # gcd is 2); the content 2 comes out mod 4, and 15 goes on the last factor
+    # the units mod D_m clear all but a block that is 0 mod D_m: D = 12,
+    # the four trailing minors share the 3 that s_2 = 1 lacks, so D_m = 3
+    # and D_c = 4. They never empty the block, since coker B (x) Z/D_m has
+    # order D_m > 1.
+    m = [[0, 2, 0], [0, 3, -2], [-3, 0, 0]]
+    assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 1, 12]
+    assert seen == [("units", 0, 0), ("units", 3, 2), ("finisher", 3, 1, 1)]
+    seen.clear()
+    # the finisher modulo D_m < D: det 60 splits into D_c = 15 and D_m = 4
+    # (the minors' gcd is 2); it finds 2, 2 mod 4, and 15 goes on the last
     assert smith_diagonal([[2, 0], [0, 30]]) == [2, 30]
-    assert seen == [("units", 0, 0), ("units", 4, 0), ("units", 2, 2)]
+    assert seen == [("units", 0, 0), ("units", 4, 0), ("finisher", 4, 2, 2)]
     seen.clear()
-    # 2 * [[3, 1], [1, 1]]: D = D_m = 8; the content 2 comes out, then 1 and
-    # 2 are units
+    # 2 * [[3, 1], [1, 1]]: D = D_m = 8 and no entry is a unit mod 8
     assert smith_diagonal([[6, 2], [2, 2]]) == [2, 4]
-    assert seen == [("units", 0, 0), ("units", 8, 0), ("units", 4, 1), ("units", 2, 1)]
+    assert seen == [("units", 0, 0), ("units", 8, 0), ("finisher", 8, 2, 2)]
     seen.clear()
-    # no entry is a unit mod D_m = 18 and their content is 1: the finisher
-    # takes the block stacked on 18 I
+    # no entry is a unit mod D_m = 18 and their content is 1
     m = [[-2, -2, 0], [0, 3, 3], [-2, -2, -3]]
     assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 3, 6]
-    assert seen == [("units", 0, 0), ("units", 18, 0), ("finisher", 6, 3)]
+    assert seen == [("units", 0, 0), ("units", 18, 0), ("finisher", 18, 3, 3)]
     seen.clear()
     # a -1 is a pivot over Z too; the residual [10] is 1 x 1, so cyclic
     assert smith_diagonal([[-1, 2], [3, 4]]) == [1, 10]
     assert seen == [("units", 0, 1)]
     seen.clear()
-    # singular: the unit in the middle row clears the top row
+    # the finisher over Z: singular, after the unit in the middle row
+    # clears the top row
     m = [[2, 4, 6], [1, 2, 3], [0, 5, 5]]
     assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 5, 0]
-    assert seen == [("units", 0, 1), ("finisher", 2, 2)]
+    assert seen == [("units", 0, 1), ("finisher", 0, 2, 2)]
+    seen.clear()
+    # and rectangular, with no unit anywhere
+    m = [[2, 4, 4], [6, 0, 3]]
+    assert smith_diagonal(m) == snf_oracle(m, 2, 3) == [1, 6]
+    assert seen == [("units", 0, 0), ("finisher", 0, 2, 3)]
 
 
 def trailing_minors_gcd(m):
