@@ -8,7 +8,7 @@ ASCII line, the bytes of ``json.dumps(report, sort_keys=True,
 separators=(",", ":"))`` plus a newline; ``python -m json.tool`` indents it
 for reading. lens, embed, certify-s4 and surgery build their reports in
 functions of parsed inputs (``lens_report`` and so on), which the corpus
-replays too; the embed and pi1 reports carry no check. Exit codes: 0 ok,
+replays too; the embed report carries no check. Exit codes: 0 ok,
 1 a check failed (the rule of ``exit_code``), 2 bad input, a malformed
 argv included, and 141 from the console script when the reader of stdout
 closed it early.
@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, NoReturn
 
-from . import __version__, corpus, lens, pi1, spun, surgery
+from . import __version__, corpus, lens, modp, pi1, spun, surgery
 from .errors import InvalidMoveError, SpuncalcError, echo, parse_json
 from .fourman import FourManifoldForm, normalize, parity_form
 from .planar import PlanarPage, TwistWord, load_word, parity_vector, word_to_json, word_to_text
@@ -44,6 +44,9 @@ MAX_PAGE_HOLES = 100_000
 
 # a report function's outputs (built when called), checks and text lines
 Report = tuple[Callable[[], dict], list[dict], Iterator[str]]
+
+# the check of an H1 against its presentation matrix's ranks over F_2 and F_3
+RANK_CHECK = "H1 agrees with rank mod 2 and mod 3"
 
 
 def exit_code(checks: list[dict]) -> int:
@@ -208,17 +211,18 @@ def cmd_certify_s4(args: argparse.Namespace) -> int:
 
 def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Report:
     """Apply a JSON move list with an H1 audit of each move and of the whole
-    chain, then export the final diagram as a planar open book. With no
-    move the chain's two ends are one diagram, so no check is emitted."""
-    final, h1, h1_final, details = surgery.apply_moves(diagram, moves)
+    chain, then export the final diagram as a planar open book. The chain's
+    check compares the input's H1 with the final linking matrix's ranks mod
+    2 and mod 3; with no move that matrix is the input's own, and the check
+    takes the name it has in ``pi1``."""
+    final, h1, agrees, details = surgery.apply_moves(diagram, moves)
     page, word = surgery.to_planar_open_book(final)
     h1_start = h1[0]
     # one (kind, detail, H1 before, H1 after) per move
     steps = list(zip((m["move"] for m in moves), details, h1, h1[1:]))
     checks = [{"name": f"{kind} preserves H1", "passed": before == after}
               for kind, _, before, after in steps]
-    if moves:
-        checks.append({"name": "H1 preserved end to end", "passed": h1_start == h1_final})
+    checks.append({"name": "H1 preserved end to end" if moves else RANK_CHECK, "passed": agrees})
 
     def outputs():
         return {
@@ -227,7 +231,7 @@ def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Re
             "moves": [{"move": kind, "detail": detail, "h1_before": before.to_json(),
                        "h1_after": after.to_json(), "h1_preserved": before == after}
                       for kind, detail, before, after in steps],
-            "h1": h1_final.to_json(),
+            "h1": h1[-1].to_json(),
             "open_book": {
                 "page": {"inner_count": page.inner_count},
                 "word": word_to_json(word),
@@ -255,13 +259,34 @@ def cmd_surgery(args: argparse.Namespace) -> int:
                  *surgery_report(d, moves))
 
 
+def _exponent_sums(relators: tuple[pi1.Word, ...]) -> list[list[int]]:
+    """Each relator's exponent sum on each generator some relator mentions
+    (the other columns are zero), counted here rather than read from
+    ``pi1.abelianization``, so that a fault there shows against these rows."""
+    column = {x: j for j, x in enumerate({abs(x) for r in relators for x in r})}
+    rows = []
+    for r in relators:
+        row = [0] * len(column)
+        for x in r:
+            if x > 0:
+                row[column[x]] += 1
+            else:
+                row[column[-x]] -= 1
+        rows.append(row)
+    return rows
+
+
 def cmd_pi1(args: argparse.Namespace) -> int:
-    """The push page of a presentation and the group read back off it, with
-    no check: the round trip returns the input's relators, freely reduced."""
+    """The push page of a presentation, the group read back off it and its
+    abelianization, checked against the ranks mod 2 and mod 3 of the
+    input's exponent sums. The round trip returns the input's relators,
+    freely reduced, by construction, so it carries no check."""
     g = pi1.parse_presentation(_read(args.presentation))
     page = pi1.page_for_presentation(g)
     recovered = pi1.pi1_of_open_book(page)
     ab = pi1.abelianization(recovered)
+    checks = [{"name": RANK_CHECK, "passed": modp.invariants_agree(
+        ab.factors, ab.free_rank, g.generator_count, _exponent_sums(g.relators))}]
 
     def outputs():
         return {
@@ -277,7 +302,7 @@ def cmd_pi1(args: argparse.Namespace) -> int:
         yield f"recovered fundamental group: {recovered.describe('a')}"
         yield f"abelianization: {ab.describe()}"
 
-    return _emit(args, "pi1", {"presentation_file": args.presentation}, outputs, [], lines())
+    return _emit(args, "pi1", {"presentation_file": args.presentation}, outputs, checks, lines())
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -301,7 +326,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A bad argv is bad input like any other: ``main`` prints one error
-    line and returns 2, where argparse would print its usage and exit."""
+    line and returns 2, where argparse would print its usage and exit. The
+    top-level parser keeps its subcommands' parsers by name."""
+
+    subcommands: dict[str, argparse.ArgumentParser] = {}
 
     def error(self, message: str) -> NoReturn:
         # argparse quotes the offending token whole: the cut keeps the line short
@@ -360,12 +388,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_corpus)
 
+    parser.subcommands = sub.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command of ``argv`` (``sys.argv[1:]`` when None). When its
+    first word names a subcommand, that subcommand's parser reads the rest,
+    as the top-level parser would hand it on, but in one pass; anything
+    else (no word, ``--version``, ``-h``, an unknown word) goes through the
+    top-level parser."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        sub = parser.subcommands.get(argv[0]) if argv else None
+        args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
         return args.func(args)
     except SpuncalcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,12 +53,24 @@ def _words(count: int, words: object, name: str, letter: str) -> tuple[Word, ...
 
 @dataclass(frozen=True)
 class GroupPresentation:
+    """The constructor checks every letter; ``pi1_of_open_book`` builds its
+    result with ``_trusted``."""
+
     generator_count: int
     relators: tuple[Word, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relators", _words(
             self.generator_count, self.relators, "generator", "letter"))
+
+    @classmethod
+    def _trusted(cls, generator_count: int, relators: tuple[Word, ...]) -> GroupPresentation:
+        """The presentation of int tuples derived from checked words;
+        nothing is checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "generator_count", generator_count)
+        object.__setattr__(g, "relators", relators)
+        return g
 
     def describe(self, symbol: str = "x") -> str:
         gens = ", ".join(f"{symbol}{i}" for i in range(1, self.generator_count + 1))
@@ -75,7 +87,8 @@ class GroupPresentation:
 @dataclass(frozen=True)
 class PushPage:
     """g circle handles and one pushed loop per sphere cylinder: the loops
-    are the spheres, so their count is the sphere count."""
+    are the spheres, so their count is the sphere count. The constructor
+    checks every letter; ``page_for_presentation`` builds with ``_trusted``."""
 
     handle_count: int
     loops: tuple[Word, ...] = ()
@@ -83,6 +96,14 @@ class PushPage:
     def __post_init__(self) -> None:
         object.__setattr__(self, "loops", _words(
             self.handle_count, self.loops, "handle", "loop letter"))
+
+    @classmethod
+    def _trusted(cls, handle_count: int, loops: tuple[Word, ...]) -> PushPage:
+        """The page of a checked presentation's relators; nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "handle_count", handle_count)
+        object.__setattr__(p, "loops", loops)
+        return p
 
     def to_json(self) -> dict:
         return {
@@ -94,16 +115,13 @@ class PushPage:
 
 def page_for_presentation(g: GroupPresentation) -> PushPage:
     """Transcribe: one handle per generator, one pushed sphere per relator."""
-    return PushPage(handle_count=g.generator_count, loops=g.relators)
+    return PushPage._trusted(g.generator_count, g.relators)
 
 
 def pi1_of_open_book(p: PushPage) -> GroupPresentation:
     """Fundamental group of the open book over the page: the handle
     generators survive untouched and each pushed loop becomes a relator."""
-    return GroupPresentation(
-        generator_count=p.handle_count,
-        relators=tuple(free_reduce(w) for w in p.loops),
-    )
+    return GroupPresentation._trusted(p.handle_count, tuple(free_reduce(w) for w in p.loops))
 
 
 def abelianization(g: GroupPresentation) -> H1Invariants:

@@ -16,9 +16,9 @@ carries a certificate, elementary unimodular matrices E and F with
 E L F equal to L' up to a split-off +-1 block (L and L' the linking
 matrices before and after the move), checked in O(n^2). That is an
 isomorphism of first homology, so H1 takes a Smith form only on the
-input and the final diagram, and on both sides of any move whose
-certificate fails. The sign conventions in force (also echoed in every
-CLI report):
+input, and on both sides of any move whose certificate fails; the final
+diagram's ranks mod 2 and mod 3 are checked against the input's H1. The
+sign conventions in force (also echoed in every CLI report):
 
 * blow_up(region, sign) appends a new strand with framing ``sign`` that
   links each region member once positively, and compensates by adding
@@ -39,6 +39,7 @@ from typing import Callable
 
 from .errors import InvalidDiagramError, InvalidMoveError, echo, parse_json, require_integers
 from .homology import H1Invariants, LinkingMatrix, Rows, cokernel_invariants
+from .modp import invariants_agree
 from .planar import CurveClass, DehnTwist, PlanarPage, TwistWord
 
 SIGN_CONVENTIONS = {
@@ -51,9 +52,8 @@ SIGN_CONVENTIONS = {
 BraidLetter = tuple[int, int, int]
 
 # most strands a diagram may have: a move chain takes a Smith form of its
-# input and of its final diagram, whose cost grows faster than the cube of
-# the strand count (a dense 199-strand chain of three moves takes about 8 s
-# on a 2-core machine)
+# input, whose cost grows faster than the cube of the strand count (a dense
+# 199-strand chain of three moves takes about 4 s on a 2-core machine)
 MAX_STRANDS = 200
 
 
@@ -173,11 +173,15 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
 
 
 def linking_matrix(d: FramedBraidDiagram) -> LinkingMatrix:
-    """Framings on the diagonal, net linking numbers off it."""
-    rows = [[f if j == i else 0 for j in range(d.strands)] for i, f in enumerate(d.framings)]
+    """Framings on the diagonal, net linking numbers off it. The diagram
+    was checked, so its rows are square, symmetric ints by construction
+    and the matrix is built unchecked."""
+    rows = [[0] * d.strands for _ in d.framings]
+    for i, f in enumerate(d.framings):
+        rows[i][i] = f
     for (a, b), e in d.net_linking.items():
         rows[a - 1][b - 1] = rows[b - 1][a - 1] = e
-    return LinkingMatrix(tuple(tuple(row) for row in rows))
+    return LinkingMatrix._trusted(tuple(map(tuple, rows)))
 
 
 def h1_invariants(d: FramedBraidDiagram, rows: Rows | None = None) -> H1Invariants:
@@ -360,17 +364,21 @@ def _apply(d: FramedBraidDiagram, move: dict,
 
 
 def apply_moves(d: FramedBraidDiagram, moves: list[dict],
-                ) -> tuple[FramedBraidDiagram, list[H1Invariants], H1Invariants, list[str]]:
+                ) -> tuple[FramedBraidDiagram, list[H1Invariants], bool, list[str]]:
     """Apply a JSON move list to ``d`` and audit the chain.
 
     Returns the final diagram, the H1 of every diagram in the chain (input
-    first), the final diagram's H1 computed on its own and each move's
-    detail string; move i preserves H1 when ``h1[i] == h1[i + 1]``. After
-    every move has applied, each diagram's linking rows are built once.
-    The input's H1 is its Smith form and each move whose certificate holds
-    carries it on; a move whose certificate fails takes the Smith form of
-    the diagrams on both sides. The final diagram's Smith form is computed
-    in any case, so the chain's ends compare two computed groups.
+    first; the last is the final diagram's), whether the input's H1 agrees
+    with the final linking matrix's ranks mod 2 and mod 3 (see
+    ``modp.invariants_agree``), and each move's detail string; move i
+    preserves H1 when ``h1[i] == h1[i + 1]``. After every move has applied,
+    each diagram's linking rows are built once. The input's H1 is its Smith
+    form, and each move whose certificate holds carries it on, so a chain
+    whose certificates all hold takes one Smith form. A move whose
+    certificate fails takes the Smith forms of the diagrams on both sides.
+    The ranks of the final matrix share no code with the Smith form, so a
+    fault in it, or in a certificate, shows as a disagreement where it
+    changes how many invariant factors 2 or 3 divides, or the free rank.
     """
     if not isinstance(moves, list):
         raise InvalidMoveError(f"a move list must be a JSON list, got {type(moves).__name__}")
@@ -395,7 +403,8 @@ def apply_moves(d: FramedBraidDiagram, moves: list[dict],
         else:
             h1[i] = computed(i)
             h1.append(computed(i + 1))
-    return d, h1, computed(len(chain) - 1), details
+    agrees = invariants_agree(h1[0].factors, h1[0].free_rank, d.strands, rows[-1])
+    return d, h1, agrees, details
 
 
 def to_planar_open_book(d: FramedBraidDiagram) -> tuple[PlanarPage, TwistWord]:

@@ -9,8 +9,8 @@ import json
 
 import pytest
 
-from spuncalc import corpus, fourman, lens, spun, surgery
-from spuncalc.cli import main
+from spuncalc import corpus, fourman, homology, lens, pi1, spun, surgery
+from spuncalc.cli import RANK_CHECK, main
 from spuncalc.planar import TwistWord
 from test_cli import README_COMMANDS, README_FILES
 
@@ -18,9 +18,16 @@ LENS = ["lens", "7", "2"]
 CERTIFY = ["certify-s4", "--page", "2", "--word", "cert.txt"]
 SURGERY = ["surgery", "diagram.txt", "--moves", "moves.json"]
 TWIST = ["surgery", "twist.txt", "--moves", "twist.json"]
+NO_MOVE = ["surgery", "diagram.txt"]
+Z12_DIAGRAM = ["surgery", "z12.txt"]
+PI1 = ["pi1", "group.txt"]
+Z4_Z3_GROUP = ["pi1", "z4z3.txt"]
 FILES = {**README_FILES, "group.txt": "gens 2\nx1x2X1X2\n",
          "twist.txt": "strands 2\nframings 0 5\nA 1 2 +2\n",
-         "twist.json": '[{"move": "rolfsen_twist", "component": 1, "twists": 1}]'}
+         "twist.json": '[{"move": "rolfsen_twist", "component": 1, "twists": 1}]',
+         # H1 = Z/4 + Z/3 = Z/12 on each, a Smith diagonal ending 1, 12
+         "z12.txt": "strands 2\nframings 13 1\nA 1 2 +1\n",
+         "z4z3.txt": "gens 2\nx1x1x1x1\nx2x2x2\n"}
 
 
 def cf_reversed(monkeypatch):
@@ -90,11 +97,47 @@ def framing_off_after(move):
 
 
 def certificates_accept_every_move(monkeypatch):
-    """A certifier that passes every move, plus a faulty blow-up: each move's
-    check carries the input's H1 on, so only the ends' Smith forms differ."""
+    """A certifier that passes every move, plus a faulty twist: each move's
+    check carries the input's H1 on, so only the final diagram's ranks can
+    see it. On the twist input the fault takes H1 from Z/4 to Z/5, which
+    changes the 2-part; the same fault on the README chain takes Z/7 to
+    Z/5, which ranks mod 2 and mod 3 cannot see (test_modp pins that)."""
     for name in ("_blow_up_certified", "_blow_down_certified", "_twist_certified"):
         monkeypatch.setattr(surgery, name, lambda *args: True)
-    framing_off_after("blow_up")(monkeypatch)
+    framing_off_after("rolfsen_twist")(monkeypatch)
+
+
+def smith_factor_moved_across_primes(monkeypatch):
+    """Z/4 + Z/3 = Z/12 reported as Z/2 + Z/6: a factor 2 of the last
+    invariant factor moved to the one before it, a valid chain either way."""
+    original = homology.smith_diagonal
+
+    def faulty(entries):
+        diag = original(entries)
+        if diag[-2:] == [1, 12]:
+            diag[-2:] = [2, 6]
+        return diag
+
+    monkeypatch.setattr(homology, "smith_diagonal", faulty)
+
+
+def free_rank_off_by_one(monkeypatch):
+    original = homology.cokernel_invariants
+
+    def faulty(entries, columns):
+        h = original(entries, columns)
+        return homology.H1Invariants(h.factors, h.free_rank + 1)
+
+    for module in (surgery, pi1):
+        monkeypatch.setattr(module, "cokernel_invariants", faulty)
+
+
+def abelianization_sign_dropped(monkeypatch):
+    """Rows of letter counts, not exponent sums: they agree mod 2, so only
+    the rank mod 3 sees it (the commutator's Z + Z becomes Z + Z/2)."""
+    original = pi1.abelianization
+    monkeypatch.setattr(pi1, "abelianization", lambda g: original(pi1.GroupPresentation(
+        g.generator_count, tuple(tuple(map(abs, r)) for r in g.relators))))
 
 
 def first_a_parity_flipped(monkeypatch):
@@ -116,14 +159,28 @@ COMMAND_FAULTS = [
     (slid_framings_off_by_two, LENS, {"slid |det| equals p"}),
     (first_exponent_off_by_one, LENS, {"word parity matches reduced parity"}),
     (rank_one_sign_flipped, SURGERY, {"blow_up preserves H1", "blow_down preserves H1"}),
-    (framing_off_after("blow_up"), SURGERY, {"blow_up preserves H1", "H1 preserved end to end"}),
-    (framing_off_after("blow_down"), SURGERY,
-     {"blow_down preserves H1", "H1 preserved end to end"}),
+    # the README chain's faulty final diagram presents Z/5 for Z/7: the end
+    # to end check sees only the 2- and 3-parts and the free rank
+    (framing_off_after("blow_up"), SURGERY, {"blow_up preserves H1"}),
+    (framing_off_after("blow_down"), SURGERY, {"blow_down preserves H1"}),
     (framing_off_after("rolfsen_twist"), TWIST,
      {"rolfsen_twist preserves H1", "H1 preserved end to end"}),
-    (certificates_accept_every_move, SURGERY, {"H1 preserved end to end"}),
+    (certificates_accept_every_move, TWIST, {"H1 preserved end to end"}),
     (first_a_parity_flipped, CERTIFY, {"sphere certificate"}),
+    (smith_factor_moved_across_primes, Z12_DIAGRAM, {RANK_CHECK}),
+    (smith_factor_moved_across_primes, Z4_Z3_GROUP, {RANK_CHECK}),
+    (free_rank_off_by_one, NO_MOVE, {RANK_CHECK}),
+    (free_rank_off_by_one, SURGERY, {"H1 preserved end to end"}),
+    (free_rank_off_by_one, PI1, {RANK_CHECK}),
+    (abelianization_sign_dropped, PI1, {RANK_CHECK}),
 ]
+
+
+def fault_id(fault, argv):
+    """The fault's name, and its input's where the fault runs on several."""
+    if sum(f is fault for f, _, _ in COMMAND_FAULTS) == 1:
+        return fault.__name__
+    return f"{fault.__name__}-{argv[0]}-{argv[1].partition('.')[0]}"
 
 
 def evaluator_ignores_pushes(monkeypatch):
@@ -170,7 +227,7 @@ def failed(checks):
 
 
 @pytest.mark.parametrize("fault, argv, names", COMMAND_FAULTS,
-                         ids=[fault.__name__ for fault, _, _ in COMMAND_FAULTS])
+                         ids=[fault_id(fault, argv) for fault, argv, _ in COMMAND_FAULTS])
 def test_a_fault_fails_the_check_that_guards_it(tmp_path, monkeypatch, capsys, fault, argv,
                                                 names):
     code, checks = report(tmp_path, monkeypatch, capsys, argv)

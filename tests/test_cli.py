@@ -133,9 +133,10 @@ def test_surgery_onaran_export(tmp_path, capsys):
     assert code == 0
     assert "T{1}^7" in out
     assert "Z/7" in out
-    # with no move the chain's ends are one diagram: there is nothing to check
+    # with no move the only diagram's H1 is checked against its ranks mod 2 and 3
     code, out, _ = run(capsys, "surgery", str(diagram), "--json", "--no-timestamp")
-    assert (code, json.loads(out)["checks"]) == (0, [])
+    assert (code, json.loads(out)["checks"]) == (
+        0, [{"name": "H1 agrees with rank mod 2 and mod 3", "passed": True}])
 
 
 def test_pi1_command(tmp_path, capsys):
@@ -147,7 +148,7 @@ def test_pi1_command(tmp_path, capsys):
 
     code, out, _ = run(capsys, "pi1", str(pres), "--json", "--no-timestamp")
     report = json.loads(out)
-    assert report["checks"] == []
+    assert report["checks"] == [{"name": "H1 agrees with rank mod 2 and mod 3", "passed": True}]
     assert report["outputs"]["abelianization"] == {"factors": [2], "free_rank": 0}
     assert report["outputs"]["recovered"]["relators"] == ["x1x1"]
 
@@ -511,21 +512,23 @@ def readme_surgery(tmp_path, monkeypatch, capsys):
     return code, json.loads(out)["outputs"]
 
 
-def test_surgery_computes_the_h1_of_its_ends_only(tmp_path, monkeypatch, capsys):
+def test_surgery_computes_the_h1_of_its_input_only(tmp_path, monkeypatch, capsys):
     # two moves make a chain of three diagrams; each move's certificate
-    # carries H1 across it, so only the input and the final diagram take a
-    # Smith reduction
+    # carries H1 across it, so only the input takes a Smith reduction, and
+    # the final diagram is checked by its ranks mod 2 and mod 3
     calls = count_smith(monkeypatch)
     code, _ = readme_surgery(tmp_path, monkeypatch, capsys)
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["blow_up", "blow_down"])
 def test_a_failed_certificate_computes_the_h1_on_both_sides(tmp_path, monkeypatch, capsys, name):
     # the move's result is framed one too high, so its certificate fails and
-    # the diagrams on both sides of it take a Smith reduction, as do the
-    # input and the final diagram: three reductions in all
+    # the diagrams on both sides of it take a Smith reduction, as does the
+    # input: the blow-up's first side is the input, so two reductions for a
+    # faulty blow-up and three for a faulty blow-down; the final diagram's
+    # H1 is the one carried to it
     original = getattr(surgery, name)
 
     def faulty(d, *args):
@@ -537,7 +540,7 @@ def test_a_failed_certificate_computes_the_h1_on_both_sides(tmp_path, monkeypatc
     calls = count_smith(monkeypatch)
     code, outputs = readme_surgery(tmp_path, monkeypatch, capsys)
     assert code == 1
-    assert len(calls) == 3
+    assert len(calls) == {"blow_up": 2, "blow_down": 3}[name]
     d = surgery.parse_diagram(README_FILES["diagram.txt"])
     up, _ = surgery.blow_up(d, [1, 2], 1)
     final, _ = surgery.blow_down(up, 3)

@@ -92,6 +92,18 @@ def test_roundtrip_is_identity_on_reduced_presentations(args):
     assert pi1_of_open_book(page_for_presentation(pres)) == pres
 
 
+@given(st.integers(1, 5).flatmap(lambda g: st.tuples(
+    st.just(g), st.lists(st.lists(st.integers(-g, g).filter(bool), max_size=8), max_size=5))))
+@settings(max_examples=100, deadline=None)
+def test_the_trusted_round_trip_equals_its_checked_twins(args):
+    # the page and the group are built unchecked from a checked presentation
+    g, relators = args
+    pres = GroupPresentation(g, relators)
+    page = page_for_presentation(pres)
+    assert page == PushPage(g, relators)
+    assert pi1_of_open_book(page) == GroupPresentation(g, [free_reduce(r) for r in relators])
+
+
 def test_roundtrip_reduces_unreduced_relators():
     pres = GroupPresentation(2, ((1, -1, 2), (2, 2, -2)))
     out = pi1_of_open_book(page_for_presentation(pres))
