@@ -5,9 +5,10 @@ A ``lens``, ``embed``, ``s4`` or ``surgery`` case replays its command: it
 calls the same report function as ``spuncalc lens``, ``embed``,
 ``certify-s4`` or ``surgery`` and passes when that report's outputs contain
 the case's ``expect`` (dicts key by key) and its exit code equals the
-case's ``exit`` (0 when absent). An ``atoms`` case evaluates a page of atoms,
-which no command does. ``run_corpus`` reports one pass/fail line per case;
-the same fixtures back the acceptance test suite.
+case's ``exit`` (0 when absent). An ``atoms`` case evaluates a page of atoms
+with ``fourman.evaluate_open_book``, which ``corpus run`` is the only command
+to call. ``run_corpus`` reports one pass/fail line per case; the same
+fixtures back the acceptance test suite.
 """
 
 from __future__ import annotations

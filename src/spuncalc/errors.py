@@ -20,16 +20,8 @@ class PushLetterError(SpuncalcError):
     """An operation that only accepts Dehn twist letters was given a push."""
 
 
-class DimensionMismatchError(SpuncalcError):
-    """Page atoms or manifold forms of different dimensions were mixed."""
-
-
 class InvalidMonodromyError(SpuncalcError):
     """A monodromy form does not fit its page (dangling or reused index)."""
-
-
-class NotComparableError(SpuncalcError):
-    """Manifold forms of different dimensions cannot be compared."""
 
 
 class InvalidDiagramError(SpuncalcError):

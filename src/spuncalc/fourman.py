@@ -1,16 +1,16 @@
 """Normal forms for open books with boundary-connected-sum pages.
 
-Pages are built from two kinds of atoms of a common dimension m+1: sphere
-cylinders S^m x [0,1] and circle disks S^1 x D^m. A page is stored as how
-many atoms of each kind it has, plus m: nothing else about it is read. The
-monodromies in scope are products of sphere twists supported on the
-cylinder atoms and pushes pairing a circle atom with a cylinder atom. The
-evaluator works atom-wise:
+The pages are the paper's 3-dimensional ones (atom dimension m = 2),
+built from two kinds of atoms: sphere cylinders S^2 x [0,1] and circle
+disks S^1 x D^2. A page is stored as how many atoms of each kind it has:
+nothing else about it is read. The monodromies in scope are products of
+sphere twists supported on the cylinder atoms and pushes pairing a circle
+atom with a cylinder atom. The evaluator works atom-wise:
 
-* cylinder with even twist exponent  -> S^2 x S^m
-* cylinder with odd twist exponent   -> twisted S^m-bundle over S^2
-* unpaired circle atom               -> S^1 x S^(m+1)
-* pushed (circle, cylinder) pair     -> S^(m+2), regardless of the twist
+* cylinder with even twist exponent  -> S^2 x S^2
+* cylinder with odd twist exponent   -> the twisted S^2-bundle S^2 x~ S^2
+* unpaired circle atom               -> S^1 x S^3
+* pushed (circle, cylinder) pair     -> S^4, regardless of the twist
   exponent carried by the paired cylinder (the push absorbs its parity)
 
 and the total space is the connected sum of the atom values, with sphere
@@ -18,11 +18,12 @@ summands dropped. The two cylinder rules are ``parity_form``, which also
 turns the boundary parities of a planar open book into its target. Results
 are compared through a spin-aware normal form: one twisted bundle summand
 absorbs the spin condition, so in a pure bundle sum every trivial summand
-can be traded for a twisted one. Sums that mix S^1 x S^(m+1) with twisted
+can be traded for a twisted one. Sums that mix S^1 x S^3 with twisted
 bundles are kept symbolic: no absorption across that boundary is asserted.
 
-All statements are stable under raising the sphere dimension of every atom
-by one; results record that as a note rather than computing with it.
+Remark: all statements are stable under suspension, raising the sphere
+dimension of every atom by one; results record that as a note rather than
+computing with it.
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidMonodromyError,
-    NotComparableError,
-    SpuncalcError,
-    echo,
-    require_integers,
-)
+from .errors import InvalidMonodromyError, SpuncalcError, echo, require_integers
 
 DIMENSION_RAISING_NOTE = (
     "stable under suspension: raising every sphere dimension by one embeds "
@@ -49,38 +43,25 @@ DIMENSION_RAISING_NOTE = (
 @dataclass(frozen=True)
 class PageForm:
     """Boundary connected sum of ``spheres`` sphere cylinders and ``circles``
-    circle disks, every atom of dimension m = ``dim``: the atom counts are
-    all the evaluator reads. No atoms is the disk page."""
+    circle disks: the atom counts are all the evaluator reads. No atoms is
+    the disk page."""
 
     spheres: int = 0
     circles: int = 0
-    dim: int = 2
 
     def __post_init__(self) -> None:
-        require_integers(DimensionMismatchError, "atom counts and dimension m must be integers",
-                         self.spheres, self.circles, self.dim)
+        require_integers(SpuncalcError, "atom counts must be integers", self.spheres, self.circles)
         if min(self.spheres, self.circles) < 0:
             raise SpuncalcError("atom counts must be nonnegative")
-        if self.dim < 1:
-            raise DimensionMismatchError("page dimension m must be >= 1")
 
     @staticmethod
     def from_json(data: dict) -> PageForm:
-        """Count the kinds of ``{"atoms": [{"kind": ..., "m": ...}, ...]}``;
-        the atoms' common m is the dimension, which a ``dim`` field, if
-        given, must equal (without atoms ``dim`` alone sets it, default 2)."""
-        atoms = data.get("atoms", [])
-        kinds, ms = [item["kind"] for item in atoms], [item["m"] for item in atoms]
+        """Count the kinds of ``{"atoms": [{"kind": ...}, ...]}``."""
+        kinds = [item["kind"] for item in data.get("atoms", [])]
         for kind in kinds:
             if kind not in ("sphere_cyl", "circle_disk"):
                 raise SpuncalcError(f"unknown atom kind {echo(kind)}")
-        require_integers(DimensionMismatchError, "atom dimension m must be an integer", *ms)
-        if len(set(ms)) > 1:
-            raise DimensionMismatchError(f"atoms of mixed dimensions {echo(sorted(set(ms)))}")
-        dim = data.get("dim", ms[0] if ms else 2)
-        if ms and ms[0] != dim:
-            raise DimensionMismatchError(f"atoms of dimension {ms[0]} on a page of dim {echo(dim)}")
-        return PageForm(kinds.count("sphere_cyl"), kinds.count("circle_disk"), dim)
+        return PageForm(kinds.count("sphere_cyl"), kinds.count("circle_disk"))
 
 
 @dataclass(frozen=True)
@@ -129,58 +110,47 @@ class MonodromyForm:
 
 @dataclass(frozen=True)
 class FourManifoldForm:
-    """Connected sum of S^1 x S^(m+1), S^2 x S^m and twisted S^m-bundle summands.
+    """Connected sum of S^1 x S^3, S^2 x S^2 and S^2 x~ S^2 summands.
 
-    The empty form is the (m+2)-sphere, the identity of connected sum.
+    The empty form is the 4-sphere, the identity of connected sum.
     """
 
-    dim: int = 2
     s1_cross_sphere: int = 0
     trivial_bundle: int = 0
     twisted_bundle: int = 0
 
     def __post_init__(self) -> None:
-        require_integers(SpuncalcError, "form dimension and summand counts must be integers",
-                         self.dim, self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle)
-        if self.dim < 1:
-            raise DimensionMismatchError("form dimension m must be >= 1")
+        require_integers(SpuncalcError, "summand counts must be integers",
+                         self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle)
         if min(self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle) < 0:
             raise SpuncalcError("summand counts must be nonnegative")
 
     def is_spin(self) -> bool:
         return self.twisted_bundle == 0
 
-    def summand_count(self) -> int:
-        return self.s1_cross_sphere + self.trivial_bundle + self.twisted_bundle
-
     def connected_sum(self, other: FourManifoldForm) -> FourManifoldForm:
-        if self.dim != other.dim:
-            raise NotComparableError("connected sum of forms in different dimensions")
         return FourManifoldForm(
-            dim=self.dim,
             s1_cross_sphere=self.s1_cross_sphere + other.s1_cross_sphere,
             trivial_bundle=self.trivial_bundle + other.trivial_bundle,
             twisted_bundle=self.twisted_bundle + other.twisted_bundle,
         )
 
     def describe(self) -> str:
-        m = self.dim
-
         def block(count: int, name: str) -> str:
             return name if count == 1 else f"#^{count} {name}"
 
         parts = []
         if self.s1_cross_sphere:
-            parts.append(block(self.s1_cross_sphere, f"S1xS{m + 1}"))
+            parts.append(block(self.s1_cross_sphere, "S1xS3"))
         if self.trivial_bundle:
-            parts.append(block(self.trivial_bundle, f"S2xS{m}"))
+            parts.append(block(self.trivial_bundle, "S2xS2"))
         if self.twisted_bundle:
-            parts.append(block(self.twisted_bundle, f"S2x~S{m}"))
-        return " # ".join(parts) if parts else f"S{m + 2}"
+            parts.append(block(self.twisted_bundle, "S2x~S2"))
+        return " # ".join(parts) if parts else "S4"
 
     def to_json(self) -> dict:
         return {
-            "dim": self.dim,
+            "dim": 2,  # the atom dimension m, a constant the report schema keeps
             "s1xs": self.s1_cross_sphere,
             "trivial": self.trivial_bundle,
             "twisted": self.twisted_bundle,
@@ -194,36 +164,28 @@ def evaluate_open_book(page: PageForm, mono: MonodromyForm) -> FourManifoldForm:
     # a pushed pair gives a sphere summand, dropped; check() made the
     # pairs disjoint, so every push removes one circle atom
     unpushed = [e for s, e in enumerate(mono.twist_exponents, 1) if s not in pushed_spheres]
-    circles = FourManifoldForm(dim=page.dim,
-                               s1_cross_sphere=page.circles - len(mono.pushes))
-    return circles.connected_sum(parity_form(unpushed, page.dim))
+    circles = FourManifoldForm(s1_cross_sphere=page.circles - len(mono.pushes))
+    return circles.connected_sum(parity_form(unpushed))
 
 
-def parity_form(entries: Sequence[int], dim: int = 2) -> FourManifoldForm:
-    """The bundle sum an exponent (or parity) sequence fixes: one S^2 x S^m
-    summand per even entry and one twisted S^m-bundle summand per odd one."""
+def parity_form(entries: Sequence[int]) -> FourManifoldForm:
+    """The bundle sum an exponent (or parity) sequence fixes: one S^2 x S^2
+    summand per even entry and one S^2 x~ S^2 summand per odd one."""
     odd = sum(e % 2 for e in entries)
-    return FourManifoldForm(dim=dim, trivial_bundle=len(entries) - odd, twisted_bundle=odd)
+    return FourManifoldForm(trivial_bundle=len(entries) - odd, twisted_bundle=odd)
 
 
 def normalize(form: FourManifoldForm) -> FourManifoldForm:
     """Canonical form: in a pure bundle sum with a twisted summand, every
     trivial summand is traded for a twisted one. Mixed sums (with an
-    S^1 x S^(m+1) summand) pass through unchanged."""
+    S^1 x S^3 summand) pass through unchanged."""
     if form.twisted_bundle >= 1 and form.s1_cross_sphere == 0:
-        return FourManifoldForm(
-            dim=form.dim,
-            s1_cross_sphere=0,
-            trivial_bundle=0,
-            twisted_bundle=form.trivial_bundle + form.twisted_bundle,
-        )
+        return FourManifoldForm(twisted_bundle=form.trivial_bundle + form.twisted_bundle)
     return form
 
 
 def equal(f: FourManifoldForm, g: FourManifoldForm) -> bool:
-    """Equality of normal forms; raises when the dimensions differ."""
-    if f.dim != g.dim:
-        raise NotComparableError(f"forms in dimensions {f.dim} and {g.dim}")
+    """Equality of normal forms."""
     return normalize(f) == normalize(g)
 
 

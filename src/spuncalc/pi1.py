@@ -141,27 +141,24 @@ def abelianization(g: GroupPresentation) -> H1Invariants:
     return H1Invariants(h.factors, h.free_rank + g.generator_count - len(column))
 
 
+_RELATOR_RE = re.compile(r"(?:[xXaA]\d+)*")
 _LETTER_RE = re.compile(r"([xXaA])(\d+)")
 
 
 def parse_relator(text: str) -> Word:
     """Parse letters like ``x3`` (generator 3) and ``X3`` (its inverse)."""
-    stripped = re.sub(r"\s+", "", text)
+    stripped = "".join(text.split())
+    if not _RELATOR_RE.fullmatch(stripped):
+        raise InvalidPresentationError(f"cannot parse relator {echo(text)}")
     out: list[int] = []
-    pos = 0
-    for m in _LETTER_RE.finditer(stripped):
-        if m.start() != pos:
-            raise InvalidPresentationError(f"cannot parse relator {echo(text)}")
+    for symbol, digits in _LETTER_RE.findall(stripped):
         try:  # int() refuses more than 4,300 digits with ValueError
-            i = int(m.group(2))
+            i = int(digits)
         except ValueError:
-            raise InvalidPresentationError(f"generator index of {len(m.group(2))} digits") from None
+            raise InvalidPresentationError(f"generator index of {len(digits)} digits") from None
         if i < 1:
             raise InvalidPresentationError("generator indices are 1-based")
-        out.append(i if m.group(1).islower() else -i)
-        pos = m.end()
-    if pos != len(stripped):
-        raise InvalidPresentationError(f"cannot parse relator {echo(text)}")
+        out.append(i if symbol.islower() else -i)
     return tuple(out)
 
 

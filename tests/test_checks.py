@@ -22,7 +22,7 @@ NO_MOVE = ["surgery", "diagram.txt"]
 Z12_DIAGRAM = ["surgery", "z12.txt"]
 PI1 = ["pi1", "group.txt"]
 Z4_Z3_GROUP = ["pi1", "z4z3.txt"]
-FILES = {**README_FILES, "group.txt": "gens 2\nx1x2X1X2\n",
+FILES = {**README_FILES,
          "twist.txt": "strands 2\nframings 0 5\nA 1 2 +2\n",
          "twist.json": '[{"move": "rolfsen_twist", "component": 1, "twists": 1}]',
          # H1 = Z/4 + Z/3 = Z/12 on each, a Smith diagonal ending 1, 12

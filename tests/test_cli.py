@@ -473,6 +473,7 @@ README_FILES = {
     "diagram.txt": "strands 2\nframings -4 -2\nA 1 2 +1\n",
     "moves.json": '[{"move":"blow_up","region":[1,2],"sign":1},\n'
                   '        {"move":"blow_down","component":3}]\n',
+    "group.txt": "gens 2\nx1x2X1X2\n",
 }
 
 # words over a few generators, each used many times: T{2,1} and T{01} are
@@ -590,7 +591,6 @@ def test_parser_state_does_not_leak_between_calls(tmp_path, monkeypatch, capsys)
     monkeypatch.chdir(tmp_path)
     for name, text in README_FILES.items():
         (tmp_path / name).write_text(text)
-    (tmp_path / "group.txt").write_text("gens 2\nx1x2X1X2\n")
     embed = ["embed", "--page", "2", "--word", "word.txt"]
     as_json = ["--json", "--no-timestamp"]
     pi1 = ["pi1", "group.txt"]
@@ -621,7 +621,7 @@ README_COMMANDS = [
 def test_json_report_is_one_compact_sorted_ascii_line(tmp_path, monkeypatch, capsys, argv):
     # the stdlib encoder's compact, key-sorted output is the whole contract
     monkeypatch.chdir(tmp_path)
-    for name, text in {**README_FILES, "group.txt": "gens 2\nx1x2X1X2\n"}.items():
+    for name, text in README_FILES.items():
         (tmp_path / name).write_text(text)
     code, out, err = run(capsys, *argv, "--json", "--no-timestamp")
     assert (code, err) == (0, "")
@@ -641,8 +641,10 @@ def test_json_report_is_one_compact_sorted_ascii_line(tmp_path, monkeypatch, cap
      "c2775a386d6a67008afa88472c63f3d36f70a97a57d7d09193b91842a75c1aeb"),
     (["certify-s4", "--page", "4", "--word", "repeated-cert.txt"],
      "bf48621272e5dcc7e3f1dfffee65d8c9dd168ffa4e240a6aec311faf18c64fdf"),
+    (["pi1", "group.txt"], "e9bb0f014e95e4ffa967357185c911c9082447ab34bf3291676a4035d8f7639d"),
+    (["corpus", "run"], "c678404c4b1907c05a6b3ede866f9d1811d69531c674a9c0bcde9c72118f704d"),
 ], ids=["lens-7-2", "surgery-readme", "embed-repeated-text", "embed-repeated-json",
-        "certify-s4-repeated"])
+        "certify-s4-repeated", "pi1-readme", "corpus-run"])
 def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
     for name, text in {**README_FILES, **REPEATED_FILES}.items():
@@ -671,8 +673,10 @@ def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
      "fe042731c975301dc28e20d73b66678efecabdb123e792c717b3b1ea0ed8da72"),
     (["certify-s4", "--page", "4", "--word", "repeated-cert.txt"],
      "3ce9dc85c2790ec968ddbdb108a3f0a4e07df8f834f764ca18ec2eb33cf7094a"),
+    (["pi1", "group.txt"], "2960a2420354fb2557032daa73a9fe5798ec5ee54345e2727a10d4bc4199e4c1"),
 ], ids=["lens-7-2", "lens-40-39", "surgery-readme", "embed-readme", "certify-s4-readme",
-        "corpus-run", "embed-repeated-text", "embed-repeated-json", "certify-s4-repeated"])
+        "corpus-run", "embed-repeated-text", "embed-repeated-json", "certify-s4-repeated",
+        "pi1-readme"])
 def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
     for name, text in {**README_FILES, **REPEATED_FILES}.items():

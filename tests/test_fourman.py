@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spuncalc.errors import (
-    DimensionMismatchError,
-    InvalidMonodromyError,
-    NotComparableError,
-    SpuncalcError,
-)
+from spuncalc.errors import InvalidMonodromyError, SpuncalcError
 from spuncalc.fourman import (
     FourManifoldForm,
     MonodromyForm,
@@ -23,9 +18,8 @@ from spuncalc.fourman import (
 )
 
 
-def form(dim=2, s1=0, trivial=0, twisted=0):
-    return FourManifoldForm(dim=dim, s1_cross_sphere=s1, trivial_bundle=trivial,
-                            twisted_bundle=twisted)
+def form(s1=0, trivial=0, twisted=0):
+    return FourManifoldForm(s1_cross_sphere=s1, trivial_bundle=trivial, twisted_bundle=twisted)
 
 
 def test_cylinder_identity_gives_trivial_bundle():
@@ -46,7 +40,6 @@ def test_pushed_pair_is_a_sphere():
     page = PageForm(spheres=1, circles=1)
     mono = MonodromyForm(twist_exponents=(5,), pushes=frozenset({(1, 1)}))
     out = evaluate_open_book(page, mono)
-    assert out.summand_count() == 0
     assert out == form()
 
 
@@ -59,7 +52,7 @@ def test_circle_disk_gives_s1_cross_sphere():
 
 def test_empty_page_is_a_sphere():
     out = evaluate_open_book(PageForm(), MonodromyForm())
-    assert out.summand_count() == 0
+    assert out == form()
     assert out.describe() == "S4"
 
 
@@ -68,7 +61,6 @@ def test_connected_sum_count_matches_atom_count():
         page = PageForm(spheres=k)
         out = evaluate_open_book(page, MonodromyForm(twist_exponents=(0,) * k))
         assert out == form(trivial=k)
-        assert out.summand_count() == k
 
 
 def test_spin_criterion():
@@ -80,13 +72,6 @@ def test_spin_criterion():
     # an odd exponent absorbed by a push does not break spin
     mono = MonodromyForm(twist_exponents=(2, 7), pushes=frozenset({(1, 2)}))
     assert evaluate_open_book(page, mono).is_spin()
-
-
-def test_higher_dimension_atoms():
-    page = PageForm(spheres=1, circles=1, dim=3)
-    out = evaluate_open_book(page, MonodromyForm(twist_exponents=(1,)))
-    assert out == form(dim=3, s1=1, twisted=1)
-    assert "S2x~S3" in out.describe() and "S1xS4" in out.describe()
 
 
 def test_monodromy_validation():
@@ -108,31 +93,23 @@ def test_monodromy_validation():
         )
 
 
-def test_atom_dimension_mixing_rejected():
-    with pytest.raises(DimensionMismatchError, match="mixed"):
-        PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": 2},
-                                      {"kind": "circle_disk", "m": 3}]})
-    with pytest.raises(DimensionMismatchError, match=">= 1"):
-        PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": 0}]})
-    with pytest.raises(DimensionMismatchError, match=">= 1"):
-        PageForm(spheres=1, dim=0)
+def test_negative_counts_rejected():
     with pytest.raises(SpuncalcError, match="nonnegative"):
         PageForm(circles=-1)
+    with pytest.raises(SpuncalcError, match="nonnegative"):
+        PageForm(spheres=-1)
+    with pytest.raises(SpuncalcError, match="nonnegative"):
+        FourManifoldForm(twisted_bundle=-1)
 
 
 def test_page_json_counts_the_atom_kinds():
-    page = PageForm.from_json({"atoms": [{"kind": "circle_disk", "m": 3},
-                                         {"kind": "sphere_cyl", "m": 3},
-                                         {"kind": "sphere_cyl", "m": 3}]})
-    assert page == PageForm(spheres=2, circles=1, dim=3)
+    page = PageForm.from_json({"atoms": [{"kind": "circle_disk"},
+                                         {"kind": "sphere_cyl"},
+                                         {"kind": "sphere_cyl"}]})
+    assert page == PageForm(spheres=2, circles=1)
     assert PageForm.from_json({}) == PageForm()
-    assert PageForm.from_json({"dim": 4}) == PageForm(dim=4)
-    assert PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": 3}], "dim": 3}) == PageForm(
-        spheres=1, dim=3)
-    with pytest.raises(DimensionMismatchError, match="atoms of dimension 2 on a page of dim 3"):
-        PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": 2}], "dim": 3})
     with pytest.raises(SpuncalcError, match="unknown atom kind 'sphere_cly'"):
-        PageForm.from_json({"atoms": [{"kind": "sphere_cly", "m": 2}]})
+        PageForm.from_json({"atoms": [{"kind": "sphere_cly"}]})
 
 
 def test_normalize_absorption():
@@ -159,8 +136,6 @@ def test_equal_via_normal_form():
     assert equal(form(twisted=3), form(trivial=2, twisted=1))
     assert not equal(form(trivial=2), form(twisted=2))
     assert equal(form(), form())
-    with pytest.raises(NotComparableError):
-        equal(form(dim=2), form(dim=3))
 
 
 def test_equal_is_an_equivalence():
@@ -183,8 +158,6 @@ def test_connected_sum_commutes_with_identity(a, b):
     fa, fb = form(s1=a[0], trivial=a[1], twisted=a[2]), form(s1=b[0], trivial=b[1], twisted=b[2])
     assert fa.connected_sum(fb) == fb.connected_sum(fa)
     assert fa.connected_sum(form()) == fa
-    with pytest.raises(NotComparableError):
-        fa.connected_sum(form(dim=5))
 
 
 def test_twist_image_basics():
@@ -210,6 +183,12 @@ def test_boundary_sphere_images_sum_to_zero():
         assert z2_sum(images) == (0,) * n
 
 
+def test_describe_names_each_summand():
+    assert form().describe() == "S4"
+    assert form(trivial=2).describe() == "#^2 S2xS2"
+    assert form(s1=1, trivial=1, twisted=3).describe() == "S1xS3 # S2xS2 # #^3 S2x~S2"
+
+
 def test_form_json_roundtrip():
     f = form(s1=1, trivial=2, twisted=3)
     assert f.to_json() == {"dim": 2, "s1xs": 1, "trivial": 2, "twisted": 3}
@@ -219,13 +198,10 @@ def test_form_json_roundtrip():
 @pytest.mark.parametrize("build, error", [
     (lambda x: MonodromyForm(twist_exponents=(x,)), InvalidMonodromyError),
     (lambda x: MonodromyForm(pushes=frozenset({(1, x)})), InvalidMonodromyError),
-    (lambda x: PageForm.from_json({"atoms": [{"kind": "sphere_cyl", "m": x}]}), SpuncalcError),
-    (lambda x: PageForm.from_json({"dim": x}), SpuncalcError),
     (lambda x: PageForm(spheres=x), SpuncalcError),
     (lambda x: FourManifoldForm(trivial_bundle=x), SpuncalcError),
     (lambda x: twist_image({x}, 3), SpuncalcError),
-], ids=["monodromy-twist", "monodromy-push", "page-atom-m", "page-dim", "page-count", "form-count",
-        "twist-image"])
+], ids=["monodromy-twist", "monodromy-push", "page-count", "form-count", "twist-image"])
 def test_constructors_reject_non_integers(build, error, bad):
     # validated, never coerced: int() would read 2.9 and "2" as 2, True as 1
     with pytest.raises(error, match="integer"):

@@ -302,11 +302,11 @@ def test_reconciliation_reports_both_parities():
 
 
 def test_lens_embedding_targets():
-    assert lens_embedding_target(8, 1) == FourManifoldForm(dim=2, trivial_bundle=1)
-    assert lens_embedding_target(7, 1) == FourManifoldForm(dim=2, twisted_bundle=1)
-    assert lens_embedding_target(7, 3) == FourManifoldForm(dim=2, twisted_bundle=3)
-    assert lens_embedding_target(7, 2) == FourManifoldForm(dim=2, trivial_bundle=2)
-    assert lens_embedding_target(4, 3) == FourManifoldForm(dim=2, trivial_bundle=3)
+    assert lens_embedding_target(8, 1) == FourManifoldForm(trivial_bundle=1)
+    assert lens_embedding_target(7, 1) == FourManifoldForm(twisted_bundle=1)
+    assert lens_embedding_target(7, 3) == FourManifoldForm(twisted_bundle=3)
+    assert lens_embedding_target(7, 2) == FourManifoldForm(trivial_bundle=2)
+    assert lens_embedding_target(4, 3) == FourManifoldForm(trivial_bundle=3)
 
 
 @given(coprime_pairs)
@@ -315,8 +315,10 @@ def test_target_spin_iff_all_coefficients_even(pq):
     p, q = pq
     c = cf_expand(p, q)
     target = lens_embedding_target(p, q)
-    assert target.summand_count() == len(c.coefficients)
-    assert target.is_spin() == all(a % 2 == 0 for a in c.coefficients)
+    k, spin = len(c.coefficients), all(a % 2 == 0 for a in c.coefficients)
+    assert target == (FourManifoldForm(trivial_bundle=k) if spin else
+                      FourManifoldForm(twisted_bundle=k))
+    assert target.is_spin() == spin
 
 
 @pytest.mark.parametrize("bad", [2.9, "2", True])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -196,6 +197,23 @@ def test_parse_relator_and_presentation():
         parse_presentation("x1\n")
     assert word_to_text((1, -2)) == "x1X2"
     assert pres.describe() == "< x1, x2 | x1x2X1X2, x1x1 >"
+
+
+def test_parse_relator_names_each_fault():
+    # a line with one fault gets that fault's message; with two, it reads as
+    # unparsable whatever the other fault
+    assert parse_relator(" x1\tX2\u2003a3 A4 ") == (1, -2, 3, -4)
+    with pytest.raises(InvalidPresentationError, match="cannot parse relator 'x1 y2'"):
+        parse_relator("x1 y2")
+    with pytest.raises(InvalidPresentationError, match="cannot parse relator 'x1X'"):
+        parse_relator("x1X")
+    with pytest.raises(InvalidPresentationError, match="1-based"):
+        parse_relator("x1 X00")
+    with pytest.raises(InvalidPresentationError, match="cannot parse relator 'x0 y'"):
+        parse_relator("x0 y")
+    if hasattr(sys, "get_int_max_str_digits"):  # no int() past 4,300 digits
+        with pytest.raises(InvalidPresentationError, match="generator index of 5000 digits"):
+            parse_relator("x1 X" + "9" * 5000)
 
 
 def test_one_gens_line_of_at_most_max_generators():

@@ -1,17 +1,21 @@
 """Properties of the library source itself."""
 
 import ast
+import contextlib
 import importlib.util
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import spuncalc
 import spuncalc.cli  # loads every module the benchmark tracer wraps
-from spuncalc import lens
+from spuncalc import errors, lens
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_library_has_no_assert_statements():
@@ -49,3 +53,29 @@ def test_importing_one_module_loads_no_unrelated_one():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out == "[]\n"
+
+
+def test_every_error_class_is_named_outside_errors():
+    # a class no other module raises or catches is dead code
+    package = Path(spuncalc.__file__).parent
+    others = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))
+                     if path.name != "errors.py")
+    classes = [name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == errors.__name__ and obj is not errors.SpuncalcError]
+    assert classes
+    assert [name for name in classes if not re.search(rf"\b{name}\b", others)] == []
+
+
+def test_readme_python_example_prints_its_comments():
+    # the README's library example, run as written: each print() line ends
+    # in a comment giving what it prints
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                          re.DOTALL)
+    expected = "".join(line.split("# ", 1)[1] + "\n"
+                       for line in block.splitlines() if line.startswith("print("))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert expected == "#^2 S2x~S2\n"
+    assert out.getvalue() == expected

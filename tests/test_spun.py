@@ -19,7 +19,7 @@ from spuncalc.spun import (
 
 
 def form(trivial=0, twisted=0):
-    return FourManifoldForm(dim=2, trivial_bundle=trivial, twisted_bundle=twisted)
+    return FourManifoldForm(trivial_bundle=trivial, twisted_bundle=twisted)
 
 
 def lens_pq_word(page, p, q):
@@ -94,7 +94,8 @@ def test_seifert_family_reports():
         ))
         report = embedding_target(word)
         assert report.normalized == form(twisted=5)
-        assert report.raw.summand_count() == 5
+        # exponent sums 2, 2, 3, 3 and p + 1 on holes 1..5
+        assert report.raw == form(trivial=2 + p % 2, twisted=3 - p % 2)
 
 
 def test_empty_word_gives_spin_form():
@@ -115,13 +116,13 @@ def test_report_counts_sum_to_holes_and_reorder_invariance():
     rng = random.Random(17)
     page = PlanarPage(6)
     for _ in range(50):
-        letters = tuple(
-            twist(rng.sample(range(1, 7), rng.randint(1, 6)), rng.randint(-4, 4))
-            for _ in range(rng.randint(0, 8))
-        )
+        specs = [(rng.sample(range(1, 7), rng.randint(1, 6)), rng.randint(-4, 4))
+                 for _ in range(rng.randint(0, 8))]
+        letters = tuple(twist(holes, e) for holes, e in specs)
         word = TwistWord(page, letters)
         report = embedding_target(word)
-        assert report.raw.summand_count() == 6
+        odd = sum(sum(e for holes, e in specs if h in holes) % 2 for h in range(1, 7))
+        assert report.raw == form(trivial=6 - odd, twisted=odd)
         shuffled = list(letters)
         rng.shuffle(shuffled)
         report2 = embedding_target(TwistWord(page, tuple(shuffled)))
