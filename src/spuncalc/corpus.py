@@ -1,14 +1,14 @@
 """Regression corpus: worked examples stored as versioned JSON fixtures.
 
 Each fixture file carries a ``kind`` deciding how its cases are replayed.
-A ``lens``, ``embed``, ``s4`` or ``surgery`` case replays its command: it
-calls the same report function as ``spuncalc lens``, ``embed``,
-``certify-s4`` or ``surgery`` and passes when that report's outputs contain
-the case's ``expect`` (dicts key by key) and its exit code equals the
-case's ``exit`` (0 when absent). An ``atoms`` case evaluates a page of atoms
-with ``fourman.evaluate_open_book``, which ``corpus run`` is the only command
-to call. ``run_corpus`` reports one pass/fail line per case; the same
-fixtures back the acceptance test suite.
+A ``lens``, ``embed``, ``s4`` or ``surgery`` case calls the same report
+function as ``spuncalc lens``, ``embed``, ``certify-s4`` or ``surgery``. An
+``atoms`` case reports the form ``fourman.evaluate_open_book`` gives its
+page and monodromy, with no checks; no command but ``corpus run`` calls it.
+A case passes when its report's outputs contain its ``expect`` (dicts key
+by key) and its exit code equals its ``exit`` (0 when absent).
+``run_corpus`` reports one pass/fail line per case; the same fixtures back
+the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -47,14 +47,6 @@ def load_fixture(name: str) -> dict:
     return json.loads((files / name).read_text())
 
 
-def _run_atoms(case: dict) -> tuple[bool, str]:
-    page = fourman.PageForm.from_json(case["page"])
-    mono = fourman.MonodromyForm.from_json(case["monodromy"])
-    got = fourman.evaluate_open_book(page, mono).to_json()
-    want = case["expect"]["form"]
-    return got == want, f"form {got} != {want}" if got != want else ""
-
-
 def _mismatches(got: object, want: object, path: str) -> Iterator[str]:
     """Where ``got`` fails to contain ``want``: dicts key by key (a missing
     key is a mismatch), anything else by equality; each named by its key path."""
@@ -70,13 +62,17 @@ def _mismatches(got: object, want: object, path: str) -> Iterator[str]:
 
 
 def _replay(kind: str, case: dict) -> tuple[bool, str]:
-    """Replay the case through its command's report function."""
+    """Replay the case through its command's report function, or the evaluator for atoms."""
     from . import cli  # cli imports this module at load time
 
     if kind == "lens":
         report = cli.lens_report(case["p"], case["q"])
     elif kind == "surgery":
         report = cli.surgery_report(surgery.FramedBraidDiagram.from_json(case["diagram"]), [])
+    elif kind == "atoms":
+        form = fourman.evaluate_open_book(fourman.PageForm(**case["page"]),
+                                          fourman.MonodromyForm(**case["monodromy"]))
+        report = (lambda: {"form": form.to_json()}), [], None
     else:
         word = word_from_json(case["word"], PlanarPage(case["page"]))
         report = {"embed": cli.embed_report, "s4": cli.certify_report}[kind](word)
@@ -95,7 +91,7 @@ def run_corpus() -> list[CaseResult]:
         kind = fixture["kind"]
         for case in fixture["cases"]:
             try:
-                passed, detail = _run_atoms(case) if kind == "atoms" else _replay(kind, case)
+                passed, detail = _replay(kind, case)
             except Exception as exc:  # a fixture must never crash the runner
                 passed, detail = False, f"{type(exc).__name__}: {exc}"
             results.append(CaseResult(file=name, name=case["name"], passed=passed, detail=detail))

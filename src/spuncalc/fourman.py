@@ -54,15 +54,6 @@ class PageForm:
         if min(self.spheres, self.circles) < 0:
             raise SpuncalcError("atom counts must be nonnegative")
 
-    @staticmethod
-    def from_json(data: dict) -> PageForm:
-        """Count the kinds of ``{"atoms": [{"kind": ...}, ...]}``."""
-        kinds = [item["kind"] for item in data.get("atoms", [])]
-        for kind in kinds:
-            if kind not in ("sphere_cyl", "circle_disk"):
-                raise SpuncalcError(f"unknown atom kind {echo(kind)}")
-        return PageForm(kinds.count("sphere_cyl"), kinds.count("circle_disk"))
-
 
 @dataclass(frozen=True)
 class MonodromyForm:
@@ -76,7 +67,11 @@ class MonodromyForm:
     pushes: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        twists, pairs = tuple(self.twist_exponents), [(c, s) for c, s in self.pushes]
+        try:
+            twists, pairs = tuple(self.twist_exponents), [(c, s) for c, s in self.pushes]
+        except (TypeError, ValueError):
+            raise InvalidMonodromyError(
+                "twist exponents must be a list and pushes pairs (c, s)") from None
         require_integers(InvalidMonodromyError, "twist exponents and push indices must be integers",
                          *twists, *chain(*pairs))
         object.__setattr__(self, "twist_exponents", twists)
@@ -99,13 +94,6 @@ class MonodromyForm:
                 raise InvalidMonodromyError("an atom may appear in at most one push pair")
             used_c.add(c)
             used_s.add(s)
-
-    @staticmethod
-    def from_json(data: dict) -> MonodromyForm:
-        return MonodromyForm(
-            twist_exponents=tuple(data.get("twists", [])),
-            pushes=frozenset(tuple(p) for p in data.get("pushes", [])),
-        )
 
 
 @dataclass(frozen=True)

@@ -241,9 +241,24 @@ def test_corpus_results_match_runner(capsys):
     assert kinds == {"embed", "lens", "s4", "atoms", "surgery"}
 
 
+# the input keys each kind's replay reads; a case may carry only these and
+# name, expect, exit and comment, so a stale key cannot pass unread
+CASE_INPUTS = {"lens": {"p", "q"}, "embed": {"page", "word"}, "s4": {"page", "word"},
+               "surgery": {"diagram"}, "atoms": {"page", "monodromy"}}
+
+
+def test_corpus_cases_carry_only_the_inputs_their_replay_reads():
+    for name in corpus.fixture_names():
+        fixture = corpus.load_fixture(name)
+        for case in fixture["cases"]:
+            inputs = case.keys() - {"name", "expect", "exit", "comment"}
+            assert inputs == CASE_INPUTS[fixture["kind"]], (name, case["name"])
+
+
 # (fixture, case index, key path, mutated value, detail of the one FAIL):
-# one mutated expectation per replayed kind, a pin the report does not
-# carry, and a wrong exit code
+# one mutated expectation per fixture kind (every kind is replayed), a pin
+# the report does not carry, and a wrong exit code on a command case and
+# on an atoms case
 REPLAY_MUTATIONS = [
     ("lens_spaces.json", 0, ["expect", "psi_parity"], [1], "psi_parity [0] != [1]"),
     ("embedding_targets.json", 0, ["expect", "raw", "trivial"], 9, "raw.trivial 1 != 9"),
@@ -251,12 +266,15 @@ REPLAY_MUTATIONS = [
     ("sphere_certificates.json", 0, ["expect", "certified"], False, "certified True != False"),
     ("surgery_diagrams.json", 0, ["expect", "open_book", "parity"], [0],
      "open_book.parity [1] != [0]"),
+    ("evaluator_atoms.json", 0, ["expect", "form", "trivial"], 0, "form.trivial 1 != 0"),
     ("sphere_certificates.json", 0, ["exit"], 1, "exit 0 != 1"),
+    ("evaluator_atoms.json", 2, ["exit"], 1, "exit 0 != 1"),
 ]
 
 
 @pytest.mark.parametrize("name, index, keys, value, detail", REPLAY_MUTATIONS,
-                         ids=["lens", "embed", "embed-missing-key", "s4", "surgery", "exit"])
+                         ids=["lens", "embed", "embed-missing-key", "s4", "surgery", "atoms",
+                              "exit", "atoms-exit"])
 def test_corpus_replay_names_the_path_of_a_mutated_expectation(monkeypatch, capsys, name, index,
                                                                 keys, value, detail):
     load = corpus.load_fixture
@@ -290,7 +308,7 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
     (["embed", "--page", "3", "--word", "w.json"], {"w.json": '[{"op": "twist", "curve": [1]'},
      "malformed JSON"),
     (["embed", "--page", "3", "--word", "w.json"], {"w.json": "[1, 2]"}, "object"),
-    (["pi1", "g.txt", "--fuzz", "-5"], {"g.txt": "gens 2\nx1x2X1X2\n"}, "--fuzz"),
+    (["pi1", "g.txt"], {"g.txt": "gens 1\nx2\n"}, "outside"),
     (["surgery", "d.txt", "--moves", "m.json"],
      {"d.txt": GOOD_DIAGRAM,
       "m.json": json.dumps([{"move": "blow_up", "region": ["a"], "sign": 1}])}, "'region'"),
@@ -359,7 +377,7 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
      {"w.json": '[{"op": "twist", "curve": ' + "[" * 500 + "1" + "]" * 500 + "}]"},
      "needs a list of integers"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
-        "non-object-letter", "negative-fuzz", "move-region-not-integer",
+        "non-object-letter", "letter-outside-gens", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
         "json-diagram-no-strands", "json-diagram-strands-text", "json-diagram-two-field-letter",
         "json-diagram-sign-not-integer", "json-word-curve-not-integer",

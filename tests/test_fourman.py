@@ -102,14 +102,13 @@ def test_negative_counts_rejected():
         FourManifoldForm(twisted_bundle=-1)
 
 
-def test_page_json_counts_the_atom_kinds():
-    page = PageForm.from_json({"atoms": [{"kind": "circle_disk"},
-                                         {"kind": "sphere_cyl"},
-                                         {"kind": "sphere_cyl"}]})
-    assert page == PageForm(spheres=2, circles=1)
-    assert PageForm.from_json({}) == PageForm()
-    with pytest.raises(SpuncalcError, match="unknown atom kind 'sphere_cly'"):
-        PageForm.from_json({"atoms": [{"kind": "sphere_cly"}]})
+@pytest.mark.parametrize("fields", [{"twist_exponents": 5}, {"pushes": 7}, {"pushes": [1]},
+                                    {"pushes": [(1,)]}, {"pushes": [(1, 1, 1)]}],
+                         ids=["twists-number", "pushes-number", "push-number", "push-single",
+                              "push-triple"])
+def test_monodromy_shape_rejected(fields):
+    with pytest.raises(InvalidMonodromyError, match="pairs"):
+        MonodromyForm(**fields)
 
 
 def test_normalize_absorption():
