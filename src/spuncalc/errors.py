@@ -1,11 +1,13 @@
-"""Exception hierarchy, and the input checks the parsers and constructors share.
+"""Exceptions, the input checks parsers and constructors share, and ``unchecked``.
 
 Everything derives from SpuncalcError (a ValueError), so callers can catch
 one type at an API boundary while tests pin down the specific failure.
 """
 
 import json
-from typing import Callable
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class SpuncalcError(ValueError):
@@ -65,6 +67,16 @@ def require_integers(error: type[SpuncalcError], message: str, *values: object) 
     for x in values:
         if type(x) is not int:
             raise error(f"{message}, got {echo(x)}")
+
+
+def unchecked(cls: type[T], **fields: object) -> T:
+    """The dataclass ``cls`` of ``fields``, built without its checks, for
+    objects derived from checked data. Each field is set as ``__init__``
+    sets it: a ``__dict__`` update would give every object its own dict."""
+    obj = object.__new__(cls)
+    for name in fields:
+        object.__setattr__(obj, name, fields[name])
+    return obj
 
 
 def parse_json(text: str, error: type[SpuncalcError], message: str) -> object:

@@ -62,7 +62,7 @@ def _require_square(rows: Sequence[Sequence[int]]) -> None:
 class LinkingMatrix:
     """Symmetric integer matrix: framings on the diagonal, linking numbers
     off it. The constructor checks every entry; ``surgery.linking_matrix``
-    builds its result with ``_trusted``."""
+    builds its result with ``errors.unchecked``."""
 
     rows: Rows
 
@@ -72,14 +72,6 @@ class LinkingMatrix:
         object.__setattr__(self, "rows", rows)
         if rows != tuple(zip(*rows)):
             raise InvalidDiagramError("matrix not symmetric")
-
-    @classmethod
-    def _trusted(cls, rows: Rows) -> LinkingMatrix:
-        """The matrix of ``rows``, int tuples that are square and symmetric
-        by construction, as a checked diagram's are; nothing is checked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        return m
 
     @property
     def size(self) -> int:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
-from .errors import SpuncalcError, echo, require_integers
+from .errors import SpuncalcError, echo, require_integers, unchecked
 from .fourman import FourManifoldForm, normalize, parity_form
 from .homology import min_structured_det
 from .planar import CurveClass, DehnTwist, PlanarPage, TwistWord, parity_vector
@@ -187,10 +187,10 @@ def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
         sd = slid_diagram(c)
     holes = tuple(range(1, sd.strands + 1))
     page = PlanarPage(len(holes))
-    letters = [(DehnTwist(CurveClass._trusted((i,))), 1) for i in holes]
-    letters += [(DehnTwist(CurveClass._trusted(holes[r:])), -t)
+    letters = [(DehnTwist(unchecked(CurveClass, enclosed=(i,))), 1) for i in holes]
+    letters += [(DehnTwist(unchecked(CurveClass, enclosed=holes[r:])), -t)
                 for r, t in enumerate(sd.twist_regions)]
-    return page, TwistWord._trusted(page, tuple(letters))
+    return page, unchecked(TwistWord, page=page, letters=tuple(letters))
 
 
 def psi_parity(c: ContinuedFraction) -> tuple[int, ...]:

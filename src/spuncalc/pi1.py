@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import InvalidPresentationError, echo, require_integers
+from .errors import InvalidPresentationError, echo, require_integers, unchecked
 from .homology import H1Invariants, cokernel_invariants
 
 Word = tuple[int, ...]
@@ -54,7 +54,7 @@ def _words(count: int, words: object, name: str, letter: str) -> tuple[Word, ...
 @dataclass(frozen=True)
 class GroupPresentation:
     """The constructor checks every letter; ``pi1_of_open_book`` builds its
-    result with ``_trusted``."""
+    result with ``errors.unchecked``."""
 
     generator_count: int
     relators: tuple[Word, ...] = ()
@@ -62,15 +62,6 @@ class GroupPresentation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "relators", _words(
             self.generator_count, self.relators, "generator", "letter"))
-
-    @classmethod
-    def _trusted(cls, generator_count: int, relators: tuple[Word, ...]) -> GroupPresentation:
-        """The presentation of int tuples derived from checked words;
-        nothing is checked."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "generator_count", generator_count)
-        object.__setattr__(g, "relators", relators)
-        return g
 
     def describe(self, symbol: str = "x") -> str:
         gens = ", ".join(f"{symbol}{i}" for i in range(1, self.generator_count + 1))
@@ -88,7 +79,7 @@ class GroupPresentation:
 class PushPage:
     """g circle handles and one pushed loop per sphere cylinder: the loops
     are the spheres, so their count is the sphere count. The constructor
-    checks every letter; ``page_for_presentation`` builds with ``_trusted``."""
+    checks every letter; ``page_for_presentation`` uses ``errors.unchecked``."""
 
     handle_count: int
     loops: tuple[Word, ...] = ()
@@ -96,14 +87,6 @@ class PushPage:
     def __post_init__(self) -> None:
         object.__setattr__(self, "loops", _words(
             self.handle_count, self.loops, "handle", "loop letter"))
-
-    @classmethod
-    def _trusted(cls, handle_count: int, loops: tuple[Word, ...]) -> PushPage:
-        """The page of a checked presentation's relators; nothing is checked."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "handle_count", handle_count)
-        object.__setattr__(p, "loops", loops)
-        return p
 
     def to_json(self) -> dict:
         return {
@@ -115,13 +98,14 @@ class PushPage:
 
 def page_for_presentation(g: GroupPresentation) -> PushPage:
     """Transcribe: one handle per generator, one pushed sphere per relator."""
-    return PushPage._trusted(g.generator_count, g.relators)
+    return unchecked(PushPage, handle_count=g.generator_count, loops=g.relators)  # g was checked
 
 
 def pi1_of_open_book(p: PushPage) -> GroupPresentation:
     """Fundamental group of the open book over the page: the handle
     generators survive untouched and each pushed loop becomes a relator."""
-    return GroupPresentation._trusted(p.handle_count, tuple(free_reduce(w) for w in p.loops))
+    return unchecked(GroupPresentation, generator_count=p.handle_count,  # p was checked
+                     relators=tuple(free_reduce(w) for w in p.loops))
 
 
 def abelianization(g: GroupPresentation) -> H1Invariants:

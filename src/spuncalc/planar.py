@@ -18,22 +18,23 @@ outer twist) to any planar page. The pair cancels on ``a``, so a push with
 exponent e adds -e to the sum of boundary ``b`` and nothing else.
 
 Every index and exponent must be an int (never coerced: int() would read
-2.9 as 2), and every index at least 1; ``twist`` and ``push`` check this
-for the letter they build. Those checks sit at the boundary: the parsers
-and the public constructors run them, while a library builder that
-derives curves from data it has already checked (the lens and surgery
-words) builds them with ``CurveClass._trusted`` and their words with
-``TwistWord._trusted``. A word is a sequence over a small alphabet of
-generators, so it is read over its distinct parts:
-``parse_word`` reads each distinct token (``T{1,3}^2``) once and builds the
-generator of each distinct generator text (``T{1,3}``, ``P{2|1}``) once,
-and ``word_from_json`` builds that of each distinct ``repr`` of its fields
-(``[1]``, ``[1.0]`` and ``[True]`` are three keys, where the values
-themselves would hash alike) and checks every exponent at every letter. A
-word checks each distinct generator object against its page once, and
-``word_to_text`` formats each distinct generator once per word.
-``exponent_vector`` sums on a difference array, so a twist along an
-interval of holes costs at most four updates whatever its length.
+2.9 as 2), and every index at least 1; ``twist``, ``push`` and the public
+constructors check this for the letter they build. Those checks sit at
+the boundary, in the parsers and the constructors, while a library
+builder that derives curves from data it has already checked (the lens
+and surgery words) builds them and their words with ``errors.unchecked``.
+A JSON letter with a field its op does not take is an error. A word is a
+sequence over a small alphabet of generators, so it is read over its
+distinct parts: ``parse_word`` reads each distinct token (``T{1,3}^2``)
+once and builds the generator of each distinct generator text
+(``T{1,3}``, ``P{2|1}``) once, and ``word_from_json`` builds that of each
+distinct ``repr`` of its fields (``[1]``, ``[1.0]`` and ``[True]`` are
+three keys, where the values themselves would hash alike) and checks
+every exponent at every letter. A word checks each distinct generator
+object against its page once, and ``word_to_text`` formats each distinct
+generator once per word. ``exponent_vector`` sums on a difference array,
+so a twist along an interval of holes costs at most four updates whatever
+its length.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from itertools import accumulate
 from operator import add
 from typing import Iterable, Union
 
-from .errors import InvalidWordError, SpuncalcError, echo, parse_json
+from .errors import InvalidWordError, SpuncalcError, echo, parse_json, require_integers, unchecked
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,6 @@ class CurveClass:
             raise InvalidWordError("boundary indices are 1-based")
         object.__setattr__(self, "enclosed", indices)
 
-    @classmethod
-    def _trusted(cls, enclosed: tuple[int, ...]) -> CurveClass:
-        """The curve of ``enclosed``, a nonempty sorted tuple of distinct
-        ints >= 1, built without the checks: for indices the library has
-        already checked."""
-        curve = object.__new__(cls)
-        object.__setattr__(curve, "enclosed", enclosed)
-        return curve
-
     def valid_on(self, page: PlanarPage) -> bool:
         return self.enclosed[-1] <= page.inner_count
 
@@ -114,6 +106,9 @@ class PlanarPush:
     boundary: int
     around: CurveClass
 
+    def __post_init__(self) -> None:
+        require_integers(InvalidWordError, "a pushed boundary must be an integer", self.boundary)
+
     def check(self, page: PlanarPage) -> None:
         if not 1 <= self.boundary <= page.inner_count:
             raise InvalidWordError(f"pushed boundary {echo(self.boundary)} out of range")
@@ -136,24 +131,14 @@ def _letter(gen: Generator, exponent: int) -> Letter:
     return gen, exponent
 
 
-def _twist_gen(enclosed: Iterable[int]) -> DehnTwist:
-    return DehnTwist(CurveClass(enclosed))
-
-
-def _push_gen(boundary: int, around: Iterable[int]) -> PlanarPush:
-    if type(boundary) is not int:
-        raise InvalidWordError(f"a pushed boundary must be an integer, got {echo(boundary)}")
-    return PlanarPush(boundary, CurveClass(around))
-
-
 def twist(enclosed: Iterable[int], exponent: int = 1) -> Letter:
     """Letter: Dehn twist along the curve enclosing ``enclosed``."""
-    return _letter(_twist_gen(enclosed), exponent)
+    return _letter(DehnTwist(CurveClass(enclosed)), exponent)
 
 
 def push(boundary: int, around: Iterable[int], exponent: int = 1) -> Letter:
     """Letter: push ``boundary`` around the curve enclosing ``around``."""
-    return _letter(_push_gen(boundary, around), exponent)
+    return _letter(PlanarPush(boundary, CurveClass(around)), exponent)
 
 
 def _distinct(letters: Iterable[Letter]) -> Iterable[Generator]:
@@ -175,15 +160,6 @@ class TwistWord:
     def __post_init__(self) -> None:
         for gen in _distinct(self.letters):
             gen.check(self.page)
-
-    @classmethod
-    def _trusted(cls, page: PlanarPage, letters: tuple[Letter, ...]) -> TwistWord:
-        """The word of ``letters`` on ``page``, built without checking its
-        generators: for letters the library built on that page."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "page", page)
-        object.__setattr__(word, "letters", letters)
-        return word
 
     def has_pushes(self) -> bool:
         return any(isinstance(gen, PlanarPush) for gen, _ in self.letters)
@@ -233,7 +209,7 @@ def _curve_text(indices: str) -> CurveClass:
     enclosed = sorted(set(map(int, indices.split(","))))
     if enclosed[0] < 1:
         raise InvalidWordError("boundary indices are 1-based")
-    return CurveClass._trusted(tuple(enclosed))
+    return unchecked(CurveClass, enclosed=tuple(enclosed))
 
 
 def parse_word(text: str, page: PlanarPage) -> TwistWord:
@@ -286,6 +262,9 @@ def word_to_json(word: TwistWord) -> list[dict]:
     return out
 
 
+_LETTER_FIELDS = {"twist": {"op", "exp", "curve"}, "push": {"op", "exp", "boundary", "around"}}
+
+
 def word_from_json(data: list, page: PlanarPage) -> TwistWord:
     """The word of a JSON list of letter objects; any other value is an
     error. The generator of each distinct field text is built once."""
@@ -302,10 +281,15 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
         exp = item.get("exp", 1)
         try:
             fields = (item["curve"],) if op == "twist" else (item["boundary"], item["around"])
+            # a key besides op, the fields and exp; a count costs less than a set test
+            if len(item) > len(fields) + 1 + ("exp" in item):
+                name = next(k for k in item if k not in _LETTER_FIELDS[op])
+                raise InvalidWordError(f"unknown field {echo(name)}")
             key = op, repr(fields)  # the repr tells 1, 1.0 and True apart
             gen = gens.get(key)
             if gen is None:
-                gen = gens[key] = _twist_gen(*fields) if op == "twist" else _push_gen(*fields)
+                gen = gens[key] = (DehnTwist(CurveClass(*fields)) if op == "twist" else
+                                   PlanarPush(fields[0], CurveClass(fields[1])))
             letters.append(_letter(gen, exp))
         except KeyError as exc:
             raise InvalidWordError(f"{op} letter {echo(item)} has no {exc} field") from None

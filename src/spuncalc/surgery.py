@@ -37,7 +37,8 @@ from functools import cache
 from itertools import chain
 from typing import Callable
 
-from .errors import InvalidDiagramError, InvalidMoveError, echo, parse_json, require_integers
+from .errors import (InvalidDiagramError, InvalidMoveError, echo, parse_json, require_integers,
+                     unchecked)
 from .homology import H1Invariants, LinkingMatrix, Rows, cokernel_invariants
 from .modp import invariants_agree
 from .planar import CurveClass, DehnTwist, PlanarPage, TwistWord
@@ -67,7 +68,7 @@ class FramedBraidDiagram:
     """Pure braid word about the axis plus one framing per strand; the derived
     ``net_linking`` maps each linked pair i < j to its exponent sum. The
     constructor checks every field; the moves build their results with
-    ``_trusted``."""
+    ``errors.unchecked``."""
 
     strands: int
     braid_word: tuple[BraidLetter, ...] = ()
@@ -101,21 +102,6 @@ class FramedBraidDiagram:
                 links[i, j] = n
         object.__setattr__(self, "net_linking", links)
 
-    @classmethod
-    def _trusted(cls, framings: tuple[int, ...],
-                 net_linking: dict[tuple[int, int], int]) -> FramedBraidDiagram:
-        """The diagram of int ``framings`` and ``net_linking``, a map from
-        pairs 1 <= i < j <= len(framings), in index order, to nonzero ints;
-        its word has one letter per pair. The fields are not checked, but
-        the strand count is still bounded by MAX_STRANDS."""
-        _require_at_most_max_strands(len(framings))
-        d = object.__new__(cls)
-        object.__setattr__(d, "strands", len(framings))
-        object.__setattr__(d, "braid_word", tuple((i, j, n) for (i, j), n in net_linking.items()))
-        object.__setattr__(d, "framings", framings)
-        object.__setattr__(d, "net_linking", net_linking)
-        return d
-
     def linking(self, i: int, j: int) -> int:
         if i == j:
             return self.framings[i - 1]
@@ -132,6 +118,9 @@ class FramedBraidDiagram:
     def from_json(data: dict) -> FramedBraidDiagram:
         if "strands" not in data:
             raise InvalidDiagramError("JSON diagram has no 'strands' field")
+        unknown = [key for key in data if key not in ("strands", "framings", "braid")]
+        if unknown:
+            raise InvalidDiagramError(f"JSON diagram has unknown field {echo(unknown[0])}")
         return FramedBraidDiagram(data["strands"], data.get("braid", ()), data.get("framings", ()))
 
     def to_text(self) -> str:
@@ -181,7 +170,7 @@ def linking_matrix(d: FramedBraidDiagram) -> LinkingMatrix:
         rows[i][i] = f
     for (a, b), e in d.net_linking.items():
         rows[a - 1][b - 1] = rows[b - 1][a - 1] = e
-    return LinkingMatrix._trusted(tuple(map(tuple, rows)))
+    return unchecked(LinkingMatrix, rows=tuple(map(tuple, rows)))
 
 
 def h1_invariants(d: FramedBraidDiagram, rows: Rows | None = None) -> H1Invariants:
@@ -196,15 +185,17 @@ def _rank_one(links: dict[tuple[int, int], int], framings: list[int], u: list[in
               s: int) -> FramedBraidDiagram:
     """The update all three moves share: add s*u_i*u_j to each linking and
     s*u_i^2 to each framing. The result has one letter per linked pair,
-    in index order; the moves checked their arguments, so it is built
-    unchecked."""
+    in index order, and at most MAX_STRANDS strands; the moves checked
+    their arguments, so it is built unchecked."""
+    _require_at_most_max_strands(len(framings))
     support = [i for i, x in enumerate(u, 1) if x]
     for a, i in enumerate(support):
         framings[i - 1] += s * u[i - 1] ** 2
         for j in support[a + 1:]:
             links[i, j] = links.get((i, j), 0) + s * u[i - 1] * u[j - 1]
-    return FramedBraidDiagram._trusted(
-        tuple(framings), {pair: n for pair, n in sorted(links.items()) if n})
+    links = {pair: n for pair, n in sorted(links.items()) if n}
+    return unchecked(FramedBraidDiagram, strands=len(framings), framings=tuple(framings),
+                     braid_word=tuple((i, j, n) for (i, j), n in links.items()), net_linking=links)
 
 
 def blow_up(d: FramedBraidDiagram, region: set[int] | list[int] | tuple[int, ...],
@@ -342,11 +333,21 @@ def _int(move: dict, key: str) -> int:
     return value
 
 
+_MOVE_FIELDS = {"blow_up": {"move", "region", "sign"}, "blow_down": {"move", "component"},
+                "rolfsen_twist": {"move", "component", "twists"}}
+
+
 def _apply(d: FramedBraidDiagram, move: dict,
            ) -> tuple[FramedBraidDiagram, str, Callable[[Rows, Rows], bool]]:
     """The move's result, its detail string and its certificate, a test of
     the linking rows before and after the move."""
     kind = _field(move, "move")
+    known = _MOVE_FIELDS.get(kind) if isinstance(kind, str) else None
+    if known is None:
+        raise InvalidMoveError(f"unknown move kind: {echo(kind)}")
+    unknown = [key for key in move if key not in known]
+    if unknown:
+        raise InvalidMoveError(f"move {echo(move)} has unknown field {echo(unknown[0])}")
     if kind == "blow_up":
         region = _field(move, "region")
         if not isinstance(region, list) or any(type(i) is not int for i in region):
@@ -357,10 +358,8 @@ def _apply(d: FramedBraidDiagram, move: dict,
     if kind == "blow_down":
         c = _int(move, "component")
         return *blow_down(d, c), lambda old, new: _blow_down_certified(old, new, c - 1)
-    if kind == "rolfsen_twist":
-        c, t = _int(move, "component"), _int(move, "twists")
-        return *rolfsen_twist(d, c, t), lambda old, new: _twist_certified(old, new, c - 1, t)
-    raise InvalidMoveError(f"unknown move kind: {echo(kind)}")
+    c, t = _int(move, "component"), _int(move, "twists")
+    return *rolfsen_twist(d, c, t), lambda old, new: _twist_certified(old, new, c - 1, t)
 
 
 def apply_moves(d: FramedBraidDiagram, moves: list[dict],
@@ -413,8 +412,8 @@ def to_planar_open_book(d: FramedBraidDiagram) -> tuple[PlanarPage, TwistWord]:
     The pairs i < j and the holes come from the diagram, so each curve and
     the word are built unchecked."""
     page = PlanarPage(d.strands)
-    letters = [(DehnTwist(CurveClass._trusted(pair)), -n)
+    letters = [(DehnTwist(unchecked(CurveClass, enclosed=pair)), -n)
                for pair, n in sorted(d.net_linking.items())]
-    letters += [(DehnTwist(CurveClass._trusted((i,))), -f)
+    letters += [(DehnTwist(unchecked(CurveClass, enclosed=(i,))), -f)
                 for i, f in enumerate(d.framings, start=1) if f]
-    return page, TwistWord._trusted(page, tuple(letters))
+    return page, unchecked(TwistWord, page=page, letters=tuple(letters))

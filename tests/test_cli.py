@@ -376,6 +376,18 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
     (["embed", "--page", "3", "--word", "w.json"],
      {"w.json": '[{"op": "twist", "curve": ' + "[" * 500 + "1" + "]" * 500 + "}]"},
      "needs a list of integers"),
+    (["surgery", "d.json"],
+     {"d.json": '{"strands": 2, "framings": [-4, -2], "braids": [[1, 2, 1]]}'},
+     "JSON diagram has unknown field 'braids'"),
+    (["embed", "--page", "2", "--word", "w.json"],
+     {"w.json": '[{"op": "twist", "curve": [1], "exponent": 3}]'}, "unknown field 'exponent'"),
+    (["embed", "--page", "2", "--word", "w.json"],
+     {"w.json": '[{"op": "push", "boundary": 1, "around": [2], "curve": [2]}]'},
+     "unknown field 'curve'"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 1\nframings 1\n",
+      "m.json": json.dumps([{"move": "blow_down", "component": 1, "twists": 2}])},
+     "has unknown field 'twists'"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "letter-outside-gens", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -391,7 +403,8 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "argv-unknown-option", "embed-raw-removed", "argv-missing-option", "json-word-reused-curve-bool",
         "json-word-reused-curve-float", "repeated-gens", "gens-prefix", "repeated-strands", "repeated-framings",
         "word-hole-zero", "json-word-no-curve", "json-word-curve-number",
-        "json-word-curve-nested-500"])
+        "json-word-curve-nested-500", "json-diagram-unknown-key", "json-word-unknown-key",
+        "json-word-push-unknown-key", "move-unknown-key"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)

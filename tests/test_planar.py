@@ -221,7 +221,9 @@ def test_a_curve_stores_its_sorted_distinct_holes(indices, rng):
 def test_non_integer_letter_fields_rejected():
     # checked, never truncated: int() would read 2.9 as 2 and "12" as {1, 2}
     for make in (lambda: twist({1}, 2.9), lambda: twist({1.5}), lambda: twist("12"),
-                 lambda: twist({True}), lambda: push(1.5, {1}), lambda: push(2, {1}, 2.0)):
+                 lambda: twist({True}), lambda: push(1.5, {1}), lambda: push(2, {1}, 2.0),
+                 lambda: PlanarPush(True, CurveClass((2,))),
+                 lambda: PlanarPush(1.5, CurveClass((2,)))):
         with pytest.raises(InvalidWordError):
             make()
 

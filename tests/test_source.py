@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import importlib.util
+import inspect
 import io
 import os
 import re
@@ -79,3 +80,14 @@ def test_readme_python_example_prints_its_comments():
         exec(block, {})
     assert expected == "#^2 S2x~S2\n"
     assert out.getvalue() == expected
+
+
+def test_one_builder_skips_the_constructor_checks():
+    # errors.unchecked is the one way to build an object without its checks:
+    # no class keeps a _trusted twin, and object.__new__ appears nowhere else
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(Path(spuncalc.__file__).parent.glob("*.py"))}
+    assert [name for name, text in sources.items() if re.search(r"def _trusted\b", text)] == []
+    assert {name: text.count("object.__new__") for name, text in sources.items()
+            if "object.__new__" in text} == {"errors.py": 1}
+    assert "object.__new__" in inspect.getsource(errors.unchecked)

@@ -414,6 +414,8 @@ def test_dropping_the_framing_sign_fails_each_kind_of_move():
     [{"move": "reflect"}],
     ["blow_up"],
     [{"move": "rolfsen_twist", "component": 2, "twists": 1}],
+    [{"move": "blow_down", "component": 1, "twists": 2}],
+    [{"move": ["blow_down"], "component": 1}],
 ])
 def test_apply_moves_rejects_malformed_moves(moves):
     with pytest.raises(InvalidMoveError):
