@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NoReturn
 
 from . import __version__, corpus, lens, modp, pi1, spun, surgery
-from .errors import InvalidMoveError, SpuncalcError, echo, parse_json
+from .errors import InvalidMoveError, SpuncalcError, echo, integer, parse_json
 from .fourman import FourManifoldForm, normalize, parity_form
 from .planar import PlanarPage, TwistWord, load_word, parity_vector, word_to_json, word_to_text
 
@@ -59,23 +59,30 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict,
     """Print the JSON report under --json, or else the text lines, and
     return ``exit_code(checks)``. Each mode builds only what it prints:
     ``outputs`` is called only under --json, and ``lines``, a generator, is
-    iterated only in text mode."""
-    if not args.json:
-        for line in lines:
-            print(line)
-        return exit_code(checks)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "version": __version__,
-        "command": command,
-        "conventions": surgery.SIGN_CONVENTIONS,
-        "inputs": inputs,
-        "outputs": outputs(),
-        "checks": checks,
-    }
-    if not args.no_timestamp:
-        report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    iterated only in text mode. The whole report is built before any of it
+    is printed, so a value too long to print (an int of more than 4,300
+    digits has no str()) is bad input that leaves stdout empty."""
+    try:
+        if not args.json:
+            text = "\n".join(lines)
+        else:
+            report = {
+                "schema": REPORT_SCHEMA,
+                "version": __version__,
+                "command": command,
+                "conventions": surgery.SIGN_CONVENTIONS,
+                "inputs": inputs,
+                "outputs": outputs(),
+                "checks": checks,
+            }
+            if not args.no_timestamp:
+                report["generated_at"] = datetime.now(timezone.utc).isoformat()
+            text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    except SpuncalcError:
+        raise
+    except ValueError as exc:
+        raise SpuncalcError(f"the {command} report cannot be printed: {echo(exc, str)}") from None
+    print(text)
     return exit_code(checks)
 
 
@@ -353,20 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="omit the timestamp for byte-stable output")
 
     p = sub.add_parser("lens", help="lens space pipeline for L(p,q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("p", type=integer)
+    p.add_argument("q", type=integer)
     common(p)
     p.set_defaults(func=cmd_lens)
 
     p = sub.add_parser("embed", help="embedding target of a planar open book")
-    p.add_argument("--page", type=int, required=True,
+    p.add_argument("--page", type=integer, required=True,
                    help=f"number of inner boundaries (at most {MAX_PAGE_HOLES})")
     p.add_argument("--word", required=True, help="word file (text or JSON)")
     common(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("certify-s4", help="sphere certificate for paired pages")
-    p.add_argument("--page", type=int, required=True,
+    p.add_argument("--page", type=integer, required=True,
                    help=f"number of inner boundaries, even (at most {MAX_PAGE_HOLES})")
     p.add_argument("--word", required=True)
     common(p)

@@ -69,6 +69,24 @@ def require_integers(error: type[SpuncalcError], message: str, *values: object) 
             raise error(f"{message}, got {echo(x)}")
 
 
+def integers(text: str) -> tuple[int, ...]:
+    """The whitespace-separated integers of ``text``, each spelt [+-]?[0-9]+
+    in ASCII. int() alone would also read "1_0" as 10 and digits other than
+    ASCII ones, which a report would then spell differently; one scan of the
+    whole text rules both out. ValueError on any other spelling, and on an
+    integer of more than 4,300 digits, which int() refuses."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("integers are spelt [+-]?[0-9]+")
+    return tuple(map(int, text.split()))
+
+
+def integer(text: str) -> int:
+    """The one integer of ``text``, spelt as ``integers`` reads it; argparse
+    names it in its message for a bad value."""
+    (value,) = integers(text)
+    return value
+
+
 def unchecked(cls: type[T], **fields: object) -> T:
     """The dataclass ``cls`` of ``fields``, built without its checks, for
     objects derived from checked data. Each field is set as ``__init__``

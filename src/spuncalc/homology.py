@@ -24,19 +24,19 @@ gives the free rank.
    their gcd (1 when k = 1: the empty minor). Write D = D_c D_m, where D_m
    collects every prime power of D whose prime divides gcd(D, g). No prime
    of D_c divides g, so none divides s_{k-1}: the D_c-part of coker B is
-   cyclic, and coker B = Z/D_c + coker B (x) Z/D_m. When D_m = 1 the
-   factors are 1, ..., 1, D. Otherwise B is reduced mod D_m and pivots
-   coprime to D_m are cleared like the +-1 of phase 1.
-3. One finisher takes what has no unit left: a singular or rectangular
-   residual over Z, a nonsingular one over Z/D_m. Row and column
-   operations, each combining two lines through the extended gcd of their
-   leading entries, are unimodular, so they keep coker B (x) Z/D_m, which
-   is the sum of the Z/gcd(s_i, D_m), that is, of Z/s_1, ..., Z/s_{k-1}
-   and Z/(s_k / D_c). They make the block diagonal, reduced mod D_m after
-   each pivot, and a diagonal d_1, ..., d_k presents the sum of the
-   Z/gcd(d_i, D_m) (of the Z/d_i over Z). Replacing each pair of these
-   factors by their gcd and lcm keeps the sum and leaves a divisibility
-   chain. The last factor is then multiplied by D_c.
+   cyclic, and coker B = Z/D_c + coker B (x) Z/D_m. Phase 2 ends at this
+   split; when D_m = 1 the factors are 1, ..., 1, D.
+3. One finisher takes the rest, over Z or modulo D_m: a singular or
+   rectangular residual over Z, a nonsingular one reduced mod D_m, units
+   mod D_m included. Row and column operations, each combining two lines
+   through the extended gcd of their leading entries, are unimodular, so
+   they keep coker B (x) Z/D_m, which is the sum of the Z/gcd(s_i, D_m),
+   that is, of Z/s_1, ..., Z/s_{k-1} and Z/(s_k / D_c). They make the
+   block diagonal, each line reduced mod D_m as it is built, and a
+   diagonal d_1, ..., d_k presents the sum of the Z/gcd(d_i, D_m) (of the
+   Z/d_i over Z). Replacing each pair of these factors by their gcd and
+   lcm keeps the sum and leaves a divisibility chain. The last factor is
+   then multiplied by D_c.
 """
 
 from __future__ import annotations
@@ -160,38 +160,22 @@ def min_structured_det(values: Sequence[int], diagonal: Sequence[int]) -> int:
     return big_d
 
 
-def _unit_column(row: list[int], modulus: int) -> int | None:
-    """Column of the first unit of Z/modulus in the row (+-1 when modulus is 0)."""
-    if modulus:
-        row = list(map(gcd, row, [modulus] * len(row)))
-        return row.index(1) if 1 in row else None
-    if 1 in row:
-        return row.index(1)
-    return row.index(-1) if -1 in row else None
-
-
-def _unit_pivots(m: list[list[int]], modulus: int) -> tuple[list[list[int]], int]:
-    """Clear unit pivots of Z/modulus (+-1 when modulus is 0) from a block
-    whose entries are reduced mod modulus, dropping each pivot's row and
-    column. Returns the residual block and the number of pivots cleared."""
+def _unit_pivots(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Clear +-1 pivots over Z, dropping each pivot's row and column.
+    Returns the residual block and the number of pivots cleared."""
     cleared = 0
     while True:
         for i, row in enumerate(m):
-            c = _unit_column(row, modulus)
-            if c is not None:
+            if 1 in row or -1 in row:
                 break
         else:
             return m, cleared
+        c = row.index(1) if 1 in row else row.index(-1)
         pivot_row = m.pop(i)
-        inverse = pow(pivot_row.pop(c), -1, modulus) if modulus else pivot_row.pop(c)
+        unit = pivot_row.pop(c)  # its own inverse
         rest = []
         for row in m:
-            f = row.pop(c) * inverse
-            if modulus:
-                f %= modulus
-                if f:
-                    row = [(a - f * b) % modulus for a, b in zip(row, pivot_row)]
-            elif f:
+            if f := row.pop(c) * unit:
                 row = [a - f * b for a, b in zip(row, pivot_row)]
             rest.append(row)
         m = rest
@@ -211,12 +195,20 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, x, y) if a > 0 else (-a, -x, -y)
 
 
+def _combine(x: int, top: list[int], y: int, row: list[int], modulus: int) -> list[int]:
+    """x top + y row, reduced mod modulus unless it is 0."""
+    if modulus:
+        return [(x * u + y * v) % modulus for u, v in zip(top, row)]
+    return [x * u + y * v for u, v in zip(top, row)]
+
+
 def _gcd_diagonal(m: list[list[int]], modulus: int) -> list[int]:
     """Invariant factors of the cokernel of m over Z (modulus 0) or over
     Z/modulus, where m holds residues: min(rows, cols) of them, in
-    divisibility order. Each pivot clears its column by combining two rows
-    through the extended gcd of their leading entries. Once it divides its
-    row, a column pass would change that row alone, so both are dropped;
+    divisibility order. Each pivot, the first nonzero entry, clears its
+    column by combining two rows through the extended gcd of their leading
+    entries, each reduced mod modulus as it is built. Once the pivot divides
+    its row, a column pass would change that row alone, so both are dropped;
     else the transpose takes a pass, which makes the pivot smaller."""
     diag: list[int] = []
     size = min(len(m), len(m[0])) if m else 0
@@ -232,16 +224,16 @@ def _gcd_diagonal(m: list[list[int]], modulus: int) -> list[int]:
                     g, x, y = _egcd(top[0], row[0])
                     a, b = top[0] // g, row[0] // g
                     if y or x != 1:
-                        m[0] = [x * u + y * v for u, v in zip(top, row)]
-                    m[i] = [a * v - b * u for u, v in zip(top, row)]
+                        m[0] = _combine(x, top, y, row, modulus)
+                    m[i] = _combine(-b, top, a, row, modulus)
             pivot = m[0][0]
             if all(a % pivot == 0 for a in m[0]):
                 break
             m = [list(line) for line in zip(*m)]
         diag.append(pivot)
-        m = [[a % modulus for a in row[1:]] if modulus else row[1:] for row in m[1:]]
-    diag = [gcd(d, modulus) for d in diag] + [modulus] * (size - len(diag))
-    for i in range(len(diag)):
+        m = [row[1:] for row in m[1:]]
+    diag = sorted(gcd(d, modulus) for d in diag) + [modulus] * (size - len(diag))
+    for i in range(diag.count(1), len(diag)):  # sorted, the 1s lead; a 1 keeps any pair
         for j in range(i + 1, len(diag)):
             diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return diag
@@ -258,13 +250,12 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     nc = len(m[0]) if m else 0
     if any(len(row) != nc for row in m):
         raise InvalidDiagramError("ragged matrix")
-    m, ones = _unit_pivots(m, 0)
+    m, ones = _unit_pivots(m)
     diag = [1] * ones
     if not m:
         return diag
-    if len(m) != len(m[0]):
-        return diag + _gcd_diagonal(m, 0)
-    determinant, minors = _bareiss([row[:] for row in m])
+    square = len(m) == len(m[0])
+    determinant, minors = _bareiss([row[:] for row in m]) if square else (0, 1)
     if not determinant:
         return diag + _gcd_diagonal(m, 0)
     # |determinant| = cyclic * modulus: modulus takes each prime power whose
@@ -277,8 +268,7 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     modulus = abs(determinant) // cyclic
     if modulus == 1:
         return diag + [1] * (len(m) - 1) + [cyclic]
-    m, units = _unit_pivots([[a % modulus for a in row] for row in m], modulus)
-    diag += [1] * units + _gcd_diagonal(m, modulus)
+    diag += _gcd_diagonal([[a % modulus for a in row] for row in m], modulus)
     diag[-1] *= cyclic
     return diag
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import InvalidPresentationError, echo, require_integers, unchecked
+from .errors import InvalidPresentationError, echo, integer, require_integers, unchecked
 from .homology import H1Invariants, cokernel_invariants
 
 Word = tuple[int, ...]
@@ -125,8 +125,8 @@ def abelianization(g: GroupPresentation) -> H1Invariants:
     return H1Invariants(h.factors, h.free_rank + g.generator_count - len(column))
 
 
-_RELATOR_RE = re.compile(r"(?:[xXaA]\d+)*")
-_LETTER_RE = re.compile(r"([xXaA])(\d+)")
+_RELATOR_RE = re.compile(r"(?:[xXaA][0-9]+)*")
+_LETTER_RE = re.compile(r"([xXaA])([0-9]+)")
 
 
 def parse_relator(text: str) -> Word:
@@ -170,7 +170,7 @@ def parse_presentation(text: str) -> GroupPresentation:
                 raise InvalidPresentationError(f"repeated gens line: {echo(line)}")
             try:
                 (count,) = rest
-                gens = int(count)
+                gens = integer(count)
             except ValueError:
                 raise InvalidPresentationError(f"bad gens line: {echo(line)}") from None
             if gens > MAX_GENERATORS:

@@ -200,7 +200,8 @@ def parity_vector(word: TwistWord) -> tuple[int, ...]:
 
 # a letter: the generator text (group 1: a twist's curve, or a push's
 # boundary and curve), then an optional exponent
-_LETTER_RE = re.compile(r"(T\{(\d+(?:,\d+)*)\}|P\{(\d+)\|(\d+(?:,\d+)*)\})(?:\^(-?\d+))?")
+_LETTER_RE = re.compile(
+    r"(T\{([0-9]+(?:,[0-9]+)*)\}|P\{([0-9]+)\|([0-9]+(?:,[0-9]+)*)\})(?:\^(-?[0-9]+))?")
 
 
 def _curve_text(indices: str) -> CurveClass:

@@ -37,8 +37,8 @@ from functools import cache
 from itertools import chain
 from typing import Callable
 
-from .errors import (InvalidDiagramError, InvalidMoveError, echo, parse_json, require_integers,
-                     unchecked)
+from .errors import (InvalidDiagramError, InvalidMoveError, echo, integers, parse_json,
+                     require_integers, unchecked)
 from .homology import H1Invariants, LinkingMatrix, Rows, cokernel_invariants
 from .modp import invariants_agree
 from .planar import CurveClass, DehnTwist, PlanarPage, TwistWord
@@ -142,9 +142,9 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, *fields = line.split()
+        key, *fields = line.split(maxsplit=1)
         try:
-            values = tuple(int(x) for x in fields)
+            values = integers("".join(fields))  # one check for the whole line
         except ValueError:
             raise InvalidDiagramError(f"non-integer field in diagram line: {echo(line)}") from None
         if (key == "strands" and len(values) == 1) or key == "framings":

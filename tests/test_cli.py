@@ -352,7 +352,7 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
     (["pi1", "g.txt"], {"g.txt": "gens 1\nx" + "9" * 5000 + "\n"}, "digits"),
     (["embed", "--page", "10000000", "--word", "w.txt"], {"w.txt": "T{1}"}, "at most"),
     (["certify-s4", "--page", "2000000", "--word", "w.txt"], {"w.txt": "T{1}"}, "at most"),
-    (["lens", "x", "2"], {}, "invalid int value"),
+    (["lens", "x", "2"], {}, "invalid integer value"),
     (["frob"], {}, "invalid choice"),
     (["lens", "7", "2", "--bogus"], {}, "unrecognized arguments: --bogus"),
     (["embed", "--page", "2", "--word", "w.txt", "--raw"], {"w.txt": "T{1}"},
@@ -388,6 +388,16 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
      {"d.txt": "strands 1\nframings 1\n",
       "m.json": json.dumps([{"move": "blow_down", "component": 1, "twists": 2}])},
      "has unknown field 'twists'"),
+    (["lens", "1_3", "5"], {}, "invalid integer value"),
+    (["lens", "\u0661\u0663", "5"], {}, "invalid integer value"),
+    (["embed", "--page", "\u0662", "--word", "w.txt"], {"w.txt": "T{1}"}, "invalid integer value"),
+    (["surgery", "d.txt"], {"d.txt": "strands 2\nframings 1_0 -2\n"}, "non-integer field"),
+    (["surgery", "d.txt"], {"d.txt": "strands \u0662\nframings 1 -2\n".encode()},
+     "non-integer field"),
+    (["embed", "--page", "2", "--word", "w.txt"], {"w.txt": "T{\u0661}^3\n".encode()},
+     "unrecognized word letter"),
+    (["pi1", "g.txt"], {"g.txt": "gens 2\nx\u0661x2\n".encode()}, "cannot parse relator"),
+    (["pi1", "g.txt"], {"g.txt": "gens \u0662\nx1x2\n".encode()}, "bad gens line"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "letter-outside-gens", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -404,7 +414,10 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "json-word-reused-curve-float", "repeated-gens", "gens-prefix", "repeated-strands", "repeated-framings",
         "word-hole-zero", "json-word-no-curve", "json-word-curve-number",
         "json-word-curve-nested-500", "json-diagram-unknown-key", "json-word-unknown-key",
-        "json-word-push-unknown-key", "move-unknown-key"])
+        "json-word-push-unknown-key", "move-unknown-key", "argv-underscore-digits",
+        "argv-arabic-indic-digits", "page-arabic-indic-digit", "diagram-underscore-digits",
+        "diagram-arabic-indic-strands", "word-arabic-indic-hole", "relator-arabic-indic-index",
+        "gens-arabic-indic-count"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)
@@ -461,11 +474,18 @@ OVERSIZED_INPUTS = [
      "integer calculus"),
     (["pi1", "g.txt"], {"g.txt": "gens 1\n" + "x1" * 100_000 + "y\n"}, "cannot parse"),
     (["pi1", "g.txt"], {"g.txt": "gens 1 " + "2 " * 100_000 + "\n"}, "bad gens"),
-    (["lens", "x" * 100_000, "2"], {}, "invalid int value"),
+    (["lens", "x" * 100_000, "2"], {}, "invalid integer value"),
     (["pi1", "g.txt"], {"g.txt": "gens 1000000000\n"}, "at most 100000 generators"),
     (["lens", "100000", "99999"], {}, "more than 2000 coefficients"),
     (["surgery", "d.txt"], {"d.txt": "strands 100000\nframings " + "0 " * 100_000 + "\n"},
      "at most 200 strands"),
+    # H1 = Z/(AB) for framings A = 2 10^3999 + 1 and B = A + 2: the 8,000 digits
+    # of AB have no str(), in the text report and in the JSON one
+    (["surgery", "d.txt"], {"d.txt": f"strands 2\nframings 2{'0' * 3998}1 2{'0' * 3998}3\n"},
+     "report cannot be printed"),
+    (["surgery", "d.txt", "--json"],
+     {"d.txt": f"strands 2\nframings 2{'0' * 3998}1 2{'0' * 3998}3\n"},
+     "report cannot be printed"),
 ]
 
 
@@ -475,7 +495,8 @@ OVERSIZED_INPUTS = [
                               "move-region-string", "diagram-line", "diagram-framing-string",
                               "diagram-strands", "move-component", "move-framing", "move-twists",
                               "relator", "gens-line", "argv-token", "gens-count",
-                              "lens-expansion", "diagram-strands-count"])
+                              "lens-expansion", "diagram-strands-count", "h1-text-too-long",
+                              "h1-json-too-long"])
 def test_an_oversized_input_gives_one_short_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                        needle):
     monkeypatch.chdir(tmp_path)
@@ -520,6 +541,12 @@ REPEATED_FILES = {
                                               ([1, 2], -1), ([2, 4], 1)]]),
     "repeated-cert.txt": "T{1}^3 T{1,3} P{2|1} T{1} T{3}^2 T{1,3}^-1 T{1}^3 P{4|3} T{1,3} T{3}\n"
                          "T{1}^-2 T{1,3}^2 T{3} T{1}\n",
+}
+
+# H1 = Z/2 + Z/4: D = D_m = 8, and the Smith form's finisher runs modulo 8 on
+# a block that holds units mod 8
+SMITH_FILES = {
+    "unit-mod-8.txt": "strands 3\nframings -2 3 -2\nA 1 2 -2\nA 1 3 +2\nA 2 3 +4\n",
 }
 
 
@@ -705,12 +732,14 @@ def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
     (["certify-s4", "--page", "4", "--word", "repeated-cert.txt"],
      "3ce9dc85c2790ec968ddbdb108a3f0a4e07df8f834f764ca18ec2eb33cf7094a"),
     (["pi1", "group.txt"], "2960a2420354fb2557032daa73a9fe5798ec5ee54345e2727a10d4bc4199e4c1"),
+    (["surgery", "unit-mod-8.txt"],
+     "a9d8b39fa9672b759fa509290bc08e2c9adba8c05eab55d2f85afbceead87477"),
 ], ids=["lens-7-2", "lens-40-39", "surgery-readme", "embed-readme", "certify-s4-readme",
         "corpus-run", "embed-repeated-text", "embed-repeated-json", "certify-s4-repeated",
-        "pi1-readme"])
+        "pi1-readme", "surgery-unit-mod-8"])
 def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
-    for name, text in {**README_FILES, **REPEATED_FILES}.items():
+    for name, text in {**README_FILES, **REPEATED_FILES, **SMITH_FILES}.items():
         (tmp_path / name).write_text(text)
     code, out, _ = run(capsys, *argv, "--json", "--no-timestamp")
     assert code == 0
