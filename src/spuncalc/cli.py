@@ -31,7 +31,7 @@ from .errors import InvalidMoveError, SpuncalcError, echo, integer, parse_json
 from .fourman import FourManifoldForm, normalize, parity_form
 from .planar import PlanarPage, TwistWord, load_word, parity_vector, word_to_json, word_to_text
 
-REPORT_SCHEMA = "spuncalc-report/2"
+REPORT_SCHEMA = "spuncalc-report/3"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -35,13 +35,24 @@ object against its page once, and ``word_to_text`` formats each distinct
 generator once per word. ``exponent_vector`` sums on a difference array,
 so a twist along an interval of holes costs at most four updates whatever
 its length.
+
+A curve that encloses a whole interval of three or more holes is written
+as one run: ``T{r..k}`` and ``P{b|r..k}`` in text, ``[[r, k]]`` in JSON;
+every other curve lists its holes. The test is O(1) per curve (its last
+hole minus its first, against its size), so a lens word of k holes, whose
+curves are the suffixes ``{r..k}``, is written in O(k) rather than O(k^2).
+The readers take any mix of holes and runs (``T{1,3..5}``, ``[1, [3, 5]]``).
+Each run is checked against the page before it is expanded, and the holes
+that runs share are expanded once, so a short input cannot ask for more
+than the page's holes per curve, nor the runs of a word for more than
+MAX_WORD_HOLES in all.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add
 from typing import Iterable, Union
 
@@ -83,7 +94,16 @@ class CurveClass:
         return self.enclosed[-1] <= page.inner_count
 
     def __str__(self) -> str:
-        return "{%s}" % ",".join(map(str, self.enclosed))
+        return "{%s}" % _holes_text(self.enclosed)
+
+
+def _holes_text(holes: tuple[int, ...]) -> str:
+    """``r..k`` for a whole interval of three or more holes, else the holes
+    comma-separated."""
+    size = len(holes)
+    if size > 2 and holes[-1] - holes[0] + 1 == size:
+        return f"{holes[0]}..{holes[-1]}"
+    return ",".join(map(str, holes))
 
 
 @dataclass(frozen=True)
@@ -118,7 +138,7 @@ class PlanarPush:
             raise InvalidWordError("a boundary cannot be pushed around a curve enclosing it")
 
     def __str__(self) -> str:
-        return f"P{{{self.boundary}|{','.join(map(str, self.around.enclosed))}}}"
+        return f"P{{{self.boundary}|{_holes_text(self.around.enclosed)}}}"
 
 
 Generator = Union[DehnTwist, PlanarPush]
@@ -199,39 +219,112 @@ def parity_vector(word: TwistWord) -> tuple[int, ...]:
 
 
 # a letter: the generator text (group 1: a twist's curve, or a push's
-# boundary and curve), then an optional exponent
-_LETTER_RE = re.compile(
-    r"(T\{([0-9]+(?:,[0-9]+)*)\}|P\{([0-9]+)\|([0-9]+(?:,[0-9]+)*)\})(?:\^(-?[0-9]+))?")
+# boundary and curve), then an optional exponent. A curve lists holes; the
+# second pattern also takes runs first..last among them. It costs about a
+# third more per token, so it is tried only on a token the first refuses.
+def _letter_re(holes: str) -> re.Pattern:
+    return re.compile(rf"(T\{{({holes})\}}|P\{{([0-9]+)\|({holes})\}})(?:\^(-?[0-9]+))?")
 
 
-def _curve_text(indices: str) -> CurveClass:
-    """The curve of comma-separated digit runs: their values are ints >= 0,
-    so of the curve checks only the 1-based bound is left."""
+_LETTER_RE = _letter_re(r"[0-9]+(?:,[0-9]+)*")
+_RUN_LETTER_RE = _letter_re(r"[0-9]+(?:\.\.[0-9]+)?(?:,[0-9]+(?:\.\.[0-9]+)?)*")
+
+
+# Most holes the runs of one word read from input may expand to, over its
+# distinct curves: n short tokens could otherwise ask for n times the page's
+# holes. This is a little more than the 2,000,997 that the runs of the
+# longest lens word (k = 2,000) hold, so every word a report writes reads
+# back. A curve written as a list of holes is bounded by its text instead.
+MAX_WORD_HOLES = 2_500_000
+
+
+def _run_curve(runs: list[tuple[int, int]], page: PlanarPage, budget: list[int]) -> CurveClass:
+    """The curve of int runs (first, last), a single hole being (i, i). Each
+    run of two or more holes must fit ``page`` (a single hole is checked
+    with the word), the holes that runs share are counted once, and their
+    count is taken from ``budget[0]``, the holes the word's runs may still
+    expand to, all before any run is expanded."""
+    for first, last in runs:
+        if first < 1:
+            raise InvalidWordError("boundary indices are 1-based")
+        if first > last:
+            raise InvalidWordError(f"run {echo(first)}..{echo(last)} is empty: "
+                                   "its first hole exceeds its last")
+        if last > page.inner_count and first < last:
+            raise InvalidWordError(f"run {echo(first)}..{echo(last)} does not fit on a page "
+                                   f"with {page.inner_count} inner boundaries")
+    spans = []
+    top = 0  # the last hole of the spans so far
+    for first, last in sorted(runs):
+        if last > top:
+            spans.append(range(max(first, top + 1), last + 1))
+            top = last
+    budget[0] -= sum(map(len, spans))
+    if budget[0] < 0:
+        raise InvalidWordError(
+            f"the word's runs enclose more than {MAX_WORD_HOLES} holes in all")
+    return unchecked(CurveClass, enclosed=tuple(chain.from_iterable(spans)))
+
+
+def _curve_text(indices: str, page: PlanarPage, budget: list[int]) -> CurveClass:
+    """The curve of comma-separated holes and runs ``first..last``, spelt
+    in digits: their values are ints >= 0, so of the curve checks only the
+    1-based bound is left, and those of the runs."""
+    if ".." in indices:
+        runs = []
+        for part in indices.split(","):
+            first, _, last = part.partition("..")
+            runs.append((int(first), int(last or first)))
+        return _run_curve(runs, page, budget)
     enclosed = sorted(set(map(int, indices.split(","))))
     if enclosed[0] < 1:
         raise InvalidWordError("boundary indices are 1-based")
     return unchecked(CurveClass, enclosed=tuple(enclosed))
 
 
+def _json_curve(value: object, page: PlanarPage, budget: list[int]) -> CurveClass:
+    """The curve of a JSON list of int holes and [first, last] runs. A curve
+    of holes alone costs no more than ``CurveClass``, whose set of the
+    holes refuses a list; a run that is no pair raises TypeError, as a
+    curve that is no list does."""
+    try:
+        return CurveClass(value)
+    except TypeError:
+        if type(value) is not list:
+            raise
+    runs = []
+    for item in value:
+        if type(item) is list:
+            if len(item) != 2:
+                raise TypeError("a run is a pair [first, last]")
+            runs.append(tuple(item))
+        else:
+            runs.append((item, item))
+    for run in runs:
+        require_integers(InvalidWordError, "boundary indices must be integers", *run)
+    return _run_curve(runs, page, budget)
+
+
 def parse_word(text: str, page: PlanarPage) -> TwistWord:
-    """Parse the whitespace-separated text form, e.g. ``T{1,2}^3 P{4|1,2}``.
+    """Parse the whitespace-separated text form, e.g. ``T{1,2}^3 P{4|1..3}``.
     Each distinct token is read once, in the order of its first letter, so
     an error names the first bad letter of the word; the generator of each
     distinct generator text is built once."""
     tokens = text.split()
     gens: dict[str, Generator] = {}
     letters: dict[str, Letter] = dict.fromkeys(tokens)
+    budget = [MAX_WORD_HOLES]  # the holes its runs may still expand to
     try:
         for token in letters:
-            m = _LETTER_RE.fullmatch(token)
+            m = _LETTER_RE.fullmatch(token) or _RUN_LETTER_RE.fullmatch(token)
             if m is None:
                 raise InvalidWordError(f"unrecognized word letter: {echo(token)}")
             key, curve, boundary, around, exp_text = m.groups()
             exp = int(exp_text) if exp_text else 1
             gen = gens.get(key)
             if gen is None:
-                gen = gens[key] = (DehnTwist(_curve_text(curve)) if curve else
-                                   PlanarPush(int(boundary), _curve_text(around)))
+                holes = _curve_text(curve or around, page, budget)
+                gen = gens[key] = DehnTwist(holes) if curve else PlanarPush(int(boundary), holes)
             letters[token] = gen, exp
     except SpuncalcError:
         raise
@@ -248,18 +341,20 @@ def word_to_text(word: TwistWord) -> str:
 
 
 def word_to_json(word: TwistWord) -> list[dict]:
-    """One object per letter, each with lists of its own."""
+    """One object per letter, each with lists of its own; a curve that is a
+    whole interval of three or more holes is the one run ``[[r, k]]``."""
     out = []
     for gen, exp in word.letters:
         if isinstance(gen, DehnTwist):
-            out.append({"op": "twist", "curve": list(gen.curve.enclosed), "exp": exp})
+            h = gen.curve.enclosed
+            size = len(h)
+            curve = [[h[0], h[-1]]] if size > 2 and h[-1] - h[0] + 1 == size else list(h)
+            out.append({"op": "twist", "curve": curve, "exp": exp})
         else:
-            out.append({
-                "op": "push",
-                "boundary": gen.boundary,
-                "around": list(gen.around.enclosed),
-                "exp": exp,
-            })
+            h = gen.around.enclosed
+            size = len(h)
+            around = [[h[0], h[-1]]] if size > 2 and h[-1] - h[0] + 1 == size else list(h)
+            out.append({"op": "push", "boundary": gen.boundary, "around": around, "exp": exp})
     return out
 
 
@@ -268,11 +363,13 @@ _LETTER_FIELDS = {"twist": {"op", "exp", "curve"}, "push": {"op", "exp", "bounda
 
 def word_from_json(data: list, page: PlanarPage) -> TwistWord:
     """The word of a JSON list of letter objects; any other value is an
-    error. The generator of each distinct field text is built once."""
+    error. A curve lists holes and [first, last] runs. The generator of
+    each distinct field text is built once."""
     if not isinstance(data, list):
         raise InvalidWordError(f"a JSON word must be a list of letters, got {echo(data)}")
     gens: dict[tuple[str, str], Generator] = {}  # by op and the repr of its fields
     letters: list[Letter] = []
+    budget = [MAX_WORD_HOLES]  # the holes its runs may still expand to
     for item in data:
         if not isinstance(item, dict):
             raise InvalidWordError(f"a JSON word letter must be an object, got {echo(item)}")
@@ -289,15 +386,17 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
             key = op, repr(fields)  # the repr tells 1, 1.0 and True apart
             gen = gens.get(key)
             if gen is None:
-                gen = gens[key] = (DehnTwist(CurveClass(*fields)) if op == "twist" else
-                                   PlanarPush(fields[0], CurveClass(fields[1])))
+                holes = _json_curve(fields[-1], page, budget)
+                gen = gens[key] = (DehnTwist(holes) if op == "twist" else
+                                   PlanarPush(fields[0], holes))
             letters.append(_letter(gen, exp))
         except KeyError as exc:
             raise InvalidWordError(f"{op} letter {echo(item)} has no {exc} field") from None
         except InvalidWordError as exc:  # the builders and _letter check every field
             raise InvalidWordError(f"{op} letter {echo(item)}: {exc}") from None
-        except TypeError:  # a curve that is no collection, e.g. a number
-            raise InvalidWordError(f"{op} letter {echo(item)} needs a list of integers") from None
+        except TypeError:  # a curve that is no collection, e.g. a number, or a bad run
+            raise InvalidWordError(f"{op} letter {echo(item)} needs a list of integers "
+                                   "and [first, last] runs") from None
         except ValueError:  # repr() refuses an int of more than 4,300 digits
             raise InvalidWordError(f"integer too long in word letter {len(letters) + 1}") from None
     return TwistWord(page, tuple(letters))

@@ -57,7 +57,7 @@ def test_lens_json_deterministic_without_timestamp(capsys):
     _, out2, _ = run(capsys, "lens", "8", "1", "--json", "--no-timestamp")
     assert out1 == out2
     report = json.loads(out1)
-    assert report["schema"] == "spuncalc-report/2"
+    assert report["schema"] == "spuncalc-report/3"
     assert "generated_at" not in report
     assert report["outputs"]["target"] == {"dim": 2, "s1xs": 0, "trivial": 1, "twisted": 0}
     # parse -> serialize -> parse fixpoint
@@ -197,13 +197,19 @@ def test_broken_stdout_is_not_bad_input(monkeypatch, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
-def test_console_script_exits_141_quietly_on_a_closed_pipe():
-    # ``spuncalc lens 500 499 | head -1``: the text report (about 500 KB) is
-    # far larger than a pipe's buffer, so writing fails once the reader is gone
+def test_console_script_exits_141_quietly_on_a_closed_pipe(tmp_path):
+    # ``spuncalc embed --page 100000 --word w.txt | head -1`` on the word
+    # T{1}: the text report lists 100,000 parities (about 300 KB), far more
+    # than a pipe's buffer, so writing fails once the reader is gone. A lens
+    # report no longer serves: L(500,499)'s is about 21 KB, its curves written
+    # as runs.
+    word = tmp_path / "w.txt"
+    word.write_text("T{1}\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
-    proc = subprocess.Popen([sys.executable, "-m", "spuncalc.cli", "lens", "500", "499"],
+    proc = subprocess.Popen([sys.executable, "-m", "spuncalc.cli", "embed", "--page", "100000",
+                             "--word", str(word)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline().startswith(b"L(500,499): ")
+    assert proc.stdout.readline().startswith(b"page: Sigma_{0,100001}")
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -398,6 +404,15 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
      "unrecognized word letter"),
     (["pi1", "g.txt"], {"g.txt": "gens 2\nx\u0661x2\n".encode()}, "cannot parse relator"),
     (["pi1", "g.txt"], {"g.txt": "gens \u0662\nx1x2\n".encode()}, "bad gens line"),
+    (["embed", "--page", "3", "--word", "w.txt"], {"w.txt": "T{5..3}"}, "run 5..3 is empty"),
+    (["embed", "--page", "3", "--word", "w.txt"], {"w.txt": "T{..3}"}, "unrecognized word letter"),
+    (["embed", "--page", "3", "--word", "w.txt"], {"w.txt": "T{0..3}"}, "1-based"),
+    (["embed", "--page", "3", "--word", "w.json"], {"w.json": '[{"op":"twist","curve":[[5,3]]}]'},
+     "run 5..3 is empty"),
+    (["embed", "--page", "3", "--word", "w.json"],
+     {"w.json": '[{"op":"twist","curve":[[1,2,3]]}]'}, "[first, last] runs"),
+    (["embed", "--page", "3", "--word", "w.json"],
+     {"w.json": '[{"op":"twist","curve":[[1.0,3]]}]'}, "integers"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "letter-outside-gens", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -417,7 +432,9 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "json-word-push-unknown-key", "move-unknown-key", "argv-underscore-digits",
         "argv-arabic-indic-digits", "page-arabic-indic-digit", "diagram-underscore-digits",
         "diagram-arabic-indic-strands", "word-arabic-indic-hole", "relator-arabic-indic-index",
-        "gens-arabic-indic-count"])
+        "gens-arabic-indic-count", "word-run-decreasing", "word-run-no-first",
+        "word-run-hole-zero", "json-word-run-decreasing", "json-word-run-three-fields",
+        "json-word-run-float"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)
@@ -486,6 +503,11 @@ OVERSIZED_INPUTS = [
     (["surgery", "d.txt", "--json"],
      {"d.txt": f"strands 2\nframings 2{'0' * 3998}1 2{'0' * 3998}3\n"},
      "report cannot be printed"),
+    # a run of 10^12 holes is checked against the page before it is expanded
+    (["embed", "--page", "3", "--word", "w.txt"], {"w.txt": "T{1..1000000000000}"},
+     "does not fit"),
+    (["embed", "--page", "3", "--word", "w.json"],
+     {"w.json": '[{"op":"twist","curve":[[1,1000000000000]]}]'}, "does not fit"),
 ]
 
 
@@ -496,7 +518,7 @@ OVERSIZED_INPUTS = [
                               "diagram-strands", "move-component", "move-framing", "move-twists",
                               "relator", "gens-line", "argv-token", "gens-count",
                               "lens-expansion", "diagram-strands-count", "h1-text-too-long",
-                              "h1-json-too-long"])
+                              "h1-json-too-long", "word-run-off-page", "json-word-run-off-page"])
 def test_an_oversized_input_gives_one_short_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                        needle):
     monkeypatch.chdir(tmp_path)
@@ -643,6 +665,17 @@ def test_text_mode_builds_no_json_outputs(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_the_largest_lens_report_grows_with_its_answer(capsys):
+    # L(2000,1999) has k = 1,999 coefficients, near the most lens takes: its
+    # word's suffix curves, written as runs, keep the report under 1 MB,
+    # where writing every hole of every suffix took 9.66 MB
+    code, out, _ = run(capsys, "lens", "2000", "1999", "--json", "--no-timestamp")
+    assert code == 0
+    assert len(out.encode()) < 1_000_000
+    word = json.loads(out)["outputs"]["open_book_word"]
+    assert [letter["curve"] for letter in word[1999:2001]] == [[[1, 1999]], [[2, 1999]]]
+
+
 def test_parser_state_does_not_leak_between_calls(tmp_path, monkeypatch, capsys):
     # the parser is built once per process; each call must still read as
     # if it had a parser of its own
@@ -694,9 +727,9 @@ def test_json_report_is_one_compact_sorted_ascii_line(tmp_path, monkeypatch, cap
     (["surgery", "diagram.txt", "--moves", "moves.json"],
      "32fa94dbbc364d35fcedb034b799b9f5cd92929428b370784851b9ffbbbdf74f"),
     (["embed", "--page", "4", "--word", "repeated.txt"],
-     "f968eaf12159e8899ed19f7e8938fb88547cd57bfff74767c414b421232d92f5"),
+     "e0b619c9441eadf6b3b3b5f0e8e50acfe459783dd99df75ca8fa3d03a84934db"),
     (["embed", "--page", "4", "--word", "repeated.json"],
-     "c2775a386d6a67008afa88472c63f3d36f70a97a57d7d09193b91842a75c1aeb"),
+     "2bc64fb161d33fecff399a25e3ff0308dbae37dbabd594ed09f5bd06ee4e5088"),
     (["certify-s4", "--page", "4", "--word", "repeated-cert.txt"],
      "bf48621272e5dcc7e3f1dfffee65d8c9dd168ffa4e240a6aec311faf18c64fdf"),
     (["pi1", "group.txt"], "e9bb0f014e95e4ffa967357185c911c9082447ab34bf3291676a4035d8f7639d"),
@@ -716,24 +749,24 @@ def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
 # interface: a refactor keeps them, and a deliberate change updates the
 # digest together with a CHANGES.md entry saying why.
 @pytest.mark.parametrize("argv, digest", [
-    (["lens", "7", "2"], "ef5b77662aa69e92b2b75216b80e280e972e0d8278d8017db715d13c9232afc5"),
-    (["lens", "40", "39"], "0afad18bdfd11f74e1ee0309ad3710bffef9549a3c54c47eff958770b43f125e"),
+    (["lens", "7", "2"], "162194fed8eddb4aa90c2a0fe1149e478fc0749221f9f0f2b9187cae05eda606"),
+    (["lens", "40", "39"], "26fd6f6b97bd9911dca08c433c6a395584d478c9f5e899c3a017c92f2a27e852"),
     (["surgery", "diagram.txt", "--moves", "moves.json"],
-     "071a2fab658ba27a89987df0ff05f1435a4665b237046f71bf6d386abee38263"),
+     "48459064be3b2ec11d6b095c6cc713cfc3267e62d44ac2b8b06199468ad96e08"),
     (["embed", "--page", "2", "--word", "word.txt"],
-     "bc41c375d9145e4e4d6a1ef8c806811e4a263fe6daabbf90f1d333e8e4e45065"),
+     "b65f668aa146a3c9dca6fddd336f9f74fc54febc9229e8ee74feadfe33ae8ee5"),
     (["certify-s4", "--page", "2", "--word", "cert.txt"],
-     "2994e839cb0453599bd73bb5ef7cec4aa235d40152712d4c7b4e222def8ff69b"),
-    (["corpus", "run"], "2bb252637e16844a9c28fae5616f7130baf01ca0e0215b2a8c9c9d0735617688"),
+     "796e846aca2231439722b3de7dbb8bbc1a05592630f4bad4c53f3e75587cc11b"),
+    (["corpus", "run"], "6c99a4671a4b612ecd235980a867d3701090c9d650a22c9e445fe3726a9af73b"),
     (["embed", "--page", "4", "--word", "repeated.txt"],
-     "c65676a88c694844f51ee28e497c820b3457e7a5fce660f2df34e0a3b3940fb0"),
+     "2d0ab38c204496c8a7087142544babac2f893ad9a718d8c159eda5edae51c348"),
     (["embed", "--page", "4", "--word", "repeated.json"],
-     "fe042731c975301dc28e20d73b66678efecabdb123e792c717b3b1ea0ed8da72"),
+     "d8217abff87dae9d98e36ce498e1f37a7541418c2a18f8838044857e1e15bd23"),
     (["certify-s4", "--page", "4", "--word", "repeated-cert.txt"],
-     "3ce9dc85c2790ec968ddbdb108a3f0a4e07df8f834f764ca18ec2eb33cf7094a"),
-    (["pi1", "group.txt"], "2960a2420354fb2557032daa73a9fe5798ec5ee54345e2727a10d4bc4199e4c1"),
+     "214dc6b72ead7615f026fd8f9252c4563771867216ae02af0eb1194252cf5335"),
+    (["pi1", "group.txt"], "6f24c5b7600aa243cec063344d5cb01b79c4f043339aab1d225510e67af62ce3"),
     (["surgery", "unit-mod-8.txt"],
-     "a9d8b39fa9672b759fa509290bc08e2c9adba8c05eab55d2f85afbceead87477"),
+     "aaea369622b9c3f4847b2bb7e178010621c48694269c9dfca63dce0b1419f895"),
 ], ids=["lens-7-2", "lens-40-39", "surgery-readme", "embed-readme", "certify-s4-readme",
         "corpus-run", "embed-repeated-text", "embed-repeated-json", "certify-s4-repeated",
         "pi1-readme", "surgery-unit-mod-8"])

@@ -164,6 +164,9 @@ def test_a_lens_word_at_max_cf_length_has_the_reduced_parity():
     assert exponent_vector(word) == tuple(-b for b in sd.framings)
     assert parity_vector(word) == psi_parity(c)
     assert 0 < sum(psi_parity(c)) < MAX_CF_LENGTH
+    # its runs expand to about k^2/2 holes, within planar.MAX_WORD_HOLES
+    assert parse_word(word_to_text(word), word.page) == word
+    assert word_from_json(word_to_json(word), word.page) == word
 
 
 @given(word_pairs)
@@ -404,3 +407,100 @@ def test_words_over_a_small_alphabet_round_trip(drawn):
     assert parse_word(word_to_text(w), page) == w
     assert word_from_json(word_to_json(w), page) == w
     assert load_word(json.dumps(word_to_json(w)), page) == w
+
+
+# -- curves written as runs -------------------------------------------------
+
+def hole_sets(page):
+    """Holes drawn as runs first..last and scattered holes, each part also
+    returned as written: a run (first, last) or a single hole."""
+    holes = st.integers(1, page.inner_count)
+    runs = st.tuples(holes, holes).map(lambda t: (min(t), max(t)))
+    return st.lists(runs | holes, min_size=1, max_size=5)
+
+
+def expand(parts):
+    return {i for part in parts
+            for i in (range(part[0], part[1] + 1) if isinstance(part, tuple) else [part])}
+
+
+def as_run(holes):
+    """The one run a writer must give a whole interval of three or more holes."""
+    whole = len(holes) > 2 and list(holes) == list(range(holes[0], holes[-1] + 1))
+    return [[holes[0], holes[-1]]] if whole else list(holes)
+
+
+@given(st.integers(2, 30).map(PlanarPage).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.tuples(hole_sets(p), st.integers(-3, 3),
+                                                       st.booleans()), min_size=1, max_size=6))))
+@settings(max_examples=200, deadline=None)
+def test_curves_mixing_runs_and_holes_round_trip(drawn):
+    page, letters = drawn
+    built, text, data = [], [], []
+    for parts, exp, pushed in letters:
+        holes = expand(parts)
+        written = ",".join(f"{p[0]}..{p[1]}" if isinstance(p, tuple) else str(p) for p in parts)
+        runs = [list(p) if isinstance(p, tuple) else p for p in parts]
+        boundary = next((b for b in range(1, page.inner_count + 1) if b not in holes), None)
+        if pushed and boundary is not None:
+            built.append(push(boundary, holes, exp))
+            text.append(f"P{{{boundary}|{written}}}^{exp}")
+            data.append({"op": "push", "boundary": boundary, "around": runs, "exp": exp})
+        else:
+            built.append(twist(holes, exp))
+            text.append(f"T{{{written}}}^{exp}")
+            data.append({"op": "twist", "curve": runs, "exp": exp})
+    w = TwistWord(page, tuple(built))
+    # the readers take any mix of holes and runs, in any order, overlapping
+    assert parse_word(" ".join(text), page) == w
+    assert word_from_json(data, page) == w
+    # the writers give a run exactly for a whole interval of three or more holes
+    out = word_to_json(w)
+    for (gen, _), letter in zip(w.letters, out):
+        if isinstance(gen, DehnTwist):
+            assert letter["curve"] == as_run(gen.curve.enclosed)
+        else:
+            assert letter["around"] == as_run(gen.around.enclosed)
+    assert parse_word(word_to_text(w), page) == w
+    assert word_from_json(out, page) == w
+    assert load_word(json.dumps(out), page) == w
+    assert exponent_vector(w) == oracle_exponents(w)
+
+
+def test_a_run_reads_as_its_holes():
+    page = PlanarPage(6)
+    assert parse_word("T{1,3..5}", page) == parse_word("T{1,3,4,5}", page)
+    assert parse_word("P{6|2..4,1}^-2", page) == parse_word("P{6|1,2,3,4}^-2", page)
+    assert word_from_json([{"op": "twist", "curve": [1, [3, 5]]}], page) == parse_word(
+        "T{1,3,4,5}", page)
+    # a run of one or two holes is read, and written back as its holes
+    w = parse_word("T{2..2} T{2..3} T{4..6,5}", page)
+    assert word_to_text(w) == "T{2} T{2,3} T{4..6}"
+    assert word_to_json(w)[2]["curve"] == [[4, 6]]
+    with pytest.raises(InvalidWordError, match="unrecognized word letter"):
+        parse_word("T{1..2..3}", page)
+
+
+def test_a_lens_word_is_written_in_runs():
+    # every suffix {r..k} of three or more holes is one run in both forms
+    page, w = lens_open_book(ContinuedFraction((-3, -2, -2, -2)))
+    assert word_to_text(w) == "T{1} T{2} T{3} T{4} T{1..4}^2 T{2..4}^0 T{3,4}^0 T{4}^0"
+    assert [letter["curve"] for letter in word_to_json(w)][4:] == [[[1, 4]], [[2, 4]], [3, 4], [4]]
+
+
+def test_the_runs_of_a_word_read_from_input_expand_to_at_most_max_word_holes(monkeypatch):
+    # n short tokens with runs ask for n times the page's holes: their sum
+    # over the word's distinct curves is bounded before any run is expanded,
+    # while a curve listing its holes is bounded by its own text
+    monkeypatch.setattr(planar, "MAX_WORD_HOLES", 10)
+    page = PlanarPage(5)
+    # a repeated curve text is built, and counted, once, and so are the holes
+    # that runs of one curve share; a list of holes is not counted
+    assert len(parse_word("T{1..5,2..4} T{1,2,3,4,5} T{2..5}^2 T{1..5,2..4}", page).letters) == 4
+    with pytest.raises(InvalidWordError, match="runs enclose more than 10 holes in all"):
+        parse_word("T{1..5} T{2..5} T{3..4}", page)
+    data = [{"op": "twist", "curve": [[1, 5]]}, {"op": "push", "boundary": 1, "around": [[2, 5]]},
+            {"op": "twist", "curve": [1, 2, 3]}, {"op": "twist", "curve": [[1, 2]]}]
+    assert len(word_from_json(data[:3], page).letters) == 3
+    with pytest.raises(InvalidWordError, match="runs enclose more than 10 holes in all"):
+        word_from_json(data, page)
