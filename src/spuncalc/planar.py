@@ -31,10 +31,11 @@ once and builds the generator of each distinct generator text
 distinct ``repr`` of its fields (``[1]``, ``[1.0]`` and ``[True]`` are
 three keys, where the values themselves would hash alike) and checks
 every exponent at every letter. A word checks each distinct generator
-object against its page once, and ``word_to_text`` formats each distinct
-generator once per word. ``exponent_vector`` sums on a difference array,
-so a twist along an interval of holes costs at most four updates whatever
-its length.
+object against its page once; the parsers check each as they build it, so
+an error names the first bad letter, and ``word_to_text`` formats each
+distinct generator once per word. ``exponent_vector`` sums on a difference
+array, so a twist along an interval of holes costs at most four updates
+whatever its length.
 
 A curve that encloses a whole interval of three or more holes is written
 as one run: ``T{r..k}`` and ``P{b|r..k}`` in text, ``[[r, k]]`` in JSON;
@@ -106,6 +107,15 @@ def _holes_text(holes: tuple[int, ...]) -> str:
     return ",".join(map(str, holes))
 
 
+def _holes_json(holes: tuple[int, ...]) -> list:
+    """``[[r, k]]`` for a whole interval of three or more holes, else the
+    list of the holes."""
+    size = len(holes)
+    if size > 2 and holes[-1] - holes[0] + 1 == size:
+        return [[holes[0], holes[-1]]]
+    return list(holes)
+
+
 @dataclass(frozen=True)
 class DehnTwist:
     curve: CurveClass
@@ -172,7 +182,8 @@ class TwistWord:
     """Word of (generator, exponent) letters on a fixed ambient page; the
     letters come from ``twist``, ``push`` or the parsers, which checked
     their fields. Each distinct generator object is checked against the
-    page once, in the order of its first letter."""
+    page once, in the order of its first letter; the parsers check each
+    as they build it, and build the word with ``errors.unchecked``."""
 
     page: PlanarPage
     letters: tuple[Letter, ...] = ()
@@ -219,15 +230,10 @@ def parity_vector(word: TwistWord) -> tuple[int, ...]:
 
 
 # a letter: the generator text (group 1: a twist's curve, or a push's
-# boundary and curve), then an optional exponent. A curve lists holes; the
-# second pattern also takes runs first..last among them. It costs about a
-# third more per token, so it is tried only on a token the first refuses.
-def _letter_re(holes: str) -> re.Pattern:
-    return re.compile(rf"(T\{{({holes})\}}|P\{{([0-9]+)\|({holes})\}})(?:\^(-?[0-9]+))?")
-
-
-_LETTER_RE = _letter_re(r"[0-9]+(?:,[0-9]+)*")
-_RUN_LETTER_RE = _letter_re(r"[0-9]+(?:\.\.[0-9]+)?(?:,[0-9]+(?:\.\.[0-9]+)?)*")
+# boundary and curve), then an optional exponent; a curve lists holes and
+# runs first..last
+_HOLES = r"[0-9]+(?:\.\.[0-9]+)?(?:,[0-9]+(?:\.\.[0-9]+)?)*"
+_LETTER_RE = re.compile(rf"(T\{{({_HOLES})\}}|P\{{([0-9]+)\|({_HOLES})\}})(?:\^(-?[0-9]+))?")
 
 
 # Most holes the runs of one word read from input may expand to, over its
@@ -241,9 +247,9 @@ MAX_WORD_HOLES = 2_500_000
 def _run_curve(runs: list[tuple[int, int]], page: PlanarPage, budget: list[int]) -> CurveClass:
     """The curve of int runs (first, last), a single hole being (i, i). Each
     run of two or more holes must fit ``page`` (a single hole is checked
-    with the word), the holes that runs share are counted once, and their
-    count is taken from ``budget[0]``, the holes the word's runs may still
-    expand to, all before any run is expanded."""
+    with its generator), the holes that runs share are counted once, and
+    their count is taken from ``budget[0]``, the holes the word's runs may
+    still expand to, all before any run is expanded."""
     for first, last in runs:
         if first < 1:
             raise InvalidWordError("boundary indices are 1-based")
@@ -307,16 +313,17 @@ def _json_curve(value: object, page: PlanarPage, budget: list[int]) -> CurveClas
 
 def parse_word(text: str, page: PlanarPage) -> TwistWord:
     """Parse the whitespace-separated text form, e.g. ``T{1,2}^3 P{4|1..3}``.
-    Each distinct token is read once, in the order of its first letter, so
-    an error names the first bad letter of the word; the generator of each
-    distinct generator text is built once."""
+    Each distinct token is read once, in the order of its first letter, and
+    the generator of each distinct generator text is built and checked
+    against ``page`` once, so an error names the first bad letter of the
+    word."""
     tokens = text.split()
     gens: dict[str, Generator] = {}
     letters: dict[str, Letter] = dict.fromkeys(tokens)
     budget = [MAX_WORD_HOLES]  # the holes its runs may still expand to
     try:
         for token in letters:
-            m = _LETTER_RE.fullmatch(token) or _RUN_LETTER_RE.fullmatch(token)
+            m = _LETTER_RE.fullmatch(token)
             if m is None:
                 raise InvalidWordError(f"unrecognized word letter: {echo(token)}")
             key, curve, boundary, around, exp_text = m.groups()
@@ -325,13 +332,14 @@ def parse_word(text: str, page: PlanarPage) -> TwistWord:
             if gen is None:
                 holes = _curve_text(curve or around, page, budget)
                 gen = gens[key] = DehnTwist(holes) if curve else PlanarPush(int(boundary), holes)
+                gen.check(page)
             letters[token] = gen, exp
     except SpuncalcError:
         raise
     except ValueError:  # int() refuses more than 4,300 digits
         raise InvalidWordError(
             f"integer too long in word letter {tokens.index(token) + 1}") from None
-    return TwistWord(page, tuple(map(letters.__getitem__, tokens)))
+    return unchecked(TwistWord, page=page, letters=tuple(map(letters.__getitem__, tokens)))
 
 
 def word_to_text(word: TwistWord) -> str:
@@ -346,15 +354,10 @@ def word_to_json(word: TwistWord) -> list[dict]:
     out = []
     for gen, exp in word.letters:
         if isinstance(gen, DehnTwist):
-            h = gen.curve.enclosed
-            size = len(h)
-            curve = [[h[0], h[-1]]] if size > 2 and h[-1] - h[0] + 1 == size else list(h)
-            out.append({"op": "twist", "curve": curve, "exp": exp})
+            out.append({"op": "twist", "curve": _holes_json(gen.curve.enclosed), "exp": exp})
         else:
-            h = gen.around.enclosed
-            size = len(h)
-            around = [[h[0], h[-1]]] if size > 2 and h[-1] - h[0] + 1 == size else list(h)
-            out.append({"op": "push", "boundary": gen.boundary, "around": around, "exp": exp})
+            out.append({"op": "push", "boundary": gen.boundary,
+                        "around": _holes_json(gen.around.enclosed), "exp": exp})
     return out
 
 
@@ -364,7 +367,8 @@ _LETTER_FIELDS = {"twist": {"op", "exp", "curve"}, "push": {"op", "exp", "bounda
 def word_from_json(data: list, page: PlanarPage) -> TwistWord:
     """The word of a JSON list of letter objects; any other value is an
     error. A curve lists holes and [first, last] runs. The generator of
-    each distinct field text is built once."""
+    each distinct field text is built and checked against ``page`` once, so
+    an error names the first bad letter of the word."""
     if not isinstance(data, list):
         raise InvalidWordError(f"a JSON word must be a list of letters, got {echo(data)}")
     gens: dict[tuple[str, str], Generator] = {}  # by op and the repr of its fields
@@ -385,7 +389,8 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
                 raise InvalidWordError(f"unknown field {echo(name)}")
             key = op, repr(fields)  # the repr tells 1, 1.0 and True apart
             gen = gens.get(key)
-            if gen is None:
+            fresh = gen is None
+            if fresh:
                 holes = _json_curve(fields[-1], page, budget)
                 gen = gens[key] = (DehnTwist(holes) if op == "twist" else
                                    PlanarPush(fields[0], holes))
@@ -399,7 +404,9 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
                                    "and [first, last] runs") from None
         except ValueError:  # repr() refuses an int of more than 4,300 digits
             raise InvalidWordError(f"integer too long in word letter {len(letters) + 1}") from None
-    return TwistWord(page, tuple(letters))
+        if fresh:  # outside the try: a page error names the curve, not the letter
+            gen.check(page)
+    return unchecked(TwistWord, page=page, letters=tuple(letters))
 
 
 def load_word(text: str, page: PlanarPage) -> TwistWord:
