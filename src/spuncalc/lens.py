@@ -24,8 +24,9 @@ t_1 + ... + t_m = b_m + 1, here V_ij = delta_ij - (t_1 + ... + t_min(i,j))
 Its parities V_ii = -b_i mod 2 are the reduced sequence
 psi_j = a_1 + ... + a_j mod 2 that governs the embedding target: every
 even partial sum contributes a trivial bundle summand, every odd one a
-twisted summand. The word's suffix curves are written as runs (``T{r..k}``
-in text, ``[[r, k]]`` in JSON), so a report of the word grows linearly in k.
+twisted summand. Each suffix curve is stored as its one run (r, k) and
+written as one (``T{r..k}`` in text, ``[[r, k]]`` in JSON), so the word
+and its report grow linearly in k.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ def _check_lens_input(p: int, q: int) -> None:
         raise SpuncalcError(f"p={echo(p)} and q={echo(q)} are not coprime")
 
 
-# most coefficients cf_expand returns: the stored open book word grows as
-# the square of the expansion length (its suffix curves hold k(k+1)/2
-# holes), while the report, which writes each suffix as one run, grows
-# linearly
+# most coefficients cf_expand returns: L(p, p - 1) expands to p - 1 of
+# them, so a short argv could otherwise ask for a word and a report of any
+# length; both grow linearly in k, the word storing one run per curve
 MAX_CF_LENGTH = 2_000
 
 
@@ -184,18 +184,16 @@ def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
     given): T{i}^1 per hole, then T{r..k}^(-t_r) per twist region. Its
     variation matrix is minus the linking matrix, so it presents H1 = Z/p
     and its parities are psi_parity(c). Zero exponents are kept so the
-    word mirrors the diagram. Every curve is a run of holes in range, so
-    each is built unchecked, from a slice of one tuple, and so is the word.
-    The curves store every hole, about k^2/2 in all; the writers of
-    ``planar`` give each suffix {r..k} of three or more holes as the one
-    run ``T{r..k}`` or ``[[r, k]]``, so the word is written in O(k)."""
+    word mirrors the diagram. Every curve is one run of holes in range,
+    so each is built unchecked as that run, and so is the word: the word
+    stores 2k runs, and is written in O(k)."""
     if sd is None:
         sd = slid_diagram(c)
-    holes = tuple(range(1, sd.strands + 1))
-    page = PlanarPage(len(holes))
-    letters = [(DehnTwist(unchecked(CurveClass, enclosed=(i,))), 1) for i in holes]
-    letters += [(DehnTwist(unchecked(CurveClass, enclosed=holes[r:])), -t)
-                for r, t in enumerate(sd.twist_regions)]
+    k = sd.strands
+    page = PlanarPage(k)
+    letters = [(DehnTwist(unchecked(CurveClass, runs=((i, i),))), 1) for i in range(1, k + 1)]
+    letters += [(DehnTwist(unchecked(CurveClass, runs=((r, k),))), -t)
+                for r, t in enumerate(sd.twist_regions, start=1)]
     return page, unchecked(TwistWord, page=page, letters=tuple(letters))
 
 

@@ -3,12 +3,12 @@
 A planar page is a disk with ``inner_count`` holes. A curve on it is kept
 only up to homology, i.e. as the set of inner boundary components it
 encloses; the full set stands for a curve parallel to the outer boundary.
-``CurveClass`` stores that set once, as the sorted tuple of its distinct
-indices: the bounds checks, the writers and the sums read it in order.
-Words are sequences of Dehn twist letters and push letters with integer
-exponents. Since every downstream computation factors through exponent
-sums per boundary component (and usually their parities), this is all the
-curve data the calculus ever needs.
+``CurveClass`` stores that set as its runs: the sorted maximal pairs
+(first, last) of consecutive holes, a single hole being (i, i). Words are
+sequences of Dehn twist letters and push letters with integer exponents.
+Since every downstream computation factors through exponent sums per
+boundary component (and usually their parities), this is all the curve
+data the calculus ever needs.
 
 A push letter ``PlanarPush(b, a)`` drags inner boundary ``b`` around a
 curve of class ``a`` and back; on the level of twists it expands to
@@ -33,28 +33,25 @@ three keys, where the values themselves would hash alike) and checks
 every exponent at every letter. A word checks each distinct generator
 object against its page once; the parsers check each as they build it, so
 an error names the first bad letter, and ``word_to_text`` formats each
-distinct generator once per word. ``exponent_vector`` sums on a difference
-array, so a twist along an interval of holes costs at most four updates
-whatever its length.
+distinct generator once per word. The readers give the curves of a word
+one shared pair (i, i) per hole, so a word allocates and stores one per
+hole rather than one per hole of each curve. ``exponent_vector`` sums on
+a difference array: two updates per run of a twist and per push.
 
-A curve that encloses a whole interval of three or more holes is written
-as one run: ``T{r..k}`` and ``P{b|r..k}`` in text, ``[[r, k]]`` in JSON;
-every other curve lists its holes. The test is O(1) per curve (its last
-hole minus its first, against its size), so a lens word of k holes, whose
-curves are the suffixes ``{r..k}``, is written in O(k) rather than O(k^2).
-The readers take any mix of holes and runs (``T{1,3..5}``, ``[1, [3, 5]]``).
-Each run is checked against the page before it is expanded, and the holes
-that runs share are expanded once, so a short input cannot ask for more
-than the page's holes per curve, nor the runs of a word for more than
-MAX_WORD_HOLES in all.
+A run of three or more holes is written ``r..k`` in text and ``[r, k]``
+in JSON, a shorter run as its holes: ``T{1..4}``, ``P{b|2..4,7}``,
+``[[2, 4], 7]``. The readers take any mix of holes and runs, in any order
+and overlapping (``T{1,3..5}``, ``[1, [3, 5]]``), and merge them into the
+stored runs, so a curve's stored size and its written size grow with its
+text, whatever the holes it encloses: a lens word of k holes, whose curves
+are the suffixes ``{r..k}``, is stored and written in O(k).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import accumulate, chain
-from operator import add
 from typing import Iterable, Union
 
 from .errors import InvalidWordError, SpuncalcError, echo, parse_json, require_integers, unchecked
@@ -67,53 +64,84 @@ class PlanarPage:
     inner_count: int
 
     def __post_init__(self) -> None:
+        require_integers(InvalidWordError, "inner_count must be an integer", self.inner_count)
         if self.inner_count < 0:
             raise InvalidWordError("inner_count must be nonnegative")
+
+
+Run = tuple[int, int]  # holes first..last, first <= last
+
+
+def _merged(pairs: Iterable[Run]) -> tuple[Run, ...]:
+    """The sorted maximal runs covering ``pairs``, each (first, last) with
+    first <= last: overlapping and adjacent pairs merge, so that equal hole
+    sets give equal runs. A curve needs a pair, and its holes are 1-based."""
+    pairs = sorted(pairs)
+    if not pairs:
+        raise InvalidWordError("a curve must enclose at least one inner boundary")
+    if pairs[0][0] < 1:
+        raise InvalidWordError("boundary indices are 1-based")
+    runs = []
+    top = -1  # the last hole of the runs so far
+    for pair in pairs:
+        first, last = pair
+        if first > top + 1:
+            runs.append(pair)
+            top = last
+        elif last > top:
+            runs[-1] = runs[-1][0], last
+            top = last
+    return tuple(runs)
 
 
 @dataclass(frozen=True)
 class CurveClass:
     """Homology class of a simple closed curve: the holes it encloses, built
-    from any iterable of indices and stored as their sorted distinct tuple."""
+    from any iterable of indices and stored as their maximal runs."""
 
-    enclosed: tuple[int, ...]
+    holes: InitVar[Iterable[int]]
+    runs: tuple[Run, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        enclosed = set(self.enclosed)
-        if not enclosed:
-            raise InvalidWordError("a curve must enclose at least one inner boundary")
-        if set(map(type, enclosed)) != {int}:
+    def __post_init__(self, holes: Iterable[int]) -> None:
+        holes = set(holes)
+        if holes and set(map(type, holes)) != {int}:
             raise InvalidWordError(
-                f"boundary indices must be integers, got {echo(sorted(enclosed, key=repr))}"
+                f"boundary indices must be integers, got {echo(sorted(holes, key=repr))}"
             )
-        indices = tuple(sorted(enclosed))
-        if indices[0] < 1:
-            raise InvalidWordError("boundary indices are 1-based")
-        object.__setattr__(self, "enclosed", indices)
+        object.__setattr__(self, "runs", _merged((i, i) for i in holes))
+
+    @property
+    def enclosed(self) -> tuple[int, ...]:
+        """The holes one by one, expanded from the runs; the library reads
+        ``runs``."""
+        return tuple(chain.from_iterable(range(first, last + 1) for first, last in self.runs))
 
     def valid_on(self, page: PlanarPage) -> bool:
-        return self.enclosed[-1] <= page.inner_count
+        return self.runs[-1][1] <= page.inner_count
 
     def __str__(self) -> str:
-        return "{%s}" % _holes_text(self.enclosed)
+        return "{%s}" % _runs_text(self.runs)
 
 
-def _holes_text(holes: tuple[int, ...]) -> str:
-    """``r..k`` for a whole interval of three or more holes, else the holes
-    comma-separated."""
-    size = len(holes)
-    if size > 2 and holes[-1] - holes[0] + 1 == size:
-        return f"{holes[0]}..{holes[-1]}"
-    return ",".join(map(str, holes))
+def _runs_text(runs: tuple[Run, ...]) -> str:
+    """Each run of three or more holes as ``r..k``, each shorter one as its
+    holes, comma-separated."""
+    return ",".join(f"{first}..{last}" if last - first > 1 else
+                    f"{first},{last}" if last > first else str(first) for first, last in runs)
 
 
-def _holes_json(holes: tuple[int, ...]) -> list:
-    """``[[r, k]]`` for a whole interval of three or more holes, else the
-    list of the holes."""
-    size = len(holes)
-    if size > 2 and holes[-1] - holes[0] + 1 == size:
-        return [[holes[0], holes[-1]]]
-    return list(holes)
+def _runs_json(runs: tuple[Run, ...]) -> list:
+    """Each run of three or more holes as ``[r, k]``, each shorter one as
+    its holes."""
+    out = []
+    for first, last in runs:
+        if first == last:
+            out.append(first)
+        elif last - first > 1:
+            out.append([first, last])
+        else:
+            out += first, last
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,11 +172,11 @@ class PlanarPush:
             raise InvalidWordError(f"pushed boundary {echo(self.boundary)} out of range")
         if not self.around.valid_on(page):
             raise InvalidWordError(f"curve {echo(self.around, str)} does not fit on the page")
-        if self.boundary in self.around.enclosed:
+        if any(first <= self.boundary <= last for first, last in self.around.runs):
             raise InvalidWordError("a boundary cannot be pushed around a curve enclosing it")
 
     def __str__(self) -> str:
-        return f"P{{{self.boundary}|{_holes_text(self.around.enclosed)}}}"
+        return f"P{{{self.boundary}|{_runs_text(self.around.runs)}}}"
 
 
 Generator = Union[DehnTwist, PlanarPush]
@@ -200,28 +228,22 @@ def exponent_vector(word: TwistWord) -> tuple[int, ...]:
     """Exponent sum per inner boundary: a twist adds its exponent to every
     hole it encloses, a push ``P{b|a}^e`` adds -e to ``b`` alone.
 
-    A twist along an interval of more than four holes first..last costs
-    two updates of a difference array, whose prefix sums are added at the
-    end; any other twist adds to each of its holes, and a push adds to its
-    boundary. Up to four holes, the difference array would save about what
-    the test for an interval costs. The letters were checked against
-    ``word.page`` when the word was built."""
+    Each run first..last of a twist, and each push as the run b..b, costs
+    two updates of a difference array, whose prefix sums are the totals.
+    The letters were checked against ``word.page`` when the word was
+    built."""
     n = word.page.inner_count
-    totals = [0] * n
-    steps = [0] * (n + 1)  # its prefix sum at i: the interval twists' sum on hole i + 1
+    steps = [0] * (n + 1)  # its prefix sum at i: the sum on hole i + 1
     for gen, exp in word.letters:
         if isinstance(gen, DehnTwist):
-            holes = gen.curve.enclosed
-            size = len(holes)
-            if size > 4 and holes[-1] - holes[0] + 1 == size:
-                steps[holes[0] - 1] += exp
-                steps[holes[-1]] -= exp
-            else:
-                for i in holes:
-                    totals[i - 1] += exp
+            for first, last in gen.curve.runs:
+                steps[first - 1] += exp
+                steps[last] -= exp
         else:
-            totals[gen.boundary - 1] -= exp
-    return tuple(map(add, totals, accumulate(steps)))
+            steps[gen.boundary - 1] -= exp
+            steps[gen.boundary] += exp
+    del steps[n]
+    return tuple(accumulate(steps))
 
 
 def parity_vector(word: TwistWord) -> tuple[int, ...]:
@@ -236,79 +258,58 @@ _HOLES = r"[0-9]+(?:\.\.[0-9]+)?(?:,[0-9]+(?:\.\.[0-9]+)?)*"
 _LETTER_RE = re.compile(rf"(T\{{({_HOLES})\}}|P\{{([0-9]+)\|({_HOLES})\}})(?:\^(-?[0-9]+))?")
 
 
-# Most holes the runs of one word read from input may expand to, over its
-# distinct curves: n short tokens could otherwise ask for n times the page's
-# holes. This is a little more than the 2,000,997 that the runs of the
-# longest lens word (k = 2,000) hold, so every word a report writes reads
-# back. A curve written as a list of holes is bounded by its text instead.
-MAX_WORD_HOLES = 2_500_000
-
-
-def _run_curve(runs: list[tuple[int, int]], page: PlanarPage, budget: list[int]) -> CurveClass:
-    """The curve of int runs (first, last), a single hole being (i, i). Each
-    run of two or more holes must fit ``page`` (a single hole is checked
-    with its generator), the holes that runs share are counted once, and
-    their count is taken from ``budget[0]``, the holes the word's runs may
-    still expand to, all before any run is expanded."""
-    for first, last in runs:
-        if first < 1:
-            raise InvalidWordError("boundary indices are 1-based")
-        if first > last:
-            raise InvalidWordError(f"run {echo(first)}..{echo(last)} is empty: "
-                                   "its first hole exceeds its last")
-        if last > page.inner_count and first < last:
-            raise InvalidWordError(f"run {echo(first)}..{echo(last)} does not fit on a page "
-                                   f"with {page.inner_count} inner boundaries")
-    spans = []
-    top = 0  # the last hole of the spans so far
-    for first, last in sorted(runs):
-        if last > top:
-            spans.append(range(max(first, top + 1), last + 1))
-            top = last
-    budget[0] -= sum(map(len, spans))
-    if budget[0] < 0:
-        raise InvalidWordError(
-            f"the word's runs enclose more than {MAX_WORD_HOLES} holes in all")
-    return unchecked(CurveClass, enclosed=tuple(chain.from_iterable(spans)))
-
-
-def _curve_text(indices: str, page: PlanarPage, budget: list[int]) -> CurveClass:
-    """The curve of comma-separated holes and runs ``first..last``, spelt
-    in digits: their values are ints >= 0, so of the curve checks only the
-    1-based bound is left, and those of the runs."""
-    if ".." in indices:
-        runs = []
-        for part in indices.split(","):
-            first, _, last = part.partition("..")
-            runs.append((int(first), int(last or first)))
-        return _run_curve(runs, page, budget)
-    enclosed = sorted(set(map(int, indices.split(","))))
-    if enclosed[0] < 1:
+def _run(first: int, last: int, page: PlanarPage) -> Run:
+    """The run first..last a reader reads, checked as it is read; a run of
+    one hole is checked against ``page`` with its generator, whose error
+    names the curve."""
+    if first < 1:
         raise InvalidWordError("boundary indices are 1-based")
-    return unchecked(CurveClass, enclosed=tuple(enclosed))
+    if first > last:
+        raise InvalidWordError(f"run {echo(first)}..{echo(last)} is empty: "
+                               "its first hole exceeds its last")
+    if last > page.inner_count and first < last:
+        raise InvalidWordError(f"run {echo(first)}..{echo(last)} does not fit on a page "
+                               f"with {page.inner_count} inner boundaries")
+    return first, last
 
 
-def _json_curve(value: object, page: PlanarPage, budget: list[int]) -> CurveClass:
-    """The curve of a JSON list of int holes and [first, last] runs. A curve
-    of holes alone costs no more than ``CurveClass``, whose set of the
-    holes refuses a list; a run that is no pair raises TypeError, as a
-    curve that is no list does."""
-    try:
-        return CurveClass(value)
-    except TypeError:
-        if type(value) is not list:
-            raise
+def _curve_text(indices: str, page: PlanarPage, pairs: dict[str, Run]) -> CurveClass:
+    """The curve of comma-separated holes and runs ``first..last``, spelt
+    in digits, so their values are ints >= 0. ``pairs`` keeps the pair of
+    each part text the word has read, so its curves share them."""
+    runs = []
+    for part in indices.split(","):
+        pair = pairs.get(part)
+        if pair is None:
+            first, _, last = part.partition("..")
+            first = int(first)
+            pair = pairs[part] = _run(first, int(last), page) if last else (first, first)
+        runs.append(pair)
+    return unchecked(CurveClass, runs=_merged(runs))
+
+
+def _json_curve(value: object, page: PlanarPage, pairs: dict[int, Run]) -> CurveClass:
+    """The curve of a JSON list of int holes and [first, last] runs; a
+    curve that is no list, or a run that is no pair, raises TypeError.
+    ``pairs`` keeps the pair (i, i) of each hole the word has read, so its
+    curves share them."""
+    if type(value) is not list:
+        raise TypeError("a curve is a list")
     runs = []
     for item in value:
-        if type(item) is list:
+        if type(item) is int:
+            pair = pairs.get(item)
+            if pair is None:
+                pair = pairs[item] = item, item
+            runs.append(pair)
+        elif type(item) is list:
             if len(item) != 2:
                 raise TypeError("a run is a pair [first, last]")
-            runs.append(tuple(item))
+            require_integers(InvalidWordError, "boundary indices must be integers", *item)
+            runs.append(_run(*item, page))
         else:
-            runs.append((item, item))
-    for run in runs:
-        require_integers(InvalidWordError, "boundary indices must be integers", *run)
-    return _run_curve(runs, page, budget)
+            raise InvalidWordError(f"boundary indices must be integers, got {echo(item)}")
+    return unchecked(CurveClass, runs=_merged(runs))
 
 
 def parse_word(text: str, page: PlanarPage) -> TwistWord:
@@ -320,7 +321,7 @@ def parse_word(text: str, page: PlanarPage) -> TwistWord:
     tokens = text.split()
     gens: dict[str, Generator] = {}
     letters: dict[str, Letter] = dict.fromkeys(tokens)
-    budget = [MAX_WORD_HOLES]  # the holes its runs may still expand to
+    pairs: dict[str, Run] = {}  # by part text: "3" and "03" are two keys
     try:
         for token in letters:
             m = _LETTER_RE.fullmatch(token)
@@ -330,7 +331,7 @@ def parse_word(text: str, page: PlanarPage) -> TwistWord:
             exp = int(exp_text) if exp_text else 1
             gen = gens.get(key)
             if gen is None:
-                holes = _curve_text(curve or around, page, budget)
+                holes = _curve_text(curve or around, page, pairs)
                 gen = gens[key] = DehnTwist(holes) if curve else PlanarPush(int(boundary), holes)
                 gen.check(page)
             letters[token] = gen, exp
@@ -349,15 +350,14 @@ def word_to_text(word: TwistWord) -> str:
 
 
 def word_to_json(word: TwistWord) -> list[dict]:
-    """One object per letter, each with lists of its own; a curve that is a
-    whole interval of three or more holes is the one run ``[[r, k]]``."""
+    """One object per letter, each with lists of its own."""
     out = []
     for gen, exp in word.letters:
         if isinstance(gen, DehnTwist):
-            out.append({"op": "twist", "curve": _holes_json(gen.curve.enclosed), "exp": exp})
+            out.append({"op": "twist", "curve": _runs_json(gen.curve.runs), "exp": exp})
         else:
             out.append({"op": "push", "boundary": gen.boundary,
-                        "around": _holes_json(gen.around.enclosed), "exp": exp})
+                        "around": _runs_json(gen.around.runs), "exp": exp})
     return out
 
 
@@ -373,7 +373,7 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
         raise InvalidWordError(f"a JSON word must be a list of letters, got {echo(data)}")
     gens: dict[tuple[str, str], Generator] = {}  # by op and the repr of its fields
     letters: list[Letter] = []
-    budget = [MAX_WORD_HOLES]  # the holes its runs may still expand to
+    pairs: dict[int, Run] = {}
     for item in data:
         if not isinstance(item, dict):
             raise InvalidWordError(f"a JSON word letter must be an object, got {echo(item)}")
@@ -391,7 +391,7 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
             gen = gens.get(key)
             fresh = gen is None
             if fresh:
-                holes = _json_curve(fields[-1], page, budget)
+                holes = _json_curve(fields[-1], page, pairs)
                 gen = gens[key] = (DehnTwist(holes) if op == "twist" else
                                    PlanarPush(fields[0], holes))
             letters.append(_letter(gen, exp))
@@ -399,7 +399,7 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
             raise InvalidWordError(f"{op} letter {echo(item)} has no {exc} field") from None
         except InvalidWordError as exc:  # the builders and _letter check every field
             raise InvalidWordError(f"{op} letter {echo(item)}: {exc}") from None
-        except TypeError:  # a curve that is no collection, e.g. a number, or a bad run
+        except TypeError:  # a curve that is no list, e.g. a number, or a run no pair
             raise InvalidWordError(f"{op} letter {echo(item)} needs a list of integers "
                                    "and [first, last] runs") from None
         except ValueError:  # repr() refuses an int of more than 4,300 digits

@@ -93,11 +93,11 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
     """
     n = _certificate_pairs(word.page)
     seen_pushes: set[int] = set()
-    a_indices = {2 * j - 1 for j in range(1, n + 1)}
+    a_runs = {(a, a) for a in range(1, 2 * n, 2)}  # each a-boundary as its run
     for gen, exp in word.letters:
         if isinstance(gen, PlanarPush):
-            around = gen.around.enclosed
-            if len(around) != 1 or gen.boundary != around[0] + 1 or gen.boundary % 2 != 0:
+            a = gen.boundary - 1
+            if gen.around.runs != ((a, a),) or gen.boundary % 2 != 0:
                 raise MalformedPairingError(
                     f"push {echo(gen, str)} does not push a b-boundary around its a-partner"
                 )
@@ -110,7 +110,7 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
                 )
             seen_pushes.add(j)
         else:
-            if not a_indices.issuperset(gen.curve.enclosed):
+            if not a_runs.issuperset(gen.curve.runs):
                 raise ConditionNotApplicableError(
                     f"twist curve {echo(gen.curve, str)} touches b-boundaries; the "
                     "certificate only judges words twisting a-boundaries"

@@ -410,10 +410,13 @@ def to_planar_open_book(d: FramedBraidDiagram) -> tuple[PlanarPage, TwistWord]:
     """Planar open book of the surgered manifold: one hole per strand, one
     twist letter per linked pair (in index order) and per nonzero framing.
     The pairs i < j and the holes come from the diagram, so each curve and
-    the word are built unchecked."""
+    the word are built unchecked, an adjacent pair as its one run; the
+    curves share one run (i, i) per hole."""
     page = PlanarPage(d.strands)
-    letters = [(DehnTwist(unchecked(CurveClass, enclosed=pair)), -n)
-               for pair, n in sorted(d.net_linking.items())]
-    letters += [(DehnTwist(unchecked(CurveClass, enclosed=(i,))), -f)
+    single = [(i, i) for i in range(d.strands + 1)]
+    letters = [(DehnTwist(unchecked(CurveClass, runs=((i, j),) if j == i + 1 else
+                                    (single[i], single[j]))), -n)
+               for (i, j), n in sorted(d.net_linking.items())]
+    letters += [(DehnTwist(unchecked(CurveClass, runs=(single[i],))), -f)
                 for i, f in enumerate(d.framings, start=1) if f]
     return page, unchecked(TwistWord, page=page, letters=tuple(letters))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -529,6 +530,24 @@ def test_an_oversized_input_gives_one_short_error_line(tmp_path, monkeypatch, ca
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert needle in err
     assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_short_word_of_long_runs_gives_a_short_report(tmp_path, monkeypatch, capsys, flags):
+    # 200 tokens of 25 characters, each enclosing 99,999 holes in two runs:
+    # a curve is stored and written as its runs, so the report and the
+    # memory grow with the word's text, not with the holes it encloses
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.txt").write_text(" ".join(["T{1..49999,50001..100000}"] * 200))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "embed", "--page", "100000", "--word", "w.txt", *flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert len(out.encode()) < 1_000_000
+    assert peak < 50_000_000
 
 
 def test_echo_repeats_a_short_value_whole_and_cuts_a_long_one():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -164,7 +165,6 @@ def test_a_lens_word_at_max_cf_length_has_the_reduced_parity():
     assert exponent_vector(word) == tuple(-b for b in sd.framings)
     assert parity_vector(word) == psi_parity(c)
     assert 0 < sum(psi_parity(c)) < MAX_CF_LENGTH
-    # its runs expand to about k^2/2 holes, within planar.MAX_WORD_HOLES
     assert parse_word(word_to_text(word), word.page) == word
     assert word_from_json(word_to_json(word), word.page) == word
 
@@ -218,7 +218,7 @@ def test_a_curve_stores_its_sorted_distinct_holes(indices, rng):
     lo, hi = min(indices), max(indices)
     assert CurveClass(range(lo, hi + 1)).enclosed == tuple(range(lo, hi + 1))
     assert CurveClass(range(hi, lo - 1, -1)) == CurveClass(range(lo, hi + 1))
-    assert [f.name for f in fields(CurveClass)] == ["enclosed"]
+    assert [f.name for f in fields(CurveClass)] == ["runs"]
 
 
 def test_non_integer_letter_fields_rejected():
@@ -226,7 +226,8 @@ def test_non_integer_letter_fields_rejected():
     for make in (lambda: twist({1}, 2.9), lambda: twist({1.5}), lambda: twist("12"),
                  lambda: twist({True}), lambda: push(1.5, {1}), lambda: push(2, {1}, 2.0),
                  lambda: PlanarPush(True, CurveClass((2,))),
-                 lambda: PlanarPush(1.5, CurveClass((2,)))):
+                 lambda: PlanarPush(1.5, CurveClass((2,))),
+                 lambda: PlanarPage(2.5), lambda: PlanarPage(True), lambda: PlanarPage("3")):
         with pytest.raises(InvalidWordError):
             make()
 
@@ -432,10 +433,17 @@ def expand(parts):
             for i in (range(part[0], part[1] + 1) if isinstance(part, tuple) else [part])}
 
 
-def as_run(holes):
-    """The one run a writer must give a whole interval of three or more holes."""
-    whole = len(holes) > 2 and list(holes) == list(range(holes[0], holes[-1] + 1))
-    return [[holes[0], holes[-1]]] if whole else list(holes)
+def as_runs(holes):
+    """What a writer must give sorted holes: each maximal run of three or
+    more consecutive holes as [r, k], every other hole as itself."""
+    out, i = [], 0
+    while i < len(holes):
+        j = i
+        while j + 1 < len(holes) and holes[j + 1] == holes[j] + 1:
+            j += 1
+        out += [[holes[i], holes[j]]] if j - i > 1 else holes[i:j + 1]
+        i = j + 1
+    return out
 
 
 @given(st.integers(2, 30).map(PlanarPage).flatmap(
@@ -462,13 +470,13 @@ def test_curves_mixing_runs_and_holes_round_trip(drawn):
     # the readers take any mix of holes and runs, in any order, overlapping
     assert parse_word(" ".join(text), page) == w
     assert word_from_json(data, page) == w
-    # the writers give a run exactly for a whole interval of three or more holes
+    # the writers give a run exactly for each maximal run of three or more holes
     out = word_to_json(w)
     for (gen, _), letter in zip(w.letters, out):
         if isinstance(gen, DehnTwist):
-            assert letter["curve"] == as_run(gen.curve.enclosed)
+            assert letter["curve"] == as_runs(list(gen.curve.enclosed))
         else:
-            assert letter["around"] == as_run(gen.around.enclosed)
+            assert letter["around"] == as_runs(list(gen.around.enclosed))
     assert parse_word(word_to_text(w), page) == w
     assert word_from_json(out, page) == w
     assert load_word(json.dumps(out), page) == w
@@ -496,19 +504,15 @@ def test_a_lens_word_is_written_in_runs():
     assert [letter["curve"] for letter in word_to_json(w)][4:] == [[[1, 4]], [[2, 4]], [3, 4], [4]]
 
 
-def test_the_runs_of_a_word_read_from_input_expand_to_at_most_max_word_holes(monkeypatch):
-    # n short tokens with runs ask for n times the page's holes: their sum
-    # over the word's distinct curves is bounded before any run is expanded,
-    # while a curve listing its holes is bounded by its own text
-    monkeypatch.setattr(planar, "MAX_WORD_HOLES", 10)
-    page = PlanarPage(5)
-    # a repeated curve text is built, and counted, once, and so are the holes
-    # that runs of one curve share; a list of holes is not counted
-    assert len(parse_word("T{1..5,2..4} T{1,2,3,4,5} T{2..5}^2 T{1..5,2..4}", page).letters) == 4
-    with pytest.raises(InvalidWordError, match="runs enclose more than 10 holes in all"):
-        parse_word("T{1..5} T{2..5} T{3..4}", page)
-    data = [{"op": "twist", "curve": [[1, 5]]}, {"op": "push", "boundary": 1, "around": [[2, 5]]},
-            {"op": "twist", "curve": [1, 2, 3]}, {"op": "twist", "curve": [[1, 2]]}]
-    assert len(word_from_json(data[:3], page).letters) == 3
-    with pytest.raises(InvalidWordError, match="runs enclose more than 10 holes in all"):
-        word_from_json(data, page)
+def test_a_lens_word_at_max_cf_length_is_stored_in_its_2k_runs():
+    # each suffix {r..k} is the one run (r, k), not its k - r + 1 holes
+    c = ContinuedFraction((-2,) * MAX_CF_LENGTH)
+    sd = slid_diagram(c)
+    tracemalloc.start()
+    try:
+        _, word = lens_open_book(c, sd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(gen.curve.runs) for gen, _ in word.letters) == 2 * MAX_CF_LENGTH
+    assert peak < 2_000_000
