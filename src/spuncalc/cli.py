@@ -28,8 +28,8 @@ from typing import Callable, Iterator, NoReturn
 
 from . import __version__, corpus, lens, modp, pi1, spun, surgery
 from .errors import InvalidMoveError, SpuncalcError, echo, integer, parse_json
-from .fourman import FourManifoldForm, normalize, parity_form
 from .planar import PlanarPage, TwistWord, load_word, parity_vector, word_to_json, word_to_text
+from .spun import FourManifoldForm, normalize, parity_form
 
 REPORT_SCHEMA = "spuncalc-report/3"
 
@@ -117,7 +117,7 @@ def lens_report(p: int, q: int) -> Report:
     reduced parities, and the target."""
     c = lens.cf_expand(p, q)
     sd = lens.slid_diagram(c)
-    page, word = lens.lens_open_book(c, sd)
+    page, word = lens.lens_open_book(sd)
     rec = lens.reconcile(c, word)
     target = normalize(parity_form(rec.psi))
     plumb_det = lens.plumbing_matrix(c).det()

@@ -1,4 +1,5 @@
-"""Normal forms for open books with boundary-connected-sum pages.
+"""The atom evaluator of open books with boundary-connected-sum pages,
+the equality of targets and the twist classes of tubed spheres.
 
 The pages are the paper's 3-dimensional ones (atom dimension m = 2),
 built from two kinds of atoms: sphere cylinders S^2 x [0,1] and circle
@@ -14,16 +15,9 @@ atom with a cylinder atom. The evaluator works atom-wise:
   exponent carried by the paired cylinder (the push absorbs its parity)
 
 and the total space is the connected sum of the atom values, with sphere
-summands dropped. The two cylinder rules are ``parity_form``, which also
-turns the boundary parities of a planar open book into its target. Results
-are compared through a spin-aware normal form: one twisted bundle summand
-absorbs the spin condition, so in a pure bundle sum every trivial summand
-can be traded for a twisted one. Sums that mix S^1 x S^3 with twisted
-bundles are kept symbolic: no absorption across that boundary is asserted.
-
-Remark: all statements are stable under suspension, raising the sphere
-dimension of every atom by one; results record that as a note rather than
-computing with it.
+summands dropped. The two cylinder rules are ``spun.parity_form``, and
+``equal`` compares normal forms. Of the commands, only the atom cases of
+``corpus run`` reach this module.
 """
 
 from __future__ import annotations
@@ -33,11 +27,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InvalidMonodromyError, SpuncalcError, echo, require_integers
-
-DIMENSION_RAISING_NOTE = (
-    "stable under suspension: raising every sphere dimension by one embeds "
-    "each atom's open book in its one-higher analogue"
-)
+from .spun import FourManifoldForm, normalize, parity_form
 
 
 @dataclass(frozen=True)
@@ -96,55 +86,6 @@ class MonodromyForm:
             used_s.add(s)
 
 
-@dataclass(frozen=True)
-class FourManifoldForm:
-    """Connected sum of S^1 x S^3, S^2 x S^2 and S^2 x~ S^2 summands.
-
-    The empty form is the 4-sphere, the identity of connected sum.
-    """
-
-    s1_cross_sphere: int = 0
-    trivial_bundle: int = 0
-    twisted_bundle: int = 0
-
-    def __post_init__(self) -> None:
-        require_integers(SpuncalcError, "summand counts must be integers",
-                         self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle)
-        if min(self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle) < 0:
-            raise SpuncalcError("summand counts must be nonnegative")
-
-    def is_spin(self) -> bool:
-        return self.twisted_bundle == 0
-
-    def connected_sum(self, other: FourManifoldForm) -> FourManifoldForm:
-        return FourManifoldForm(
-            s1_cross_sphere=self.s1_cross_sphere + other.s1_cross_sphere,
-            trivial_bundle=self.trivial_bundle + other.trivial_bundle,
-            twisted_bundle=self.twisted_bundle + other.twisted_bundle,
-        )
-
-    def describe(self) -> str:
-        def block(count: int, name: str) -> str:
-            return name if count == 1 else f"#^{count} {name}"
-
-        parts = []
-        if self.s1_cross_sphere:
-            parts.append(block(self.s1_cross_sphere, "S1xS3"))
-        if self.trivial_bundle:
-            parts.append(block(self.trivial_bundle, "S2xS2"))
-        if self.twisted_bundle:
-            parts.append(block(self.twisted_bundle, "S2x~S2"))
-        return " # ".join(parts) if parts else "S4"
-
-    def to_json(self) -> dict:
-        return {
-            "dim": 2,  # the atom dimension m, a constant the report schema keeps
-            "s1xs": self.s1_cross_sphere,
-            "trivial": self.trivial_bundle,
-            "twisted": self.twisted_bundle,
-        }
-
-
 def evaluate_open_book(page: PageForm, mono: MonodromyForm) -> FourManifoldForm:
     """Total space of the open book, as a connected-sum normal form."""
     mono.check(page)
@@ -154,22 +95,6 @@ def evaluate_open_book(page: PageForm, mono: MonodromyForm) -> FourManifoldForm:
     unpushed = [e for s, e in enumerate(mono.twist_exponents, 1) if s not in pushed_spheres]
     circles = FourManifoldForm(s1_cross_sphere=page.circles - len(mono.pushes))
     return circles.connected_sum(parity_form(unpushed))
-
-
-def parity_form(entries: Sequence[int]) -> FourManifoldForm:
-    """The bundle sum an exponent (or parity) sequence fixes: one S^2 x S^2
-    summand per even entry and one S^2 x~ S^2 summand per odd one."""
-    odd = sum(e % 2 for e in entries)
-    return FourManifoldForm(trivial_bundle=len(entries) - odd, twisted_bundle=odd)
-
-
-def normalize(form: FourManifoldForm) -> FourManifoldForm:
-    """Canonical form: in a pure bundle sum with a twisted summand, every
-    trivial summand is traded for a twisted one. Mixed sums (with an
-    S^1 x S^3 summand) pass through unchanged."""
-    if form.twisted_bundle >= 1 and form.s1_cross_sphere == 0:
-        return FourManifoldForm(twisted_bundle=form.trivial_bundle + form.twisted_bundle)
-    return form
 
 
 def equal(f: FourManifoldForm, g: FourManifoldForm) -> bool:

@@ -61,8 +61,9 @@ def _require_square(rows: Sequence[Sequence[int]]) -> None:
 @dataclass(frozen=True)
 class LinkingMatrix:
     """Symmetric integer matrix: framings on the diagonal, linking numbers
-    off it. The constructor checks every entry; ``surgery.linking_matrix``
-    builds its result with ``errors.unchecked``."""
+    off it. The constructor checks every entry. No library code builds
+    one: ``surgery.linking_matrix`` returns the bare rows of a checked
+    diagram."""
 
     rows: Rows
 

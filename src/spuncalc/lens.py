@@ -37,9 +37,9 @@ from itertools import accumulate
 from math import gcd
 
 from .errors import SpuncalcError, echo, require_integers, unchecked
-from .fourman import FourManifoldForm, normalize, parity_form
 from .homology import min_structured_det
 from .planar import CurveClass, DehnTwist, PlanarPage, TwistWord, parity_vector
+from .spun import FourManifoldForm, normalize, parity_form
 from .surgery import FramedBraidDiagram
 
 
@@ -178,17 +178,14 @@ def slid_diagram(c: ContinuedFraction) -> SlidLensDiagram:
     return SlidLensDiagram(tuple(s + 2 * i for i, s in enumerate(accumulate(c.coefficients))))
 
 
-def lens_open_book(c: ContinuedFraction, sd: SlidLensDiagram | None = None,
-                   ) -> tuple[PlanarPage, TwistWord]:
-    """Monodromy word of the slid diagram ``sd`` (built from ``c`` when not
-    given): T{i}^1 per hole, then T{r..k}^(-t_r) per twist region. Its
-    variation matrix is minus the linking matrix, so it presents H1 = Z/p
-    and its parities are psi_parity(c). Zero exponents are kept so the
-    word mirrors the diagram. Every curve is one run of holes in range,
-    so each is built unchecked as that run, and so is the word: the word
-    stores 2k runs, and is written in O(k)."""
-    if sd is None:
-        sd = slid_diagram(c)
+def lens_open_book(sd: SlidLensDiagram) -> tuple[PlanarPage, TwistWord]:
+    """Monodromy word of the slid diagram: T{i}^1 per hole, then
+    T{r..k}^(-t_r) per twist region. Its variation matrix is minus the
+    linking matrix, so it presents H1 = Z/p and its parities are
+    psi_parity(c) for the expansion c that ``sd`` was slid from. Zero
+    exponents are kept so the word mirrors the diagram. Every curve is one
+    run of holes in range, so each is built unchecked as that run, and so
+    is the word: the word stores 2k runs, and is written in O(k)."""
     k = sd.strands
     page = PlanarPage(k)
     letters = [(DehnTwist(unchecked(CurveClass, runs=((i, i),))), 1) for i in range(1, k + 1)]
@@ -216,7 +213,7 @@ class LensReconciliation:
 
 
 def reconcile(c: ContinuedFraction, word: TwistWord) -> LensReconciliation:
-    """Parities of ``word``, the monodromy word lens_open_book(c) returned,
+    """Parities of ``word``, the monodromy word of ``slid_diagram(c)``,
     next to the reduced parities psi_parity(c)."""
     return LensReconciliation(word_parity=parity_vector(word), psi=psi_parity(c))
 

@@ -1,11 +1,14 @@
 """Spun-embedding targets for planar open books, plus the S^4 certificate.
 
-Both read a word on its own page, ``word.page``. For a twist-only word on
-a page with n holes, the per-boundary parities
-determine the codimension-1 embedding target: every even parity gives an
-S^2 x S^2 summand, every odd one a twisted summand, so the raw target has
-exactly n summands. Reports carry the raw count pair alongside the
-spin-aware normal form.
+Targets are connected sums of S^1 x S^3, S^2 x S^2 and S^2 x~ S^2
+summands, and this is the one module that turns parities into them. For
+a twist-only word on a page with n holes (its own page, ``word.page``),
+every even parity gives an S^2 x S^2 summand and every odd one a twisted
+summand (``parity_form``), so the raw target has exactly n summands.
+Reports carry it alongside the spin-aware normal form (``normalize``):
+one twisted summand absorbs the spin condition, so in a pure bundle sum
+every trivial summand can be traded for a twisted one. Sums that mix
+S^1 x S^3 with twisted bundles are kept symbolic.
 
 The sphere certificate handles pages with 2n holes grouped into pairs
 (a_j, b_j) = (2j-1, 2j), where the word pushes each b_j once around a_j
@@ -13,21 +16,90 @@ and otherwise twists only along curves supported on the a-boundaries. The
 certified condition is that every a_j collects an odd twist exponent sum
 from the twist letters (every entry of ``s4_parities`` is 1); the ambient
 open book is then a sphere.
+
+All statements are stable under suspension, raising every sphere
+dimension by one; reports record that as a note rather than compute it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import Sequence
 
-from .errors import (
-    ConditionNotApplicableError,
-    MalformedPairingError,
-    PushLetterError,
-    echo,
-)
-from .fourman import DIMENSION_RAISING_NOTE, FourManifoldForm, normalize, parity_form
+from .errors import (ConditionNotApplicableError, MalformedPairingError, PushLetterError,
+                     SpuncalcError, echo, require_integers)
 from .planar import PlanarPage, PlanarPush, TwistWord, parity_vector, word_to_json
+
+DIMENSION_RAISING_NOTE = (
+    "stable under suspension: raising every sphere dimension by one embeds "
+    "each atom's open book in its one-higher analogue"
+)
+
+
+@dataclass(frozen=True)
+class FourManifoldForm:
+    """Connected sum of S^1 x S^3, S^2 x S^2 and S^2 x~ S^2 summands.
+
+    The empty form is the 4-sphere, the identity of connected sum.
+    """
+
+    s1_cross_sphere: int = 0
+    trivial_bundle: int = 0
+    twisted_bundle: int = 0
+
+    def __post_init__(self) -> None:
+        require_integers(SpuncalcError, "summand counts must be integers",
+                         self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle)
+        if min(self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle) < 0:
+            raise SpuncalcError("summand counts must be nonnegative")
+
+    def is_spin(self) -> bool:
+        return self.twisted_bundle == 0
+
+    def connected_sum(self, other: FourManifoldForm) -> FourManifoldForm:
+        return FourManifoldForm(
+            s1_cross_sphere=self.s1_cross_sphere + other.s1_cross_sphere,
+            trivial_bundle=self.trivial_bundle + other.trivial_bundle,
+            twisted_bundle=self.twisted_bundle + other.twisted_bundle,
+        )
+
+    def describe(self) -> str:
+        def block(count: int, name: str) -> str:
+            return name if count == 1 else f"#^{count} {name}"
+
+        parts = []
+        if self.s1_cross_sphere:
+            parts.append(block(self.s1_cross_sphere, "S1xS3"))
+        if self.trivial_bundle:
+            parts.append(block(self.trivial_bundle, "S2xS2"))
+        if self.twisted_bundle:
+            parts.append(block(self.twisted_bundle, "S2x~S2"))
+        return " # ".join(parts) if parts else "S4"
+
+    def to_json(self) -> dict:
+        return {
+            "dim": 2,  # the atom dimension m, a constant the report schema keeps
+            "s1xs": self.s1_cross_sphere,
+            "trivial": self.trivial_bundle,
+            "twisted": self.twisted_bundle,
+        }
+
+
+def parity_form(entries: Sequence[int]) -> FourManifoldForm:
+    """The bundle sum an exponent (or parity) sequence fixes: one S^2 x S^2
+    summand per even entry and one S^2 x~ S^2 summand per odd one."""
+    odd = sum(e % 2 for e in entries)
+    return FourManifoldForm(trivial_bundle=len(entries) - odd, twisted_bundle=odd)
+
+
+def normalize(form: FourManifoldForm) -> FourManifoldForm:
+    """Canonical form: in a pure bundle sum with a twisted summand, every
+    trivial summand is traded for a twisted one. Mixed sums (with an
+    S^1 x S^3 summand) pass through unchanged."""
+    if form.twisted_bundle >= 1 and form.s1_cross_sphere == 0:
+        return FourManifoldForm(twisted_bundle=form.trivial_bundle + form.twisted_bundle)
+    return form
 
 
 @dataclass(frozen=True)

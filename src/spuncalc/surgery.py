@@ -39,7 +39,7 @@ from typing import Callable
 
 from .errors import (InvalidDiagramError, InvalidMoveError, echo, integers, parse_json,
                      require_integers, unchecked)
-from .homology import H1Invariants, LinkingMatrix, Rows, cokernel_invariants
+from .homology import H1Invariants, Rows, cokernel_invariants
 from .modp import invariants_agree
 from .planar import CurveClass, DehnTwist, PlanarPage, TwistWord
 
@@ -161,24 +161,23 @@ def parse_diagram(text: str) -> FramedBraidDiagram:
                               framings=headers.get("framings", ()))
 
 
-def linking_matrix(d: FramedBraidDiagram) -> LinkingMatrix:
-    """Framings on the diagonal, net linking numbers off it. The diagram
-    was checked, so its rows are square, symmetric ints by construction
-    and the matrix is built unchecked."""
+def linking_matrix(d: FramedBraidDiagram) -> Rows:
+    """The linking rows: framings on the diagonal, net linking numbers off
+    it, as a tuple of int tuples. The diagram was checked, so the rows are
+    square, symmetric ints by construction."""
     rows = [[0] * d.strands for _ in d.framings]
     for i, f in enumerate(d.framings):
         rows[i][i] = f
     for (a, b), e in d.net_linking.items():
         rows[a - 1][b - 1] = rows[b - 1][a - 1] = e
-    return unchecked(LinkingMatrix, rows=tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
-def h1_invariants(d: FramedBraidDiagram, rows: Rows | None = None) -> H1Invariants:
-    """First homology of the surgered manifold: the cokernel of the
-    linking matrix, whose rows a caller that has built them passes."""
-    if rows is None:
-        rows = linking_matrix(d).rows
-    return cokernel_invariants(rows, columns=d.strands)
+def h1_invariants(rows: Rows) -> H1Invariants:
+    """First homology of the surgered manifold: the cokernel of its linking
+    rows (``linking_matrix``), which are square, one row and one column
+    per strand."""
+    return cokernel_invariants(rows, columns=len(rows))
 
 
 def _rank_one(links: dict[tuple[int, int], int], framings: list[int], u: list[int],
@@ -389,11 +388,11 @@ def apply_moves(d: FramedBraidDiagram, moves: list[dict],
         chain.append(d)
         details.append(detail)
         certificates.append(certificate)
-    rows = [linking_matrix(x).rows for x in chain]
+    rows = [linking_matrix(x) for x in chain]
 
     @cache
     def computed(i: int) -> H1Invariants:
-        return h1_invariants(chain[i], rows[i])
+        return h1_invariants(rows[i])
 
     h1 = [computed(0)]
     for i, certificate in enumerate(certificates):

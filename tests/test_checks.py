@@ -67,8 +67,8 @@ def slid_framings_off_by_two(monkeypatch):
 def first_exponent_off_by_one(monkeypatch):
     original = lens.lens_open_book
 
-    def faulty(c, sd=None):
-        page, word = original(c, sd)
+    def faulty(sd):
+        page, word = original(sd)
         (gen, exp), *rest = word.letters
         return page, TwistWord(page, ((gen, exp + 1), *rest))
 

@@ -646,7 +646,7 @@ def test_a_failed_certificate_computes_the_h1_on_both_sides(tmp_path, monkeypatc
     final, _ = surgery.blow_down(up, 3)
     moves = outputs["moves"]
     assert [m["h1_before"] for m in moves] + [moves[1]["h1_after"], outputs["h1"]] == [
-        surgery.h1_invariants(x).to_json() for x in (d, up, final, final)]
+        surgery.h1_invariants(surgery.linking_matrix(x)).to_json() for x in (d, up, final, final)]
     assert [m["h1_preserved"] for m in moves] == [name != "blow_up", name != "blow_down"]
 
 

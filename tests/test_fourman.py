@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 
 from spuncalc.errors import InvalidMonodromyError, SpuncalcError
 from spuncalc.fourman import (
-    FourManifoldForm,
     MonodromyForm,
     PageForm,
     boundary_sphere_images,
     equal,
     evaluate_open_book,
-    normalize,
     twist_image,
     z2_sum,
 )
+from spuncalc.spun import FourManifoldForm, normalize
 
 
 def form(s1=0, trivial=0, twisted=0):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spuncalc.errors import SpuncalcError
-from spuncalc.fourman import FourManifoldForm
 from spuncalc.homology import cokernel_invariants, det
 from spuncalc.lens import (
     MAX_CF_LENGTH,
@@ -32,7 +31,7 @@ from spuncalc.planar import (
     word_to_json,
     word_to_text,
 )
-from spuncalc.spun import embedding_target
+from spuncalc.spun import FourManifoldForm, embedding_target
 from spuncalc.surgery import h1_invariants, linking_matrix
 
 
@@ -157,7 +156,7 @@ def test_slid_det_matches_materialized_matrix_and_p(pq):
     p, q = pq
     sd = slid_diagram(cf_expand(p, q))
     fast = sd.linking_det()
-    assert fast == det(linking_matrix(sd.as_braid_diagram()).rows)
+    assert fast == det(linking_matrix(sd.as_braid_diagram()))
     assert abs(fast) == p
 
 
@@ -167,7 +166,7 @@ def test_slid_braid_diagram_realizes_same_homology(pq):
     p, q = pq
     sd = slid_diagram(cf_expand(p, q))
     d = sd.as_braid_diagram()
-    rows = linking_matrix(d).rows
+    rows = linking_matrix(d)
     k = sd.strands
     for i in range(1, k + 1):
         for j in range(1, k + 1):
@@ -175,18 +174,18 @@ def test_slid_braid_diagram_realizes_same_homology(pq):
     # one letter per linked pair
     assert len(d.braid_word) == sum(
         1 for i in range(1, k) for j in range(i + 1, k + 1) if sd.linking(i, j))
-    inv = h1_invariants(d)
+    inv = h1_invariants(rows)
     assert (inv.factors, inv.free_rank) == ((p,), 0)
 
 
 def test_lens_open_book_k1():
-    page, word = lens_open_book(ContinuedFraction((-5,)))
+    page, word = lens_open_book(slid_diagram(ContinuedFraction((-5,))))
     assert page.inner_count == 1
     assert word.letters == (twist({1}, 1), twist({1}, 4))
 
 
 def test_lens_open_book_k2_keeps_zero_exponents():
-    page, word = lens_open_book(ContinuedFraction((-4, -2)))
+    page, word = lens_open_book(slid_diagram(ContinuedFraction((-4, -2))))
     assert page.inner_count == 2
     assert word.letters == (
         twist({1}, 1),
@@ -201,7 +200,7 @@ def test_lens_open_book_k2_keeps_zero_exponents():
 def test_lens_open_book_structure(pq):
     p, q = pq
     c = cf_expand(p, q)
-    page, word = lens_open_book(c)
+    page, word = lens_open_book(slid_diagram(c))
     assert page.inner_count == len(c.coefficients)
     assert len(word.letters) == 2 * len(c.coefficients)
 
@@ -211,7 +210,7 @@ def test_lens_open_book_structure(pq):
 def test_lens_words_read_back_through_the_checked_parsers(pq):
     # the word and its curves are built unchecked, so the parsers, which check
     # every curve, must read the written word back as an equal word
-    page, word = lens_open_book(cf_expand(*pq))
+    page, word = lens_open_book(slid_diagram(cf_expand(*pq)))
     assert parse_word(word_to_text(word), page) == word
     assert word_from_json(word_to_json(word), page) == word
 
@@ -237,7 +236,7 @@ def test_lens_word_variation_is_minus_the_slid_linking_matrix():
     for p, q in coprime_pairs_up_to(60):
         c = cf_expand(p, q)
         sd = slid_diagram(c)
-        v = variation(lens_open_book(c, sd)[1])
+        v = variation(lens_open_book(sd)[1])
         k = sd.strands
         assert v == [[-sd.linking(i, j) for j in range(1, k + 1)]
                      for i in range(1, k + 1)], (p, q)
@@ -245,14 +244,14 @@ def test_lens_word_variation_is_minus_the_slid_linking_matrix():
 
 def test_lens_word_presents_z_mod_p():
     for p, q in coprime_pairs_up_to(60):
-        word = lens_open_book(cf_expand(p, q))[1]
+        word = lens_open_book(slid_diagram(cf_expand(p, q)))[1]
         inv = cokernel_invariants(variation(word), word.page.inner_count)
         assert (inv.factors, inv.free_rank) == ((p,), 0), (p, q)
 
 
 def test_lens_word_of_l21_presents_z2():
     # the word read off the framings, T{1}^-2 T{1}^-1, presented Z/3
-    word = lens_open_book(cf_expand(2, 1))[1]
+    word = lens_open_book(slid_diagram(cf_expand(2, 1)))[1]
     assert word.letters == (twist({1}, 1), twist({1}, 1))
     inv = cokernel_invariants(variation(word), 1)
     assert (inv.factors, inv.free_rank) == ((2,), 0)
@@ -266,7 +265,7 @@ def test_lens_word_of_l21_presents_z2():
 def test_lens_word_parity_is_psi(pq):
     p, q = pq
     c = cf_expand(p, q)
-    word = lens_open_book(c)[1]
+    word = lens_open_book(slid_diagram(c))[1]
     assert parity_vector(word) == psi_parity(c)
     assert reconcile(c, word).agree
 
@@ -275,7 +274,7 @@ def test_lens_word_parity_is_psi(pq):
 @settings(max_examples=100, deadline=None)
 def test_lens_word_embeds_in_the_lens_target(pq):
     p, q = pq
-    word = lens_open_book(cf_expand(p, q))[1]
+    word = lens_open_book(slid_diagram(cf_expand(p, q)))[1]
     assert embedding_target(word).normalized == lens_embedding_target(p, q)
 
 
@@ -295,7 +294,7 @@ def test_psi_parity_examples():
 
 def test_reconciliation_reports_both_parities():
     c = ContinuedFraction((-4, -2))
-    rec = reconcile(c, lens_open_book(c)[1])
+    rec = reconcile(c, lens_open_book(slid_diagram(c))[1])
     assert rec.word_parity == (0, 0)
     assert rec.psi == (0, 0)
     assert rec.agree

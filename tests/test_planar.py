@@ -160,7 +160,7 @@ def test_a_lens_word_at_max_cf_length_has_the_reduced_parity():
     rng = random.Random(MAX_CF_LENGTH)
     c = ContinuedFraction(tuple(rng.choice((-2, -3, -4, -5)) for _ in range(MAX_CF_LENGTH)))
     sd = slid_diagram(c)
-    word = lens_open_book(c, sd)[1]
+    word = lens_open_book(sd)[1]
     # hole i's exponent sum is the variation entry V_ii = -b_i
     assert exponent_vector(word) == tuple(-b for b in sd.framings)
     assert parity_vector(word) == psi_parity(c)
@@ -499,7 +499,7 @@ def test_a_run_reads_as_its_holes():
 
 def test_a_lens_word_is_written_in_runs():
     # every suffix {r..k} of three or more holes is one run in both forms
-    page, w = lens_open_book(ContinuedFraction((-3, -2, -2, -2)))
+    page, w = lens_open_book(slid_diagram(ContinuedFraction((-3, -2, -2, -2))))
     assert word_to_text(w) == "T{1} T{2} T{3} T{4} T{1..4}^2 T{2..4}^0 T{3,4}^0 T{4}^0"
     assert [letter["curve"] for letter in word_to_json(w)][4:] == [[[1, 4]], [[2, 4]], [3, 4], [4]]
 
@@ -510,7 +510,7 @@ def test_a_lens_word_at_max_cf_length_is_stored_in_its_2k_runs():
     sd = slid_diagram(c)
     tracemalloc.start()
     try:
-        _, word = lens_open_book(c, sd)
+        _, word = lens_open_book(sd)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

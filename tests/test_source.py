@@ -11,9 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import spuncalc
 import spuncalc.cli  # loads every module the benchmark tracer wraps
-from spuncalc import errors, lens
+from spuncalc import cli, errors, fourman, lens, spun
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -36,21 +38,39 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     original = lens.cf_expand
+    normalize = spun.normalize
+    binders = (spun, lens, cli, fourman)
     tracer = tracing.Tracer()
     try:
         tracer.install()
         assert lens.cf_expand is not original
+        # the tracer's fourman target is the one normalize every module
+        # binds, so fourman.self_s counts it on every lens job; a second
+        # copy in fourman would be wrapped alone and read 0
+        assert spun.normalize is not normalize
+        assert all(m.normalize is spun.normalize for m in binders)
     finally:
         tracer.uninstall()
     assert lens.cf_expand is original
+    assert all(m.normalize is normalize for m in binders)
 
 
-def test_importing_one_module_loads_no_unrelated_one():
+# the modules that importing each module must not load: spun is the one
+# module that turns parities into targets, so the atom evaluator in
+# fourman is on neither its path nor the lens path
+UNRELATED = {
+    "spuncalc.planar": ("spuncalc.cli", "spuncalc.lens", "spuncalc.surgery"),
+    "spuncalc.spun": ("spuncalc.cli", "spuncalc.lens", "spuncalc.surgery", "spuncalc.fourman"),
+    "spuncalc.lens": ("spuncalc.cli", "spuncalc.fourman"),
+}
+
+
+@pytest.mark.parametrize("module", UNRELATED)
+def test_importing_one_module_loads_no_unrelated_one(module):
     # the package re-exports nothing, so its modules load only what they import
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
-    code = ("import sys, spuncalc.planar; "
-            "print(sorted(m for m in ('spuncalc.cli', 'spuncalc.lens', 'spuncalc.surgery') "
-            "if m in sys.modules))")
+    code = (f"import sys, {module}; "
+            f"print(sorted(m for m in {UNRELATED[module]!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out == "[]\n"

@@ -9,9 +9,10 @@ from spuncalc.errors import (
     MalformedPairingError,
     PushLetterError,
 )
-from spuncalc.fourman import FourManifoldForm, equal
+from spuncalc.fourman import equal
 from spuncalc.planar import PlanarPage, TwistWord, push, twist
 from spuncalc.spun import (
+    FourManifoldForm,
     embedding_target,
     s4_parities,
     s4_target_name,
