@@ -87,10 +87,7 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict,
 
 
 def _form_name(form: FourManifoldForm) -> str:
-    if form.s1_cross_sphere == 0:
-        base = f"W_{{{form.trivial_bundle},{form.twisted_bundle}}}"
-        return f"{base} = {form.describe()}"
-    return form.describe()
+    return f"W_{{{form.trivial_bundle},{form.twisted_bundle}}} = {form.describe()}"
 
 
 def _page_name(page: PlanarPage) -> str:
@@ -122,10 +119,8 @@ def lens_report(p: int, q: int) -> Report:
     target = normalize(parity_form(rec.psi))
     plumb_det = lens.plumbing_matrix(c).det()
     slid_det = sd.linking_det()
-    value = lens.cf_eval(c)
     checks = [
-        {"name": "cf_eval equals -p/q",
-         "passed": (value.numerator, value.denominator) == (-p, q)},
+        {"name": "cf_eval equals -p/q", "passed": lens.cf_eval(c) == (-p, q)},
         {"name": "plumbing |det| equals p", "passed": abs(plumb_det) == p},
         {"name": "slid |det| equals p", "passed": abs(slid_det) == p},
         {"name": "word parity matches reduced parity", "passed": rec.agree},

@@ -32,7 +32,6 @@ and its report grow linearly in k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
@@ -89,15 +88,17 @@ def cf_expand(p: int, q: int) -> ContinuedFraction:
         f"-{echo(p)}/{echo(q)} has a continued fraction of more than {MAX_CF_LENGTH} coefficients")
 
 
-def cf_eval(c: ContinuedFraction) -> Fraction:
-    """Exact value, evaluated right to left."""
+def cf_eval(c: ContinuedFraction) -> tuple[int, int]:
+    """Exact value, evaluated right to left, as the pair (num, den) with
+    den > 0: reduced, since each step multiplies it by the determinant-1
+    matrix ((a, -1), (1, 0)), which keeps gcd(num, den) = 1."""
     num, den = c.coefficients[-1], 1
     for a in reversed(c.coefficients[:-1]):
         # tails of an admissible expansion never vanish
         if num == 0:
             raise SpuncalcError(f"a tail of {echo(list(c.coefficients))} vanishes")
         num, den = a * num - den, num
-    return Fraction(num, den)
+    return (num, den) if den > 0 else (-num, -den)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,9 @@ in JSON, a shorter run as its holes: ``T{1..4}``, ``P{b|2..4,7}``,
 and overlapping (``T{1,3..5}``, ``[1, [3, 5]]``), and merge them into the
 stored runs, so a curve's stored size and its written size grow with its
 text, whatever the holes it encloses: a lens word of k holes, whose curves
-are the suffixes ``{r..k}``, is stored and written in O(k).
+are the suffixes ``{r..k}``, is stored and written in O(k). A run is never
+expanded: ``_merged`` checks that a curve's holes are 1-based and the
+generator that they fit the page, runs and holes alike.
 """
 
 from __future__ import annotations
@@ -258,22 +260,16 @@ _HOLES = r"[0-9]+(?:\.\.[0-9]+)?(?:,[0-9]+(?:\.\.[0-9]+)?)*"
 _LETTER_RE = re.compile(rf"(T\{{({_HOLES})\}}|P\{{([0-9]+)\|({_HOLES})\}})(?:\^(-?[0-9]+))?")
 
 
-def _run(first: int, last: int, page: PlanarPage) -> Run:
-    """The run first..last a reader reads, checked as it is read; a run of
-    one hole is checked against ``page`` with its generator, whose error
-    names the curve."""
-    if first < 1:
-        raise InvalidWordError("boundary indices are 1-based")
+def _run(first: int, last: int) -> Run:
+    """The run first..last a reader reads, checked for the one fact only a
+    run has, first <= last; its curve checks the rest."""
     if first > last:
         raise InvalidWordError(f"run {echo(first)}..{echo(last)} is empty: "
                                "its first hole exceeds its last")
-    if last > page.inner_count and first < last:
-        raise InvalidWordError(f"run {echo(first)}..{echo(last)} does not fit on a page "
-                               f"with {page.inner_count} inner boundaries")
     return first, last
 
 
-def _curve_text(indices: str, page: PlanarPage, pairs: dict[str, Run]) -> CurveClass:
+def _curve_text(indices: str, pairs: dict[str, Run]) -> CurveClass:
     """The curve of comma-separated holes and runs ``first..last``, spelt
     in digits, so their values are ints >= 0. ``pairs`` keeps the pair of
     each part text the word has read, so its curves share them."""
@@ -283,12 +279,12 @@ def _curve_text(indices: str, page: PlanarPage, pairs: dict[str, Run]) -> CurveC
         if pair is None:
             first, _, last = part.partition("..")
             first = int(first)
-            pair = pairs[part] = _run(first, int(last), page) if last else (first, first)
+            pair = pairs[part] = _run(first, int(last)) if last else (first, first)
         runs.append(pair)
     return unchecked(CurveClass, runs=_merged(runs))
 
 
-def _json_curve(value: object, page: PlanarPage, pairs: dict[int, Run]) -> CurveClass:
+def _json_curve(value: object, pairs: dict[int, Run]) -> CurveClass:
     """The curve of a JSON list of int holes and [first, last] runs; a
     curve that is no list, or a run that is no pair, raises TypeError.
     ``pairs`` keeps the pair (i, i) of each hole the word has read, so its
@@ -306,7 +302,7 @@ def _json_curve(value: object, page: PlanarPage, pairs: dict[int, Run]) -> Curve
             if len(item) != 2:
                 raise TypeError("a run is a pair [first, last]")
             require_integers(InvalidWordError, "boundary indices must be integers", *item)
-            runs.append(_run(*item, page))
+            runs.append(_run(*item))
         else:
             raise InvalidWordError(f"boundary indices must be integers, got {echo(item)}")
     return unchecked(CurveClass, runs=_merged(runs))
@@ -331,7 +327,7 @@ def parse_word(text: str, page: PlanarPage) -> TwistWord:
             exp = int(exp_text) if exp_text else 1
             gen = gens.get(key)
             if gen is None:
-                holes = _curve_text(curve or around, page, pairs)
+                holes = _curve_text(curve or around, pairs)
                 gen = gens[key] = DehnTwist(holes) if curve else PlanarPush(int(boundary), holes)
                 gen.check(page)
             letters[token] = gen, exp
@@ -391,7 +387,7 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
             gen = gens.get(key)
             fresh = gen is None
             if fresh:
-                holes = _json_curve(fields[-1], page, pairs)
+                holes = _json_curve(fields[-1], pairs)
                 gen = gens[key] = (DehnTwist(holes) if op == "twist" else
                                    PlanarPush(fields[0], holes))
             letters.append(_letter(gen, exp))

@@ -201,7 +201,8 @@ def blow_up(d: FramedBraidDiagram, region: set[int] | list[int] | tuple[int, ...
             sign: int) -> tuple[FramedBraidDiagram, str]:
     """Append a ``sign``-framed strand linking each region member once,
     twisting the region to compensate so the manifold is unchanged."""
-    require_integers(InvalidMoveError, "move arguments must be integers", sign, *region)
+    require_integers(InvalidMoveError, "'region' must be a list of integers", *region)
+    require_integers(InvalidMoveError, "'sign' must be an integer", sign)
     members = sorted(set(region))
     if not members:
         raise InvalidMoveError("blow_up region must be nonempty")
@@ -219,7 +220,7 @@ def blow_up(d: FramedBraidDiagram, region: set[int] | list[int] | tuple[int, ...
 def blow_down(d: FramedBraidDiagram, component: int) -> tuple[FramedBraidDiagram, str]:
     """Remove a +-1-framed strand, adjusting its neighbors by the quadratic
     rule: framings drop by sign*l(i,c)^2, linkings by sign*l(i,c)*l(j,c)."""
-    require_integers(InvalidMoveError, "move arguments must be integers", component)
+    require_integers(InvalidMoveError, "'component' must be an integer", component)
     c = component
     if not 1 <= c <= d.strands:
         raise InvalidMoveError(f"component {echo(c)} out of range")
@@ -243,7 +244,8 @@ def rolfsen_twist(d: FramedBraidDiagram, component: int, t: int) -> tuple[Framed
     be 0 or -2: a 0-framed component twists freely, a +-1 or +-2 framing
     admits exactly one nontrivial twist count).
     """
-    require_integers(InvalidMoveError, "move arguments must be integers", component, t)
+    require_integers(InvalidMoveError, "'component' must be an integer", component)
+    require_integers(InvalidMoveError, "'twists' must be an integer", t)
     c = component
     if not 1 <= c <= d.strands:
         raise InvalidMoveError(f"component {echo(c)} out of range")
@@ -326,44 +328,42 @@ def _field(move: dict, key: str):
         raise InvalidMoveError(f"move {echo(move)} has no {key!r} field") from None
 
 
-def _int(move: dict, key: str) -> int:
-    value = _field(move, key)
-    require_integers(InvalidMoveError, f"move {echo(move)}: {key!r} must be an integer", value)
-    return value
-
-
-_MOVE_FIELDS = {"blow_up": {"move", "region", "sign"}, "blow_down": {"move", "component"},
-                "rolfsen_twist": {"move", "component", "twists"}}
+# each move kind's argument keys, in the order its function takes them
+_MOVE_FIELDS = {"blow_up": ("region", "sign"), "blow_down": ("component",),
+                "rolfsen_twist": ("component", "twists")}
 
 
 def _apply(d: FramedBraidDiagram, move: dict,
            ) -> tuple[FramedBraidDiagram, str, Callable[[Rows, Rows], bool]]:
     """The move's result, its detail string and its certificate, a test of
-    the linking rows before and after the move."""
+    the linking rows before and after the move. Only the JSON shape is
+    checked here (kind, keys, fields present, ``region`` a list); the move
+    function checks its arguments, and its error gets the move's echo."""
     kind = _field(move, "move")
-    known = _MOVE_FIELDS.get(kind) if isinstance(kind, str) else None
-    if known is None:
+    keys = _MOVE_FIELDS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
         raise InvalidMoveError(f"unknown move kind: {echo(kind)}")
-    unknown = [key for key in move if key not in known]
+    unknown = [key for key in move if key != "move" and key not in keys]
     if unknown:
         raise InvalidMoveError(f"move {echo(move)} has unknown field {echo(unknown[0])}")
-    if kind == "blow_up":
-        region = _field(move, "region")
-        if not isinstance(region, list) or any(type(i) is not int for i in region):
-            raise InvalidMoveError(f"move {echo(move)}: 'region' must be a list of integers")
-        sign = _int(move, "sign")
-        return (*blow_up(d, region, sign),
-                lambda old, new: _blow_up_certified(old, new, region, sign))
-    if kind == "blow_down":
-        c = _int(move, "component")
-        return *blow_down(d, c), lambda old, new: _blow_down_certified(old, new, c - 1)
-    c, t = _int(move, "component"), _int(move, "twists")
-    return *rolfsen_twist(d, c, t), lambda old, new: _twist_certified(old, new, c - 1, t)
+    args = [_field(move, key) for key in keys]
+    if kind == "blow_up" and not isinstance(args[0], list):
+        raise InvalidMoveError(f"move {echo(move)}: 'region' must be a list of integers")
+    try:
+        if kind == "blow_up":
+            return *blow_up(d, *args), lambda old, new: _blow_up_certified(old, new, *args)
+        c, *t = args  # the component, then a twist's count
+        if kind == "blow_down":
+            return *blow_down(d, c), lambda old, new: _blow_down_certified(old, new, c - 1)
+        return *rolfsen_twist(d, c, *t), lambda old, new: _twist_certified(old, new, c - 1, *t)
+    except InvalidMoveError as exc:
+        raise InvalidMoveError(f"move {echo(move)}: {exc}") from None
 
 
 def apply_moves(d: FramedBraidDiagram, moves: list[dict],
                 ) -> tuple[FramedBraidDiagram, list[H1Invariants], bool, list[str]]:
-    """Apply a JSON move list to ``d`` and audit the chain.
+    """Apply a JSON move list to ``d`` and audit the chain; each move is
+    checked as ``_apply`` runs it, and an error starts with its echo.
 
     Returns the final diagram, the H1 of every diagram in the chain (input
     first; the last is the final diagram's), whether the input's H1 agrees

@@ -504,11 +504,17 @@ OVERSIZED_INPUTS = [
     (["surgery", "d.txt", "--json"],
      {"d.txt": f"strands 2\nframings 2{'0' * 3998}1 2{'0' * 3998}3\n"},
      "report cannot be printed"),
-    # a run of 10^12 holes is checked against the page before it is expanded
+    # a run of 10^12 holes is never expanded: its curve is checked against
+    # the page with its generator, and the error names the curve in text
+    # and JSON words alike
     (["embed", "--page", "3", "--word", "w.txt"], {"w.txt": "T{1..1000000000000}"},
-     "does not fit"),
+     "curve {1..1000000000000} does not fit"),
     (["embed", "--page", "3", "--word", "w.json"],
-     {"w.json": '[{"op":"twist","curve":[[1,1000000000000]]}]'}, "does not fit"),
+     {"w.json": '[{"op":"twist","curve":[[1,1000000000000]]}]'},
+     "curve {1..1000000000000} does not fit"),
+    (["certify-s4", "--page", "3", "--word", "w.json"],
+     {"w.json": '[{"op":"push","boundary":1,"around":[[2,1000000000000]]}]'},
+     "curve {2..1000000000000} does not fit"),
 ]
 
 
@@ -519,7 +525,8 @@ OVERSIZED_INPUTS = [
                               "diagram-strands", "move-component", "move-framing", "move-twists",
                               "relator", "gens-line", "argv-token", "gens-count",
                               "lens-expansion", "diagram-strands-count", "h1-text-too-long",
-                              "h1-json-too-long", "word-run-off-page", "json-word-run-off-page"])
+                              "h1-json-too-long", "word-run-off-page", "json-word-run-off-page",
+                              "json-push-run-off-page"])
 def test_an_oversized_input_gives_one_short_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                        needle):
     monkeypatch.chdir(tmp_path)

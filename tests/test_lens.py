@@ -56,9 +56,10 @@ def test_cf_expand_examples():
 
 
 def test_cf_eval_examples():
-    assert cf_eval(ContinuedFraction((-7,))) == Fraction(-7)
-    assert cf_eval(ContinuedFraction((-4, -2))) == Fraction(-7, 2)
-    assert cf_eval(ContinuedFraction((-2, -2, -2))) == Fraction(-4, 3)
+    # the pair (num, den), reduced, with den > 0
+    assert cf_eval(ContinuedFraction((-7,))) == (-7, 1)
+    assert cf_eval(ContinuedFraction((-4, -2))) == (-7, 2)
+    assert cf_eval(ContinuedFraction((-2, -2, -2))) == (-4, 3)
     assert oracle_eval((-4, -2)) == Fraction(-7, 2)
 
 
@@ -90,7 +91,8 @@ def test_cf_roundtrip_against_oracle(pq):
     p, q = pq
     c = cf_expand(p, q)
     assert all(a <= -2 for a in c.coefficients)
-    assert cf_eval(c) == Fraction(-p, q) == oracle_eval(c.coefficients)
+    assert cf_eval(c) == (-p, q)
+    assert oracle_eval(c.coefficients) == Fraction(-p, q)
 
 
 def dense_plumbing(coefficients):

@@ -317,8 +317,8 @@ def test_a_json_index_too_long_to_repr_is_an_input_error():
 
 def test_the_first_letter_that_does_not_fit_names_the_error():
     page = PlanarPage(4)
-    # a run is checked while the word is read, before it is expanded, and a
-    # list of holes with its generator: both in the order of the letters
+    # a curve, of holes or runs alike, is checked against the page with its
+    # generator, as the word is read: in the order of the letters
     for text in ("T{1} T{5} T{1} T{6} T{5}", "T{1} T{5} T{1}^2 T{6}", "T{5} T{1..9}",
                  "T{5} T{1} X"):
         with pytest.raises(InvalidWordError, match=r"^curve \{5\} does not fit"):
@@ -326,7 +326,7 @@ def test_the_first_letter_that_does_not_fit_names_the_error():
     data = [{"op": "twist", "curve": [5]}, {"op": "twist", "curve": [[1, 9]]}]
     with pytest.raises(InvalidWordError, match=r"^curve \{5\} does not fit"):
         word_from_json(data, page)
-    with pytest.raises(InvalidWordError, match=r"^twist letter .*: run 1\.\.9 does not fit"):
+    with pytest.raises(InvalidWordError, match=r"^curve \{1\.\.9\} does not fit"):
         word_from_json(data[::-1], page)
     with pytest.raises(InvalidWordError, match="pushed boundary 6"):
         parse_word("P{1|2} T{2} P{6|2} P{1|2} P{7|2}", page)

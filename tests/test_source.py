@@ -57,11 +57,14 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
 
 # the modules that importing each module must not load: spun is the one
 # module that turns parities into targets, so the atom evaluator in
-# fourman is on neither its path nor the lens path
+# fourman is on neither its path nor the lens path; the lens value is an
+# exact pair of ints, so no command loads fractions (nor decimal, which it
+# imports)
 UNRELATED = {
     "spuncalc.planar": ("spuncalc.cli", "spuncalc.lens", "spuncalc.surgery"),
     "spuncalc.spun": ("spuncalc.cli", "spuncalc.lens", "spuncalc.surgery", "spuncalc.fourman"),
     "spuncalc.lens": ("spuncalc.cli", "spuncalc.fourman"),
+    "spuncalc.cli": ("fractions", "decimal"),
 }
 
 

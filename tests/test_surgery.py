@@ -303,25 +303,26 @@ def test_huge_twist_count_stays_small():
     assert h1_invariants(linking_matrix(out)) == h1_invariants(linking_matrix(d))
 
 
-@pytest.mark.parametrize("move", [
-    lambda d: rolfsen_twist(d, 1.9, 2),
-    lambda d: rolfsen_twist(d, 1, 2.5),
-    lambda d: rolfsen_twist(d, "1", 2),
-    lambda d: rolfsen_twist(d, True, 2),
-    lambda d: blow_down(d, 2.7),
-    lambda d: blow_down(d, "2"),
-    lambda d: blow_down(d, True),
-    lambda d: blow_up(d, [1.5], 1),
-    lambda d: blow_up(d, ["1"], 1),
-    lambda d: blow_up(d, [True], 1),
-    lambda d: blow_up(d, [1], 1.0),
-    lambda d: blow_up(d, [1], True),
+@pytest.mark.parametrize("move, name", [
+    (lambda d: rolfsen_twist(d, 1.9, 2), "component"),
+    (lambda d: rolfsen_twist(d, 1, 2.5), "twists"),
+    (lambda d: rolfsen_twist(d, "1", 2), "component"),
+    (lambda d: rolfsen_twist(d, True, 2), "component"),
+    (lambda d: blow_down(d, 2.7), "component"),
+    (lambda d: blow_down(d, "2"), "component"),
+    (lambda d: blow_down(d, True), "component"),
+    (lambda d: blow_up(d, [1.5], 1), "region"),
+    (lambda d: blow_up(d, ["1"], 1), "region"),
+    (lambda d: blow_up(d, [True], 1), "region"),
+    (lambda d: blow_up(d, [1], 1.0), "sign"),
+    (lambda d: blow_up(d, [1], True), "sign"),
 ], ids=["twist-component-float", "twist-t-float", "twist-component-str", "twist-component-bool",
         "down-float", "down-str", "down-bool", "up-region-float", "up-region-str",
         "up-region-bool", "up-sign-float", "up-sign-bool"])
-def test_move_arguments_are_validated_not_coerced(move):
+def test_move_arguments_are_validated_not_coerced(move, name):
+    # each message names the argument by its key in a JSON move
     d = FramedBraidDiagram(3, ((1, 2, 1),), (0, 1, -1))
-    with pytest.raises(InvalidMoveError, match="integer"):
+    with pytest.raises(InvalidMoveError, match=f"^'{name}' must be a.* integer"):
         move(d)
 
 
@@ -417,10 +418,30 @@ def test_dropping_the_framing_sign_fails_each_kind_of_move():
     [{"move": "rolfsen_twist", "component": 2, "twists": 1}],
     [{"move": "blow_down", "component": 1, "twists": 2}],
     [{"move": ["blow_down"], "component": 1}],
+    [{"move": "blow_down", "component": 9}],
 ])
 def test_apply_moves_rejects_malformed_moves(moves):
     with pytest.raises(InvalidMoveError):
         apply_moves(FramedBraidDiagram(1, (), (1,)), moves)
+
+
+@pytest.mark.parametrize("move, message", [
+    ({"move": "blow_down", "component": 9}, "component 9 out of range"),
+    ({"move": "blow_down", "component": 2}, "blow_down needs framing +-1, component 2 has -2"),
+    ({"move": "rolfsen_twist", "component": 1, "twists": "2"},
+     "'twists' must be an integer, got '2'"),
+    ({"move": "blow_up", "region": [1, 3], "sign": 1}, "region [1, 3] out of range"),
+    ({"move": "blow_up", "region": ["a"], "sign": 1},
+     "'region' must be a list of integers, got 'a'"),
+    ({"move": "blow_up", "region": "12", "sign": 1}, "'region' must be a list of integers"),
+], ids=["down-component-off-diagram", "down-framing", "twist-count-string", "up-region-off-diagram",
+        "up-region-string-member", "up-region-string"])
+def test_a_move_error_names_its_move(move, message):
+    # the move function checks its arguments, as for a library caller; on a
+    # JSON move its error starts with the move's echo, as a letter's does
+    with pytest.raises(InvalidMoveError) as exc:
+        apply_moves(FramedBraidDiagram(2, (), (1, -2)), [move])
+    assert str(exc.value) == f"move {move!r}: {message}"
 
 
 def test_to_planar_open_book_examples():
