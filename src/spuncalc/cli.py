@@ -21,9 +21,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
-from datetime import datetime, timezone
-from pathlib import Path
 from typing import Callable, Iterator, NoReturn
 
 from . import __version__, corpus, lens, modp, pi1, spun, surgery
@@ -76,6 +73,8 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict,
                 "checks": checks,
             }
             if not args.no_timestamp:
+                from datetime import datetime, timezone  # only a timestamped report loads it
+
                 report["generated_at"] = datetime.now(timezone.utc).isoformat()
             text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     except SpuncalcError:
@@ -103,7 +102,8 @@ def _page(holes: int) -> PlanarPage:
 def _read(path: str) -> str:
     """The file's text; only here is an OSError bad input (not on stdout)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SpuncalcError(str(exc)) from None
 
@@ -316,7 +316,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         return {
             "total": len(results),
             "passed": passed,
-            "results": [asdict(r) for r in results],
+            "results": [{"file": r.file, "name": r.name, "passed": r.passed, "detail": r.detail}
+                        for r in results],
         }
 
     def lines():

@@ -14,20 +14,21 @@ the acceptance test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 from typing import Iterator
 
 from . import fourman, surgery
+from .errors import Value
 from .planar import PlanarPage, word_from_json
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    file: str
-    name: str
-    passed: bool
-    detail: str = ""
+class CaseResult(Value):
+    __slots__ = ("file", "name", "passed", "detail")
+
+    def __init__(self, file: str, name: str, passed: bool, detail: str = "") -> None:
+        object.__setattr__(self, "file", file)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -36,6 +37,8 @@ class CaseResult:
 
 
 def fixture_names() -> list[str]:
+    from importlib import resources  # only corpus commands read the fixtures
+
     files = resources.files(__package__) / "corpus"
     return sorted(
         entry.name for entry in files.iterdir() if entry.name.endswith(".json")
@@ -43,6 +46,8 @@ def fixture_names() -> list[str]:
 
 
 def load_fixture(name: str) -> dict:
+    from importlib import resources
+
     files = resources.files(__package__) / "corpus"
     return json.loads((files / name).read_text())
 

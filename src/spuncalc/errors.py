@@ -1,4 +1,5 @@
-"""Exceptions, the input checks parsers and constructors share, and ``unchecked``.
+"""Exceptions, the input checks parsers and constructors share, the value
+class base ``Value``, and ``unchecked``.
 
 Everything derives from SpuncalcError (a ValueError), so callers can catch
 one type at an API boundary while tests pin down the specific failure.
@@ -87,10 +88,45 @@ def integer(text: str) -> int:
     return value
 
 
+class Value:
+    """Base of the package's value classes. A class lists its fields in
+    ``__slots__``, so an object has no ``__dict__``, and its ``__init__``
+    sets each once with ``object.__setattr__``; after that a field cannot
+    be assigned or deleted. Equality (between objects of one class only),
+    hash and repr read the fields ``_compared`` names: all of
+    ``__slots__`` unless the class names fewer."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._compared = cls.__dict__.get("_compared", cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+
 def unchecked(cls: type[T], **fields: object) -> T:
-    """The dataclass ``cls`` of ``fields``, built without its checks, for
+    """The value class ``cls`` of ``fields``, built without its checks, for
     objects derived from checked data. Each field is set as ``__init__``
-    sets it: a ``__dict__`` update would give every object its own dict."""
+    sets it."""
     obj = object.__new__(cls)
     for name in fields:
         object.__setattr__(obj, name, fields[name])

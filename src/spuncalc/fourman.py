@@ -22,43 +22,41 @@ summands dropped. The two cylinder rules are ``spun.parity_form``, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import InvalidMonodromyError, SpuncalcError, echo, require_integers
+from .errors import InvalidMonodromyError, SpuncalcError, Value, echo, require_integers
 from .spun import FourManifoldForm, normalize, parity_form
 
 
-@dataclass(frozen=True)
-class PageForm:
+class PageForm(Value):
     """Boundary connected sum of ``spheres`` sphere cylinders and ``circles``
     circle disks: the atom counts are all the evaluator reads. No atoms is
     the disk page."""
 
-    spheres: int = 0
-    circles: int = 0
+    __slots__ = ("spheres", "circles")
 
-    def __post_init__(self) -> None:
-        require_integers(SpuncalcError, "atom counts must be integers", self.spheres, self.circles)
-        if min(self.spheres, self.circles) < 0:
+    def __init__(self, spheres: int = 0, circles: int = 0) -> None:
+        object.__setattr__(self, "spheres", spheres)
+        object.__setattr__(self, "circles", circles)
+        require_integers(SpuncalcError, "atom counts must be integers", spheres, circles)
+        if min(spheres, circles) < 0:
             raise SpuncalcError("atom counts must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MonodromyForm:
+class MonodromyForm(Value):
     """Twist exponents per cylinder atom plus circle/cylinder push pairs.
 
     Indices are 1-based and count atoms of each kind separately, in page
     order. Every index may appear in at most one push pair.
     """
 
-    twist_exponents: tuple[int, ...] = ()
-    pushes: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    __slots__ = ("twist_exponents", "pushes")
 
-    def __post_init__(self) -> None:
+    def __init__(self, twist_exponents: tuple[int, ...] = (),
+                 pushes: frozenset[tuple[int, int]] = frozenset()) -> None:
         try:
-            twists, pairs = tuple(self.twist_exponents), [(c, s) for c, s in self.pushes]
+            twists, pairs = tuple(twist_exponents), [(c, s) for c, s in pushes]
         except (TypeError, ValueError):
             raise InvalidMonodromyError(
                 "twist exponents must be a list and pushes pairs (c, s)") from None

@@ -41,12 +41,11 @@ gives the free rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidDiagramError, require_integers
+from .errors import InvalidDiagramError, Value, require_integers
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -58,15 +57,19 @@ def _require_square(rows: Sequence[Sequence[int]]) -> None:
         raise InvalidDiagramError("matrix is not square")
 
 
-@dataclass(frozen=True)
-class LinkingMatrix:
+class LinkingMatrix(Value):
     """Symmetric integer matrix: framings on the diagonal, linking numbers
     off it. The constructor checks every entry. No library code builds
     one: ``surgery.linking_matrix`` returns the bare rows of a checked
     diagram."""
 
-    rows: Rows
+    __slots__ = ("rows",)
 
+    def __init__(self, rows: Rows) -> None:
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
+
+    # its own method, so that bench/tracing.py can time the check by this name
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.rows))  # no copy of rows already tuples
         _require_square(rows)
@@ -79,20 +82,20 @@ class LinkingMatrix:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class H1Invariants:
+class H1Invariants(Value):
     """Invariant factors d1 | d2 | ... (each > 1) plus the free rank."""
 
-    factors: tuple[int, ...]
-    free_rank: int
+    __slots__ = ("factors", "free_rank")
 
-    def __post_init__(self) -> None:
-        for d, e in zip(self.factors, self.factors[1:]):
+    def __init__(self, factors: tuple[int, ...], free_rank: int) -> None:
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "free_rank", free_rank)
+        for d, e in zip(factors, factors[1:]):
             if e % d != 0:
                 raise InvalidDiagramError("invariant factors must form a chain")
-        if any(d <= 1 for d in self.factors):
+        if any(d <= 1 for d in factors):
             raise InvalidDiagramError("invariant factors must exceed 1")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise InvalidDiagramError("free rank must be nonnegative")
 
     def describe(self) -> str:

@@ -31,25 +31,23 @@ and its report grow linearly in k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 
-from .errors import SpuncalcError, echo, require_integers, unchecked
+from .errors import SpuncalcError, Value, echo, require_integers, unchecked
 from .homology import min_structured_det
 from .planar import CurveClass, DehnTwist, PlanarPage, TwistWord, parity_vector
 from .spun import FourManifoldForm, normalize, parity_form
 from .surgery import FramedBraidDiagram
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Value):
     """Negative continued fraction: every coefficient at most -2."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        coeffs = tuple(coefficients)
         require_integers(SpuncalcError, "coefficients must be integers", *coeffs)
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs:
@@ -101,13 +99,15 @@ def cf_eval(c: ContinuedFraction) -> tuple[int, int]:
     return (num, den) if den > 0 else (-num, -den)
 
 
-@dataclass(frozen=True)
-class PlumbingChain:
+class PlumbingChain(Value):
     """Intersection matrix of the linear plumbing chain, stored as its
     diagonal: the coefficients a_i, with 1 between neighbours and 0
     elsewhere."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
 
     def det(self) -> int:
         """Continuant recurrence D_i = a_i D_{i-1} - D_{i-2} on the leading
@@ -123,8 +123,7 @@ def plumbing_matrix(c: ContinuedFraction) -> PlumbingChain:
     return PlumbingChain(c.coefficients)
 
 
-@dataclass(frozen=True)
-class SlidLensDiagram:
+class SlidLensDiagram(Value):
     """Closed k-braid produced by the chain of handle slides, stored as its
     framings alone: ``framings[i-1]`` is b_i. Everything else is derived:
     strands i < j link with ``links[i-1]`` = b_i + 1 (the value depends
@@ -133,7 +132,10 @@ class SlidLensDiagram:
     t_r = b_r - b_{r-1} = a_r + 2 for r >= 2.
     """
 
-    framings: tuple[int, ...]
+    __slots__ = ("framings",)
+
+    def __init__(self, framings: tuple[int, ...]) -> None:
+        object.__setattr__(self, "framings", framings)
 
     @property
     def strands(self) -> int:
@@ -200,13 +202,15 @@ def psi_parity(c: ContinuedFraction) -> tuple[int, ...]:
     return tuple(s % 2 for s in accumulate(c.coefficients))
 
 
-@dataclass(frozen=True)
-class LensReconciliation:
+class LensReconciliation(Value):
     """The parities of a lens word next to the reduced parities psi;
     ``agree`` is the hard check that the word governs the target."""
 
-    word_parity: tuple[int, ...]
-    psi: tuple[int, ...]
+    __slots__ = ("word_parity", "psi")
+
+    def __init__(self, word_parity: tuple[int, ...], psi: tuple[int, ...]) -> None:
+        object.__setattr__(self, "word_parity", word_parity)
+        object.__setattr__(self, "psi", psi)
 
     @property
     def agree(self) -> bool:

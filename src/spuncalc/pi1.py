@@ -13,10 +13,9 @@ x -> a renaming).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain
 
-from .errors import InvalidPresentationError, echo, integer, require_integers, unchecked
+from .errors import InvalidPresentationError, Value, echo, integer, require_integers, unchecked
 from .homology import H1Invariants, cokernel_invariants
 
 Word = tuple[int, ...]
@@ -51,17 +50,16 @@ def _words(count: int, words: object, name: str, letter: str) -> tuple[Word, ...
     return words
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Value):
     """The constructor checks every letter; ``pi1_of_open_book`` builds its
     result with ``errors.unchecked``."""
 
-    generator_count: int
-    relators: tuple[Word, ...] = ()
+    __slots__ = ("generator_count", "relators")
 
-    def __post_init__(self) -> None:
+    def __init__(self, generator_count: int, relators: tuple[Word, ...] = ()) -> None:
+        object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "relators", _words(
-            self.generator_count, self.relators, "generator", "letter"))
+            generator_count, relators, "generator", "letter"))
 
     def describe(self, symbol: str = "x") -> str:
         gens = ", ".join(f"{symbol}{i}" for i in range(1, self.generator_count + 1))
@@ -75,18 +73,16 @@ class GroupPresentation:
         }
 
 
-@dataclass(frozen=True)
-class PushPage:
+class PushPage(Value):
     """g circle handles and one pushed loop per sphere cylinder: the loops
     are the spheres, so their count is the sphere count. The constructor
     checks every letter; ``page_for_presentation`` uses ``errors.unchecked``."""
 
-    handle_count: int
-    loops: tuple[Word, ...] = ()
+    __slots__ = ("handle_count", "loops")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "loops", _words(
-            self.handle_count, self.loops, "handle", "loop letter"))
+    def __init__(self, handle_count: int, loops: tuple[Word, ...] = ()) -> None:
+        object.__setattr__(self, "handle_count", handle_count)
+        object.__setattr__(self, "loops", _words(handle_count, loops, "handle", "loop letter"))
 
     def to_json(self) -> dict:
         return {

@@ -52,22 +52,22 @@ generator that they fit the page, runs and holes alike.
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass, field
 from itertools import accumulate, chain
 from typing import Iterable, Union
 
-from .errors import InvalidWordError, SpuncalcError, echo, parse_json, require_integers, unchecked
+from .errors import (InvalidWordError, SpuncalcError, Value, echo, parse_json, require_integers,
+                     unchecked)
 
 
-@dataclass(frozen=True)
-class PlanarPage:
+class PlanarPage(Value):
     """Disk with ``inner_count`` holes; 0 holes is the disk page itself."""
 
-    inner_count: int
+    __slots__ = ("inner_count",)
 
-    def __post_init__(self) -> None:
-        require_integers(InvalidWordError, "inner_count must be an integer", self.inner_count)
-        if self.inner_count < 0:
+    def __init__(self, inner_count: int) -> None:
+        object.__setattr__(self, "inner_count", inner_count)
+        require_integers(InvalidWordError, "inner_count must be an integer", inner_count)
+        if inner_count < 0:
             raise InvalidWordError("inner_count must be nonnegative")
 
 
@@ -96,15 +96,13 @@ def _merged(pairs: Iterable[Run]) -> tuple[Run, ...]:
     return tuple(runs)
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Value):
     """Homology class of a simple closed curve: the holes it encloses, built
     from any iterable of indices and stored as their maximal runs."""
 
-    holes: InitVar[Iterable[int]]
-    runs: tuple[Run, ...] = field(init=False)
+    __slots__ = ("runs",)
 
-    def __post_init__(self, holes: Iterable[int]) -> None:
+    def __init__(self, holes: Iterable[int]) -> None:
         holes = set(holes)
         if holes and set(map(type, holes)) != {int}:
             raise InvalidWordError(
@@ -118,8 +116,10 @@ class CurveClass:
         ``runs``."""
         return tuple(chain.from_iterable(range(first, last + 1) for first, last in self.runs))
 
-    def valid_on(self, page: PlanarPage) -> bool:
-        return self.runs[-1][1] <= page.inner_count
+    def check(self, page: PlanarPage) -> None:
+        if self.runs[-1][1] > page.inner_count:
+            raise InvalidWordError(f"curve {echo(self, str)} does not fit on a page with "
+                                   f"{page.inner_count} inner boundaries")
 
     def __str__(self) -> str:
         return "{%s}" % _runs_text(self.runs)
@@ -146,34 +146,33 @@ def _runs_json(runs: tuple[Run, ...]) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class DehnTwist:
-    curve: CurveClass
+class DehnTwist(Value):
+    __slots__ = ("curve",)
+
+    def __init__(self, curve: CurveClass) -> None:
+        object.__setattr__(self, "curve", curve)
 
     def check(self, page: PlanarPage) -> None:
-        if not self.curve.valid_on(page):
-            raise InvalidWordError(f"curve {echo(self.curve, str)} does not fit on a page with "
-                                   f"{page.inner_count} inner boundaries")
+        self.curve.check(page)
 
     def __str__(self) -> str:
         return f"T{self.curve}"
 
 
-@dataclass(frozen=True)
-class PlanarPush:
+class PlanarPush(Value):
     """Push inner boundary ``boundary`` around a curve of class ``around``."""
 
-    boundary: int
-    around: CurveClass
+    __slots__ = ("boundary", "around")
 
-    def __post_init__(self) -> None:
-        require_integers(InvalidWordError, "a pushed boundary must be an integer", self.boundary)
+    def __init__(self, boundary: int, around: CurveClass) -> None:
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "around", around)
+        require_integers(InvalidWordError, "a pushed boundary must be an integer", boundary)
 
     def check(self, page: PlanarPage) -> None:
         if not 1 <= self.boundary <= page.inner_count:
             raise InvalidWordError(f"pushed boundary {echo(self.boundary)} out of range")
-        if not self.around.valid_on(page):
-            raise InvalidWordError(f"curve {echo(self.around, str)} does not fit on the page")
+        self.around.check(page)
         if any(first <= self.boundary <= last for first, last in self.around.runs):
             raise InvalidWordError("a boundary cannot be pushed around a curve enclosing it")
 
@@ -207,20 +206,20 @@ def _distinct(letters: Iterable[Letter]) -> Iterable[Generator]:
     return {id(gen): gen for gen, _ in letters}.values()
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Value):
     """Word of (generator, exponent) letters on a fixed ambient page; the
     letters come from ``twist``, ``push`` or the parsers, which checked
     their fields. Each distinct generator object is checked against the
     page once, in the order of its first letter; the parsers check each
     as they build it, and build the word with ``errors.unchecked``."""
 
-    page: PlanarPage
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("page", "letters")
 
-    def __post_init__(self) -> None:
-        for gen in _distinct(self.letters):
-            gen.check(self.page)
+    def __init__(self, page: PlanarPage, letters: tuple[Letter, ...] = ()) -> None:
+        object.__setattr__(self, "page", page)
+        object.__setattr__(self, "letters", letters)
+        for gen in _distinct(letters):
+            gen.check(page)
 
     def has_pushes(self) -> bool:
         return any(isinstance(gen, PlanarPush) for gen, _ in self.letters)

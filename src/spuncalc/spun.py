@@ -23,12 +23,11 @@ dimension by one; reports record that as a note rather than compute it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
 from .errors import (ConditionNotApplicableError, MalformedPairingError, PushLetterError,
-                     SpuncalcError, echo, require_integers)
+                     SpuncalcError, Value, echo, require_integers)
 from .planar import PlanarPage, PlanarPush, TwistWord, parity_vector, word_to_json
 
 DIMENSION_RAISING_NOTE = (
@@ -37,21 +36,22 @@ DIMENSION_RAISING_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class FourManifoldForm:
+class FourManifoldForm(Value):
     """Connected sum of S^1 x S^3, S^2 x S^2 and S^2 x~ S^2 summands.
 
     The empty form is the 4-sphere, the identity of connected sum.
     """
 
-    s1_cross_sphere: int = 0
-    trivial_bundle: int = 0
-    twisted_bundle: int = 0
+    __slots__ = ("s1_cross_sphere", "trivial_bundle", "twisted_bundle")
 
-    def __post_init__(self) -> None:
+    def __init__(self, s1_cross_sphere: int = 0, trivial_bundle: int = 0,
+                 twisted_bundle: int = 0) -> None:
+        object.__setattr__(self, "s1_cross_sphere", s1_cross_sphere)
+        object.__setattr__(self, "trivial_bundle", trivial_bundle)
+        object.__setattr__(self, "twisted_bundle", twisted_bundle)
         require_integers(SpuncalcError, "summand counts must be integers",
-                         self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle)
-        if min(self.s1_cross_sphere, self.trivial_bundle, self.twisted_bundle) < 0:
+                         s1_cross_sphere, trivial_bundle, twisted_bundle)
+        if min(s1_cross_sphere, trivial_bundle, twisted_bundle) < 0:
             raise SpuncalcError("summand counts must be nonnegative")
 
     def is_spin(self) -> bool:
@@ -102,14 +102,17 @@ def normalize(form: FourManifoldForm) -> FourManifoldForm:
     return form
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(Value):
     """Target data for one planar open book, on its word's page."""
 
-    word: TwistWord
-    parity: tuple[int, ...]
-    raw: FourManifoldForm
-    normalized: FourManifoldForm
+    __slots__ = ("word", "parity", "raw", "normalized")
+
+    def __init__(self, word: TwistWord, parity: tuple[int, ...], raw: FourManifoldForm,
+                 normalized: FourManifoldForm) -> None:
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "normalized", normalized)
 
     @property
     def spin(self) -> bool:

@@ -32,12 +32,11 @@ sign conventions in force (also echoed in every CLI report):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
 from typing import Callable
 
-from .errors import (InvalidDiagramError, InvalidMoveError, echo, integers, parse_json,
+from .errors import (InvalidDiagramError, InvalidMoveError, Value, echo, integers, parse_json,
                      require_integers, unchecked)
 from .homology import H1Invariants, Rows, cokernel_invariants
 from .modp import invariants_agree
@@ -63,37 +62,36 @@ def _require_at_most_max_strands(strands: int) -> None:
         raise InvalidDiagramError(f"at most {MAX_STRANDS} strands, got {strands}")
 
 
-@dataclass(frozen=True)
-class FramedBraidDiagram:
+class FramedBraidDiagram(Value):
     """Pure braid word about the axis plus one framing per strand; the derived
     ``net_linking`` maps each linked pair i < j to its exponent sum. The
     constructor checks every field; the moves build their results with
     ``errors.unchecked``."""
 
-    strands: int
-    braid_word: tuple[BraidLetter, ...] = ()
-    framings: tuple[int, ...] = ()
-    net_linking: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("strands", "braid_word", "framings", "net_linking")
+    _compared = ("strands", "braid_word", "framings")  # net_linking is derived from them
 
-    def __post_init__(self) -> None:
+    def __init__(self, strands: int, braid_word: tuple[BraidLetter, ...] = (),
+                 framings: tuple[int, ...] = ()) -> None:
         try:
-            word = tuple((i, j, e) for i, j, e in self.braid_word)
-            framings = tuple(self.framings)
+            word = tuple((i, j, e) for i, j, e in braid_word)
+            framings = tuple(framings)
         except (TypeError, ValueError):
             raise InvalidDiagramError(
                 "framings must be a list and braid letters triples (i, j, e)") from None
         require_integers(InvalidDiagramError, "strands, framings and braid letters must be integers",
-                         self.strands, *framings, *chain(*word))
-        if self.strands < 0:
+                         strands, *framings, *chain(*word))
+        if strands < 0:
             raise InvalidDiagramError("strand count must be nonnegative")
+        object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "braid_word", word)
         object.__setattr__(self, "framings", framings)
-        if len(framings) != self.strands:
-            raise InvalidDiagramError(f"{len(framings)} framings for {echo(self.strands)} strands")
-        _require_at_most_max_strands(self.strands)
+        if len(framings) != strands:
+            raise InvalidDiagramError(f"{len(framings)} framings for {echo(strands)} strands")
+        _require_at_most_max_strands(strands)
         links: dict[tuple[int, int], int] = {}
         for i, j, e in word:
-            if not (1 <= i < j <= self.strands):
+            if not (1 <= i < j <= strands):
                 raise InvalidDiagramError(f"braid letter ({echo(i)},{echo(j)}) out of range")
             if e == 0:
                 raise InvalidDiagramError(f"braid letter ({echo(i)},{echo(j)}) has exponent 0")

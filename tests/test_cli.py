@@ -935,3 +935,16 @@ presentations = st.text(max_size=40) | st.lists(
 @settings(max_examples=200, deadline=None)
 def test_presentation_input_boundary(text):
     check_input_boundary(["pi1", "g"], {"g": text})
+
+
+@pytest.mark.parametrize("name, word", [
+    ("w.txt", "T{2..4}"),
+    ("w.txt", "P{1|2..4}"),
+    ("w.json", '[{"op": "twist", "curve": [[2, 4]]}]'),
+    ("w.json", '[{"op": "push", "boundary": 1, "around": [[2, 4]]}]'),
+], ids=["text-twist", "text-push", "json-twist", "json-push"])
+def test_twists_and_pushes_word_an_off_page_curve_alike(tmp_path, monkeypatch, capsys, name, word):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(word)
+    assert run(capsys, "embed", "--page", "3", "--word", name) == (
+        2, "", "error: curve {2..4} does not fit on a page with 3 inner boundaries\n")

@@ -3,7 +3,6 @@
 import json
 import random
 import tracemalloc
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -218,7 +217,7 @@ def test_a_curve_stores_its_sorted_distinct_holes(indices, rng):
     lo, hi = min(indices), max(indices)
     assert CurveClass(range(lo, hi + 1)).enclosed == tuple(range(lo, hi + 1))
     assert CurveClass(range(hi, lo - 1, -1)) == CurveClass(range(lo, hi + 1))
-    assert [f.name for f in fields(CurveClass)] == ["runs"]
+    assert list(CurveClass.__slots__) == ["runs"]
 
 
 def test_non_integer_letter_fields_rejected():

@@ -59,22 +59,28 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
 # module that turns parities into targets, so the atom evaluator in
 # fourman is on neither its path nor the lens path; the lens value is an
 # exact pair of ints, so no command loads fractions (nor decimal, which it
-# imports)
+# imports); the value classes are plain classes, so no import loads
+# dataclasses, and only a timestamped report loads datetime. A key may
+# name interpreter flags after the module: with -S, no .pth hook of site
+# loads a module the import itself would not, so only corpus commands
+# load importlib.resources and nothing loads pathlib
 UNRELATED = {
     "spuncalc.planar": ("spuncalc.cli", "spuncalc.lens", "spuncalc.surgery"),
     "spuncalc.spun": ("spuncalc.cli", "spuncalc.lens", "spuncalc.surgery", "spuncalc.fourman"),
     "spuncalc.lens": ("spuncalc.cli", "spuncalc.fourman"),
-    "spuncalc.cli": ("fractions", "decimal"),
+    "spuncalc.cli": ("fractions", "decimal", "dataclasses", "datetime"),
+    "spuncalc.cli -S": ("importlib.resources", "pathlib"),
 }
 
 
-@pytest.mark.parametrize("module", UNRELATED)
-def test_importing_one_module_loads_no_unrelated_one(module):
+@pytest.mark.parametrize("key", UNRELATED)
+def test_importing_one_module_loads_no_unrelated_one(key):
     # the package re-exports nothing, so its modules load only what they import
+    module, *flags = key.split()
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
     code = (f"import sys, {module}; "
-            f"print(sorted(m for m in {UNRELATED[module]!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+            f"print(sorted(m for m in {UNRELATED[key]!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out == "[]\n"
 
