@@ -58,7 +58,9 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict,
     ``outputs`` is called only under --json, and ``lines``, a generator, is
     iterated only in text mode. The whole report is built before any of it
     is printed, so a value too long to print (an int of more than 4,300
-    digits has no str()) is bad input that leaves stdout empty."""
+    digits has no str()) is bad input that leaves stdout empty. The report
+    is a tree that ``outputs`` builds afresh, so it holds no cycle and the
+    encoder skips its cycle check."""
     try:
         if not args.json:
             text = "\n".join(lines)
@@ -76,7 +78,7 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict,
                 from datetime import datetime, timezone  # only a timestamped report loads it
 
                 report["generated_at"] = datetime.now(timezone.utc).isoformat()
-            text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+            text = json.dumps(report, sort_keys=True, separators=(",", ":"), check_circular=False)
     except SpuncalcError:
         raise
     except ValueError as exc:

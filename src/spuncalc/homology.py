@@ -9,34 +9,41 @@ a surgered 3-manifold is read off the Smith normal form of its linking
 matrix: the nontrivial invariant factors give the torsion and the corank
 gives the free rank.
 
-``smith_diagonal`` runs in three phases, each removing what it can:
+``smith_diagonal`` costs one Bareiss elimination plus work that grows
+with the answer. It runs in three phases, each removing what it can:
 
 1. Over Z, while the block holds a +-1, that entry is the pivot: one row
-   pass clears its column, then its row and column are dropped. The step
-   is unimodular, so the cleared row needs no column pass, and every
-   entry left is a minor of the input (the pivots multiply to +-1), so
-   entries grow no faster than under Bareiss.
+   pass, in place and only at the pivot row's nonzero columns, clears its
+   column, then its row and column are dropped. The step is unimodular,
+   so the cleared row needs no column pass, and every entry left is a
+   minor of the input (the pivots multiply to +-1), so entries grow no
+   faster than under Bareiss.
 2. If the residual block B is square, k x k, with D = |det B| != 0 and
-   invariant factors s_1 | ... | s_k, its cyclic part is split off first.
-   s_1 ... s_{k-1} is the gcd of all (k-1)-minors of B, and by Sylvester's
-   identity the trailing 2 x 2 block of Bareiss just before its last step
-   holds four of them (a row swap there only permutes them); let g be
-   their gcd (1 when k = 1: the empty minor). Write D = D_c D_m, where D_m
-   collects every prime power of D whose prime divides gcd(D, g). No prime
-   of D_c divides g, so none divides s_{k-1}: the D_c-part of coker B is
-   cyclic, and coker B = Z/D_c + coker B (x) Z/D_m. Phase 2 ends at this
-   split; when D_m = 1 the factors are 1, ..., 1, D.
-3. One finisher takes the rest, over Z or modulo D_m: a singular or
-   rectangular residual over Z, a nonsingular one reduced mod D_m, units
-   mod D_m included. Row and column operations, each combining two lines
-   through the extended gcd of their leading entries, are unimodular, so
-   they keep coker B (x) Z/D_m, which is the sum of the Z/gcd(s_i, D_m),
-   that is, of Z/s_1, ..., Z/s_{k-1} and Z/(s_k / D_c). They make the
-   block diagonal, each line reduced mod D_m as it is built, and a
-   diagonal d_1, ..., d_k presents the sum of the Z/gcd(d_i, D_m) (of the
-   Z/d_i over Z). Replacing each pair of these factors by their gcd and
-   lcm keeps the sum and leaves a divisibility chain. The last factor is
-   then multiplied by D_c.
+   invariant factors s_1 | ... | s_k, s_1 ... s_{k-1} is the gcd of all
+   (k-1)-minors of B. By Sylvester's identity the trailing 2 x 2 block of
+   Bareiss just before its last step holds four of them (a row swap there
+   only permutes them); let g be their gcd (1 when k = 1: the empty
+   minor), and h = gcd(D, g). A prime of D that does not divide h does
+   not divide s_{k-1}, so its part of coker B is cyclic: when h = 1 the
+   factors are 1, ..., 1, D.
+3. Otherwise the primes of h are read one at a time (Dumas, Saunders and
+   Villard, J. Symbolic Comput. 2001), those below TRIAL_BOUND found by
+   trial division. At each such p, with e = v_p(D), the r_p = k - rank_{F_p}(B)
+   factors that p divides carry p^e between them: r_p = e leaves (Z/p)^e,
+   r_p = 1 leaves Z/p^e, and otherwise p^e is left to the finisher. So is
+   the part of D at a cofactor of h that trial division leaves. One
+   finisher call, modulo the product M of what is left, gives the chain of
+   the Z/gcd(s_i, M). These chains multiply position by position, and
+   D_c, the rest of D, goes on the last factor.
+
+The finisher also takes a singular or rectangular residual, over Z. Row
+and column operations, each combining two lines through the extended gcd
+of their leading entries, are unimodular, so modulo M they keep coker B
+(x) Z/M, the sum of the Z/gcd(s_i, M). They make the block diagonal, each
+line reduced mod M as it is built, and a diagonal d_1, ..., d_k presents
+the sum of the Z/gcd(d_i, M) (of the Z/d_i over Z). Replacing each pair
+of these factors by their gcd and lcm keeps the sum and leaves a
+divisibility chain.
 """
 
 from __future__ import annotations
@@ -125,11 +132,13 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
                     break
             else:
                 return 0, minors
-        pivot = m[i][i]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * pivot - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
+        top = m[i]
+        pivot = top[i]
+        cols = range(i + 1, n)
+        for row in m[i + 1:]:
+            a = row[i]
+            for c in cols:
+                row[c] = (row[c] * pivot - a * top[c]) // prev
         prev = pivot
     return sign * m[n - 1][n - 1], minors
 
@@ -166,24 +175,31 @@ def min_structured_det(values: Sequence[int], diagonal: Sequence[int]) -> int:
 
 def _unit_pivots(m: list[list[int]]) -> tuple[list[list[int]], int]:
     """Clear +-1 pivots over Z, dropping each pivot's row and column.
-    Returns the residual block and the number of pivots cleared."""
-    cleared = 0
+    Returns the residual block and the number of pivots cleared. The pivot
+    is the first unit of the first row that holds one (a 1 before a -1);
+    it updates, in place, the rows with a nonzero in its column, at its
+    own row's nonzero columns only. A cleared column is zero in every row
+    left, so it holds no unit and is dropped once, at the end."""
+    cleared: list[int] = []
     while True:
         for i, row in enumerate(m):
             if 1 in row or -1 in row:
                 break
         else:
-            return m, cleared
+            break
         c = row.index(1) if 1 in row else row.index(-1)
-        pivot_row = m.pop(i)
-        unit = pivot_row.pop(c)  # its own inverse
-        rest = []
-        for row in m:
-            if f := row.pop(c) * unit:
-                row = [a - f * b for a, b in zip(row, pivot_row)]
-            rest.append(row)
-        m = rest
-        cleared += 1
+        del m[i]
+        unit = row[c]  # its own inverse
+        support = [(j, unit * b) for j, b in enumerate(row) if b]
+        for other in m:
+            if f := other[c]:
+                for j, b in support:
+                    other[j] -= f * b
+        cleared.append(c)
+    if cleared:
+        live = sorted(set(range(len(m[0]) if m else 0)).difference(cleared))
+        m = [[row[j] for j in live] for row in m]
+    return m, len(cleared)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -243,6 +259,45 @@ def _gcd_diagonal(m: list[list[int]], modulus: int) -> list[int]:
     return diag
 
 
+def _rank_mod(m: list[list[int]], p: int) -> int:
+    """Rank over F_p of an integer matrix. Each row in turn, if nonzero
+    mod p, is a pivot that clears its leading column from the rows left."""
+    rows = [[a % p for a in row] for row in m]
+    rank = 0
+    while rows:
+        v = rows.pop()
+        j = next((j for j, a in enumerate(v) if a), None)
+        if j is None:
+            continue
+        inverse = pow(v[j], -1, p)
+        for i, row in enumerate(rows):
+            if f := row[j] * inverse % p:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, v)]
+        rank += 1
+    return rank
+
+
+# trial division of gcd(D, g) tries 2 and the odd numbers below this bound
+TRIAL_BOUND = 1000
+
+
+def _small_primes(h: int) -> tuple[list[int], int]:
+    """The primes of h > 0 below TRIAL_BOUND, and the cofactor they leave:
+    1, or an int with no prime below the bound. A cofactor below the
+    square of the last trial divisor is itself prime and joins the list."""
+    primes = []
+    d = 2
+    while d < TRIAL_BOUND and d * d <= h:
+        if h % d == 0:
+            primes.append(d)
+            while h % d == 0:
+                h //= d
+        d += 1 if d == 2 else 2  # an odd composite's primes are gone already
+    if 1 < h < d * d:
+        return primes + [h], 1
+    return primes, h
+
+
 def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     """Diagonal of the Smith normal form (nonnegative, divisibility chain).
 
@@ -258,23 +313,41 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     diag = [1] * ones
     if not m:
         return diag
-    square = len(m) == len(m[0])
-    determinant, minors = _bareiss([row[:] for row in m]) if square else (0, 1)
+    k = len(m)
+    determinant, minors = _bareiss([row[:] for row in m]) if k == len(m[0]) else (0, 1)
     if not determinant:
         return diag + _gcd_diagonal(m, 0)
-    # |determinant| = cyclic * modulus: modulus takes each prime power whose
-    # prime divides the minors, cyclic the rest
-    cyclic = abs(determinant)
+    cyclic = abs(determinant)  # divided below by each prime power of h
     h = gcd(cyclic, minors)
-    while h > 1:
-        cyclic //= h
-        h = gcd(cyclic, h)
-    modulus = abs(determinant) // cyclic
-    if modulus == 1:
-        return diag + [1] * (len(m) - 1) + [cyclic]
-    diag += _gcd_diagonal([[a % modulus for a in row] for row in m], modulus)
-    diag[-1] *= cyclic
-    return diag
+    if h == 1:
+        return diag + [1] * (k - 1) + [cyclic]
+    local = [1] * k
+    modulus = 1  # the part of D that the ranks leave to the finisher
+    primes, rest = _small_primes(h)
+    for p in primes:
+        e = 0
+        while cyclic % p == 0:
+            cyclic //= p
+            e += 1
+        r = k - _rank_mod(m, p)  # how many of s_1, ..., s_k p divides
+        if r == e:
+            local[k - e:] = [a * p for a in local[k - e:]]
+        elif r == 1:
+            local[-1] *= p ** e
+        else:
+            modulus *= p ** e
+    if rest > 1:
+        # the cofactor's part of D: each prime power of D whose prime divides it
+        part, t = cyclic, gcd(cyclic, rest)
+        while t > 1:
+            cyclic //= t
+            t = gcd(cyclic, t)
+        modulus *= part // cyclic
+    if modulus > 1:
+        finished = _gcd_diagonal([[a % modulus for a in row] for row in m], modulus)
+        local = [a * b for a, b in zip(local, finished)]
+    local[-1] *= cyclic
+    return diag + local
 
 
 def cokernel_invariants(entries: Iterable[Sequence[int]], columns: int) -> H1Invariants:

@@ -52,8 +52,9 @@ SIGN_CONVENTIONS = {
 BraidLetter = tuple[int, int, int]
 
 # most strands a diagram may have: a move chain takes a Smith form of its
-# input, whose cost grows faster than the cube of the strand count (a dense
-# 199-strand chain of three moves takes about 4 s on a 2-core machine)
+# input, which costs about one Bareiss elimination, growing faster than the
+# cube of the strand count (a dense 199-strand chain of three moves takes
+# about 1.4 s on a 2-core machine)
 MAX_STRANDS = 200
 
 
@@ -190,7 +191,7 @@ def _rank_one(links: dict[tuple[int, int], int], framings: list[int], u: list[in
         framings[i - 1] += s * u[i - 1] ** 2
         for j in support[a + 1:]:
             links[i, j] = links.get((i, j), 0) + s * u[i - 1] * u[j - 1]
-    links = {pair: n for pair, n in sorted(links.items()) if n}
+    links = {pair: n for pair in sorted(links) if (n := links[pair])}
     return unchecked(FramedBraidDiagram, strands=len(framings), framings=tuple(framings),
                      braid_word=tuple((i, j, n) for (i, j), n in links.items()), net_linking=links)
 

@@ -591,8 +591,8 @@ REPEATED_FILES = {
                          "T{1}^-2 T{1,3}^2 T{3} T{1}\n",
 }
 
-# H1 = Z/2 + Z/4: D = D_m = 8, and the Smith form's finisher runs modulo 8 on
-# a block that holds units mod 8
+# H1 = Z/2 + Z/4: D = 8, and the rank mod 2 leaves r_2 = 2 of e = 3, so the
+# Smith form's finisher runs modulo 8 on a block that holds units mod 8
 SMITH_FILES = {
     "unit-mod-8.txt": "strands 3\nframings -2 3 -2\nA 1 2 -2\nA 1 3 +2\nA 2 3 +4\n",
 }

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spuncalc import homology
+from spuncalc import cli, homology, surgery
 from spuncalc.errors import InvalidDiagramError
 from spuncalc.homology import (
     H1Invariants,
@@ -274,66 +274,81 @@ def test_smith_mixed_phases(core, row, col):
 
 def test_each_smith_phase_is_reached(monkeypatch):
     seen = []
-    unit_pivots, finisher = homology._unit_pivots, homology._gcd_diagonal
+    unit_pivots, rank_mod = homology._unit_pivots, homology._rank_mod
+    finisher = homology._gcd_diagonal
 
     def spy_units(m):
         m, cleared = unit_pivots(m)
         seen.append(("units", cleared))
         return m, cleared
 
+    def spy_rank(m, p):
+        seen.append(("rank", p))
+        return rank_mod(m, p)
+
     def spy_finisher(m, modulus):
-        # modulo D_m the finisher works on residues only
+        # modulo a part of D the finisher works on residues only
         assert not modulus or all(0 <= a < modulus for row in m for a in row)
         seen.append(("finisher", modulus, len(m), len(m[0])))
         return finisher(m, modulus)
 
     monkeypatch.setattr(homology, "_unit_pivots", spy_units)
+    monkeypatch.setattr(homology, "_rank_mod", spy_rank)
     monkeypatch.setattr(homology, "_gcd_diagonal", spy_finisher)
-    # cyclic exit: core [[4, 6], [9, 6]] has determinant -30 and minors
-    # with gcd 1, so H1 is Z/30 and no modular phase runs
-    m = framed([[4, 6], [9, 6]], [2, -1], [1, 3])
-    assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 1, 30]
-    assert seen == [("units", 1)]
+
+    def route(m, factors, *steps):
+        seen.clear()
+        assert smith_diagonal(m) == snf_oracle(m, len(m), len(m[0])) == factors
+        assert seen == list(steps)
+
+    # the cyclic exit: core [[4, 6], [9, 6]] has determinant -30 and minors
+    # with gcd 1, so H1 is Z/30 and no prime is looked at
+    route(framed([[4, 6], [9, 6]], [2, -1], [1, 3]), [1, 1, 30], ("units", 1))
+    # a -1 is a pivot over Z too; the residual [10] is 1 x 1, so cyclic
+    route([[-1, 2], [3, 4]], [1, 10], ("units", 1))
     seen.clear()
     m = random_symmetric(random.Random(3), 12)
     assert smith_diagonal(m) == [1] * 11 + [abs(det(m))]
     assert seen == [("units", 2)]
-    seen.clear()
-    # the finisher modulo D_m on a block that holds units mod D_m: D = 12,
-    # the four trailing minors share the 3 that s_2 = 1 lacks, so D_m = 3
-    # and D_c = 4
-    m = [[0, 2, 0], [0, 3, -2], [-3, 0, 0]]
-    assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 1, 12]
-    assert seen == [("units", 0), ("finisher", 3, 3, 3)]
-    seen.clear()
-    # the finisher modulo D_m < D: det 60 splits into D_c = 15 and D_m = 4
-    # (the minors' gcd is 2); it finds 2, 2 mod 4, and 15 goes on the last
-    assert smith_diagonal([[2, 0], [0, 30]]) == [2, 30]
-    assert seen == [("units", 0), ("finisher", 4, 2, 2)]
-    seen.clear()
-    # 2 * [[3, 1], [1, 1]]: D = D_m = 8 and no entry is a unit mod 8
-    assert smith_diagonal([[6, 2], [2, 2]]) == [2, 4]
-    assert seen == [("units", 0), ("finisher", 8, 2, 2)]
-    seen.clear()
-    # no entry is a unit mod D_m = 18 and their content is 1
-    m = [[-2, -2, 0], [0, 3, 3], [-2, -2, -3]]
-    assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 3, 6]
-    assert seen == [("units", 0), ("finisher", 18, 3, 3)]
-    seen.clear()
-    # a -1 is a pivot over Z too; the residual [10] is 1 x 1, so cyclic
-    assert smith_diagonal([[-1, 2], [3, 4]]) == [1, 10]
-    assert seen == [("units", 1)]
-    seen.clear()
+    # r_p = e: det 60 and minors' gcd 2, so p = 2 with e = 2; the rank mod 2
+    # is 0, so r_2 = 2 and the 2-part is (Z/2)^2; 15 goes on the last factor
+    route([[2, 0], [0, 30]], [2, 30], ("units", 0), ("rank", 2))
+    # r_p = 1 = e at p = 2 and r_p = e = 2 at p = 3: D = 18, D_c = 1
+    route([[-2, -2, 0], [0, 3, 3], [-2, -2, -3]], [1, 3, 6],
+          ("units", 0), ("rank", 2), ("rank", 3))
+    # r_p = 1 < e: D = 36 and the minors share a 3, whose e is 2, but the
+    # rank mod 3 is 2, so the 3-part is Z/9
+    route([[3, -3, -2], [3, -2, 0], [-3, 9, 2]], [1, 1, 36], ("units", 0), ("rank", 3))
+    # neither: 2 [[3, 1], [1, 1]] has D = 8 and rank 0 mod 2, so r_2 = 2
+    # while e = 3, and the finisher runs modulo 8
+    route([[6, 2], [2, 2]], [2, 4], ("units", 0), ("rank", 2), ("finisher", 8, 2, 2))
+    # a cofactor above the trial bound: q = 1009 * 1013 exceeds the square
+    # of the last trial divisor, so the finisher runs modulo its part of D,
+    # q^2, and the 2 of D goes on the last factor
+    q = 1009 * 1013
+    assert q > homology.TRIAL_BOUND ** 2
+    route([[q, 0], [0, 2 * q]], [q, 2 * q], ("units", 0), ("finisher", q * q, 2, 2))
     # the finisher over Z: singular, after the unit in the middle row
     # clears the top row
-    m = [[2, 4, 6], [1, 2, 3], [0, 5, 5]]
-    assert smith_diagonal(m) == snf_oracle(m, 3, 3) == [1, 5, 0]
-    assert seen == [("units", 1), ("finisher", 0, 2, 2)]
-    seen.clear()
+    route([[2, 4, 6], [1, 2, 3], [0, 5, 5]], [1, 5, 0], ("units", 1), ("finisher", 0, 2, 2))
     # and rectangular, with no unit anywhere
-    m = [[2, 4, 4], [6, 0, 3]]
-    assert smith_diagonal(m) == snf_oracle(m, 2, 3) == [1, 6]
-    assert seen == [("units", 0), ("finisher", 0, 2, 3)]
+    route([[2, 4, 4], [6, 0, 3]], [1, 6], ("units", 0), ("finisher", 0, 2, 3))
+
+
+def minor_rank(m, p):
+    """Rank over F_p as the largest size of a minor that p does not divide."""
+    rows, cols = len(m), len(m[0])
+    return max((size for size in range(1, min(rows, cols) + 1)
+                for rs in combinations(range(rows), size)
+                for cs in combinations(range(cols), size)
+                if cofactor_det([[m[r][c] for c in cs] for r in rs]) % p), default=0)
+
+
+@given(matrices(st.integers(-9, 9), rows=st.integers(1, 4), cols=st.integers(1, 5)),
+       st.sampled_from([2, 3, 5, 7, 1009]))
+@settings(max_examples=200, deadline=None)
+def test_rank_mod_matches_the_minors(m, p):
+    assert homology._rank_mod(m, p) == minor_rank(m, p)
 
 
 def trailing_minors_gcd(m):
@@ -401,6 +416,31 @@ def test_smith_splits_off_the_cyclic_part(case):
     assert smith_diagonal(m) == snf_oracle(m, k, k) == d
 
 
+# small primes, and two above the trial bound whose product is a cofactor
+# that trial division leaves
+LOCAL_PRIMES = (2, 3, 5, 1009, 1013)
+
+
+@st.composite
+def prime_power_diagonals(draw):
+    """U diag(d) V, U and V products of transvections and d a divisibility
+    chain: at each drawn prime, a sorted list of exponents."""
+    k = draw(st.integers(2, 4))
+    d = [1] * k
+    for p in draw(st.lists(st.sampled_from(LOCAL_PRIMES), max_size=3, unique=True)):
+        exponents = sorted(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+        d = [a * p ** e for a, e in zip(d, exponents)]
+    diag = [[d[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    return product(product(unimodular(draw, k), diag), unimodular(draw, k)), d
+
+
+@given(prime_power_diagonals())
+@settings(max_examples=150, deadline=None)
+def test_smith_reads_each_local_part(case):
+    m, d = case
+    assert smith_diagonal(m) == d
+
+
 def random_symmetric(rng, n):
     m = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -420,3 +460,44 @@ def test_smith_matches_sympy(n, seed):
     m = random_symmetric(random.Random(f"{n}:{seed}"), n)
     s = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
     assert smith_diagonal(m) == [abs(int(s[i, i])) for i in range(n)]
+
+
+def dense_chain(n):
+    """Every pair of n strands linked once, with random framings, drawn as
+    in the dense chain of the CI workflow."""
+    rng = random.Random(1)
+    framings = [rng.randint(-9, 9) for _ in range(n)]
+    word = [(i, j, rng.choice((1, -1))) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return surgery.FramedBraidDiagram(n, word, framings)
+
+
+def test_a_dense_chain_takes_one_smith_form_and_no_finisher(monkeypatch):
+    # at 61 strands H1's 2-part is (Z/2)^31, so the rank mod 2 settles it
+    d = dense_chain(61)
+    calls = []
+    smith, rank_mod = homology.smith_diagonal, homology._rank_mod
+
+    def spy_smith(entries):
+        calls.append("smith")
+        return smith(entries)
+
+    def spy_rank(m, p):
+        calls.append(("rank", p))
+        return rank_mod(m, p)
+
+    def no_finisher(m, modulus):
+        raise AssertionError(f"finisher modulo {modulus} on the dense chain")
+
+    monkeypatch.setattr(homology, "smith_diagonal", spy_smith)
+    monkeypatch.setattr(homology, "_rank_mod", spy_rank)
+    monkeypatch.setattr(homology, "_gcd_diagonal", no_finisher)
+    factors = cokernel_invariants(surgery.linking_matrix(d), columns=61).factors
+    assert factors[:31] == (2,) * 31 and factors[-1] % 4 == 2
+    assert calls == ["smith", ("rank", 2)]
+    calls.clear()
+    moves = [{"move": "blow_up", "region": [1, 5, 9], "sign": 1},
+             {"move": "rolfsen_twist", "component": 62, "twists": -2},
+             {"move": "blow_down", "component": 62}]
+    _, checks, _ = cli.surgery_report(d, moves)
+    assert all(check["passed"] for check in checks)
+    assert calls.count("smith") == 1
