@@ -7,8 +7,9 @@ function as ``spuncalc lens``, ``embed``, ``certify-s4`` or ``surgery``. An
 page and monodromy, with no checks; no command but ``corpus run`` calls it.
 A case passes when its report's outputs contain its ``expect`` (dicts key
 by key) and its exit code equals its ``exit`` (0 when absent).
-``run_corpus`` reports one pass/fail line per case; the same fixtures back
-the acceptance test suite.
+``run_corpus`` returns one row per case, a dict of its ``file``, ``name``,
+``passed`` and ``detail`` (the mismatches of a failed case, else empty);
+the same fixtures back the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -17,23 +18,7 @@ import json
 from typing import Iterator
 
 from . import fourman, surgery
-from .errors import Value
 from .planar import PlanarPage, word_from_json
-
-
-class CaseResult(Value):
-    __slots__ = ("file", "name", "passed", "detail")
-
-    def __init__(self, file: str, name: str, passed: bool, detail: str = "") -> None:
-        object.__setattr__(self, "file", file)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        suffix = f" ({self.detail})" if self.detail and not self.passed else ""
-        return f"{status}: {self.name}{suffix}"
 
 
 def fixture_names() -> list[str]:
@@ -89,7 +74,7 @@ def _replay(kind: str, case: dict) -> tuple[bool, str]:
     return not problems, "; ".join(problems)
 
 
-def run_corpus() -> list[CaseResult]:
+def run_corpus() -> list[dict]:
     results = []
     for name in fixture_names():
         fixture = load_fixture(name)
@@ -99,5 +84,6 @@ def run_corpus() -> list[CaseResult]:
                 passed, detail = _replay(kind, case)
             except Exception as exc:  # a fixture must never crash the runner
                 passed, detail = False, f"{type(exc).__name__}: {exc}"
-            results.append(CaseResult(file=name, name=case["name"], passed=passed, detail=detail))
+            results.append({"file": name, "name": case["name"], "passed": passed,
+                            "detail": detail})
     return results

@@ -25,8 +25,8 @@ with the answer. It runs in three phases, each removing what it can:
    only permutes them); let g be their gcd (1 when k = 1: the empty
    minor), and h = gcd(D, g). A prime of D that does not divide h does
    not divide s_{k-1}, so its part of coker B is cyclic: when h = 1 the
-   factors are 1, ..., 1, D.
-3. Otherwise the primes of h are read one at a time (Dumas, Saunders and
+   factors are 1, ..., 1, D, which phase 3 gives with no prime to read.
+3. The primes of h are read one at a time (Dumas, Saunders and
    Villard, J. Symbolic Comput. 2001), those below TRIAL_BOUND found by
    trial division. At each such p, with e = v_p(D), the r_p = k - rank_{F_p}(B)
    factors that p divides carry p^e between them: r_p = e leaves (Z/p)^e,
@@ -319,8 +319,6 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
         return diag + _gcd_diagonal(m, 0)
     cyclic = abs(determinant)  # divided below by each prime power of h
     h = gcd(cyclic, minors)
-    if h == 1:
-        return diag + [1] * (k - 1) + [cyclic]
     local = [1] * k
     modulus = 1  # the part of D that the ranks leave to the finisher
     primes, rest = _small_primes(h)

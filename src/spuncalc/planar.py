@@ -23,20 +23,21 @@ constructors check this for the letter they build. Those checks sit at
 the boundary, in the parsers and the constructors, while a library
 builder that derives curves from data it has already checked (the lens
 and surgery words) builds them and their words with ``errors.unchecked``.
-A JSON letter with a field its op does not take is an error. A word is a
-sequence over a small alphabet of generators, so it is read over its
-distinct parts: ``parse_word`` reads each distinct token (``T{1,3}^2``)
-once and builds the generator of each distinct generator text
-(``T{1,3}``, ``P{2|1}``) once, and ``word_from_json`` builds that of each
-distinct ``repr`` of its fields (``[1]``, ``[1.0]`` and ``[True]`` are
-three keys, where the values themselves would hash alike) and checks
-every exponent at every letter. A word checks each distinct generator
-object against its page once; the parsers check each as they build it, so
-an error names the first bad letter, and ``word_to_text`` formats each
-distinct generator once per word. The readers give the curves of a word
-one shared pair (i, i) per hole, so a word allocates and stores one per
-hole rather than one per hole of each curve. ``exponent_vector`` sums on
-a difference array: two updates per run of a twist and per push.
+A JSON letter with a field its op does not take is an error. A text
+word is a sequence over a small alphabet of tokens, so ``parse_word``
+reads it over its distinct parts: each distinct token (``T{1,3}^2``)
+once, and the generator of each distinct generator text (``T{1,3}``,
+``P{2|1}``) once. ``word_from_json`` reads a JSON word letter by letter,
+building and checking each letter's generator as it reads it: a key for
+a letter's fields, which would have to tell ``1``, ``1.0`` and ``True``
+apart, costs more than the repeated letters it would save. A word checks
+each distinct generator object against its page once; the parsers check
+each as they build it, so an error names the first bad letter, and
+``word_to_text`` formats each distinct generator once per word. The
+readers give the curves of a word one shared pair (i, i) per hole, so a
+word allocates and stores one per hole rather than one per hole of each
+curve. ``exponent_vector`` sums on a difference array: two updates per
+run of a twist and per push.
 
 A run of three or more holes is written ``r..k`` in text and ``[r, k]``
 in JSON, a shorter run as its holes: ``T{1..4}``, ``P{b|2..4,7}``,
@@ -361,12 +362,12 @@ _LETTER_FIELDS = {"twist": {"op", "exp", "curve"}, "push": {"op", "exp", "bounda
 
 def word_from_json(data: list, page: PlanarPage) -> TwistWord:
     """The word of a JSON list of letter objects; any other value is an
-    error. A curve lists holes and [first, last] runs. The generator of
-    each distinct field text is built and checked against ``page`` once, so
-    an error names the first bad letter of the word."""
+    error. A curve lists holes and [first, last] runs. Each letter's fields
+    and exponent are checked, and its generator is built and checked
+    against ``page``, as the letter is read, so an error names the first
+    bad letter of the word."""
     if not isinstance(data, list):
         raise InvalidWordError(f"a JSON word must be a list of letters, got {echo(data)}")
-    gens: dict[tuple[str, str], Generator] = {}  # by op and the repr of its fields
     letters: list[Letter] = []
     pairs: dict[int, Run] = {}
     for item in data:
@@ -382,13 +383,8 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
             if len(item) > len(fields) + 1 + ("exp" in item):
                 name = next(k for k in item if k not in _LETTER_FIELDS[op])
                 raise InvalidWordError(f"unknown field {echo(name)}")
-            key = op, repr(fields)  # the repr tells 1, 1.0 and True apart
-            gen = gens.get(key)
-            fresh = gen is None
-            if fresh:
-                holes = _json_curve(fields[-1], pairs)
-                gen = gens[key] = (DehnTwist(holes) if op == "twist" else
-                                   PlanarPush(fields[0], holes))
+            holes = _json_curve(fields[-1], pairs)
+            gen = DehnTwist(holes) if op == "twist" else PlanarPush(fields[0], holes)
             letters.append(_letter(gen, exp))
         except KeyError as exc:
             raise InvalidWordError(f"{op} letter {echo(item)} has no {exc} field") from None
@@ -397,10 +393,7 @@ def word_from_json(data: list, page: PlanarPage) -> TwistWord:
         except TypeError:  # a curve that is no list, e.g. a number, or a run no pair
             raise InvalidWordError(f"{op} letter {echo(item)} needs a list of integers "
                                    "and [first, last] runs") from None
-        except ValueError:  # repr() refuses an int of more than 4,300 digits
-            raise InvalidWordError(f"integer too long in word letter {len(letters) + 1}") from None
-        if fresh:  # outside the try: a page error names the curve, not the letter
-            gen.check(page)
+        gen.check(page)  # outside the try: a page error names the curve, not the letter
     return unchecked(TwistWord, page=page, letters=tuple(letters))
 
 

@@ -408,13 +408,11 @@ def to_planar_open_book(d: FramedBraidDiagram) -> tuple[PlanarPage, TwistWord]:
     """Planar open book of the surgered manifold: one hole per strand, one
     twist letter per linked pair (in index order) and per nonzero framing.
     The pairs i < j and the holes come from the diagram, so each curve and
-    the word are built unchecked, an adjacent pair as its one run; the
-    curves share one run (i, i) per hole."""
+    the word are built unchecked, an adjacent pair as its one run."""
     page = PlanarPage(d.strands)
-    single = [(i, i) for i in range(d.strands + 1)]
     letters = [(DehnTwist(unchecked(CurveClass, runs=((i, j),) if j == i + 1 else
-                                    (single[i], single[j]))), -n)
+                                    ((i, i), (j, j)))), -n)
                for (i, j), n in sorted(d.net_linking.items())]
-    letters += [(DehnTwist(unchecked(CurveClass, runs=(single[i],))), -f)
+    letters += [(DehnTwist(unchecked(CurveClass, runs=((i, i),))), -f)
                 for i, f in enumerate(d.framings, start=1) if f]
     return page, unchecked(TwistWord, page=page, letters=tuple(letters))

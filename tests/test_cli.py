@@ -243,7 +243,7 @@ def test_corpus_run_all_pass(capsys):
 
 def test_corpus_results_match_runner(capsys):
     results = corpus.run_corpus()
-    assert results and all(r.passed for r in results)
+    assert results and all(r["passed"] for r in results)
     kinds = {corpus.load_fixture(n)["kind"] for n in corpus.fixture_names()}
     assert kinds == {"embed", "lens", "s4", "atoms", "surgery"}
 
@@ -296,11 +296,30 @@ def test_corpus_replay_names_the_path_of_a_mutated_expectation(monkeypatch, caps
         return fixture
 
     monkeypatch.setattr(corpus, "load_fixture", mutated)
-    failed = [r for r in corpus.run_corpus() if not r.passed]
-    assert [(r.file, r.detail) for r in failed] == [(name, detail)]
+    failed = [r for r in corpus.run_corpus() if not r["passed"]]
+    assert [(r["file"], r["detail"]) for r in failed] == [(name, detail)]
     code, out, _ = run(capsys, "corpus", "run")
     assert code == 1
-    assert f"FAIL: {failed[0].name} ({detail})" in out.splitlines()
+    assert f"FAIL: {failed[0]['name']} ({detail})" in out.splitlines()
+
+
+def test_a_case_whose_replay_raises_fails_and_the_run_goes_on(monkeypatch, capsys):
+    load = corpus.load_fixture
+
+    def broken(fixture_name):
+        fixture = load(fixture_name)
+        if fixture_name == "lens_spaces.json":
+            del fixture["cases"][0]["p"]
+        return fixture
+
+    monkeypatch.setattr(corpus, "load_fixture", broken)
+    results = corpus.run_corpus()
+    failed = [r for r in results if not r["passed"]]
+    assert [(r["file"], r["detail"]) for r in failed] == [("lens_spaces.json", "KeyError: 'p'")]
+    assert len(results) == sum(len(load(n)["cases"]) for n in corpus.fixture_names())
+    code, out, _ = run(capsys, "corpus", "run")
+    assert code == 1
+    assert f"FAIL: {failed[0]['name']} (KeyError: 'p')" in out.splitlines()
 
 
 GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"

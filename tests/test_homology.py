@@ -153,6 +153,13 @@ def test_min_structured_det_matches_materialized(pair):
     assert min_structured_det(values, diagonal) == cofactor_det(m)
 
 
+def test_min_structured_det_of_no_entries_and_of_unequal_lengths():
+    assert min_structured_det([], []) == 1 == det([])
+    for values, diagonal in (([1, 2], [3]), ([], [1])):
+        with pytest.raises(InvalidDiagramError, match="lengths differ"):
+            min_structured_det(values, diagonal)
+
+
 def test_linking_matrix_validation():
     with pytest.raises(InvalidDiagramError):
         LinkingMatrix(((0, 1), (2, 0)))
@@ -168,6 +175,8 @@ def test_h1_invariants_validation_and_order():
         H1Invariants(factors=(4, 6), free_rank=0)  # 4 does not divide 6
     with pytest.raises(InvalidDiagramError):
         H1Invariants(factors=(1,), free_rank=0)
+    with pytest.raises(InvalidDiagramError, match="free rank"):
+        H1Invariants(factors=(2,), free_rank=-1)
     h = H1Invariants(factors=(2, 12), free_rank=0)
     assert (h.factors, h.free_rank) == ((2, 12), 0)
     assert h.describe() == "Z/2 + Z/12"
@@ -469,6 +478,18 @@ def dense_chain(n):
     framings = [rng.randint(-9, 9) for _ in range(n)]
     word = [(i, j, rng.choice((1, -1))) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return surgery.FramedBraidDiagram(n, word, framings)
+
+
+def test_smith_of_a_dense_chain_whose_2_part_is_not_elementary_matches_sympy():
+    # at 42 strands the 2-part is not elementary (the last two factors carry
+    # 4 and 8), so the rank mod 2 settles neither case, and the finisher
+    # takes it modulo 2^26; only the answer is asserted, not the route
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    m = [list(row) for row in surgery.linking_matrix(dense_chain(42))]
+    s = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+    assert smith_diagonal(m) == [abs(int(s[i, i])) for i in range(42)]
 
 
 def test_a_dense_chain_takes_one_smith_form_and_no_finisher(monkeypatch):

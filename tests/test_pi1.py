@@ -184,6 +184,8 @@ def test_presentation_validation():
         PushPage(1, ((2,),))
     with pytest.raises(InvalidPresentationError):
         PushPage(-1)
+    with pytest.raises(InvalidPresentationError, match="0 is not a generator"):
+        free_reduce((1, 0))
 
 
 def test_parse_relator_and_presentation():

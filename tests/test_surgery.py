@@ -497,6 +497,8 @@ def test_diagram_validation():
             FramedBraidDiagram(2, (letter,), (0, 0))
     with pytest.raises(InvalidDiagramError):
         FramedBraidDiagram(2, (), (0,))
+    with pytest.raises(InvalidDiagramError, match="nonnegative"):
+        FramedBraidDiagram(-1)
 
 
 def test_parse_text_and_json():

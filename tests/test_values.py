@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 import spuncalc.cli  # loads every module of the package
-from spuncalc import corpus, errors, fourman, homology, lens, pi1, planar, spun, surgery
+from spuncalc import errors, fourman, homology, lens, pi1, planar, spun, surgery
 
 C = lens.cf_expand(7, 2)
 PAGE = planar.PlanarPage(2)
@@ -33,7 +33,6 @@ SAMPLES = {
     spun.EmbeddingReport: lambda: spun.embedding_target(WORD),
     surgery.FramedBraidDiagram: lambda: surgery.FramedBraidDiagram(3, [(1, 2, 1), (1, 3, -2)],
                                                                    [-1, 0, 2]),
-    corpus.CaseResult: lambda: corpus.CaseResult("lens.json", "L(7,2)", False, "exit 1 != 0"),
     fourman.PageForm: lambda: fourman.PageForm(1, 2),
     fourman.MonodromyForm: lambda: fourman.MonodromyForm((3,), {(1, 1)}),
 }
