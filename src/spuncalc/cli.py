@@ -291,9 +291,10 @@ def cmd_pi1(args: argparse.Namespace) -> int:
         ab.factors, ab.free_rank, g.generator_count, _exponent_sums(g.relators))}]
 
     def outputs():
+        presentation = g.to_json()
         return {
-            "presentation": g.to_json(),
-            "page": page.to_json(),
+            "presentation": presentation,
+            "page": page.to_json(presentation["relators"]),  # its loops are g's relators
             "recovered": recovered.to_json(),
             "abelianization": ab.to_json(),
         }

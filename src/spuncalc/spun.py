@@ -164,11 +164,15 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
 
     Validates the certificate preconditions: one push per pair, pushing
     b_j = 2j around exactly the a_j = 2j-1 curve with exponent one, and
-    twist letters supported on a-boundaries only.
+    twist letters supported on a-boundaries only. The sums are taken in the
+    same pass: a twist supported on a-boundaries has only single-hole runs
+    (a, a), and a push P{2j|2j-1} changes only the sum of b_j = 2j, so the
+    twist letters alone set the sums of the a_j, the odd holes' entries of
+    ``parity_vector(word)``.
     """
     n = _certificate_pairs(word.page)
     seen_pushes: set[int] = set()
-    a_runs = {(a, a) for a in range(1, 2 * n, 2)}  # each a-boundary as its run
+    sums = [0] * n  # index j - 1: the twist exponent sum of a_j = 2j - 1
     for gen, exp in word.letters:
         if isinstance(gen, PlanarPush):
             a = gen.boundary - 1
@@ -185,11 +189,14 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
                 )
             seen_pushes.add(j)
         else:
-            if not a_runs.issuperset(gen.curve.runs):
-                raise ConditionNotApplicableError(
-                    f"twist curve {echo(gen.curve, str)} touches b-boundaries; the "
-                    "certificate only judges words twisting a-boundaries"
-                )
+            for a, last in gen.curve.runs:
+                # a run of one odd hole is an a-boundary, since the curve fits the page
+                if a != last or a % 2 == 0:
+                    raise ConditionNotApplicableError(
+                        f"twist curve {echo(gen.curve, str)} touches b-boundaries; the "
+                        "certificate only judges words twisting a-boundaries"
+                    )
+                sums[a // 2] += exp
     missing = n - len(seen_pushes)
     if missing:
         first = list(islice((j for j in range(1, n + 1) if j not in seen_pushes),
@@ -197,9 +204,7 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
         more = " ..." if missing > len(first) else ""
         raise MalformedPairingError(
             f"{missing} of {n} pairs have no push letter: {first}{more}")
-    # a push P{2j|2j-1} changes only the sum of b_j = 2j, so the twist
-    # letters alone set the sums of the a_j = 2j-1: the odd holes' entries
-    return parity_vector(word)[::2]
+    return tuple(s % 2 for s in sums)
 
 
 def s4_target_name(page: PlanarPage) -> str:

@@ -14,6 +14,7 @@ from spuncalc.errors import InvalidPresentationError
 from spuncalc.homology import H1Invariants, cokernel_invariants
 from spuncalc.pi1 import (
     MAX_GENERATORS,
+    MAX_RELATION_ENTRIES,
     GroupPresentation,
     PushPage,
     abelianization,
@@ -23,6 +24,7 @@ from spuncalc.pi1 import (
     parse_relator,
     pi1_of_open_book,
     word_to_text,
+    words_to_text,
 )
 
 
@@ -68,7 +70,11 @@ def test_page_for_presentation_transcribes():
     assert page.to_json()["spheres"] == 1
 
     g = GroupPresentation(2, ((1, 2, -1, -2),))
-    assert page_for_presentation(g).loops == ((1, 2, -1, -2),)
+    page = page_for_presentation(g)
+    assert page.loops == ((1, 2, -1, -2),)
+    # the report writes the loops once, as the presentation's relators
+    assert page.to_json(g.to_json()["relators"]) == page.to_json() == {
+        "handles": 2, "spheres": 1, "loops": ["x1x2X1X2"]}
 
     trivial = GroupPresentation(0, ())
     assert page_for_presentation(trivial) == PushPage(0, ())
@@ -243,3 +249,91 @@ def test_constructors_reject_non_integers(build, bad):
     # validated, never coerced: int() would read 2.9 and "2" as 2, True as 1
     with pytest.raises(InvalidPresentationError, match="integer"):
         build(bad)
+
+
+def test_letter_texts_of_one_generator_read_as_one_letter():
+    # the letter table is keyed by text: x01 and x1 are two keys for x1
+    pres = parse_presentation("gens 3\nx01 x1 X001\na3A3 x3\nX03\n")
+    assert pres.relators == ((1, 1, -1), (3, -3, 3), (-3,))
+    assert pres == GroupPresentation(3, ((1, 1, -1), (3, -3, 3), (-3,)))
+    assert parse_presentation("gens 3\na3A3\n") == parse_presentation("gens 3\nx3X3\n")
+
+
+@pytest.mark.parametrize("text, letter", [
+    ("gens 2\nx1x2\nx1X7x9\nx3\n", "-7"),
+    ("gens 2\nX5 x1\nx5\n", "-5"),
+    ("gens 2\nx05x1\nX5\n", "5"),
+    ("gens 2\nx2\nx1a4\nX4\n", "4"),
+])
+def test_an_out_of_range_letter_is_named_at_its_first_occurrence(text, letter):
+    # each distinct letter is checked once, in reading order: the message is
+    # the one the checking constructor gives for the same relators
+    message = f"letter {letter} outside generators 1..2"
+    with pytest.raises(InvalidPresentationError) as info:
+        parse_presentation(text)
+    assert str(info.value) == message
+    relators = [parse_relator(line) for line in text.splitlines()[1:]]
+    with pytest.raises(InvalidPresentationError) as info:
+        GroupPresentation(2, relators)
+    assert str(info.value) == message
+
+
+def test_a_long_index_in_a_presentation_gives_its_digit_count():
+    if hasattr(sys, "get_int_max_str_digits"):  # no int() past 4,300 digits
+        with pytest.raises(InvalidPresentationError, match="^generator index of 5000 digits$"):
+            parse_presentation("gens 2\nx1x2\nx1 X" + "9" * 5000 + "\n")
+
+
+# one to six digits: the six-digit index is MAX_GENERATORS itself
+signed_indices = st.integers(1, 6).flatmap(
+    lambda digits: st.integers(10 ** (digits - 1), min(10 ** digits - 1, MAX_GENERATORS))).flatmap(
+    lambda i: st.sampled_from((i, -i)))
+
+
+@given(st.lists(st.lists(signed_indices, min_size=1, max_size=6), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_words_to_text_round_trips_through_parse_presentation(relators):
+    for symbol in ("x", "a"):
+        texts = words_to_text(relators, symbol)
+        assert texts == [word_to_text(r, symbol) for r in relators]
+        pres = parse_presentation(f"gens {MAX_GENERATORS}\n" + "".join(t + "\n" for t in texts))
+        assert pres.relators == tuple(map(tuple, relators))
+
+
+def test_describe_writes_an_empty_relator_as_1():
+    assert GroupPresentation(2, ((), (1, -2))).describe() == "< x1, x2 | 1, x1X2 >"
+    recovered = pi1_of_open_book(PushPage(1, ((1, -1), (1,))))
+    assert recovered.describe("a") == "< a1 | 1, a1 >"
+    assert recovered.to_json() == {"generators": 1, "relators": ["", "x1"]}
+    assert words_to_text(()) == []
+
+
+def squares(relators, generators):
+    """A presentation of ``relators`` relators that square each of
+    ``generators`` generators once, in turn."""
+    rows = [[] for _ in range(relators)]
+    for i in range(1, generators + 1):
+        rows[(i - 1) % relators].append(f"x{i}x{i}")
+    return f"gens {generators}\n" + "".join("".join(row) + "\n" for row in rows)
+
+
+def test_a_relation_matrix_over_the_bound_exits_2_with_one_line(tmp_path, capsys):
+    # 1,000 squares: 8.8 KB, whose dense 1,000 x 1,000 Smith form took 24 s
+    path = tmp_path / "g.txt"
+    path.write_text(squares(1000, 1000))
+    assert len(path.read_bytes()) < 9000
+    assert main(["pi1", str(path), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the relation matrix of 1000 relators and the 1000 generators "
+                   f"they mention has 1000000 entries, more than {MAX_RELATION_ENTRIES}\n")
+
+
+def test_a_presentation_at_the_bound_is_admitted():
+    # counted as written: free reduction would leave no letter of x1X1
+    at_bound = squares(100, MAX_RELATION_ENTRIES // 100)
+    pres = parse_presentation(at_bound)
+    assert len(pres.relators) * pres.generator_count == MAX_RELATION_ENTRIES
+    assert abelianization(pres) == H1Invariants((2,) * 100, MAX_RELATION_ENTRIES // 100 - 100)
+    with pytest.raises(InvalidPresentationError, match="101 relators"):
+        parse_presentation(at_bound + "x1X1\n")

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spuncalc.errors import (
     ConditionNotApplicableError,
@@ -10,7 +12,7 @@ from spuncalc.errors import (
     PushLetterError,
 )
 from spuncalc.fourman import equal
-from spuncalc.planar import PlanarPage, TwistWord, push, twist
+from spuncalc.planar import PlanarPage, TwistWord, parity_vector, push, twist
 from spuncalc.spun import (
     FourManifoldForm,
     embedding_target,
@@ -230,3 +232,28 @@ def test_s4_condition_not_applicable_for_b_curves():
     word = TwistWord(page, (twist({1, 2}), push(2, {1})))
     with pytest.raises(ConditionNotApplicableError):
         s4_parities(word)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.sets(st.integers(1, n), min_size=1), st.integers(-4, 4)), max_size=12),
+    st.randoms(use_true_random=False))))
+@settings(max_examples=150, deadline=None)
+def test_one_pass_parities_are_the_odd_holes_of_the_parity_vector(args):
+    # twists on a-holes and one push per pair, in any order
+    n, twists, rng = args
+    letters = [twist({2 * j - 1 for j in pairs}, exp) for pairs, exp in twists]
+    letters += [push(2 * j, {2 * j - 1}) for j in range(1, n + 1)]
+    rng.shuffle(letters)
+    word = TwistWord(PlanarPage(2 * n), tuple(letters))
+    assert s4_parities(word) == parity_vector(word)[::2]
+
+
+def test_s4_raises_the_error_of_the_first_bad_letter():
+    page = PlanarPage(4)
+    bad_push = push(2, {3})
+    for bad_twist in (twist({2}), twist({1, 4}), twist({1, 2, 3})):
+        with pytest.raises(MalformedPairingError, match="does not push a b-boundary"):
+            s4_parities(TwistWord(page, (twist({1}), bad_push, bad_twist, push(4, {3}))))
+        with pytest.raises(ConditionNotApplicableError, match="touches b-boundaries"):
+            s4_parities(TwistWord(page, (twist({1}), bad_twist, bad_push, push(4, {3}))))
