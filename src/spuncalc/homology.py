@@ -18,32 +18,37 @@ with the answer. It runs in three phases, each removing what it can:
    so the cleared row needs no column pass, and every entry left is a
    minor of the input (the pivots multiply to +-1), so entries grow no
    faster than under Bareiss.
-2. If the residual block B is square, k x k, with D = |det B| != 0 and
-   invariant factors s_1 | ... | s_k, s_1 ... s_{k-1} is the gcd of all
-   (k-1)-minors of B. By Sylvester's identity the trailing 2 x 2 block of
-   Bareiss just before its last step holds four of them (a row swap there
-   only permutes them); let g be their gcd (1 when k = 1: the empty
-   minor), and h = gcd(D, g). A prime of D that does not divide h does
-   not divide s_{k-1}, so its part of coker B is cyclic: when h = 1 the
-   factors are 1, ..., 1, D, which phase 3 gives with no prime to read.
+2. Bareiss on the residual block B, swapping in a nonzero pivot where
+   one is 0, gives its rank r and a nonzero r x r minor, which the
+   product of the invariant factors s_1 | ... | s_r divides. Unless B is
+   k x k with r = k, the finisher modulo that minor gives s_1, ..., s_r,
+   and the rest are 0. Else let D = |det B|; s_1 ... s_{k-1} is the gcd
+   of all (k-1)-minors of B. By Sylvester's identity the trailing 2 x 2
+   block of Bareiss just before its last step holds four of them (a swap
+   there only permutes them); let g be their gcd (1 when k = 1: the
+   empty minor), and h = gcd(D, g). A prime of D that does not divide h
+   does not divide s_{k-1}, so its part of coker B is cyclic: when h = 1
+   the factors are 1, ..., 1, D, which phase 3 gives with no prime to
+   read.
 3. The primes of h are read one at a time (Dumas, Saunders and
    Villard, J. Symbolic Comput. 2001), those below TRIAL_BOUND found by
-   trial division. At each such p, with e = v_p(D), the r_p = k - rank_{F_p}(B)
-   factors that p divides carry p^e between them: r_p = e leaves (Z/p)^e,
-   r_p = 1 leaves Z/p^e, and otherwise p^e is left to the finisher. So is
-   the part of D at a cofactor of h that trial division leaves. One
-   finisher call, modulo the product M of what is left, gives the chain of
-   the Z/gcd(s_i, M). These chains multiply position by position, and
-   D_c, the rest of D, goes on the last factor.
+   trial division. At each such p, with e = v_p(D), the finisher modulo p
+   counts the r_p = k - rank_{F_p}(B) factors that p divides; they carry
+   p^e between them: r_p = e leaves (Z/p)^e, r_p = 1 leaves Z/p^e, and
+   otherwise p^e is left to the finisher. So is the part of D at a
+   cofactor of h that trial division leaves. One finisher call, modulo
+   the product M of what is left, gives the chain of the Z/gcd(s_i, M).
+   These chains multiply position by position, and D_c, the rest of D,
+   goes on the last factor.
 
-The finisher also takes a singular or rectangular residual, over Z. Row
-and column operations, each combining two lines through the extended gcd
-of their leading entries, are unimodular, so modulo M they keep coker B
-(x) Z/M, the sum of the Z/gcd(s_i, M). They make the block diagonal, each
-line reduced mod M as it is built, and a diagonal d_1, ..., d_k presents
-the sum of the Z/gcd(d_i, M) (of the Z/d_i over Z). Replacing each pair
-of these factors by their gcd and lcm keeps the sum and leaves a
-divisibility chain.
+The finisher always works modulo some M > 0, on residues, so no entry
+grows past M. Row and column operations, each combining two lines
+through the extended gcd of their leading entries, are unimodular, so
+modulo M they keep coker B (x) Z/M, the sum of the Z/gcd(s_i, M). They
+make the block diagonal, each line reduced mod M as it is built, and a
+diagonal d_1, ..., d_k presents the sum of the Z/gcd(d_i, M). Replacing
+each pair of these factors by their gcd and lcm keeps the sum and leaves
+a divisibility chain.
 """
 
 from __future__ import annotations
@@ -113,34 +118,38 @@ class H1Invariants(Value):
         return {"factors": list(self.factors), "free_rank": self.free_rank}
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int]:
-    """Determinant of a nonempty square matrix, which is overwritten, and
-    the gcd of the four (n-1)-minors that its trailing 2 x 2 block holds
-    just before the last step (1 when n = 1)."""
-    n = len(m)
+def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
+    """Rank r of a nonempty matrix, which is overwritten; its last pivot
+    with the sign of the swaps, a nonzero r x r minor (1 when r = 0) and
+    the determinant when r is the order of a square matrix; and the gcd of
+    the four (n-1)-minors that the trailing 2 x 2 block of an n x n matrix
+    holds just before the last step (1 when n = 1). A zero pivot is swapped
+    for the first nonzero entry left, column by column."""
+    rows, cols = len(m), len(m[0])
     sign = 1
     prev = 1
     minors = 1
-    for i in range(n - 1):
-        if i == n - 2:
+    for i in range(min(rows, cols)):
+        if i == rows - 2:
             minors = gcd(*m[i][i:], *m[i + 1][i:])
         if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0, minors
+            found = next(((r, c) for c in range(i, cols) for r in range(i, rows) if m[r][c]), None)
+            if found is None:
+                return i, sign * prev, minors
+            r, c = found
+            m[i], m[r] = m[r], m[i]
+            for row in m[i:]:
+                row[i], row[c] = row[c], row[i]
+            sign *= (-1) ** ((r != i) + (c != i))  # each swap flips it
         top = m[i]
         pivot = top[i]
-        cols = range(i + 1, n)
+        later = range(i + 1, cols)
         for row in m[i + 1:]:
             a = row[i]
-            for c in cols:
+            for c in later:
                 row[c] = (row[c] * pivot - a * top[c]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1], minors
+    return min(rows, cols), sign * prev, minors
 
 
 def det(entries: Iterable[Iterable[int]]) -> int:
@@ -149,7 +158,8 @@ def det(entries: Iterable[Iterable[int]]) -> int:
     _require_square(rows)
     if not rows:
         return 1
-    return _bareiss(rows)[0]
+    rank, pivot, _ = _bareiss(rows)
+    return pivot if rank == len(rows) else 0
 
 
 def min_structured_det(values: Sequence[int], diagonal: Sequence[int]) -> int:
@@ -216,22 +226,20 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _combine(x: int, top: list[int], y: int, row: list[int], modulus: int) -> list[int]:
-    """x top + y row, reduced mod modulus unless it is 0."""
-    if modulus:
-        return [(x * u + y * v) % modulus for u, v in zip(top, row)]
-    return [x * u + y * v for u, v in zip(top, row)]
+    """x top + y row, reduced mod modulus."""
+    return [(x * u + y * v) % modulus for u, v in zip(top, row)]
 
 
 def _gcd_diagonal(m: list[list[int]], modulus: int) -> list[int]:
-    """Invariant factors of the cokernel of m over Z (modulus 0) or over
-    Z/modulus, where m holds residues: min(rows, cols) of them, in
-    divisibility order. Each pivot, the first nonzero entry, clears its
-    column by combining two rows through the extended gcd of their leading
-    entries, each reduced mod modulus as it is built. Once the pivot divides
-    its row, a column pass would change that row alone, so both are dropped;
-    else the transpose takes a pass, which makes the pivot smaller."""
+    """Invariant factors of the cokernel of a nonempty m over Z/modulus,
+    where m holds residues: min(rows, cols) of them, in divisibility order.
+    Each pivot, the first nonzero entry, clears its column by combining two
+    rows through the extended gcd of their leading entries, each reduced
+    mod modulus as it is built. Once the pivot divides its row, a column
+    pass would change that row alone, so both are dropped; else the
+    transpose takes a pass, which makes the pivot smaller."""
     diag: list[int] = []
-    size = min(len(m), len(m[0])) if m else 0
+    size = min(len(m), len(m[0]))
     while corner := next(((i, j) for i, row in enumerate(m) for j, a in enumerate(row) if a), None):
         i, j = corner
         m[0], m[i] = m[i], m[0]
@@ -257,24 +265,6 @@ def _gcd_diagonal(m: list[list[int]], modulus: int) -> list[int]:
         for j in range(i + 1, len(diag)):
             diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return diag
-
-
-def _rank_mod(m: list[list[int]], p: int) -> int:
-    """Rank over F_p of an integer matrix. Each row in turn, if nonzero
-    mod p, is a pivot that clears its leading column from the rows left."""
-    rows = [[a % p for a in row] for row in m]
-    rank = 0
-    while rows:
-        v = rows.pop()
-        j = next((j for j, a in enumerate(v) if a), None)
-        if j is None:
-            continue
-        inverse = pow(v[j], -1, p)
-        for i, row in enumerate(rows):
-            if f := row[j] * inverse % p:
-                rows[i] = [(a - f * b) % p for a, b in zip(row, v)]
-        rank += 1
-    return rank
 
 
 # trial division of gcd(D, g) tries 2 and the odd numbers below this bound
@@ -313,11 +303,14 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
     diag = [1] * ones
     if not m:
         return diag
-    k = len(m)
-    determinant, minors = _bareiss([row[:] for row in m]) if k == len(m[0]) else (0, 1)
-    if not determinant:
-        return diag + _gcd_diagonal(m, 0)
-    cyclic = abs(determinant)  # divided below by each prime power of h
+    k, nc = len(m), len(m[0])
+    rank, pivot, minors = _bareiss([row[:] for row in m])
+    if not rank == k == nc:
+        # s_1 ... s_rank divides this nonzero minor M, so gcd(s_i, M) = s_i
+        minor = abs(pivot)
+        finished = _gcd_diagonal([[a % minor for a in row] for row in m], minor)
+        return diag + finished[:rank] + [0] * (min(k, nc) - rank)
+    cyclic = abs(pivot)  # D, divided below by each prime power of h
     h = gcd(cyclic, minors)
     local = [1] * k
     modulus = 1  # the part of D that the ranks leave to the finisher
@@ -327,7 +320,8 @@ def smith_diagonal(entries: Iterable[Iterable[int]]) -> list[int]:
         while cyclic % p == 0:
             cyclic //= p
             e += 1
-        r = k - _rank_mod(m, p)  # how many of s_1, ..., s_k p divides
+        # how many of s_1, ..., s_k p divides: k - rank_{F_p}(B)
+        r = _gcd_diagonal([[a % p for a in row] for row in m], p).count(p)
         if r == e:
             local[k - e:] = [a * p for a in local[k - e:]]
         elif r == 1:

@@ -186,7 +186,9 @@ def word_to_text(word: Word, symbol: str = "x") -> str:
 MAX_GENERATORS = 100_000
 # most entries of a presentation file's relation matrix, its relators times
 # the generators they mention: the abelianization and its check each build
-# that matrix densely, and free reduction only shrinks it
+# that matrix densely, and free reduction only shrinks it; at the bound, 100
+# relators over 1,000 generators with no +-1 exponent sum take one Bareiss
+# and a finisher modulo a nonzero minor, about 8 s and 33 MB
 MAX_RELATION_ENTRIES = 100_000
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -224,6 +225,56 @@ def test_console_script_argv_error_is_one_line(argv):
                           env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(b"error: ")
+
+
+def singular_diagram(n):
+    """n strands, no linking of +-1, and strand n a copy of strand n - 1:
+    framings from (2, 4, 6, -2, 3, 9) and links from (0, 0, 2, -2, 3, -3)."""
+    rng = random.Random(1)
+    framings = [rng.choice((2, 4, 6, -2, 3, 9)) for _ in range(n - 1)]
+    links = {(i, j): rng.choice((0, 0, 2, -2, 3, -3))
+             for i in range(1, n) for j in range(i + 1, n)}
+    framings.append(framings[-1])
+    links.update({(i, n): links[i, n - 1] for i in range(1, n - 1)})
+    links[n - 1, n] = framings[-1]
+    lines = [f"strands {n}", "framings " + " ".join(map(str, framings))]
+    lines += [f"A {i} {j} {e:+d}" for (i, j), e in sorted(links.items()) if e]
+    return "\n".join(lines) + "\n"
+
+
+def wide_presentation(relators, gens):
+    """Each relator gives each generator an exponent sum drawn from
+    (0, 2, -2, 3, -3, 4, 6), written as that many equal letters."""
+    rng = random.Random(1)
+    lines = [f"gens {gens}"]
+    for _ in range(relators):
+        sums = [rng.choice((0, 2, -2, 3, -3, 4, 6)) for _ in range(gens)]
+        lines.append("".join((f"x{g}" if e > 0 else f"X{g}") * abs(e)
+                             for g, e in enumerate(sums, 1)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, text, h1", [
+    ("surgery", singular_diagram(60), 1),
+    ("pi1", wide_presentation(60, 180), 120),
+], ids=["surgery-singular-60", "pi1-60x180"])
+def test_singular_and_wide_relation_matrices_end_within_a_minute(tmp_path, command, text, h1):
+    # a 13 KB diagram whose linking matrix is singular, and a 105 KB
+    # presentation whose 60 x 180 relation matrix holds no +-1: no unit
+    # pivot applies, so each Smith form rests on Bareiss and the finisher
+    # modulo a nonzero minor; elimination over Z took minutes on either
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "spuncalc.cli", command, str(path), "--json",
+                           "--no-timestamp"], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    report = json.loads(proc.stdout)
+    assert all(check["passed"] for check in report["checks"])
+    outputs = report["outputs"]
+    assert outputs["h1" if command == "surgery" else "abelianization"]["free_rank"] == h1
+    if command == "pi1":
+        assert outputs["abelianization"]["factors"] == []
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])

@@ -283,26 +283,22 @@ def test_smith_mixed_phases(core, row, col):
 
 def test_each_smith_phase_is_reached(monkeypatch):
     seen = []
-    unit_pivots, rank_mod = homology._unit_pivots, homology._rank_mod
-    finisher = homology._gcd_diagonal
+    unit_pivots, finisher = homology._unit_pivots, homology._gcd_diagonal
 
     def spy_units(m):
         m, cleared = unit_pivots(m)
         seen.append(("units", cleared))
         return m, cleared
 
-    def spy_rank(m, p):
-        seen.append(("rank", p))
-        return rank_mod(m, p)
-
     def spy_finisher(m, modulus):
-        # modulo a part of D the finisher works on residues only
-        assert not modulus or all(0 <= a < modulus for row in m for a in row)
+        # the finisher works modulo some M > 0, on residues only: modulo a
+        # prime it reads a rank, modulo a part of D or a nonzero minor the
+        # factors
+        assert modulus > 0 and all(0 <= a < modulus for row in m for a in row)
         seen.append(("finisher", modulus, len(m), len(m[0])))
         return finisher(m, modulus)
 
     monkeypatch.setattr(homology, "_unit_pivots", spy_units)
-    monkeypatch.setattr(homology, "_rank_mod", spy_rank)
     monkeypatch.setattr(homology, "_gcd_diagonal", spy_finisher)
 
     def route(m, factors, *steps):
@@ -319,29 +315,37 @@ def test_each_smith_phase_is_reached(monkeypatch):
     m = random_symmetric(random.Random(3), 12)
     assert smith_diagonal(m) == [1] * 11 + [abs(det(m))]
     assert seen == [("units", 2)]
-    # r_p = e: det 60 and minors' gcd 2, so p = 2 with e = 2; the rank mod 2
-    # is 0, so r_2 = 2 and the 2-part is (Z/2)^2; 15 goes on the last factor
-    route([[2, 0], [0, 30]], [2, 30], ("units", 0), ("rank", 2))
+    # r_p = e: det 60 and minors' gcd 2, so p = 2 with e = 2; the finisher
+    # modulo 2 finds both factors even, so r_2 = 2 and the 2-part is
+    # (Z/2)^2; 15 goes on the last factor
+    route([[2, 0], [0, 30]], [2, 30], ("units", 0), ("finisher", 2, 2, 2))
     # r_p = 1 = e at p = 2 and r_p = e = 2 at p = 3: D = 18, D_c = 1
     route([[-2, -2, 0], [0, 3, 3], [-2, -2, -3]], [1, 3, 6],
-          ("units", 0), ("rank", 2), ("rank", 3))
-    # r_p = 1 < e: D = 36 and the minors share a 3, whose e is 2, but the
-    # rank mod 3 is 2, so the 3-part is Z/9
-    route([[3, -3, -2], [3, -2, 0], [-3, 9, 2]], [1, 1, 36], ("units", 0), ("rank", 3))
-    # neither: 2 [[3, 1], [1, 1]] has D = 8 and rank 0 mod 2, so r_2 = 2
-    # while e = 3, and the finisher runs modulo 8
-    route([[6, 2], [2, 2]], [2, 4], ("units", 0), ("rank", 2), ("finisher", 8, 2, 2))
+          ("units", 0), ("finisher", 2, 3, 3), ("finisher", 3, 3, 3))
+    # r_p = 1 < e: D = 36 and the minors share a 3, whose e is 2, but one
+    # factor only is divisible by 3, so the 3-part is Z/9
+    route([[3, -3, -2], [3, -2, 0], [-3, 9, 2]], [1, 1, 36], ("units", 0),
+          ("finisher", 3, 3, 3))
+    # neither: 2 [[3, 1], [1, 1]] has D = 8 and both factors even, so r_2 = 2
+    # while e = 3, and the finisher runs again, modulo 8
+    route([[6, 2], [2, 2]], [2, 4], ("units", 0), ("finisher", 2, 2, 2), ("finisher", 8, 2, 2))
     # a cofactor above the trial bound: q = 1009 * 1013 exceeds the square
     # of the last trial divisor, so the finisher runs modulo its part of D,
     # q^2, and the 2 of D goes on the last factor
     q = 1009 * 1013
     assert q > homology.TRIAL_BOUND ** 2
     route([[q, 0], [0, 2 * q]], [q, 2 * q], ("units", 0), ("finisher", q * q, 2, 2))
-    # the finisher over Z: singular, after the unit in the middle row
-    # clears the top row
-    route([[2, 4, 6], [1, 2, 3], [0, 5, 5]], [1, 5, 0], ("units", 1), ("finisher", 0, 2, 2))
-    # and rectangular, with no unit anywhere
-    route([[2, 4, 4], [6, 0, 3]], [1, 6], ("units", 0), ("finisher", 0, 2, 3))
+    # singular, after the unit in the middle row clears the top row: the
+    # residual [[0, 0], [5, 5]] has rank 1 and the nonzero 1 x 1 minor 5,
+    # found by a row swap, so the finisher runs modulo 5
+    route([[2, 4, 6], [1, 2, 3], [0, 5, 5]], [1, 5, 0], ("units", 1), ("finisher", 5, 2, 2))
+    # rectangular, with no unit anywhere: the leading 2 x 2 minor is -24
+    route([[2, 4, 4], [6, 0, 3]], [1, 6], ("units", 0), ("finisher", 24, 2, 3))
+    # rectangular with its leading 2 x 2 minor 0: a column swap finds the
+    # minor -4 of columns 1 and 3
+    route([[2, 4, 4], [4, 8, 6]], [2, 2], ("units", 0), ("finisher", 4, 2, 3))
+    # a zero block has rank 0, and its minor, the empty one, is 1
+    route([[0, 0, 0], [0, 0, 0]], [0, 0], ("units", 0), ("finisher", 1, 2, 3))
 
 
 def minor_rank(m, p):
@@ -356,8 +360,10 @@ def minor_rank(m, p):
 @given(matrices(st.integers(-9, 9), rows=st.integers(1, 4), cols=st.integers(1, 5)),
        st.sampled_from([2, 3, 5, 7, 1009]))
 @settings(max_examples=200, deadline=None)
-def test_rank_mod_matches_the_minors(m, p):
-    assert homology._rank_mod(m, p) == minor_rank(m, p)
+def test_the_finisher_mod_p_counts_the_rank_defect(m, p):
+    # how many of the min(rows, cols) factors p divides, rank_{F_p} short of it
+    factors = homology._gcd_diagonal([[a % p for a in row] for row in m], p)
+    assert min(len(m), len(m[0])) - factors.count(p) == minor_rank(m, p)
 
 
 def trailing_minors_gcd(m):
@@ -374,8 +380,8 @@ def trailing_minors_gcd(m):
 def test_bareiss_minors_are_the_trailing_minors(m):
     # without row swaps before the last step, Bareiss's rows are the input's
     assume(all(cofactor_det([row[:i] for row in m[:i]]) for i in range(1, len(m) - 1)))
-    d, minors = homology._bareiss([row[:] for row in m])
-    assert d == cofactor_det(m)
+    rank, pivot, minors = homology._bareiss([row[:] for row in m])
+    assert (pivot if rank == len(m) else 0) == cofactor_det(m)
     assert minors == trailing_minors_gcd(m)
 
 
@@ -383,10 +389,31 @@ def test_bareiss_minors_with_a_row_swap_at_the_last_step():
     # the leading 2 x 2 minor is 0, so the last step swaps rows 2 and 3
     m = [[2, 1, 3], [4, 2, 5], [2, 5, 3]]
     assert cofactor_det([row[:2] for row in m[:2]]) == 0
-    d, minors = homology._bareiss([row[:] for row in m])
-    assert d == cofactor_det(m) == 8
+    rank, d, minors = homology._bareiss([row[:] for row in m])
+    assert rank == 3 and d == cofactor_det(m) == 8
     assert minors == trailing_minors_gcd(m) == 2
-    assert homology._bareiss([[-7]]) == (-7, 1)  # the empty minor
+    assert homology._bareiss([[-7]]) == (1, -7, 1)  # the empty minor
+    # a column swap: after the first step the second column is 0 below the
+    # pivot, so the second pivot is the minor -2 of columns 1 and 3, its
+    # sign flipped by the swap
+    assert homology._bareiss([[2, 1, 3], [4, 2, 5]])[:2] == (2, 2)
+    assert cofactor_det([[2, 3], [4, 5]]) == -2
+
+
+@given(matrices(st.integers(-4, 4), rows=st.integers(1, 4), cols=st.integers(1, 5)),
+       st.integers(-2, 2), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_bareiss_reads_the_rank_and_a_nonzero_minor_of_it(m, a, dependent):
+    if dependent and len(m) > 1:
+        m[-1] = [a * x for x in m[0]]  # the rank falls short of the rows
+    rows, cols = len(m), len(m[0])
+    rank, pivot, _ = homology._bareiss([row[:] for row in m])
+    minors = {size: {abs(cofactor_det([[m[r][c] for c in cs] for r in rs]))
+                     for rs in combinations(range(rows), size)
+                     for cs in combinations(range(cols), size)}
+              for size in range(min(rows, cols) + 1)}
+    assert rank == max(size for size, values in minors.items() if values != {0})
+    assert abs(pivot) in minors[rank] and pivot
 
 
 def unimodular(draw, k):
@@ -458,17 +485,38 @@ def random_symmetric(rng, n):
     return m
 
 
-# linking-matrix shapes of the surgery audit, and n = 40, where elimination
-# over Z without a modulus lets the entries grow past any use
+def rank_deficient(rng, rows, cols):
+    """A rows x cols block with no +-1 entry and of rank min(rows, cols) - 2:
+    drawn wide, with its last two rows 2 (r_1 + r_2) and 3 (r_3 - r_4), and
+    transposed when tall."""
+    short, wide = sorted((rows, cols))
+    m = [[rng.choice((0, 2, -2, 3, -3, 4, 6, -6, 9)) for _ in range(wide)]
+         for _ in range(short - 2)]
+    m.append([2 * (a + b) for a, b in zip(m[0], m[1])])
+    m.append([3 * (a - b) for a, b in zip(m[2], m[3])])
+    return m if rows == short else [list(col) for col in zip(*m)]
+
+
+# linking-matrix shapes of the surgery audit; n = 40, whose residual after
+# the unit pivots is nonsingular, so the finisher works modulo parts of its
+# determinant and the entries stay below it; and rank-deficient rectangular
+# blocks with no +-1 entry, which Bareiss alone takes to the finisher,
+# modulo a nonzero minor of their rank
 @pytest.mark.parametrize("n, seed", [(n, s) for n in (8, 12, 16, 20, 24) for s in (1, 2)]
-                         + [(40, 1)])
+                         + [(40, 1)]
+                         + [pytest.param(shape, s, id=f"{shape[0]}x{shape[1]}-{s}")
+                            for shape, s in (((12, 30), 1), ((12, 30), 2), ((30, 12), 1))])
 def test_smith_matches_sympy(n, seed):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
 
-    m = random_symmetric(random.Random(f"{n}:{seed}"), n)
+    rng = random.Random(f"{n}:{seed}")
+    m = random_symmetric(rng, n) if isinstance(n, int) else rank_deficient(rng, *n)
     s = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
-    assert smith_diagonal(m) == [abs(int(s[i, i])) for i in range(n)]
+    diag = smith_diagonal(m)
+    assert diag == [abs(int(s[i, i])) for i in range(min(s.shape))]
+    if not isinstance(n, int):
+        assert diag[-3] and diag[-2:] == [0, 0]
 
 
 def dense_chain(n):
@@ -492,29 +540,26 @@ def test_smith_of_a_dense_chain_whose_2_part_is_not_elementary_matches_sympy():
     assert smith_diagonal(m) == [abs(int(s[i, i])) for i in range(42)]
 
 
-def test_a_dense_chain_takes_one_smith_form_and_no_finisher(monkeypatch):
-    # at 61 strands H1's 2-part is (Z/2)^31, so the rank mod 2 settles it
+def test_a_dense_chain_takes_one_smith_form_and_one_finisher_mod_2(monkeypatch):
+    # at 61 strands H1's 2-part is (Z/2)^31, so the count of factors the
+    # finisher modulo 2 finds even settles it, and no finisher runs modulo D
     d = dense_chain(61)
     calls = []
-    smith, rank_mod = homology.smith_diagonal, homology._rank_mod
+    smith, finisher = homology.smith_diagonal, homology._gcd_diagonal
 
     def spy_smith(entries):
         calls.append("smith")
         return smith(entries)
 
-    def spy_rank(m, p):
-        calls.append(("rank", p))
-        return rank_mod(m, p)
-
-    def no_finisher(m, modulus):
-        raise AssertionError(f"finisher modulo {modulus} on the dense chain")
+    def spy_finisher(m, modulus):
+        calls.append(("finisher", modulus))
+        return finisher(m, modulus)
 
     monkeypatch.setattr(homology, "smith_diagonal", spy_smith)
-    monkeypatch.setattr(homology, "_rank_mod", spy_rank)
-    monkeypatch.setattr(homology, "_gcd_diagonal", no_finisher)
+    monkeypatch.setattr(homology, "_gcd_diagonal", spy_finisher)
     factors = cokernel_invariants(surgery.linking_matrix(d), columns=61).factors
     assert factors[:31] == (2,) * 31 and factors[-1] % 4 == 2
-    assert calls == ["smith", ("rank", 2)]
+    assert calls == ["smith", ("finisher", 2)]
     calls.clear()
     moves = [{"move": "blow_up", "region": [1, 5, 9], "sign": 1},
              {"move": "rolfsen_twist", "component": 62, "twists": -2},
