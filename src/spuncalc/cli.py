@@ -12,15 +12,19 @@ replays too; the embed report carries no check. Exit codes: 0 ok,
 1 a check failed (the rule of ``exit_code``), 2 bad input, a malformed
 argv included, and 141 from the console script when the reader of stdout
 closed it early.
+
+The grammar is one table, ``COMMANDS``: ``read_argv`` reads a canonical argv
+off it, and argparse, built from it, every other (help, version, other
+spellings, errors), in its own words; a canonical argv never loads argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, Iterator, NoReturn
 
 from . import __version__, corpus, lens, modp, pi1, spun, surgery
@@ -51,7 +55,7 @@ def exit_code(checks: list[dict]) -> int:
     return EXIT_OK if all(c["passed"] for c in checks) else EXIT_CHECK_FAILED
 
 
-def _emit(args: argparse.Namespace, command: str, inputs: dict,
+def _emit(args: SimpleNamespace, command: str, inputs: dict,
           outputs: Callable[[], dict], checks: list[dict], lines: Iterator[str]) -> int:
     """Print the JSON report under --json, or else the text lines, and
     return ``exit_code(checks)``. Each mode builds only what it prints:
@@ -90,7 +94,8 @@ def _form_name(form: FourManifoldForm) -> str:
 
 
 def _page_name(page: PlanarPage) -> str:
-    return f"Sigma_{{0,{page.inner_count + 1}}} (disk with {page.inner_count} holes)"
+    n = page.inner_count
+    return f"Sigma_{{0,{n + 1}}} (disk with {n} hole{'' if n == 1 else 's'})"
 
 
 def _page(holes: int) -> PlanarPage:
@@ -151,7 +156,7 @@ def lens_report(p: int, q: int) -> Report:
     return outputs, checks, lines()
 
 
-def cmd_lens(args: argparse.Namespace) -> int:
+def cmd_lens(args: SimpleNamespace) -> int:
     return _emit(args, "lens", {"p": args.p, "q": args.q}, *lens_report(args.p, args.q))
 
 
@@ -172,7 +177,7 @@ def embed_report(word: TwistWord) -> Report:
     return report.to_json, [], lines()
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
+def cmd_embed(args: SimpleNamespace) -> int:
     word = load_word(_read(args.word), _page(args.page))
     return _emit(args, "embed", {"page": args.page, "word_file": args.word},
                  *embed_report(word))
@@ -195,7 +200,7 @@ def certify_report(word: TwistWord) -> Report:
 
     def lines():
         yield f"page: {_page_name(page)} with {page.inner_count // 2} boundary pairs"
-        yield f"word: {word_to_text(word)}"
+        yield f"word: {word_to_text(word) or '(empty)'}"
         yield f"a-boundary twist parities: {list(parities)}"
         if certified:
             yield f"certified: yes -> {target}"
@@ -205,7 +210,7 @@ def certify_report(word: TwistWord) -> Report:
     return outputs, [{"name": "sphere certificate", "passed": certified}], lines()
 
 
-def cmd_certify_s4(args: argparse.Namespace) -> int:
+def cmd_certify_s4(args: SimpleNamespace) -> int:
     word = load_word(_read(args.word), _page(args.page))
     return _emit(args, "certify-s4", {"page": args.page, "word_file": args.word},
                  *certify_report(word))
@@ -253,7 +258,7 @@ def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Re
     return outputs, checks, lines()
 
 
-def cmd_surgery(args: argparse.Namespace) -> int:
+def cmd_surgery(args: SimpleNamespace) -> int:
     d = surgery.parse_diagram(_read(args.diagram))
     moves = (parse_json(_read(args.moves), InvalidMoveError, f"malformed JSON in {args.moves}")
              if args.moves else [])
@@ -278,7 +283,7 @@ def _exponent_sums(relators: tuple[pi1.Word, ...]) -> list[list[int]]:
     return rows
 
 
-def cmd_pi1(args: argparse.Namespace) -> int:
+def cmd_pi1(args: SimpleNamespace) -> int:
     """The push page of a presentation, the group read back off it and its
     abelianization, checked against the ranks mod 2 and mod 3 of the
     input's exponent sums. The round trip returns the input's relators,
@@ -308,7 +313,7 @@ def cmd_pi1(args: argparse.Namespace) -> int:
     return _emit(args, "pi1", {"presentation_file": args.presentation}, outputs, checks, lines())
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args: SimpleNamespace) -> int:
     results = corpus.run_corpus()
     checks = [{"name": f"{r['file']}: {r['name']}", "passed": r["passed"]} for r in results]
     passed = sum(r["passed"] for r in results)
@@ -324,86 +329,108 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return _emit(args, "corpus", {"action": "run"}, outputs, checks, lines())
 
 
-class _Parser(argparse.ArgumentParser):
-    """A bad argv is bad input like any other: ``main`` prints one error
-    line and returns 2, where argparse would print its usage and exit. The
-    top-level parser keeps its subcommands' parsers by name."""
+# Every subcommand once: handler, help, positionals and options, each argument
+# given by the keywords of argparse's add_argument; each also takes FLAGS.
+PAGE_OPTION = {"dest": "page", "type": integer, "required": True}
+COMMANDS = {
+    "lens": (cmd_lens, "lens space pipeline for L(p,q)",
+             {"p": {"type": integer}, "q": {"type": integer}}, {}),
+    "embed": (cmd_embed, "embedding target of a planar open book", {}, {
+        "--page": {**PAGE_OPTION, "help": f"number of inner boundaries (at most {MAX_PAGE_HOLES})"},
+        "--word": {"dest": "word", "required": True, "help": "word file (text or JSON)"}}),
+    "certify-s4": (cmd_certify_s4, "sphere certificate for paired pages", {}, {
+        "--page": {**PAGE_OPTION,
+                   "help": f"number of inner boundaries, even (at most {MAX_PAGE_HOLES})"},
+        "--word": {"dest": "word", "required": True}}),
+    "surgery": (cmd_surgery, "diagram moves with a homology audit",
+                {"diagram": {"help": "diagram file (text or JSON)"}},
+                {"--moves": {"dest": "moves", "help": "JSON move list"}}),
+    "pi1": (cmd_pi1, "fundamental group of the push-page open book",
+            {"presentation": {"help": "presentation file"}}, {}),
+    "corpus": (cmd_corpus, "replay the regression corpus", {"action": {"choices": ["run"]}}, {}),
+}
+FLAGS = {"--json": {"dest": "json", "action": "store_true", "help": "emit a JSON report"},
+         "--no-timestamp": {"dest": "no_timestamp", "action": "store_true",
+                            "help": "omit the timestamp for byte-stable output"}}
 
-    subcommands: dict[str, argparse.ArgumentParser] = {}
 
-    def error(self, message: str) -> NoReturn:
-        # argparse quotes the offending token whole: the cut keeps the line short
-        raise SpuncalcError(echo(message, str))
+def _value(spec: dict, text: str) -> object:
+    """``text`` read by the type and choices of ``spec``, as argparse reads it."""
+    value = spec["type"](text) if "type" in spec else text
+    if "choices" in spec and value not in spec["choices"]:
+        raise ValueError(f"invalid choice: {value!r}")
+    return value
+
+
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """Argparse's reading of a canonical ``argv``, read off COMMANDS, else None.
+    Canonical: a subcommand, then exact flags, exact options each with a value
+    not starting with ``-`` (the last one wins) and positionals not starting
+    with ``-``, every value converting and none missing; argparse reads the rest."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, positionals, options = COMMANDS[argv[0]]
+    fields = {spec["dest"]: None for spec in options.values()}
+    fields.update({spec["dest"]: False for spec in FLAGS.values()}, func=func)
+    words, tokens = [], iter(argv[1:])
+    try:
+        for token in tokens:
+            if token in FLAGS:
+                fields[FLAGS[token]["dest"]] = True
+            elif token in options and not (text := next(tokens, "-")).startswith("-"):
+                fields[options[token]["dest"]] = _value(options[token], text)
+            elif token.startswith("-"):
+                return None
+            else:
+                words.append(token)
+        fields.update(zip(positionals, map(_value, positionals.values(), words)))
+    except ValueError:  # argparse names the value it refuses
+        return None
+    complete = len(words) == len(positionals) and all(
+        fields[spec["dest"]] is not None for spec in options.values() if spec.get("required"))
+    return SimpleNamespace(**fields) if complete else None
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later
-    call in the process; nothing changes it after it is built."""
-    parser = _Parser(
+def build_parser():
+    """Argparse's parser of COMMANDS, built on first use, shared by every later
+    call in the process and never changed; only here is argparse imported."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """A bad argv is bad input: one error line and exit 2, not the usage."""
+
+        def error(self, message: str) -> NoReturn:
+            # argparse quotes the offending token whole: the cut keeps the line short
+            raise SpuncalcError(echo(message, str))
+
+    parser = Parser(
         prog="spuncalc",
         description="Planar open books, surgery diagrams, and their embedding targets",
     )
     parser.add_argument("--version", action="version", version=f"spuncalc {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp for byte-stable output")
-
-    p = sub.add_parser("lens", help="lens space pipeline for L(p,q)")
-    p.add_argument("p", type=integer)
-    p.add_argument("q", type=integer)
-    common(p)
-    p.set_defaults(func=cmd_lens)
-
-    p = sub.add_parser("embed", help="embedding target of a planar open book")
-    p.add_argument("--page", type=integer, required=True,
-                   help=f"number of inner boundaries (at most {MAX_PAGE_HOLES})")
-    p.add_argument("--word", required=True, help="word file (text or JSON)")
-    common(p)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("certify-s4", help="sphere certificate for paired pages")
-    p.add_argument("--page", type=integer, required=True,
-                   help=f"number of inner boundaries, even (at most {MAX_PAGE_HOLES})")
-    p.add_argument("--word", required=True)
-    common(p)
-    p.set_defaults(func=cmd_certify_s4)
-
-    p = sub.add_parser("surgery", help="diagram moves with a homology audit")
-    p.add_argument("diagram", help="diagram file (text or JSON)")
-    p.add_argument("--moves", help="JSON move list")
-    common(p)
-    p.set_defaults(func=cmd_surgery)
-
-    p = sub.add_parser("pi1", help="fundamental group of the push-page open book")
-    p.add_argument("presentation", help="presentation file")
-    common(p)
-    p.set_defaults(func=cmd_pi1)
-
-    p = sub.add_parser("corpus", help="replay the regression corpus")
-    p.add_argument("action", choices=["run"])
-    common(p)
-    p.set_defaults(func=cmd_corpus)
-
-    parser.subcommands = sub.choices
+    for name, (func, help_text, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for name_or_flag, spec in {**positionals, **options, **FLAGS}.items():
+            p.add_argument(name_or_flag, **spec)
+        p.set_defaults(func=func)
+    parser.subcommands = sub.choices  # the subcommands' parsers by name
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the command of ``argv`` (``sys.argv[1:]`` when None). When its
-    first word names a subcommand, that subcommand's parser reads the rest,
-    as the top-level parser would hand it on, but in one pass; anything
-    else (no word, ``--version``, ``-h``, an unknown word) goes through the
-    top-level parser."""
+    """Run the command of ``argv`` (``sys.argv[1:]`` when None). Argparse reads
+    an argv ``read_argv`` leaves, by the parser of the subcommand it names or
+    else (no word, ``--version``, ``-h``, an unknown word) the top-level one."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        parser = build_parser()
-        sub = parser.subcommands.get(argv[0]) if argv else None
-        args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
+        args = read_argv(argv)
+        if args is None:
+            parser = build_parser()
+            sub = parser.subcommands.get(argv[0]) if argv else None
+            args = (sub or parser).parse_args(argv[1:] if sub else argv, SimpleNamespace())
         return args.func(args)
     except SpuncalcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -82,8 +82,9 @@ def integers(text: str) -> tuple[int, ...]:
 
 
 def integer(text: str) -> int:
-    """The one integer of ``text``, spelt as ``integers`` reads it; argparse
-    names it in its message for a bad value."""
+    """The one integer of ``text``, spelt as ``integers`` reads it: the type
+    of an integer argument in ``cli.COMMANDS``, for both argv readers. The
+    table reader leaves a value it refuses to argparse, whose message names it."""
     (value,) = integers(text)
     return value
 

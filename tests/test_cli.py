@@ -761,6 +761,21 @@ def test_text_mode_builds_no_json_outputs(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_text_reports_name_one_hole_and_an_empty_word(tmp_path, monkeypatch, capsys):
+    # L(p,1) opens on a disk with one hole, and the only word certify-s4
+    # takes empty is on the page of no pairs: both read as embed reads them
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.txt").write_text("")
+    code, out, _ = run(capsys, "lens", "5", "1")
+    assert (code, out.splitlines()[3]) == (
+        0, "open book on Sigma_{0,2} (disk with 1 hole): T{1} T{1}^4")
+    code, out, _ = run(capsys, "certify-s4", "--page", "0", "--word", "empty.txt")
+    assert (code, out.splitlines()[1]) == (0, "word: (empty)")
+    code, out, _ = run(capsys, "embed", "--page", "1", "--word", "empty.txt")
+    assert (code, out.splitlines()[:2]) == (0, ["page: Sigma_{0,2} (disk with 1 hole)",
+                                                "word: (empty)"])
+
+
 def test_the_largest_lens_report_grows_with_its_answer(capsys):
     # L(2000,1999) has k = 1,999 coefficients, near the most lens takes: its
     # word's suffix curves, written as runs, keep the report under 1 MB,
@@ -772,28 +787,6 @@ def test_the_largest_lens_report_grows_with_its_answer(capsys):
     assert [letter["curve"] for letter in word[1999:2001]] == [[[1, 1999]], [[2, 1999]]]
 
 
-def test_parser_state_does_not_leak_between_calls(tmp_path, monkeypatch, capsys):
-    # the parser is built once per process; each call must still read as
-    # if it had a parser of its own
-    monkeypatch.chdir(tmp_path)
-    for name, text in README_FILES.items():
-        (tmp_path / name).write_text(text)
-    embed = ["embed", "--page", "2", "--word", "word.txt"]
-    as_json = ["--json", "--no-timestamp"]
-    pi1 = ["pi1", "group.txt"]
-    for first, second in [(embed + as_json, embed), (embed, embed + as_json),
-                          (pi1 + as_json, pi1), (pi1, pi1 + as_json)]:
-        fresh = []
-        for argv in (first, second):
-            cli.build_parser.cache_clear()
-            fresh.append(run(capsys, *argv))
-        cli.build_parser.cache_clear()
-        shared = [run(capsys, *argv) for argv in (first, second)]
-        assert cli.build_parser.cache_info().misses == 1
-        assert shared == fresh
-        assert fresh[0] != fresh[1]
-
-
 README_COMMANDS = [
     ["lens", "7", "2"],
     ["embed", "--page", "2", "--word", "word.txt"],
@@ -802,6 +795,167 @@ README_COMMANDS = [
     ["pi1", "group.txt"],
     ["corpus", "run"],
 ]
+
+
+# the shape of each benchmark command but corpus run: the table reader must serve it
+BENCHMARK_SHAPES = [
+    ["lens", "500", "499"],
+    ["embed", "--page", "12", "--word", "w3.json"],
+    ["certify-s4", "--page", "8", "--word", "c1.txt"],
+    ["surgery", "d4.txt", "--moves", "m4.json"],
+    ["pi1", "g2.txt"],
+]
+
+
+def parsed_by_argparse(argv):
+    """``vars()`` of what argparse's parser of ``argv[0]`` reads off the rest."""
+    return vars(cli.build_parser().subcommands[argv[0]].parse_args(argv[1:]))
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS + BENCHMARK_SHAPES, ids=" ".join)
+@pytest.mark.parametrize("flags", [[], ["--json", "--no-timestamp"]], ids=["text", "json"])
+def test_the_table_reader_serves_the_canonical_commands(argv, flags):
+    args = cli.read_argv(argv + flags)
+    assert args is not None
+    assert vars(args) == parsed_by_argparse(argv + flags)
+
+
+# words of an argv: values every subcommand's types read, and other
+# spellings (abbreviations, --option=value, --, help, version, integers
+# that errors.integer refuses or that start with -, unknown words)
+INTEGER_WORDS = ["7", "2", "0", "+3", "07", " 4"]
+NAME_WORDS = ["w.txt", "d.txt", "a b", "run", "7", ""]
+OTHER_WORDS = ["frob", "walk", "--page", "--word", "--moves", "--js", "--pa", "--no-t", "--page=3",
+               "--word=w.txt", "--json=1", "--", "-", "-h", "--help", "--version", "--fuzz", "-x",
+               "-7", "1_0", "\u0661\u0663", "9" * 5000]
+
+
+def word_for(spec):
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    return st.sampled_from(INTEGER_WORDS if "type" in spec else NAME_WORDS)
+
+
+@st.composite
+def canonical_argvs(draw):
+    """An argv spelt as the table reader takes it: one subcommand, its
+    positionals in order, its required options and perhaps the others, an
+    option perhaps repeated, any flags, all in any order."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, positionals, options = cli.COMMANDS[name]
+    chosen = [flag for flag, spec in options.items() if spec.get("required") or draw(st.booleans())]
+    if options:
+        chosen += draw(st.lists(st.sampled_from(list(options)), max_size=2))
+    pieces = [[flag, draw(word_for(options[flag]))] for flag in chosen]
+    pieces += [[flag] for flag in draw(st.lists(st.sampled_from(list(cli.FLAGS)), max_size=3))]
+    pieces = draw(st.permutations(pieces))
+    words = [draw(word_for(spec)) for spec in positionals.values()]
+    cuts = sorted(draw(st.lists(st.integers(0, len(pieces)), min_size=len(words),
+                                max_size=len(words))))
+    argv = [name]
+    for i in range(len(pieces) + 1):
+        argv += [word for word, cut in zip(words, cuts) if cut == i]
+        argv += pieces[i] if i < len(pieces) else []
+    return argv
+
+
+ANY_WORDS = [*cli.FLAGS, *INTEGER_WORDS, *NAME_WORDS, *OTHER_WORDS]
+
+
+@st.composite
+def noisy_argvs(draw):
+    """A canonical argv with a word or two of any kind put in, or put in
+    place of one, anywhere after the first."""
+    argv = draw(canonical_argvs())
+    for word in draw(st.lists(st.sampled_from(ANY_WORDS), min_size=1, max_size=2)):
+        i = draw(st.integers(1, len(argv)))
+        argv[i:i + draw(st.integers(0, 1))] = [word]
+    return argv
+
+
+random_argvs = st.lists(st.sampled_from([*cli.COMMANDS, *ANY_WORDS]), max_size=8)
+
+
+@given(canonical_argvs())
+@example(["lens", "7", "--json", "2"])
+@example(["embed", "--word", "a b", "--page", "07", "--word", "", "--json", "--json"])
+@example(["surgery", "--moves", "run", "d.txt", "--moves", "m.json", "--no-timestamp"])
+@settings(max_examples=500, deadline=None)
+def test_the_table_reader_reads_every_canonical_argv_as_argparse_does(argv):
+    args = cli.read_argv(argv)
+    assert args is not None
+    assert vars(args) == parsed_by_argparse(argv)
+
+
+@given(noisy_argvs() | random_argvs)
+@example(["embed", "--word", "w.txt", "--page", "x", "--page", "3"])
+@example(["embed", "--page", "-7", "3", "--word", "w.txt"])
+@example(["lens", "-7", "2"])
+@example(["pi1", "-h"])
+@example(["lens", "7", "2", "3"])
+@example(["corpus", "walk"])
+@example(["embed", "--page", "2"])
+@settings(max_examples=1500, deadline=None)
+def test_the_table_reader_agrees_with_argparse(argv):
+    # argparse is the reference: an argv the table reader accepts must read
+    # the same through argparse, whose messages serve every argv it refuses
+    args = cli.read_argv(argv)
+    if args is not None:
+        assert vars(args) == parsed_by_argparse(argv)
+
+
+def test_parser_state_does_not_leak_between_calls(tmp_path, monkeypatch, capsys):
+    # argparse's parser is built once per process, and only for an argv the
+    # table reader leaves to it; each call must still read as if it had a
+    # parser of its own, on both paths and across them
+    monkeypatch.chdir(tmp_path)
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text)
+    as_json = ["--json", "--no-timestamp"]
+    cli.build_parser.cache_clear()
+    for argv in README_COMMANDS:
+        assert run(capsys, *argv, *as_json)[0] == 0
+    assert cli.build_parser.cache_info().misses == 0
+    embed = ["embed", "--page", "2", "--word", "word.txt"]
+    embed_deferred = ["embed", "--page=2", "--word=word.txt"]
+    pi1 = ["pi1", "group.txt"]
+    pi1_deferred = ["pi1", "--no-t", "group.txt"]
+    for first, second, builds in [
+            (embed + as_json, embed, 0), (embed, embed + as_json, 0),
+            (pi1 + as_json, pi1, 0), (pi1, pi1 + as_json, 0),
+            (embed_deferred + as_json, embed_deferred, 1),
+            (embed_deferred, embed_deferred + as_json, 1),
+            (pi1_deferred + ["--js"], pi1_deferred, 1), (pi1_deferred, pi1_deferred + ["--js"], 1),
+            (embed + as_json, embed_deferred, 1), (embed_deferred + as_json, embed, 1)]:
+        fresh = []
+        for argv in (first, second):
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli.build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in (first, second)]
+        assert cli.build_parser.cache_info().misses == builds
+        assert shared == fresh
+        assert fresh[0] != fresh[1]
+
+
+def test_a_canonical_command_imports_no_argument_parser():
+    # -S: without site, whose .pth hooks may load any module; a canonical
+    # argv never builds argparse's parser, whose HelpFormatter loads shutil,
+    # and help still comes from argparse
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
+    code = ("import contextlib, io, sys\n"
+            "from spuncalc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['lens', '7', '2', '--json', '--no-timestamp'])\n"
+            "loaded = [m for m in ('argparse', 'gettext', 'shutil') if m in sys.modules]\n"
+            "print(code, loaded)\n"
+            "main(['--help'])\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    first, usage = proc.stdout.split("\n", 1)
+    assert first == "0 []"
+    assert usage.startswith("usage: spuncalc")
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])

@@ -60,15 +60,16 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
 # fourman is on neither its path nor the lens path; the lens value is an
 # exact pair of ints, so no command loads fractions (nor decimal, which it
 # imports); the value classes are plain classes, so no import loads
-# dataclasses, and only a timestamped report loads datetime. A key may
-# name interpreter flags after the module: with -S, no .pth hook of site
-# loads a module the import itself would not, so only corpus commands
+# dataclasses, only a timestamped report loads datetime, and only an argv
+# the table reader leaves to argparse loads argparse (and gettext). A key
+# may name interpreter flags after the module: with -S, no .pth hook of
+# site loads a module the import itself would not, so only corpus commands
 # load importlib.resources and nothing loads pathlib
 UNRELATED = {
     "spuncalc.planar": ("spuncalc.cli", "spuncalc.lens", "spuncalc.surgery"),
     "spuncalc.spun": ("spuncalc.cli", "spuncalc.lens", "spuncalc.surgery", "spuncalc.fourman"),
     "spuncalc.lens": ("spuncalc.cli", "spuncalc.fourman"),
-    "spuncalc.cli": ("fractions", "decimal", "dataclasses", "datetime"),
+    "spuncalc.cli": ("fractions", "decimal", "dataclasses", "datetime", "argparse", "gettext"),
     "spuncalc.cli -S": ("importlib.resources", "pathlib"),
 }
 

@@ -1,6 +1,5 @@
 """The value classes: frozen, without a __dict__, compared and hashed by their fields."""
 
-import argparse
 import inspect
 import sys
 from itertools import combinations
@@ -39,12 +38,11 @@ SAMPLES = {
 
 
 def test_every_class_that_holds_fields_is_a_value_class():
-    # exceptions and the argparse parser aside, every class of the package
-    # is a value class with a sample here
+    # exceptions aside, every class of the package is a value class with a sample here
     modules = [module for name, module in sys.modules.items() if name.startswith("spuncalc.")]
     classes = {obj for module in modules for obj in vars(module).values()
                if inspect.isclass(obj) and obj.__module__.startswith("spuncalc.")
-               and not issubclass(obj, (Exception, argparse.ArgumentParser))
+               and not issubclass(obj, Exception)
                and obj is not errors.Value}
     assert classes == set(SAMPLES)
     assert all(issubclass(cls, errors.Value) and cls.__slots__ for cls in classes)
