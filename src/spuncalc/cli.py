@@ -27,7 +27,8 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, Iterator, NoReturn
 
-from . import __version__, corpus, lens, modp, pi1, spun, surgery
+from . import __version__, corpus, lens, pi1, spun, surgery
+from .checks import relators_agree
 from .errors import InvalidMoveError, SpuncalcError, echo, integer, parse_json
 from .planar import PlanarPage, TwistWord, load_word, parity_vector, word_to_json, word_to_text
 from .spun import FourManifoldForm, normalize, parity_form
@@ -105,12 +106,13 @@ def _page(holes: int) -> PlanarPage:
 
 
 def _read(path: str) -> str:
-    """The file's text; only here is an OSError bad input (not on stdout)."""
+    """The file's text; only here is an OSError bad input (not on stdout).
+    Its message quotes the path whole; the error quotes it through ``echo``."""
     try:
         with open(path, encoding="utf-8") as file:
             return file.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise SpuncalcError(str(exc)) from None
+        raise SpuncalcError(str(exc).replace(repr(path), echo(path))) from None
 
 
 def lens_report(p: int, q: int) -> Report:
@@ -199,7 +201,8 @@ def certify_report(word: TwistWord) -> Report:
         return out
 
     def lines():
-        yield f"page: {_page_name(page)} with {page.inner_count // 2} boundary pairs"
+        pairs = page.inner_count // 2
+        yield f"page: {_page_name(page)} with {pairs} boundary pair{'' if pairs == 1 else 's'}"
         yield f"word: {word_to_text(word) or '(empty)'}"
         yield f"a-boundary twist parities: {list(parities)}"
         if certified:
@@ -260,27 +263,10 @@ def surgery_report(diagram: surgery.FramedBraidDiagram, moves: list[dict]) -> Re
 
 def cmd_surgery(args: SimpleNamespace) -> int:
     d = surgery.parse_diagram(_read(args.diagram))
-    moves = (parse_json(_read(args.moves), InvalidMoveError, f"malformed JSON in {args.moves}")
-             if args.moves else [])
+    moves = (parse_json(_read(args.moves), InvalidMoveError,
+                        f"malformed JSON in {echo(args.moves, str)}") if args.moves else [])
     return _emit(args, "surgery", {"diagram_file": args.diagram, "moves_file": args.moves},
                  *surgery_report(d, moves))
-
-
-def _exponent_sums(relators: tuple[pi1.Word, ...]) -> list[list[int]]:
-    """Each relator's exponent sum on each generator some relator mentions
-    (the other columns are zero), counted here rather than read from
-    ``pi1.abelianization``, so that a fault there shows against these rows."""
-    column = {x: j for j, x in enumerate({abs(x) for r in relators for x in r})}
-    rows = []
-    for r in relators:
-        row = [0] * len(column)
-        for x in r:
-            if x > 0:
-                row[column[x]] += 1
-            else:
-                row[column[-x]] -= 1
-        rows.append(row)
-    return rows
 
 
 def cmd_pi1(args: SimpleNamespace) -> int:
@@ -292,8 +278,8 @@ def cmd_pi1(args: SimpleNamespace) -> int:
     page = pi1.page_for_presentation(g)
     recovered = pi1.pi1_of_open_book(page)
     ab = pi1.abelianization(recovered)
-    checks = [{"name": RANK_CHECK, "passed": modp.invariants_agree(
-        ab.factors, ab.free_rank, g.generator_count, _exponent_sums(g.relators))}]
+    checks = [{"name": RANK_CHECK, "passed": relators_agree(
+        ab.factors, ab.free_rank, g.generator_count, g.relators)}]
 
     def outputs():
         presentation = g.to_json()

@@ -178,10 +178,6 @@ def words_to_text(words: Sequence[Word], symbol: str = "x") -> list[str]:
     return ["".join(map(names.__getitem__, w)) for w in words]
 
 
-def word_to_text(word: Word, symbol: str = "x") -> str:
-    return words_to_text((word,), symbol)[0]
-
-
 # most generators a presentation file may declare: the report names each one
 MAX_GENERATORS = 100_000
 # most entries of a presentation file's relation matrix, its relators times

@@ -203,7 +203,8 @@ def s4_parities(word: TwistWord) -> tuple[int, ...]:
                             _MISSING_SHOWN))
         more = " ..." if missing > len(first) else ""
         raise MalformedPairingError(
-            f"{missing} of {n} pairs have no push letter: {first}{more}")
+            f"{missing} of {n} pair{'s' if n > 1 else ''} {'has' if missing == 1 else 'have'} "
+            f"no push letter: {first}{more}")
     return tuple(s % 2 for s in sums)
 
 

@@ -14,11 +14,11 @@ diagram (one letter per linked pair, in index order) and a one-line detail
 string. ``apply_moves`` runs a move list and audits the chain: each move
 carries a certificate, elementary unimodular matrices E and F with
 E L F equal to L' up to a split-off +-1 block (L and L' the linking
-matrices before and after the move), checked in O(n^2). That is an
-isomorphism of first homology, so H1 takes a Smith form only on the
-input, and on both sides of any move whose certificate fails; the final
-diagram's ranks mod 2 and mod 3 are checked against the input's H1. The
-sign conventions in force (also echoed in every CLI report):
+matrices before and after the move), checked by ``checks`` in O(n^2).
+That is an isomorphism of first homology, so H1 takes a Smith form only
+on the input, and on both sides of any move whose certificate fails; the
+final diagram's ranks mod 2 and mod 3 are checked against the input's
+H1. The sign conventions in force (also echoed in every CLI report):
 
 * blow_up(region, sign) appends a new strand with framing ``sign`` that
   links each region member once positively, and compensates by adding
@@ -36,10 +36,10 @@ from functools import cache
 from itertools import chain
 from typing import Callable
 
+from . import checks
 from .errors import (InvalidDiagramError, InvalidMoveError, Value, echo, integers, parse_json,
                      require_integers, unchecked)
 from .homology import H1Invariants, Rows, cokernel_invariants
-from .modp import invariants_agree
 from .planar import CurveClass, DehnTwist, PlanarPage, TwistWord
 
 SIGN_CONVENTIONS = {
@@ -259,67 +259,6 @@ def rolfsen_twist(d: FramedBraidDiagram, component: int, t: int) -> tuple[Framed
     return _rank_one(dict(d.net_linking), framings, u, t), f"component {c}, t {t:+d}"
 
 
-# Move certificates (Gompf-Stipsicz, 4-Manifolds and Kirby Calculus, 5.1):
-# each builds E and F from the old linking matrix and the move's arguments
-# alone, as products of transvections (add k times line c to another line)
-# and a column sign, so both are unimodular, and compares E L F with the
-# new matrix. None of them calls _rank_one, so a fault in the update the
-# moves share shows as a failed certificate.
-
-
-def _add_rows(m: list[list[int]], c: int, factors: dict[int, int]) -> None:
-    """m <- E m: add factors[i] times row c to each row i != c."""
-    pivot = m[c]
-    for i, k in factors.items():
-        m[i] = [a + k * b for a, b in zip(m[i], pivot)]
-
-
-def _add_columns(m: list[list[int]], c: int, factors: dict[int, int]) -> None:
-    """m <- m F: add factors[j] times column c to each column j != c."""
-    for row in m:
-        x = row[c]
-        if x:
-            for j, k in factors.items():
-                row[j] += k * x
-
-
-def _blow_up_certified(old: Rows, new: Rows, region: list[int], s: int) -> bool:
-    """E diag(L, s) F = L': add s times the new strand's row, whose only
-    entry is s, to each region member's row, then the same for columns.
-    With s = +-1 the block (s) splits off."""
-    n = len(old)
-    m = [[*row, 0] for row in old] + [[0] * n + [s]]
-    factors = {i - 1: s for i in set(region)}
-    _add_rows(m, n, factors)
-    _add_columns(m, n, factors)
-    return s in (1, -1) and tuple(map(tuple, m)) == new
-
-
-def _blow_down_certified(old: Rows, new: Rows, c: int) -> bool:
-    """E L F = L' with the block (s) inserted at index c, s = L_cc = +-1: E
-    subtracts s*L_ic times row c from each other row i, which with s^2 = 1
-    clears column c off the diagonal; F, the same on columns, then clears
-    row c and changes nothing else, so only E is applied."""
-    m = [list(row) for row in old]
-    s = m[c][c]
-    _add_rows(m, c, {i: -s * x for i, x in enumerate(m[c]) if x and i != c})
-    del m[c]
-    for row in m:
-        del row[c]
-    return s in (1, -1) and tuple(map(tuple, m)) == new
-
-
-def _twist_certified(old: Rows, new: Rows, c: int, t: int) -> bool:
-    """E L F = L': E adds t*L_ic times row c to each other row i; F negates
-    column c when t*f = -2 (f = L_cc) and is the identity otherwise."""
-    m = [list(row) for row in old]
-    _add_rows(m, c, {i: t * x for i, x in enumerate(m[c]) if x and i != c})
-    if t * old[c][c] == -2:
-        for row in m:
-            row[c] = -row[c]
-    return tuple(map(tuple, m)) == new
-
-
 def _field(move: dict, key: str):
     try:
         return move[key]
@@ -350,11 +289,11 @@ def _apply(d: FramedBraidDiagram, move: dict,
         raise InvalidMoveError(f"move {echo(move)}: 'region' must be a list of integers")
     try:
         if kind == "blow_up":
-            return *blow_up(d, *args), lambda old, new: _blow_up_certified(old, new, *args)
+            return *blow_up(d, *args), lambda old, new: checks.blow_up_certified(old, new, *args)
         c, *t = args  # the component, then a twist's count
         if kind == "blow_down":
-            return *blow_down(d, c), lambda old, new: _blow_down_certified(old, new, c - 1)
-        return *rolfsen_twist(d, c, *t), lambda old, new: _twist_certified(old, new, c - 1, *t)
+            return *blow_down(d, c), lambda old, new: checks.blow_down_certified(old, new, c - 1)
+        return *rolfsen_twist(d, c, *t), lambda old, new: checks.twist_certified(old, new, c - 1, *t)
     except InvalidMoveError as exc:
         raise InvalidMoveError(f"move {echo(move)}: {exc}") from None
 
@@ -367,7 +306,7 @@ def apply_moves(d: FramedBraidDiagram, moves: list[dict],
     Returns the final diagram, the H1 of every diagram in the chain (input
     first; the last is the final diagram's), whether the input's H1 agrees
     with the final linking matrix's ranks mod 2 and mod 3 (see
-    ``modp.invariants_agree``), and each move's detail string; move i
+    ``checks.invariants_agree``), and each move's detail string; move i
     preserves H1 when ``h1[i] == h1[i + 1]``. After every move has applied,
     each diagram's linking rows are built once. The input's H1 is its Smith
     form, and each move whose certificate holds carries it on, so a chain
@@ -400,7 +339,7 @@ def apply_moves(d: FramedBraidDiagram, moves: list[dict],
         else:
             h1[i] = computed(i)
             h1.append(computed(i + 1))
-    agrees = invariants_agree(h1[0].factors, h1[0].free_rank, d.strands, rows[-1])
+    agrees = checks.invariants_agree(h1[0].factors, h1[0].free_rank, d.strands, rows[-1])
     return d, h1, agrees, details
 
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from spuncalc import corpus, fourman, homology, lens, pi1, spun, surgery
+from spuncalc import checks, corpus, fourman, homology, lens, pi1, spun, surgery
 from spuncalc.cli import RANK_CHECK, main
 from spuncalc.planar import TwistWord
 from test_cli import README_COMMANDS, README_FILES
@@ -102,8 +102,8 @@ def certificates_accept_every_move(monkeypatch):
     see it. On the twist input the fault takes H1 from Z/4 to Z/5, which
     changes the 2-part; the same fault on the README chain takes Z/7 to
     Z/5, which ranks mod 2 and mod 3 cannot see (test_modp pins that)."""
-    for name in ("_blow_up_certified", "_blow_down_certified", "_twist_certified"):
-        monkeypatch.setattr(surgery, name, lambda *args: True)
+    for name in ("blow_up_certified", "blow_down_certified", "twist_certified"):
+        monkeypatch.setattr(checks, name, lambda *args: True)
     framing_off_after("rolfsen_twist")(monkeypatch)
 
 

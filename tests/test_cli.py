@@ -374,6 +374,9 @@ def test_a_case_whose_replay_raises_fails_and_the_run_goes_on(monkeypatch, capsy
 
 
 GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
+# a missing path of 2,005 characters and a directory path of 1,005
+LONG_MISSING = "missing/" * 250 + "w.txt"
+LONG_DIRECTORY = "/".join(["d" * 200] * 5)
 
 
 @pytest.mark.parametrize("argv, files, needle", [
@@ -484,6 +487,13 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
      {"w.json": '[{"op":"twist","curve":[[1,2,3]]}]'}, "[first, last] runs"),
     (["embed", "--page", "3", "--word", "w.json"],
      {"w.json": '[{"op":"twist","curve":[[1.0,3]]}]'}, "integers"),
+    (["embed", "--page", "2", "--word", LONG_MISSING], {},
+     f"No such file or directory: {repr(LONG_MISSING)[:ECHO_CHARS - 3]}...\n"),
+    (["pi1", LONG_MISSING], {},
+     f"No such file or directory: {repr(LONG_MISSING)[:ECHO_CHARS - 3]}...\n"),
+    (["surgery", "d.txt", "--moves", f"{LONG_DIRECTORY}/m.json"],
+     {"d.txt": GOOD_DIAGRAM, f"{LONG_DIRECTORY}/m.json": "[{"},
+     f"malformed JSON in {LONG_DIRECTORY[:ECHO_CHARS - 3]}...: Expecting"),
 ], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
         "non-object-letter", "letter-outside-gens", "move-region-not-integer",
         "move-twists-not-integer", "move-component-list", "moves-file-object",
@@ -505,22 +515,46 @@ GOOD_DIAGRAM = "strands 2\nframings -4 -2\nA 1 2 +1\n"
         "diagram-arabic-indic-strands", "word-arabic-indic-hole", "relator-arabic-indic-index",
         "gens-arabic-indic-count", "word-run-decreasing", "word-run-no-first",
         "word-run-hole-zero", "json-word-run-decreasing", "json-word-run-three-fields",
-        "json-word-run-float"])
+        "json-word-run-float", "word-path-long-missing", "presentation-path-long-missing",
+        "moves-path-long-malformed"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                      needle):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():  # bytes are written raw, None makes a directory
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
         if content is None:
-            (tmp_path / name).mkdir()
+            path.mkdir()
         elif isinstance(content, bytes):
-            (tmp_path / name).write_bytes(content)
+            path.write_bytes(content)
         else:
-            (tmp_path / name).write_text(content)
+            path.write_text(content)
     code, out, err = run(capsys, *argv, "--json", "--no-timestamp")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert needle in err
+    assert len(err.encode()) < 1024
+
+
+def test_an_error_quotes_a_path_whole_up_to_echo_chars(tmp_path, monkeypatch, capsys):
+    # a missing path whose repr has ECHO_CHARS characters is quoted as the
+    # OSError quotes it, and so is a moves path of ECHO_CHARS characters;
+    # one character more, and each quote is cut
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.txt").write_text(GOOD_DIAGRAM)
+    (tmp_path / "m").mkdir()
+    whole, cut = "m" * (ECHO_CHARS - 2), "m" * (ECHO_CHARS - 1)
+    with pytest.raises(OSError) as info:
+        open(whole)
+    assert run(capsys, "embed", "--page", "2", "--word", whole)[2] == f"error: {info.value}\n"
+    assert run(capsys, "embed", "--page", "2", "--word", cut)[2] == (
+        f"error: [Errno 2] No such file or directory: '{cut[:ECHO_CHARS - 4]}...\n")
+    for name in (whole, cut):
+        (tmp_path / "m" / name).write_text("[")
+        quote = f"m/{name}" if name == whole else f"m/{name}"[:ECHO_CHARS - 3] + "..."
+        err = run(capsys, "surgery", "d.txt", "--moves", f"m/{name}")[2]
+        assert err.startswith(f"error: malformed JSON in {quote}: Expecting")
 
 
 # inputs that repeat a value of 10^5 entries or 3,000 digits in their error; the line keeps
@@ -763,14 +797,20 @@ def test_text_mode_builds_no_json_outputs(monkeypatch, capsys):
 
 def test_text_reports_name_one_hole_and_an_empty_word(tmp_path, monkeypatch, capsys):
     # L(p,1) opens on a disk with one hole, and the only word certify-s4
-    # takes empty is on the page of no pairs: both read as embed reads them
+    # takes empty is on the page of no pairs: both read as embed reads them;
+    # the README's certificate page has one pair
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "cert.txt").write_text(README_FILES["cert.txt"])
     code, out, _ = run(capsys, "lens", "5", "1")
     assert (code, out.splitlines()[3]) == (
         0, "open book on Sigma_{0,2} (disk with 1 hole): T{1} T{1}^4")
     code, out, _ = run(capsys, "certify-s4", "--page", "0", "--word", "empty.txt")
-    assert (code, out.splitlines()[1]) == (0, "word: (empty)")
+    assert (code, out.splitlines()[:2]) == (
+        0, ["page: Sigma_{0,1} (disk with 0 holes) with 0 boundary pairs", "word: (empty)"])
+    code, out, _ = run(capsys, "certify-s4", "--page", "2", "--word", "cert.txt")
+    assert (code, out.splitlines()[0]) == (
+        0, "page: Sigma_{0,3} (disk with 2 holes) with 1 boundary pair")
     code, out, _ = run(capsys, "embed", "--page", "1", "--word", "empty.txt")
     assert (code, out.splitlines()[:2]) == (0, ["page: Sigma_{0,2} (disk with 1 hole)",
                                                 "word: (empty)"])
@@ -980,12 +1020,14 @@ def test_json_report_is_one_compact_sorted_ascii_line(tmp_path, monkeypatch, cap
      "e0b619c9441eadf6b3b3b5f0e8e50acfe459783dd99df75ca8fa3d03a84934db"),
     (["embed", "--page", "4", "--word", "repeated.json"],
      "2bc64fb161d33fecff399a25e3ff0308dbae37dbabd594ed09f5bd06ee4e5088"),
+    (["certify-s4", "--page", "2", "--word", "cert.txt"],
+     "ace7c98ef77bcc45bfa991fa4548726516123a50ca5d2d29fc646f5d6931052e"),
     (["certify-s4", "--page", "4", "--word", "repeated-cert.txt"],
      "bf48621272e5dcc7e3f1dfffee65d8c9dd168ffa4e240a6aec311faf18c64fdf"),
     (["pi1", "group.txt"], "e9bb0f014e95e4ffa967357185c911c9082447ab34bf3291676a4035d8f7639d"),
     (["corpus", "run"], "c678404c4b1907c05a6b3ede866f9d1811d69531c674a9c0bcde9c72118f704d"),
 ], ids=["lens-7-2", "surgery-readme", "embed-repeated-text", "embed-repeated-json",
-        "certify-s4-repeated", "pi1-readme", "corpus-run"])
+        "certify-s4-readme", "certify-s4-repeated", "pi1-readme", "corpus-run"])
 def test_text_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
     for name, text in {**README_FILES, **REPEATED_FILES}.items():

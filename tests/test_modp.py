@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spuncalc.homology import cokernel_invariants, smith_diagonal
-from spuncalc.modp import invariants_agree, rank_mod2, rank_mod3
+from spuncalc.checks import invariants_agree, rank_mod2, rank_mod3
 
 # entries small, large and negative: a residue must not depend on the sign
 ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40))

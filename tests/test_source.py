@@ -19,6 +19,9 @@ from spuncalc import cli, errors, fourman, lens, spun
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
+PACKAGE = Path(spuncalc.__file__).parent
+MODULES = tuple(f"spuncalc.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+                if path.stem != "__init__")
 
 
 def test_library_has_no_assert_statements():
@@ -55,9 +58,11 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     assert all(m.normalize is normalize for m in binders)
 
 
-# the modules that importing each module must not load: spun is the one
-# module that turns parities into targets, so the atom evaluator in
-# fourman is on neither its path nor the lens path; the lens value is an
+# the modules that importing each module must not load: checks computes
+# what the hard checks compare, so it loads no spuncalc module but errors,
+# and so none of the code it checks; spun is the one module that turns
+# parities into targets, so the atom evaluator in fourman is on neither
+# its path nor the lens path; the lens value is an
 # exact pair of ints, so no command loads fractions (nor decimal, which it
 # imports); the value classes are plain classes, so no import loads
 # dataclasses, only a timestamped report loads datetime, and only an argv
@@ -66,6 +71,7 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
 # site loads a module the import itself would not, so only corpus commands
 # load importlib.resources and nothing loads pathlib
 UNRELATED = {
+    "spuncalc.checks": tuple(m for m in MODULES if m not in ("spuncalc.checks", "spuncalc.errors")),
     "spuncalc.planar": ("spuncalc.cli", "spuncalc.lens", "spuncalc.surgery"),
     "spuncalc.spun": ("spuncalc.cli", "spuncalc.lens", "spuncalc.surgery", "spuncalc.fourman"),
     "spuncalc.lens": ("spuncalc.cli", "spuncalc.fourman"),
@@ -84,6 +90,21 @@ def test_importing_one_module_loads_no_unrelated_one(key):
     out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out == "[]\n"
+
+
+def test_checks_imports_only_errors_and_the_standard_library():
+    # checked by AST, so an import the row above would not see (one inside a
+    # function, say) is refused too
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "checks.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            imported |= ({dots + node.module} if node.module else
+                         {dots + alias.name for alias in node.names})
+    assert imported and {name for name in imported
+                         if name.partition(".")[0] not in sys.stdlib_module_names} <= {".errors"}
 
 
 def test_every_error_class_is_named_outside_errors():

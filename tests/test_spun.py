@@ -215,6 +215,14 @@ def test_s4_missing_pushes_are_counted_not_listed():
     with pytest.raises(MalformedPairingError) as info:
         s4_parities(TwistWord(page, (twist({1}),)))
     assert str(info.value) == "2 of 2 pairs have no push letter: [1, 2]"
+    # the nouns and the verb agree in number with their counts
+    for holes, letters, message in [
+        (2, (), "1 of 1 pair has no push letter: [1]"),
+        (6, (push(2, {1}), push(6, {5})), "1 of 3 pairs has no push letter: [2]"),
+    ]:
+        with pytest.raises(MalformedPairingError) as info:
+            s4_parities(TwistWord(PlanarPage(holes), letters))
+        assert str(info.value) == message
 
 
 def test_s4_parities_read_the_page_of_the_word():

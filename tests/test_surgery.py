@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spuncalc import surgery
+from spuncalc import checks, surgery
 from spuncalc.errors import InvalidDiagramError, InvalidMoveError
 from spuncalc.homology import H1Invariants, LinkingMatrix
 from spuncalc.planar import (
@@ -389,8 +389,8 @@ def test_a_certificate_rejects_the_move_whenever_rank_one_drops_the_framing_sign
 def test_a_certificate_splits_off_only_a_unit_block():
     # E diag(L, 2) F for L = (0), and L = (2) blown down: each matrix pair
     # passes every test but the block's, and the block (2) changes H1
-    assert not surgery._blow_up_certified(((0,),), ((8, 4), (4, 2)), [1], 2)
-    assert not surgery._blow_down_certified(((2,),), (), 0)
+    assert not checks.blow_up_certified(((0,),), ((8, 4), (4, 2)), [1], 2)
+    assert not checks.blow_down_certified(((2,),), (), 0)
 
 
 def test_dropping_the_framing_sign_fails_each_kind_of_move():
