@@ -107,12 +107,15 @@ def _page(holes: int) -> PlanarPage:
 
 def _read(path: str) -> str:
     """The file's text; only here is an OSError bad input (not on stdout).
-    Its message quotes the path whole; the error quotes it through ``echo``."""
+    Its message quotes the path whole, and a decoding error's does not name
+    it; the error quotes it through ``echo``."""
     try:
         with open(path, encoding="utf-8") as file:
             return file.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise SpuncalcError(str(exc).replace(repr(path), echo(path))) from None
+    except UnicodeDecodeError as exc:
+        raise SpuncalcError(f"malformed UTF-8 in {echo(path, str)}: {exc}") from None
 
 
 def lens_report(p: int, q: int) -> Report:

@@ -127,10 +127,8 @@ class CurveClass(Value):
 
 
 def _runs_text(runs: tuple[Run, ...]) -> str:
-    """Each run of three or more holes as ``r..k``, each shorter one as its
-    holes, comma-separated."""
-    return ",".join(f"{first}..{last}" if last - first > 1 else
-                    f"{first},{last}" if last > first else str(first) for first, last in runs)
+    """The items of ``_runs_json``, comma-separated, a run as ``r..k``."""
+    return ",".join(f"{x[0]}..{x[1]}" if type(x) is list else str(x) for x in _runs_json(runs))
 
 
 def _runs_json(runs: tuple[Run, ...]) -> list:

@@ -15,10 +15,11 @@ string. ``apply_moves`` runs a move list and audits the chain: each move
 carries a certificate, elementary unimodular matrices E and F with
 E L F equal to L' up to a split-off +-1 block (L and L' the linking
 matrices before and after the move), checked by ``checks`` in O(n^2).
-That is an isomorphism of first homology, so H1 takes a Smith form only
-on the input, and on both sides of any move whose certificate fails; the
-final diagram's ranks mod 2 and mod 3 are checked against the input's
-H1. The sign conventions in force (also echoed in every CLI report):
+That is an isomorphism of first homology, so a chain whose certificates
+all hold takes a Smith form only on the input, and a chain with a failed
+certificate takes one on every diagram; the final diagram's ranks mod 2
+and mod 3 are checked against the input's H1. The sign conventions in
+force (also echoed in every CLI report):
 
 * blow_up(region, sign) appends a new strand with framing ``sign`` that
   links each region member once positively, and compensates by adding
@@ -32,7 +33,6 @@ H1. The sign conventions in force (also echoed in every CLI report):
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import chain
 from typing import Callable
 
@@ -308,10 +308,9 @@ def apply_moves(d: FramedBraidDiagram, moves: list[dict],
     with the final linking matrix's ranks mod 2 and mod 3 (see
     ``checks.invariants_agree``), and each move's detail string; move i
     preserves H1 when ``h1[i] == h1[i + 1]``. After every move has applied,
-    each diagram's linking rows are built once. The input's H1 is its Smith
-    form, and each move whose certificate holds carries it on, so a chain
-    whose certificates all hold takes one Smith form. A move whose
-    certificate fails takes the Smith forms of the diagrams on both sides.
+    each diagram's linking rows are built once. When every certificate
+    holds, the input's Smith form is carried to every diagram, so the chain
+    takes one Smith form; when any fails, every diagram takes its own.
     The ranks of the final matrix share no code with the Smith form, so a
     fault in it, or in a certificate, shows as a disagreement where it
     changes how many invariant factors 2 or 3 divides, or the free rank.
@@ -327,18 +326,10 @@ def apply_moves(d: FramedBraidDiagram, moves: list[dict],
         details.append(detail)
         certificates.append(certificate)
     rows = [linking_matrix(x) for x in chain]
-
-    @cache
-    def computed(i: int) -> H1Invariants:
-        return h1_invariants(rows[i])
-
-    h1 = [computed(0)]
-    for i, certificate in enumerate(certificates):
-        if certificate(rows[i], rows[i + 1]):
-            h1.append(h1[i])
-        else:
-            h1[i] = computed(i)
-            h1.append(computed(i + 1))
+    if all(certificate(rows[i], rows[i + 1]) for i, certificate in enumerate(certificates)):
+        h1 = [h1_invariants(rows[0])] * len(rows)
+    else:
+        h1 = [h1_invariants(x) for x in rows]
     agrees = checks.invariants_agree(h1[0].factors, h1[0].free_rank, d.strands, rows[-1])
     return d, h1, agrees, details
 

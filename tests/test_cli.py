@@ -21,6 +21,12 @@ from spuncalc.cli import MAX_PAGE_HOLES, main
 from spuncalc.errors import ECHO_CHARS, echo
 
 
+def source_env():
+    """The environment of a child interpreter that imports this spuncalc."""
+    return {**os.environ,
+            "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(spuncalc.__file__)))}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -207,24 +213,14 @@ def test_console_script_exits_141_quietly_on_a_closed_pipe(tmp_path):
     # as runs.
     word = tmp_path / "w.txt"
     word.write_text("T{1}\n")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
     proc = subprocess.Popen([sys.executable, "-m", "spuncalc.cli", "embed", "--page", "100000",
                              "--word", str(word)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env())
     assert proc.stdout.readline().startswith(b"page: Sigma_{0,100001}")
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
-
-
-@pytest.mark.parametrize("argv", [["lens", "x", "2"], ["frob"]], ids=["lens-x-2", "frob"])
-def test_console_script_argv_error_is_one_line(argv):
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
-    proc = subprocess.run([sys.executable, "-m", "spuncalc.cli", *argv], capture_output=True,
-                          env=env, timeout=60)
-    assert (proc.returncode, proc.stdout) == (2, b"")
-    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(b"error: ")
 
 
 def singular_diagram(n):
@@ -265,9 +261,8 @@ def test_singular_and_wide_relation_matrices_end_within_a_minute(tmp_path, comma
     # modulo a nonzero minor; elimination over Z took minutes on either
     path = tmp_path / "input.txt"
     path.write_text(text)
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
     proc = subprocess.run([sys.executable, "-m", "spuncalc.cli", command, str(path), "--json",
-                           "--no-timestamp"], capture_output=True, env=env, timeout=60)
+                           "--no-timestamp"], capture_output=True, env=source_env(), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
     report = json.loads(proc.stdout)
     assert all(check["passed"] for check in report["checks"])
@@ -379,7 +374,9 @@ LONG_MISSING = "missing/" * 250 + "w.txt"
 LONG_DIRECTORY = "/".join(["d" * 200] * 5)
 
 
-@pytest.mark.parametrize("argv, files, needle", [
+# inputs that must exit 2 with one short error line naming ``needle``; a file's
+# text is written as UTF-8, bytes are written raw, and None makes a directory
+MALFORMED_INPUTS = [
     (["surgery", "d.txt"], {"d.txt": "strands 2\nframings -1 -2\nA 1\n"}, "diagram line"),
     (["surgery", "d.txt"], {"d.txt": "strands x\nframings -1\n"}, "non-integer"),
     (["surgery", "d.txt", "--moves", "m.json"],
@@ -424,9 +421,12 @@ LONG_DIRECTORY = "/".join(["d" * 200] * 5)
     (["embed", "--page", "3", "--word", "w.json"], {"w.json": '{"letters": null}'},
      "must be a list"),
     (["embed", "--page", "3", "--word", "w.json"], {"w.json": '{"x": 1}'}, "must be a list"),
-    (["embed", "--page", "3", "--word", "w.txt"], {"w.txt": b"T{1}\xff\n"}, "decode"),
-    (["pi1", "g.txt"], {"g.txt": b"gens 1\n\xe9\n"}, "decode"),
-    (["surgery", "d.txt"], {"d.txt": b"strands 1\nframings \xff\n"}, "decode"),
+    (["embed", "--page", "3", "--word", "w.txt"], {"w.txt": b"T{1}\xff\n"},
+     "malformed UTF-8 in w.txt: 'utf-8' codec can't decode"),
+    (["pi1", "g.txt"], {"g.txt": b"gens 1\n\xe9\n"},
+     "malformed UTF-8 in g.txt: 'utf-8' codec can't decode"),
+    (["surgery", "d.txt"], {"d.txt": b"strands 1\nframings \xff\n"},
+     "malformed UTF-8 in d.txt: 'utf-8' codec can't decode"),
     (["surgery", "d.txt"], {"d.txt": None}, "Is a directory"),
     (["embed", "--page", "2", "--word", "w.txt"], {"w.txt": "T{1}^" + "9" * 5000}, "too long"),
     (["pi1", "g.txt"], {"g.txt": "gens 1\nx" + "9" * 5000 + "\n"}, "digits"),
@@ -494,47 +494,81 @@ LONG_DIRECTORY = "/".join(["d" * 200] * 5)
     (["surgery", "d.txt", "--moves", f"{LONG_DIRECTORY}/m.json"],
      {"d.txt": GOOD_DIAGRAM, f"{LONG_DIRECTORY}/m.json": "[{"},
      f"malformed JSON in {LONG_DIRECTORY[:ECHO_CHARS - 3]}...: Expecting"),
-], ids=["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
-        "non-object-letter", "letter-outside-gens", "move-region-not-integer",
-        "move-twists-not-integer", "move-component-list", "moves-file-object",
-        "json-diagram-no-strands", "json-diagram-strands-text", "json-diagram-two-field-letter",
-        "json-diagram-sign-not-integer", "json-word-curve-not-integer",
-        "json-word-exp-not-integer", "gens-not-integer", "json-diagram-framings-string",
-        "json-diagram-strands-float", "json-diagram-framing-float", "json-word-curve-string-exp-float",
-        "json-word-curve-string", "json-word-letters-number", "json-word-letters-null",
-        "json-word-object",
-        "word-not-utf8", "presentation-not-utf8", "diagram-not-utf8", "diagram-is-directory",
-        "word-exponent-too-long", "relator-index-too-long", "embed-page-too-large",
-        "certify-s4-page-too-large", "argv-not-an-integer", "argv-unknown-command",
-        "argv-unknown-option", "embed-raw-removed", "argv-missing-option", "json-word-reused-curve-bool",
-        "json-word-reused-curve-float", "repeated-gens", "gens-prefix", "repeated-strands", "repeated-framings",
-        "word-hole-zero", "json-word-no-curve", "json-word-curve-number",
-        "json-word-curve-nested-500", "json-diagram-unknown-key", "json-word-unknown-key",
-        "json-word-push-unknown-key", "move-unknown-key", "argv-underscore-digits",
-        "argv-arabic-indic-digits", "page-arabic-indic-digit", "diagram-underscore-digits",
-        "diagram-arabic-indic-strands", "word-arabic-indic-hole", "relator-arabic-indic-index",
-        "gens-arabic-indic-count", "word-run-decreasing", "word-run-no-first",
-        "word-run-hole-zero", "json-word-run-decreasing", "json-word-run-three-fields",
-        "json-word-run-float", "word-path-long-missing", "presentation-path-long-missing",
-        "moves-path-long-malformed"])
-def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
-                                                     needle):
-    monkeypatch.chdir(tmp_path)
-    for name, content in files.items():  # bytes are written raw, None makes a directory
-        path = tmp_path / name
+    (["surgery", "d.txt", "--moves", "m.json"], {"d.txt": GOOD_DIAGRAM, "m.json": b"[\xff]"},
+     "malformed UTF-8 in m.json: 'utf-8' codec can't decode byte 0xff in position 1"),
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 2\nframings -1 -2\n",
+      "m.json": json.dumps([{"move": "rolfsen_twist", "component": 1, "twists": "2"}])},
+     "'twists' must be an integer, got '2'"),
+    (["certify-s4", "--page", "2", "--word", "w.txt"], {"w.txt": "T{1}\n"},
+     "1 of 1 pair has no push letter: [1]"),
+    (["embed", "--page", "2", "--word"], {}, "argument --word: expected one argument"),
+    (["lens", "7", "2", "--json=1"], {}, "argument --json: ignored explicit argument '1'"),
+    (["corpus", "walk"], {}, "invalid choice: 'walk'"),
+]
+MALFORMED_IDS = ["truncated-letter", "non-integer-strands", "move-missing-key", "malformed-json",
+                 "non-object-letter", "letter-outside-gens", "move-region-not-integer",
+                 "move-twists-not-integer", "move-component-list", "moves-file-object",
+                 "json-diagram-no-strands", "json-diagram-strands-text",
+                 "json-diagram-two-field-letter", "json-diagram-sign-not-integer",
+                 "json-word-curve-not-integer", "json-word-exp-not-integer", "gens-not-integer",
+                 "json-diagram-framings-string", "json-diagram-strands-float",
+                 "json-diagram-framing-float", "json-word-curve-string-exp-float",
+                 "json-word-curve-string", "json-word-letters-number", "json-word-letters-null",
+                 "json-word-object", "word-not-utf8", "presentation-not-utf8", "diagram-not-utf8",
+                 "diagram-is-directory", "word-exponent-too-long", "relator-index-too-long",
+                 "embed-page-too-large", "certify-s4-page-too-large", "argv-not-an-integer",
+                 "argv-unknown-command", "argv-unknown-option", "embed-raw-removed",
+                 "argv-missing-option", "json-word-reused-curve-bool",
+                 "json-word-reused-curve-float", "repeated-gens", "gens-prefix",
+                 "repeated-strands", "repeated-framings", "word-hole-zero", "json-word-no-curve",
+                 "json-word-curve-number", "json-word-curve-nested-500",
+                 "json-diagram-unknown-key", "json-word-unknown-key", "json-word-push-unknown-key",
+                 "move-unknown-key", "argv-underscore-digits", "argv-arabic-indic-digits",
+                 "page-arabic-indic-digit", "diagram-underscore-digits",
+                 "diagram-arabic-indic-strands", "word-arabic-indic-hole",
+                 "relator-arabic-indic-index", "gens-arabic-indic-count", "word-run-decreasing",
+                 "word-run-no-first", "word-run-hole-zero", "json-word-run-decreasing",
+                 "json-word-run-three-fields", "json-word-run-float", "word-path-long-missing",
+                 "presentation-path-long-missing", "moves-path-long-malformed", "moves-not-utf8",
+                 "move-twists-string", "certify-s4-no-push-letter", "argv-missing-option-value",
+                 "argv-flag-with-value", "argv-unknown-action"]
+
+# each report mode: every row of both tables must fail alike in both
+MODES = [[], ["--json", "--no-timestamp"]]
+
+
+def write_files(directory, files):
+    """Write ``files`` under ``directory``: text as UTF-8, bytes raw, None as a
+    directory, each in its parent directories."""
+    for name, content in files.items():
+        path = directory / name
         path.parent.mkdir(parents=True, exist_ok=True)
         if content is None:
             path.mkdir()
         elif isinstance(content, bytes):
             path.write_bytes(content)
         else:
-            path.write_text(content)
-    code, out, err = run(capsys, *argv, "--json", "--no-timestamp")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert needle in err
-    assert len(err.encode()) < 1024
+            path.write_text(content, encoding="utf-8")
+
+
+def assert_bad_input(code, out, err, needle):
+    """The bad-input contract: exit 2, nothing on stdout, and on stderr one
+    ``error:`` line under 1 KB that names ``needle``."""
+    err = err if isinstance(err, bytes) else err.encode()
+    assert (code, len(out)) == (2, 0)
+    assert len(err.splitlines()) == 1 and err.startswith(b"error: ") and err.endswith(b"\n")
+    assert needle.encode() in err
+    assert len(err) < 1024
+
+
+@pytest.mark.parametrize("argv, files, needle", MALFORMED_INPUTS, ids=MALFORMED_IDS)
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
+                                                     needle):
+    monkeypatch.chdir(tmp_path)
+    write_files(tmp_path, files)
+    for flags in MODES:
+        assert_bad_input(*run(capsys, *argv, *flags), needle)
 
 
 def test_an_error_quotes_a_path_whole_up_to_echo_chars(tmp_path, monkeypatch, capsys):
@@ -619,28 +653,51 @@ OVERSIZED_INPUTS = [
     (["certify-s4", "--page", "3", "--word", "w.json"],
      {"w.json": '[{"op":"push","boundary":1,"around":[[2,1000000000000]]}]'},
      "curve {2..1000000000000} does not fit"),
+    # 8.8 KB whose relation matrix is 1,000 x 1,000, over pi1's bound of
+    # 100,000 entries: its Smith form took 24 s
+    (["pi1", "g.txt"], {"g.txt": "gens 1000\n" + "".join(f"x{i}x{i}\n" for i in range(1, 1001))},
+     "has 1000000 entries, more than 100000"),
+    # a move's result is built unchecked, yet must keep the strand bound
+    (["surgery", "d.txt", "--moves", "m.json"],
+     {"d.txt": "strands 200\nframings " + "0 " * 200 + "\n",
+      "m.json": json.dumps([{"move": "blow_up", "region": [1], "sign": 1}])},
+     "at most 200 strands, got 201"),
 ]
+OVERSIZED_IDS = ["word-letter-list", "word-curve-off-page", "word-curve-float", "word-token",
+                 "push-curve-off-page", "move-region-off-diagram", "move-region-string",
+                 "diagram-line", "diagram-framing-string", "diagram-strands", "move-component",
+                 "move-framing", "move-twists", "relator", "gens-line", "argv-token", "gens-count",
+                 "lens-expansion", "diagram-strands-count", "h1-text-too-long", "h1-json-too-long",
+                 "word-run-off-page", "json-word-run-off-page", "json-push-run-off-page",
+                 "relation-matrix-over-bound", "move-result-over-strand-bound"]
 
 
-@pytest.mark.parametrize("argv, files, needle", OVERSIZED_INPUTS,
-                         ids=["word-letter-list", "word-curve-off-page", "word-curve-float",
-                              "word-token", "push-curve-off-page", "move-region-off-diagram",
-                              "move-region-string", "diagram-line", "diagram-framing-string",
-                              "diagram-strands", "move-component", "move-framing", "move-twists",
-                              "relator", "gens-line", "argv-token", "gens-count",
-                              "lens-expansion", "diagram-strands-count", "h1-text-too-long",
-                              "h1-json-too-long", "word-run-off-page", "json-word-run-off-page",
-                              "json-push-run-off-page"])
+@pytest.mark.parametrize("argv, files, needle", OVERSIZED_INPUTS, ids=OVERSIZED_IDS)
 def test_an_oversized_input_gives_one_short_error_line(tmp_path, monkeypatch, capsys, argv, files,
                                                        needle):
     monkeypatch.chdir(tmp_path)
-    for name, content in files.items():
-        (tmp_path / name).write_text(content)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert needle in err
-    assert len(err.encode()) < 1024
+    write_files(tmp_path, files)
+    for flags in MODES:
+        assert_bad_input(*run(capsys, *argv, *flags), needle)
+
+
+BAD_INPUTS = dict(zip(MALFORMED_IDS + OVERSIZED_IDS, MALFORMED_INPUTS + OVERSIZED_INPUTS))
+# one row per subcommand, and one naming none, also run as the console
+# script: only a process shows the exit status and bytes a shell receives
+CONSOLE_ROWS = {"lens-x-2": "argv-not-an-integer", "frob": "argv-unknown-command",
+                "embed": "word-not-utf8", "certify-s4": "certify-s4-no-push-letter",
+                "surgery": "h1-text-too-long", "pi1": "gens-count",
+                "corpus": "argv-unknown-action"}
+
+
+@pytest.mark.parametrize("row", CONSOLE_ROWS.values(), ids=CONSOLE_ROWS)
+def test_console_script_argv_error_is_one_line(tmp_path, row):
+    argv, files, needle = BAD_INPUTS[row]
+    write_files(tmp_path, files)
+    for flags in MODES:
+        proc = subprocess.run([sys.executable, "-m", "spuncalc.cli", *argv, *flags],
+                              capture_output=True, cwd=tmp_path, env=source_env(), timeout=60)
+        assert_bad_input(proc.returncode, proc.stdout, proc.stderr, needle)
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
@@ -736,10 +793,8 @@ def test_surgery_computes_the_h1_of_its_input_only(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("name", ["blow_up", "blow_down"])
 def test_a_failed_certificate_computes_the_h1_on_both_sides(tmp_path, monkeypatch, capsys, name):
     # the move's result is framed one too high, so its certificate fails and
-    # the diagrams on both sides of it take a Smith reduction, as does the
-    # input: the blow-up's first side is the input, so two reductions for a
-    # faulty blow-up and three for a faulty blow-down; the final diagram's
-    # H1 is the one carried to it
+    # every diagram of the chain takes a Smith reduction, those on both sides
+    # of the faulty move among them: three for two moves
     original = getattr(surgery, name)
 
     def faulty(d, *args):
@@ -751,7 +806,7 @@ def test_a_failed_certificate_computes_the_h1_on_both_sides(tmp_path, monkeypatc
     calls = count_smith(monkeypatch)
     code, outputs = readme_surgery(tmp_path, monkeypatch, capsys)
     assert code == 1
-    assert len(calls) == {"blow_up": 2, "blow_down": 3}[name]
+    assert len(calls) == 3
     d = surgery.parse_diagram(README_FILES["diagram.txt"])
     up, _ = surgery.blow_up(d, [1, 2], 1)
     final, _ = surgery.blow_down(up, 3)
@@ -982,7 +1037,6 @@ def test_a_canonical_command_imports_no_argument_parser():
     # -S: without site, whose .pth hooks may load any module; a canonical
     # argv never builds argparse's parser, whose HelpFormatter loads shutil,
     # and help still comes from argparse
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spuncalc.__file__))}
     code = ("import contextlib, io, sys\n"
             "from spuncalc.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -991,11 +1045,37 @@ def test_a_canonical_command_imports_no_argument_parser():
             "print(code, loaded)\n"
             "main(['--help'])\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=source_env(), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     first, usage = proc.stdout.split("\n", 1)
     assert first == "0 []"
     assert usage.startswith("usage: spuncalc")
+    # the console script itself loads none of these either: the value classes
+    # are plain, a report without a timestamp needs no datetime, and only the
+    # corpus reads package files; -X importtime names each module loaded
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "spuncalc.cli", "lens",
+                           "7", "2", "--json", "--no-timestamp"], capture_output=True, text=True,
+                          env=source_env(), timeout=60)
+    loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert (proc.returncode, "spuncalc.planar" in loaded) == (0, True)
+    assert loaded.isdisjoint({"dataclasses", "datetime", "importlib.resources", "pathlib",
+                              "argparse", "gettext", "shutil"})
+
+
+@pytest.mark.parametrize("deferred, canonical", [
+    (["lens", "7", "2", "--js", "--no-t"], ["lens", "7", "2", "--json", "--no-timestamp"]),
+    (["embed", "--page=2", "--word=word.txt", "--json", "--no-timestamp"],
+     ["embed", "--page", "2", "--word", "word.txt", "--json", "--no-timestamp"]),
+], ids=["lens-abbreviations", "embed-option-equals-value"])
+def test_a_spelling_argparse_reads_prints_what_its_canonical_spelling_prints(
+        tmp_path, monkeypatch, capsys, deferred, canonical):
+    # abbreviations and --option=value are left to argparse
+    monkeypatch.chdir(tmp_path)
+    write_files(tmp_path, README_FILES)
+    assert (cli.read_argv(deferred), cli.read_argv(canonical) is None) == (None, False)
+    code, out, err = run(capsys, *deferred)
+    assert (code, err) == (0, "")
+    assert run(capsys, *canonical) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])

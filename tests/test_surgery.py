@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spuncalc import checks, surgery
+from spuncalc import checks, homology, surgery
 from spuncalc.errors import InvalidDiagramError, InvalidMoveError
 from spuncalc.homology import H1Invariants, LinkingMatrix
 from spuncalc.planar import (
@@ -341,6 +341,28 @@ def test_apply_moves_audits_the_chain():
     assert agrees
     assert details == ["region [1, 2], sign +1", "component 3, t -2", "component 3, sign -1"]
     assert apply_moves(d, []) == (d, [h1_invariants(linking_matrix(d))], True, [])
+
+
+@pytest.mark.parametrize("failing", [None, "blow_up_certified", "twist_certified",
+                                     "blow_down_certified"])
+def test_a_chain_takes_one_smith_form_or_one_per_diagram(monkeypatch, failing):
+    # every certificate holding carries the input's H1 to every diagram; one
+    # failing, wherever it falls, sends every diagram to its own Smith form
+    d = FramedBraidDiagram(2, ((1, 2, 1),), (-4, -2))
+    moves = [
+        {"move": "blow_up", "region": [1, 2], "sign": 1},
+        {"move": "rolfsen_twist", "component": 3, "twists": -2},
+        {"move": "blow_down", "component": 3},
+    ]
+    expected = apply_moves(d, moves)
+    if failing:
+        monkeypatch.setattr(checks, failing, lambda *args: False)
+    calls = []
+    smith = homology.smith_diagonal
+    monkeypatch.setattr(homology, "smith_diagonal",
+                        lambda entries: calls.append(1) or smith(entries))
+    assert apply_moves(d, moves) == expected
+    assert len(calls) == (1 if failing is None else len(moves) + 1)
 
 
 def rank_one_unused(*args):
